@@ -3,7 +3,7 @@
 //! (§2.3). No packet I/O is involved, exactly as in the paper.
 
 use ps_core::apps::{CYCLES_PER_NS, TABLE_MISS_NS};
-use ps_core::kernels::Ipv6Kernel;
+use ps_core::kernels::{Ipv6Kernel, KernelIo};
 use ps_gpu::{GpuDevice, GpuEngine};
 use ps_hw::ioh::Ioh;
 use ps_hw::pcie::PcieModel;
@@ -59,11 +59,12 @@ pub fn gpu_rate(table: &V6Table, addrs: &[u128], batch: usize) -> f64 {
     let h2d = eng.copy_h2d(t0, &mut ioh, &input, 0, &staged);
     let kernel = Ipv6Kernel {
         table: tbuf,
-        layout: table.layout().clone(),
-        input,
-        slots: ps_gpu::Slots::packed(16),
-        output,
-        n: batch as u32,
+        layout: table.layout(),
+        io: KernelIo {
+            input,
+            slots: ps_gpu::Slots::packed(16),
+            output,
+        },
     };
     let (kdone, _) = eng.launch(h2d, &kernel, batch as u32);
     let mut out = vec![0u8; batch * 2];

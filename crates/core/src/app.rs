@@ -1,5 +1,8 @@
-//! The application interface: the three callbacks of §5.1 (pre-shader,
-//! shader, post-shader) plus a CPU-only path for the baseline mode.
+//! The application interface the router drives: the three callbacks
+//! of §5.1 (pre-shader, shader, post-shader) plus a CPU-only path for
+//! the baseline mode. Column-staged applications do not implement it
+//! by hand — they describe a `ColumnProgram` and
+//! [`ColumnApp`](crate::program::ColumnApp) is their `App`.
 
 use ps_gpu::{GpuEngine, Staging};
 use ps_hw::ioh::Ioh;
@@ -46,8 +49,8 @@ pub trait App {
 
     /// Select the GPU staging mode (`RouterConfig.staging`). Called by
     /// `Router::new` *before* any [`App::setup_gpu`] call so device
-    /// buffers can be sized for the mode. Column-staged apps forward
-    /// this to their `ColumnStage`; apps whose kernels consume full
+    /// buffers can be sized for the mode. The column driver forwards
+    /// this to its `ColumnStage`; apps whose kernels consume full
     /// payloads anyway (IPsec) keep the no-op default.
     fn set_staging(&mut self, _mode: Staging) {}
 

@@ -114,9 +114,11 @@ impl IpsecApp {
     }
 }
 
-/// The revalidation parse (see [`super::revalidate`]): the inner
-/// packet to tunnel is everything after the Ethernet header. Both
-/// crypto paths re-slice it from the raw frame.
+/// The revalidation parse: the inner packet to tunnel is everything
+/// after the Ethernet header. Pre-shading validated the frame, but
+/// fault injection can corrupt bytes *between* pipeline stages, so
+/// both crypto paths re-slice it from the raw frame and count a
+/// failure in `malformed` exactly once.
 fn inner_frame(data: &[u8]) -> Option<&[u8]> {
     data.get(ETH_LEN..)
 }
@@ -164,7 +166,8 @@ impl App for IpsecApp {
     fn process_cpu(&mut self, pkts: &mut Vec<Packet>) -> u64 {
         let mut cycles = 0;
         for p in pkts.iter_mut() {
-            let Some(inner) = super::revalidate(&mut self.malformed, inner_frame(&p.data)) else {
+            let Some(inner) = inner_frame(&p.data) else {
+                self.malformed += 1;
                 // No ESP sequence number is consumed, so the GPU path
                 // (which skips staging for the same frame) stays
                 // bit-identical.
@@ -207,7 +210,8 @@ impl App for IpsecApp {
         // CPU path, which also skips it) and stages nothing.
         let mut vi = 0usize;
         for p in pkts[..n].iter() {
-            let Some(inner) = super::revalidate(&mut self.malformed, inner_frame(&p.data)) else {
+            let Some(inner) = inner_frame(&p.data) else {
+                self.malformed += 1;
                 st.slots.push((usize::MAX, 0, 0));
                 continue;
             };

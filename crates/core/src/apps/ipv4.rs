@@ -1,239 +1,151 @@
 //! IPv4 forwarding (§6.2.1): DIR-24-8 lookup, GPU-offloaded or on
 //! the CPU.
 
-use std::net::Ipv4Addr;
-
-use ps_gpu::{DeviceBuffer, GpuEngine, Staging};
+use ps_gpu::{DeviceBuffer, GpuEngine, Kernel};
 use ps_hw::ioh::Ioh;
 use ps_io::Packet;
 use ps_lookup::dir24::{self, Dir24Table};
 use ps_lookup::mem::{CountingMem, SliceMem};
 use ps_lookup::route::Route4;
-use ps_lookup::NO_ROUTE;
 use ps_net::ethernet::HEADER_LEN as ETH_LEN;
 use ps_net::ipv4::Ipv4Packet;
 use ps_net::{classify, Verdict};
-use ps_nic::port::PortId;
 use ps_sim::time::Time;
 
-use super::{CYCLES_PER_NS, ROUTER_LOOKUP_OVERLAP, TABLE_MISS_NS};
-use crate::app::{App, PreShadeResult};
-use crate::columns::{ColumnStage, IPV4_COLUMNS};
-use crate::kernels::Ipv4Kernel;
-
-/// Per-packet pre-shading cycles: parse + verdict + TTL/checksum
-/// update + staging the destination address.
-const PRE_SHADE_CYCLES: u64 = 55;
-
-/// Maximum packets one gathered GPU launch can stage.
-pub const MAX_GATHER: usize = 65_536;
-
-struct NodeGpu {
-    table: DeviceBuffer,
-    input: DeviceBuffer,
-    output: DeviceBuffer,
-}
+use crate::columns::{ColumnSet, IPV4_COLUMNS};
+use crate::kernels::{Ipv4Kernel, KernelIo};
+use crate::program::{ColumnApp, ColumnProgram};
 
 /// The IPv4 router application.
-pub struct Ipv4App {
+pub type Ipv4App = ColumnApp<Ipv4Program>;
+
+/// The IPv4 packet program: a 4-byte destination-address column in,
+/// a next-hop column out, over a DIR-24-8 table.
+pub struct Ipv4Program {
     table: Dir24Table,
-    local: Vec<Ipv4Addr>,
-    gpu: Vec<Option<NodeGpu>>,
-    /// Per-node flag: device table image is stale after a FIB update
-    /// and must be re-uploaded before the next launch (the §7
+    /// Bumped by every FIB update; a node whose device image carries
+    /// an older version re-uploads before its next launch (the §7
     /// double-buffering direction: the upload rides the normal copy
     /// engine, so the data path keeps flowing).
-    dirty: Vec<bool>,
-    /// The destination-address column stage: gather/scatter buffers
-    /// (zero-alloc in steady state), mode-dependent transfer and PCIe
-    /// byte accounting.
-    stage: ColumnStage,
-    /// Lookups performed (for reports).
-    pub lookups: u64,
-    /// Frames whose bytes no longer parsed at lookup time (fault
-    /// injection can damage a frame after classification); each is a
-    /// counted drop, never a panic.
-    pub malformed: u64,
+    version: u64,
+}
+
+/// One node's device copy of the FIB.
+pub struct DeviceFib {
+    image: DeviceBuffer,
+    version: u64,
 }
 
 impl Ipv4App {
     /// Build over a route list whose hops are output-port indices.
     pub fn new(routes: &[Route4]) -> Ipv4App {
-        Ipv4App {
+        ColumnApp::over(Ipv4Program {
             table: Dir24Table::build(routes),
-            local: Vec::new(),
-            gpu: Vec::new(),
-            dirty: Vec::new(),
-            stage: ColumnStage::new(IPV4_COLUMNS),
-            lookups: 0,
-            malformed: 0,
-        }
+            version: 0,
+        })
     }
+}
 
+impl Ipv4Program {
     /// Install (or replace) one route at run time — the control-plane
     /// FIB update of §7. The CPU table updates in place; each GPU's
     /// copy is re-uploaded lazily before its next launch.
     pub fn install_route(&mut self, r: Route4) {
         self.table.insert(r);
-        for d in &mut self.dirty {
-            *d = true;
-        }
+        self.version += 1;
     }
 
     /// Host-side lookup (shared by the CPU path and tests).
     pub fn lookup_host(&self, addr: u32) -> u16 {
         self.table.lookup_host(addr)
     }
-
-    fn ensure_node(&mut self, node: usize) {
-        if self.gpu.len() <= node {
-            self.gpu.resize_with(node + 1, || None);
-            self.dirty.resize(node + 1, false);
-        }
-    }
 }
 
-/// The revalidation parse (see [`super::revalidate`]): both lookup
-/// paths re-read the destination address from the raw frame.
-fn dst_addr(data: &[u8]) -> Option<u32> {
-    let ip = Ipv4Packet::new_checked(data.get(ETH_LEN..)?).ok()?;
-    Some(u32::from(ip.dst()))
-}
+impl ColumnProgram for Ipv4Program {
+    type Key = ();
+    type Row = u16;
+    type Tables = DeviceFib;
 
-impl App for Ipv4App {
-    fn name(&self) -> &str {
-        "ipv4"
-    }
+    const NAME: &'static str = "ipv4";
+    const COLUMNS: ColumnSet = IPV4_COLUMNS;
+    const PRE_SHADE_CYCLES: u64 = 55;
 
-    fn set_staging(&mut self, mode: Staging) {
-        self.stage.set_mode(mode);
-    }
-
-    fn staging_totals(&self) -> Option<(u64, u64, u64)> {
-        Some(self.stage.totals())
-    }
-
-    fn setup_gpu(&mut self, node: usize, eng: &mut GpuEngine) {
-        self.ensure_node(node);
-        let table = eng.dev.mem.alloc(self.table.image().len());
-        eng.dev.mem.write(&table, 0, self.table.image());
-        let input = self.stage.alloc_input(eng, MAX_GATHER);
-        let output = self.stage.alloc_output(eng, MAX_GATHER);
-        self.gpu[node] = Some(NodeGpu {
-            table,
-            input,
-            output,
-        });
-    }
-
-    fn pre_shade(&mut self, pkts: &mut Vec<Packet>) -> PreShadeResult {
-        let mut r = PreShadeResult::default();
-        pkts.retain_mut(|p| match classify(&p.data, &self.local) {
-            Verdict::FastPath => {
-                let mut ip = Ipv4Packet::new_unchecked(&mut p.data[ETH_LEN..]);
-                ip.decrement_ttl();
-                true
-            }
-            Verdict::SlowPath(_) => {
-                r.slow_path += 1;
-                false
-            }
-            Verdict::Drop(_) => {
-                r.dropped += 1;
-                false
-            }
-        });
-        r.cycles = PRE_SHADE_CYCLES * (pkts.len() as u64 + r.dropped + r.slow_path);
-        r
-    }
-
-    fn process_cpu(&mut self, pkts: &mut Vec<Packet>) -> u64 {
-        let mut accesses = 0u64;
-        for p in pkts.iter_mut() {
-            let Some(dst) = super::revalidate(&mut self.malformed, dst_addr(&p.data)) else {
-                p.out_port = None;
-                continue;
-            };
-            let mut mem = CountingMem::new(SliceMem::new(self.table.image()));
-            let hop = dir24::lookup(&self.table.layout(), &mut mem, dst);
-            accesses += mem.accesses;
-            self.lookups += 1;
-            p.out_port = (hop != NO_ROUTE).then_some(PortId(hop));
+    fn admit(&self, p: &mut Packet) -> Verdict {
+        let v = classify(&p.data, &[]);
+        if v == Verdict::FastPath {
+            Ipv4Packet::new_unchecked(&mut p.data[ETH_LEN..]).decrement_ttl();
         }
-        pkts.retain(|p| p.out_port.is_some());
-        // Each access is a dependent table miss; modest batch-loop
-        // overlap (see EXPERIMENTS.md calibration notes).
-        let miss_ns = accesses as f64 * TABLE_MISS_NS as f64 / ROUTER_LOOKUP_OVERLAP;
-        (miss_ns * CYCLES_PER_NS) as u64 + 30 * pkts.len() as u64
+        v
     }
 
-    fn shade(
-        &mut self,
-        node: usize,
+    fn key(&self, p: &Packet, slot: &mut [u8]) -> Option<()> {
+        let ip = Ipv4Packet::new_checked(p.data.get(ETH_LEN..)?).ok()?;
+        slot.copy_from_slice(&u32::from(ip.dst()).to_le_bytes());
+        Some(())
+    }
+
+    fn upload_tables(&self, eng: &mut GpuEngine) -> DeviceFib {
+        let image = eng.dev.mem.alloc(self.table.image().len());
+        eng.dev.mem.write(&image, 0, self.table.image());
+        DeviceFib {
+            image,
+            version: self.version,
+        }
+    }
+
+    fn refresh(
+        &self,
+        fib: &mut DeviceFib,
         eng: &mut GpuEngine,
         ioh: &mut Ioh,
         ready: Time,
-        pkts: &mut [Packet],
     ) -> Time {
-        let n = pkts.len().min(MAX_GATHER);
-        let g = self.gpu[node].as_ref().expect("setup_gpu ran");
-        let (table, input, output) = (g.table, g.input, g.output);
-        // A pending FIB update re-uploads the table image first; the
-        // copy is charged like any other transfer (§7: "incremental
-        // update or double buffering").
-        let mut ready = ready;
-        if self.dirty.get(node).copied().unwrap_or(false) {
-            ready = eng.copy_h2d(ready, ioh, &table, 0, self.table.image());
-            self.dirty[node] = false;
+        if fib.version == self.version {
+            return ready;
         }
-        // Gather the destination-address column (pre-shading built
-        // this array; the stage models its host->device transfer
-        // under the active staging mode). Buffers are reused across
-        // launches.
-        let staged = self.stage.begin();
-        // Indices whose frames failed to re-parse (a sentinel address
-        // is staged so the batch layout stays fixed). Empty — and
-        // allocation-free — for healthy traffic.
-        let mut bad: Vec<usize> = Vec::new();
-        for (i, p) in pkts[..n].iter().enumerate() {
-            match super::revalidate(&mut self.malformed, dst_addr(&p.data)) {
-                Some(dst) => staged.extend_from_slice(&dst.to_le_bytes()),
-                None => {
-                    bad.push(i);
-                    staged.extend_from_slice(&0u32.to_le_bytes());
-                }
-            }
-        }
-        let h2d = self.stage.upload(eng, ioh, ready, &input, &pkts[..n]);
-        let kernel = Ipv4Kernel {
-            table,
+        fib.version = self.version;
+        eng.copy_h2d(ready, ioh, &fib.image, 0, self.table.image())
+    }
+
+    fn kernel<'a>(&'a self, fib: &'a DeviceFib, io: KernelIo) -> impl Kernel + 'a {
+        Ipv4Kernel {
+            table: fib.image,
             layout: self.table.layout(),
-            input,
-            slots: self.stage.slots(),
-            output,
-            n: n as u32,
-        };
-        let (kdone, _) = eng.launch(h2d, &kernel, n as u32);
-        let (done, hops) = self.stage.download(eng, ioh, ready, kdone, &output, n);
-        for (i, p) in pkts[..n].iter_mut().enumerate() {
-            let hop = u16::from_le_bytes([hops[i * 2], hops[i * 2 + 1]]);
-            self.lookups += 1;
-            p.out_port = (hop != NO_ROUTE).then_some(PortId(hop));
+            io,
         }
-        for &i in &bad {
-            pkts[i].out_port = None;
-        }
-        done
+    }
+
+    fn decode(row: &[u8]) -> u16 {
+        super::decode_hop(row)
+    }
+
+    fn host(&self, slot: &[u8]) -> (u16, u64) {
+        let dst = u32::from_le_bytes(slot.try_into().expect("4 B column"));
+        let mut mem = CountingMem::new(SliceMem::new(self.table.image()));
+        let hop = dir24::lookup(&self.table.layout(), &mut mem, dst);
+        (hop, mem.accesses)
+    }
+
+    fn apply(&mut self, p: &mut Packet, _: (), hop: u16) -> u64 {
+        super::forward_to_hop(p, hop);
+        0
+    }
+
+    fn cpu_cycles(&self, accesses: u64, survivors: usize) -> u64 {
+        super::lpm_cycles(accesses, 0, survivors)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::App;
     use ps_hw::pcie::PcieModel;
     use ps_hw::spec::{IohSpec, PcieSpec};
     use ps_net::ethernet::MacAddr;
     use ps_net::PacketBuilder;
+    use ps_nic::port::PortId;
+    use std::net::Ipv4Addr;
 
     fn routes() -> Vec<Route4> {
         vec![
@@ -272,44 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn gpu_path_agrees_with_cpu_path() {
-        let mut app = Ipv4App::new(&routes());
-        let dev = ps_gpu::GpuDevice::gtx480_with_mem(64 << 20);
-        let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
-        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
-        app.setup_gpu(0, &mut eng);
-
-        let dsts = [
-            Ipv4Addr::new(10, 11, 1, 1),
-            Ipv4Addr::new(10, 200, 0, 1),
-            Ipv4Addr::new(1, 2, 3, 4),
-            Ipv4Addr::new(200, 1, 1, 1),
-        ];
-        let mut gpu_pkts: Vec<Packet> = dsts.iter().map(|&d| packet(d)).collect();
-        let mut cpu_pkts: Vec<Packet> = dsts.iter().map(|&d| packet(d)).collect();
-
-        app.pre_shade(&mut gpu_pkts);
-        let done = app.shade(0, &mut eng, &mut ioh, 0, &mut gpu_pkts);
-        assert!(done > 0);
-
-        app.pre_shade(&mut cpu_pkts);
-        app.process_cpu(&mut cpu_pkts);
-
-        let gpu_ports: Vec<_> = gpu_pkts.iter().map(|p| p.out_port).collect();
-        let cpu_ports: Vec<_> = cpu_pkts.iter().map(|p| p.out_port).collect();
-        assert_eq!(gpu_ports, cpu_ports);
-        assert_eq!(
-            gpu_ports,
-            vec![
-                Some(PortId(2)),
-                Some(PortId(1)),
-                Some(PortId(6)),
-                Some(PortId(7)),
-            ]
-        );
-    }
-
-    #[test]
     fn fib_update_propagates_to_the_gpu_table() {
         let mut app = Ipv4App::new(&routes());
         let dev = ps_gpu::GpuDevice::gtx480_with_mem(64 << 20);
@@ -331,30 +205,6 @@ mod tests {
         assert!(t > 0);
         assert_eq!(after[0].out_port, Some(PortId(5)), "post-update: new /24");
         assert_eq!(app.lookup_host(u32::from(dst)), 5, "CPU table agrees");
-    }
-
-    #[test]
-    fn truncated_frames_are_counted_drops_not_panics() {
-        // Damage after classification (what wire corruption can do):
-        // both execution paths must drop-and-count, never panic.
-        let mut app = Ipv4App::new(&routes());
-        let mut bad = packet(Ipv4Addr::new(10, 0, 0, 1));
-        bad.data.truncate(ETH_LEN + 3);
-        let mut pkts = vec![bad.clone(), packet(Ipv4Addr::new(10, 11, 1, 1))];
-        app.process_cpu(&mut pkts);
-        assert_eq!(app.malformed, 1);
-        assert_eq!(pkts.len(), 1, "malformed frame removed as a drop");
-        assert_eq!(pkts[0].out_port, Some(PortId(2)));
-
-        let dev = ps_gpu::GpuDevice::gtx480_with_mem(64 << 20);
-        let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
-        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
-        app.setup_gpu(0, &mut eng);
-        let mut pkts = vec![bad, packet(Ipv4Addr::new(10, 11, 1, 1))];
-        app.shade(0, &mut eng, &mut ioh, 0, &mut pkts);
-        assert_eq!(app.malformed, 2);
-        assert_eq!(pkts[0].out_port, None);
-        assert_eq!(pkts[1].out_port, Some(PortId(2)));
     }
 
     #[test]

@@ -1,210 +1,113 @@
 //! IPv6 forwarding (§6.2.2): binary search on prefix lengths, the
 //! memory-intensive workload where GPU latency hiding shines.
 
-use ps_gpu::{DeviceBuffer, GpuEngine, Staging};
-use ps_hw::ioh::Ioh;
+use ps_gpu::{DeviceBuffer, GpuEngine, Kernel};
 use ps_io::Packet;
 use ps_lookup::mem::{CountingMem, SliceMem};
 use ps_lookup::route::Route6;
 use ps_lookup::waldvogel::{self, V6Table};
-use ps_lookup::NO_ROUTE;
 use ps_net::ethernet::HEADER_LEN as ETH_LEN;
 use ps_net::ipv6::Ipv6Packet;
 use ps_net::{classify, Verdict};
-use ps_nic::port::PortId;
-use ps_sim::time::Time;
 
-use super::{CYCLES_PER_NS, ROUTER_LOOKUP_OVERLAP, TABLE_MISS_NS};
-use crate::app::{App, PreShadeResult};
-use crate::columns::{ColumnStage, IPV6_COLUMNS};
-use crate::kernels::Ipv6Kernel;
-
-/// Per-packet pre-shading cycles (IPv6 parses a bigger header and
-/// stages 16 B per packet).
-const PRE_SHADE_CYCLES: u64 = 65;
-
-/// Maximum packets one gathered launch stages (16 B per packet).
-pub const MAX_GATHER: usize = 65_536;
-
-struct NodeGpu {
-    table: DeviceBuffer,
-    input: DeviceBuffer,
-    output: DeviceBuffer,
-}
+use crate::columns::{ColumnSet, IPV6_COLUMNS};
+use crate::kernels::{Ipv6Kernel, KernelIo};
+use crate::program::{ColumnApp, ColumnProgram};
 
 /// The IPv6 router application.
-pub struct Ipv6App {
+pub type Ipv6App = ColumnApp<Ipv6Program>;
+
+/// The IPv6 packet program: a 16-byte destination-address column in,
+/// a next-hop column out, over a Waldvogel table.
+pub struct Ipv6Program {
     table: V6Table,
-    gpu: Vec<Option<NodeGpu>>,
-    /// The destination-address column stage: gather/scatter buffers
-    /// (zero-alloc in steady state), mode-dependent transfer and PCIe
-    /// byte accounting.
-    stage: ColumnStage,
-    /// Lookups performed.
-    pub lookups: u64,
-    /// Frames whose bytes no longer parsed at lookup time (fault
-    /// injection can damage a frame after classification); each is a
-    /// counted drop, never a panic.
-    pub malformed: u64,
 }
 
 impl Ipv6App {
     /// Build over a route list whose hops are output-port indices.
     pub fn new(routes: &[Route6]) -> Ipv6App {
-        Ipv6App {
+        ColumnApp::over(Ipv6Program {
             table: V6Table::build(routes),
-            gpu: Vec::new(),
-            stage: ColumnStage::new(IPV6_COLUMNS),
-            lookups: 0,
-            malformed: 0,
-        }
+        })
     }
+}
 
+impl Ipv6Program {
     /// Host-side lookup.
     pub fn lookup_host(&self, addr: u128) -> u16 {
         self.table.lookup_host(addr)
     }
+}
 
-    fn ensure_node(&mut self, node: usize) {
-        if self.gpu.len() <= node {
-            self.gpu.resize_with(node + 1, || None);
+impl ColumnProgram for Ipv6Program {
+    type Key = ();
+    type Row = u16;
+    type Tables = DeviceBuffer;
+
+    const NAME: &'static str = "ipv6";
+    const COLUMNS: ColumnSet = IPV6_COLUMNS;
+    /// IPv6 parses a bigger header and stages 16 B per packet.
+    const PRE_SHADE_CYCLES: u64 = 65;
+
+    fn admit(&self, p: &mut Packet) -> Verdict {
+        let v = classify(&p.data, &[]);
+        if v == Verdict::FastPath {
+            Ipv6Packet::new_unchecked(&mut p.data[ETH_LEN..]).decrement_hop_limit();
         }
-    }
-}
-
-/// The revalidation parse (see [`super::revalidate`]): both lookup
-/// paths re-read the destination address (as its big-endian octets,
-/// which is also the GPU staging layout) from the raw frame.
-fn dst_addr(data: &[u8]) -> Option<[u8; 16]> {
-    let ip = Ipv6Packet::new_checked(data.get(ETH_LEN..)?).ok()?;
-    Some(ip.dst().octets())
-}
-
-impl App for Ipv6App {
-    fn name(&self) -> &str {
-        "ipv6"
+        v
     }
 
-    fn set_staging(&mut self, mode: Staging) {
-        self.stage.set_mode(mode);
+    fn key(&self, p: &Packet, slot: &mut [u8]) -> Option<()> {
+        let ip = Ipv6Packet::new_checked(p.data.get(ETH_LEN..)?).ok()?;
+        // Big-endian octets: the staged layout.
+        slot.copy_from_slice(&ip.dst().octets());
+        Some(())
     }
 
-    fn staging_totals(&self) -> Option<(u64, u64, u64)> {
-        Some(self.stage.totals())
-    }
-
-    fn setup_gpu(&mut self, node: usize, eng: &mut GpuEngine) {
-        self.ensure_node(node);
+    fn upload_tables(&self, eng: &mut GpuEngine) -> DeviceBuffer {
         let table = eng.dev.mem.alloc(self.table.image().len().max(64));
         eng.dev.mem.write(&table, 0, self.table.image());
-        let input = self.stage.alloc_input(eng, MAX_GATHER);
-        let output = self.stage.alloc_output(eng, MAX_GATHER);
-        self.gpu[node] = Some(NodeGpu {
-            table,
-            input,
-            output,
-        });
+        table
     }
 
-    fn pre_shade(&mut self, pkts: &mut Vec<Packet>) -> PreShadeResult {
-        let mut r = PreShadeResult::default();
-        pkts.retain_mut(|p| match classify(&p.data, &[]) {
-            Verdict::FastPath => {
-                let mut ip = Ipv6Packet::new_unchecked(&mut p.data[ETH_LEN..]);
-                ip.decrement_hop_limit();
-                true
-            }
-            Verdict::SlowPath(_) => {
-                r.slow_path += 1;
-                false
-            }
-            Verdict::Drop(_) => {
-                r.dropped += 1;
-                false
-            }
-        });
-        r.cycles = PRE_SHADE_CYCLES * (pkts.len() as u64 + r.dropped + r.slow_path);
-        r
-    }
-
-    fn process_cpu(&mut self, pkts: &mut Vec<Packet>) -> u64 {
-        let mut accesses = 0u64;
-        for p in pkts.iter_mut() {
-            let Some(dst) = super::revalidate(&mut self.malformed, dst_addr(&p.data)) else {
-                p.out_port = None;
-                continue;
-            };
-            let dst = u128::from_be_bytes(dst);
-            let mut mem = CountingMem::new(SliceMem::new(self.table.image()));
-            let hop = waldvogel::lookup(self.table.layout(), &mut mem, dst);
-            accesses += mem.accesses;
-            self.lookups += 1;
-            p.out_port = (hop != NO_ROUTE).then_some(PortId(hop));
+    fn kernel<'a>(&'a self, table: &'a DeviceBuffer, io: KernelIo) -> impl Kernel + 'a {
+        Ipv6Kernel {
+            table: *table,
+            layout: self.table.layout(),
+            io,
         }
-        pkts.retain(|p| p.out_port.is_some());
+    }
+
+    fn decode(row: &[u8]) -> u16 {
+        super::decode_hop(row)
+    }
+
+    fn host(&self, slot: &[u8]) -> (u16, u64) {
+        let dst = u128::from_be_bytes(slot.try_into().expect("16 B column"));
+        let mut mem = CountingMem::new(SliceMem::new(self.table.image()));
+        let hop = waldvogel::lookup(self.table.layout(), &mut mem, dst);
+        (hop, mem.accesses)
+    }
+
+    fn apply(&mut self, p: &mut Packet, _: (), hop: u16) -> u64 {
+        super::forward_to_hop(p, hop);
+        0
+    }
+
+    fn cpu_cycles(&self, accesses: u64, survivors: usize) -> u64 {
         // Seven dependent probes per packet, each a table miss plus
         // ~16 hash ops.
-        let miss_ns = accesses as f64 * TABLE_MISS_NS as f64 / ROUTER_LOOKUP_OVERLAP;
-        (miss_ns * CYCLES_PER_NS) as u64 + (16 * accesses + 30 * pkts.len() as u64)
-    }
-
-    fn shade(
-        &mut self,
-        node: usize,
-        eng: &mut GpuEngine,
-        ioh: &mut Ioh,
-        ready: Time,
-        pkts: &mut [Packet],
-    ) -> Time {
-        let n = pkts.len().min(MAX_GATHER);
-        let g = self.gpu[node].as_ref().expect("setup_gpu ran");
-        let (table, input, output) = (g.table, g.input, g.output);
-        // Gather the destination-address column into the stage's
-        // reused buffer.
-        let staged = self.stage.begin();
-        // Indices whose frames failed to re-parse (a sentinel address
-        // is staged so the batch layout stays fixed). Empty — and
-        // allocation-free — for healthy traffic.
-        let mut bad: Vec<usize> = Vec::new();
-        for (i, p) in pkts[..n].iter().enumerate() {
-            match super::revalidate(&mut self.malformed, dst_addr(&p.data)) {
-                Some(dst) => staged.extend_from_slice(&dst),
-                None => {
-                    bad.push(i);
-                    staged.extend_from_slice(&[0u8; 16]);
-                }
-            }
-        }
-        let h2d = self.stage.upload(eng, ioh, ready, &input, &pkts[..n]);
-        let kernel = Ipv6Kernel {
-            table,
-            layout: self.table.layout().clone(),
-            input,
-            slots: self.stage.slots(),
-            output,
-            n: n as u32,
-        };
-        let (kdone, _) = eng.launch(h2d, &kernel, n as u32);
-        let (done, hops) = self.stage.download(eng, ioh, ready, kdone, &output, n);
-        for (i, p) in pkts[..n].iter_mut().enumerate() {
-            let hop = u16::from_le_bytes([hops[i * 2], hops[i * 2 + 1]]);
-            self.lookups += 1;
-            p.out_port = (hop != NO_ROUTE).then_some(PortId(hop));
-        }
-        for &i in &bad {
-            pkts[i].out_port = None;
-        }
-        done
+        super::lpm_cycles(accesses, 16, survivors)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps_hw::pcie::PcieModel;
-    use ps_hw::spec::{IohSpec, PcieSpec};
+    use crate::App;
     use ps_net::ethernet::MacAddr;
     use ps_net::PacketBuilder;
+    use ps_nic::port::PortId;
     use std::net::Ipv6Addr;
 
     fn routes() -> Vec<Route6> {
@@ -237,30 +140,5 @@ mod tests {
         assert_eq!(pkts[0].out_port, Some(PortId(2)));
         let ip = Ipv6Packet::new_unchecked(&pkts[0].data[ETH_LEN..]);
         assert_eq!(ip.hop_limit(), 63);
-    }
-
-    #[test]
-    fn gpu_path_agrees_with_cpu_path() {
-        let mut app = Ipv6App::new(&routes());
-        let dev = ps_gpu::GpuDevice::gtx480_with_mem(64 << 20);
-        let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
-        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
-        app.setup_gpu(0, &mut eng);
-
-        let dsts: Vec<Ipv6Addr> = vec![
-            "2001:db8::1".parse().unwrap(),
-            "2001:dead::1".parse().unwrap(),
-            "2abc::9".parse().unwrap(),
-        ];
-        let mut gpu_pkts: Vec<Packet> = dsts.iter().map(|&d| packet(d)).collect();
-        let mut cpu_pkts: Vec<Packet> = dsts.iter().map(|&d| packet(d)).collect();
-        app.pre_shade(&mut gpu_pkts);
-        app.shade(0, &mut eng, &mut ioh, 0, &mut gpu_pkts);
-        app.pre_shade(&mut cpu_pkts);
-        app.process_cpu(&mut cpu_pkts);
-        let g: Vec<_> = gpu_pkts.iter().map(|p| p.out_port).collect();
-        let c: Vec<_> = cpu_pkts.iter().map(|p| p.out_port).collect();
-        assert_eq!(g, c);
-        assert_eq!(g, vec![Some(PortId(2)), Some(PortId(1)), Some(PortId(1))]);
     }
 }

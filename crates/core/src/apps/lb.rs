@@ -5,46 +5,29 @@
 //! rendezvous (highest-random-weight) hashing: each flow scores every
 //! backend with a deterministic mix of its cuckoo hash and the
 //! backend's index, and the highest score wins. The chosen backend is
-//! pinned in a per-NUMA-node [`FlowCache`], so a flow stays on its
+//! pinned in the RX node's [`FlowCache`], so a flow stays on its
 //! backend for its whole lifetime (*stickiness*) even while the
 //! backend set changes — only flows whose winner disappeared are
 //! remapped, the consistent-hashing property. The destination fields
 //! are DNAT-rewritten in place with incremental checksums.
 //!
-//! State partitioning, the GPU hash offload, fault-induced state loss
-//! and shard replication all follow the NAT app (see `nat.rs` and
-//! DESIGN.md §10.3): per-RX-node caches make replicated runs
-//! byte-identical to sequential ones.
+//! Parsing, the hash offload, state partitioning, fault-induced state
+//! loss and shard replication are the shared [`FlowNf`] program; this
+//! file is the balancer's table operation.
 
-use ps_flow::{FlowCache, FlowCacheStats};
-use ps_gpu::{DeviceBuffer, GpuEngine, Staging};
-use ps_hw::ioh::Ioh;
+use ps_flow::FlowCache;
 use ps_io::Packet;
-use ps_net::{classify, Verdict};
 use ps_nic::port::PortId;
 use ps_rng::splitmix64;
 use ps_sim::time::Time;
 
-use super::stateful::{parse_flow, rewrite_dst, stage_keys};
-use crate::app::{App, PreShadeResult, ShardAffinity};
-use crate::columns::{ColumnStage, FLOW_COLUMNS};
-use crate::kernels::FlowHashKernel;
+use super::stateful::{
+    rewrite_dst, FlowNf, FlowOp, ParsedFlow, KICK_CYCLES, PROBE_CYCLES, REWRITE_CYCLES,
+};
+use crate::program::ColumnApp;
 
-/// Per-packet pre-shading cycles: classification + 5-tuple parse.
-const PRE_SHADE_CYCLES: u64 = 70;
-/// Flow-hash cost on the CPU path (the work the GPU absorbs).
-const HASH_CYCLES: u64 = 160;
-/// Cuckoo probe (two buckets, LLC-resident ways).
-const PROBE_CYCLES: u64 = 60;
-/// Header rewrite + incremental checksum updates.
-const REWRITE_CYCLES: u64 = 45;
 /// Per-backend rendezvous score on a cache miss.
 const SCORE_CYCLES: u64 = 8;
-/// Per-relocation cost when an insert kicks residents around.
-const KICK_CYCLES: u64 = 35;
-
-/// Maximum packets one gathered launch stages (16 B keys).
-pub const MAX_GATHER: usize = 65_536;
 
 /// One backend server: where DNAT points the flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,29 +38,30 @@ pub struct Backend {
     pub port: u16,
 }
 
-struct NodeGpu {
-    input: DeviceBuffer,
-    output: DeviceBuffer,
-}
-
 /// The L4 load-balancer application.
-pub struct LbApp {
+pub type LbApp = ColumnApp<FlowNf<Lb>>;
+
+/// The balancer's table operation: the backend set beside the
+/// flow→backend pins.
+pub struct Lb {
     backends: Vec<Backend>,
-    per_node: Vec<FlowCache<u16>>,
-    ports_per_node: u16,
-    capacity: usize,
-    idle_ns: Time,
-    gpu: Vec<Option<NodeGpu>>,
-    /// The 5-tuple column stage: gather/scatter buffers, mode-
-    /// dependent transfer and PCIe byte accounting.
-    stage: ColumnStage,
-    /// Frames that no longer parsed at dispatch time; counted drops.
-    pub malformed: u64,
-    /// Pinned flows lost to GPU faults (summed over nodes).
-    pub state_losses: u64,
     /// Packets whose pinned backend had left the set (remapped via a
     /// fresh rendezvous round).
     pub remaps: u64,
+}
+
+/// Rendezvous winner for flow hash `h` among `candidates`: the index
+/// with the highest per-(flow, backend) score (first wins ties).
+fn rendezvous(h: u64, candidates: impl Iterator<Item = usize>) -> Option<u16> {
+    let mut best: Option<(u64, u16)> = None;
+    for i in candidates {
+        let mut s = h ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let score = splitmix64(&mut s);
+        if best.is_none_or(|(b, _)| score > b) {
+            best = Some((score, i as u16));
+        }
+    }
+    best.map(|(_, i)| i)
 }
 
 impl LbApp {
@@ -93,41 +77,22 @@ impl LbApp {
         idle_ns: Time,
     ) -> LbApp {
         assert!(!backends.is_empty());
-        assert!(nodes > 0 && total_ports as usize >= nodes * 2);
-        LbApp {
+        let lb = Lb {
             backends,
-            per_node: (0..nodes)
-                .map(|_| FlowCache::new(capacity, idle_ns))
-                .collect(),
-            ports_per_node: total_ports / nodes as u16,
-            capacity,
-            idle_ns,
-            gpu: Vec::new(),
-            stage: ColumnStage::new(FLOW_COLUMNS),
-            malformed: 0,
-            state_losses: 0,
             remaps: 0,
-        }
+        };
+        ColumnApp::over(FlowNf::new(lb, total_ports, nodes, capacity, idle_ns))
     }
 
-    /// Rendezvous winner for flow hash `h` over `n` backends: the
-    /// index with the highest per-(flow, backend) score. Removing any
-    /// *other* backend cannot change a flow's winner — the consistent
-    /// hashing property the stickiness test pins.
+    /// Rendezvous winner for flow hash `h` over `n` backends.
+    /// Removing any *other* backend cannot change a flow's winner —
+    /// the consistent hashing property the stickiness test pins.
     pub fn select(h: u64, n: usize) -> u16 {
-        let mut best = 0u16;
-        let mut best_score = 0u64;
-        for i in 0..n {
-            let mut s = h ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let score = splitmix64(&mut s);
-            if score > best_score {
-                best_score = score;
-                best = i as u16;
-            }
-        }
-        best
+        rendezvous(h, 0..n).unwrap_or(0)
     }
+}
 
+impl Lb {
     /// Drain one backend (server taken out of rotation). Flows pinned
     /// to it are remapped lazily on their next packet; everyone else
     /// keeps their backend.
@@ -138,232 +103,62 @@ impl LbApp {
         self.backends[idx as usize] = Backend { ip: 0, port: 0 };
     }
 
-    fn is_live(&self, idx: u16) -> bool {
-        self.backends.get(idx as usize).is_some_and(|b| b.ip != 0)
+    fn is_live(&self, idx: usize) -> bool {
+        self.backends.get(idx).is_some_and(|b| b.ip != 0)
     }
+}
 
-    /// Rendezvous over live backends only.
-    fn select_live(&self, h: u64) -> Option<u16> {
-        let mut best: Option<(u64, u16)> = None;
-        for i in 0..self.backends.len() {
-            if self.backends[i].ip == 0 {
-                continue;
-            }
-            let mut s = h ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let score = splitmix64(&mut s);
-            if best.is_none_or(|(b, _)| score > b) {
-                best = Some((score, i as u16));
-            }
-        }
-        best.map(|(_, i)| i)
-    }
+impl FlowOp for Lb {
+    type Entry = u16;
+    const NAME: &'static str = "lb";
 
-    fn node_of(&self, port: PortId) -> usize {
-        (port.0 / self.ports_per_node) as usize % self.per_node.len()
-    }
-
-    /// Pinned flows across all nodes.
-    pub fn occupancy(&self) -> usize {
-        self.per_node.iter().map(FlowCache::occupancy).sum()
-    }
-
-    /// Flow-cache counters summed over nodes.
-    pub fn cache_stats(&self) -> FlowCacheStats {
-        let mut s = FlowCacheStats::default();
-        for c in self.per_node.iter().map(FlowCache::stats) {
-            s.lookups += c.lookups;
-            s.hits += c.hits;
-            s.misses += c.misses;
-            s.inserts += c.inserts;
-            s.updates += c.updates;
-            s.evictions += c.evictions;
-            s.expiries += c.expiries;
-            s.displacements += c.displacements;
-            s.max_depth = s.max_depth.max(c.max_depth);
-        }
-        s
-    }
-
-    /// Dispatch one packet with its flow hash already computed; the
-    /// shared core of both execution paths (see `nat.rs`).
-    fn dispatch(&mut self, p: &mut Packet, hash: u64) -> u64 {
-        let Some(pf) = super::revalidate(&mut self.malformed, parse_flow(&p.data)) else {
-            p.out_port = None;
-            return PROBE_CYCLES;
-        };
-        let node = self.node_of(p.in_port);
+    fn op(
+        &mut self,
+        cache: &mut FlowCache<u16>,
+        _node: usize,
+        p: &mut Packet,
+        pf: &ParsedFlow,
+        hash: u64,
+    ) -> u64 {
         let now = p.arrival;
         let mut cycles = PROBE_CYCLES + REWRITE_CYCLES;
-        let pinned = self.per_node[node]
-            .lookup_prehash(hash, &pf.tuple, now)
-            .copied();
+        let pinned = cache.lookup_prehash(hash, &pf.tuple, now).copied();
         let idx = match pinned {
-            Some(idx) if self.is_live(idx) => idx,
+            Some(idx) if self.is_live(idx as usize) => idx,
             stale => {
                 if stale.is_some() {
                     self.remaps += 1;
                 }
                 cycles += SCORE_CYCLES * self.backends.len() as u64;
-                let Some(idx) = self.select_live(hash) else {
+                let live = (0..self.backends.len()).filter(|&i| self.is_live(i));
+                let Some(idx) = rendezvous(hash, live) else {
                     // No live backend: shed the connection.
                     p.out_port = None;
                     return cycles;
                 };
-                let r = self.per_node[node].insert_prehash(hash, pf.tuple, now, idx);
+                let r = cache.insert_prehash(hash, pf.tuple, now, idx);
                 cycles += KICK_CYCLES * u64::from(r.displaced);
                 idx
             }
         };
         let b = self.backends[idx as usize];
-        rewrite_dst(&mut p.data, &pf, b.ip, b.port);
+        rewrite_dst(&mut p.data, pf, b.ip, b.port);
         p.out_port = Some(PortId(p.in_port.0 ^ 1));
         cycles
     }
-}
 
-impl App for LbApp {
-    fn name(&self) -> &str {
-        "lb"
-    }
-
-    fn set_staging(&mut self, mode: Staging) {
-        self.stage.set_mode(mode);
-    }
-
-    fn staging_totals(&self) -> Option<(u64, u64, u64)> {
-        Some(self.stage.totals())
-    }
-
-    fn setup_gpu(&mut self, node: usize, eng: &mut GpuEngine) {
-        if self.gpu.len() <= node {
-            self.gpu.resize_with(node + 1, || None);
+    fn replica(&self) -> Lb {
+        Lb {
+            backends: self.backends.clone(),
+            remaps: 0,
         }
-        let input = self.stage.alloc_input(eng, MAX_GATHER);
-        let output = self.stage.alloc_output(eng, MAX_GATHER);
-        self.gpu[node] = Some(NodeGpu { input, output });
-    }
-
-    fn pre_shade(&mut self, pkts: &mut Vec<Packet>) -> PreShadeResult {
-        let mut r = PreShadeResult::default();
-        pkts.retain(|p| match classify(&p.data, &[]) {
-            Verdict::FastPath if parse_flow(&p.data).is_some() => true,
-            Verdict::FastPath | Verdict::SlowPath(_) => {
-                r.slow_path += 1;
-                false
-            }
-            Verdict::Drop(_) => {
-                r.dropped += 1;
-                false
-            }
-        });
-        r.cycles = PRE_SHADE_CYCLES * (pkts.len() as u64 + r.dropped + r.slow_path);
-        r
-    }
-
-    fn process_cpu(&mut self, pkts: &mut Vec<Packet>) -> u64 {
-        let mut cycles = 0;
-        for p in pkts.iter_mut() {
-            let hash = match parse_flow(&p.data) {
-                Some(pf) => ps_flow::flow_hash(&pf.tuple),
-                None => 0,
-            };
-            cycles += HASH_CYCLES + self.dispatch(p, hash);
-        }
-        pkts.retain(|p| p.out_port.is_some());
-        cycles
-    }
-
-    fn shade(
-        &mut self,
-        node: usize,
-        eng: &mut GpuEngine,
-        ioh: &mut Ioh,
-        ready: Time,
-        pkts: &mut [Packet],
-    ) -> Time {
-        let n = pkts.len().min(MAX_GATHER);
-        let g = self.gpu[node].as_ref().expect("setup_gpu ran");
-        let (input, output) = (g.input, g.output);
-        let slots = self.stage.slots();
-        stage_keys(&mut self.malformed, &pkts[..n], self.stage.begin());
-        let h2d = self.stage.upload(eng, ioh, ready, &input, &pkts[..n]);
-        let kernel = FlowHashKernel {
-            input,
-            slots,
-            output,
-            n: n as u32,
-        };
-        let (kdone, _) = eng.launch(h2d, &kernel, n as u32);
-        let (done, _) = self.stage.download(eng, ioh, ready, kdone, &output, n);
-        let out = self.stage.take_out();
-        for (i, p) in pkts[..n].iter_mut().enumerate() {
-            let hash = u64::from_le_bytes(out[i * 8..i * 8 + 8].try_into().expect("fixed"));
-            self.dispatch(p, hash);
-        }
-        self.stage.give_out(out);
-
-        let st = self.per_node[node].stats();
-        let occ = self.per_node[node].occupancy() as u64;
-        ps_trace::counter(
-            ps_trace::Category::Flow,
-            "flow_occupancy",
-            node as u32,
-            done,
-            occ,
-        );
-        ps_trace::counter(
-            ps_trace::Category::Flow,
-            "flow_evictions",
-            node as u32,
-            done,
-            st.evictions,
-        );
-        ps_trace::counter(
-            ps_trace::Category::Flow,
-            "flow_expiries",
-            node as u32,
-            done,
-            st.expiries,
-        );
-        ps_trace::counter(
-            ps_trace::Category::Flow,
-            "flow_kick_depth",
-            node as u32,
-            done,
-            st.max_depth,
-        );
-        done
-    }
-
-    fn post_shade_cycles(&self, n: usize) -> u64 {
-        (PROBE_CYCLES + REWRITE_CYCLES) * n as u64
-    }
-
-    fn on_gpu_fault(&mut self, node: usize) {
-        if let Some(c) = self.per_node.get_mut(node) {
-            self.state_losses += c.flush();
-        }
-    }
-
-    fn shard_replica(&self) -> Option<(Self, ShardAffinity)> {
-        Some((
-            LbApp::new(
-                self.backends.clone(),
-                self.ports_per_node * self.per_node.len() as u16,
-                self.per_node.len(),
-                self.capacity,
-                self.idle_ns,
-            ),
-            ShardAffinity::NodeLocal,
-        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps_hw::pcie::PcieModel;
-    use ps_hw::spec::{IohSpec, PcieSpec};
+    use crate::App;
     use ps_net::ethernet::MacAddr;
     use ps_net::ethernet::HEADER_LEN as ETH_LEN;
     use ps_net::{Ipv4Packet, PacketBuilder, UdpDatagram};
@@ -451,34 +246,6 @@ mod tests {
                 assert_eq!(with8, with7, "hash {h:#x}");
             }
         }
-    }
-
-    #[test]
-    fn gpu_path_agrees_with_cpu_path() {
-        let mut cpu = app(4);
-        let mut gpu = app(4);
-        let dev = ps_gpu::GpuDevice::gtx480_with_mem(32 << 20);
-        let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
-        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
-        gpu.setup_gpu(0, &mut eng);
-        let mk = || {
-            (0..64u32)
-                .map(|i| udp(0x0A000000 + i % 20, 5000, 0))
-                .collect::<Vec<_>>()
-        };
-        let (mut a, mut b) = (mk(), mk());
-        cpu.pre_shade(&mut a);
-        cpu.process_cpu(&mut a);
-        gpu.pre_shade(&mut b);
-        let done = gpu.shade(0, &mut eng, &mut ioh, 0, &mut b);
-        assert!(done > 0);
-        let frames = |v: &[Packet]| {
-            v.iter()
-                .map(|p| (p.data.clone(), p.out_port))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(frames(&a), frames(&b));
-        assert_eq!(cpu.occupancy(), gpu.occupancy());
     }
 
     #[test]

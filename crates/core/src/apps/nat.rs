@@ -1,47 +1,25 @@
 //! Source NAT with connection tracking — the first stateful NF of
 //! the NFV tier (DESIGN.md §10).
 //!
-//! Every outbound IPv4 UDP/TCP flow gets a binding in a per-NUMA-node
+//! Every outbound IPv4 UDP/TCP flow gets a binding in its RX node's
 //! cuckoo [`FlowCache`]: an external `(address, port)` drawn from the
 //! node's public pool, plus a coarse connection state driven by TCP
 //! flags (UDP flows promote to established on their second packet).
 //! The source fields are rewritten in place with incremental
-//! checksums; translated packets leave through the node-local port
-//! pair, so the app shards barrier-free ([`ShardAffinity::NodeLocal`]).
-//!
-//! State is partitioned by *RX NUMA node* (`in_port / ports_per_node`)
-//! — never global — which is what makes replicated execution
-//! deterministic: each node's packet order is identical in sequential
-//! and sharded runs, so each node's table evolves identically
-//! (DESIGN.md §10.3).
+//! checksums. Parsing, the hash offload and the per-node state
+//! partitioning are the shared [`FlowNf`] program; this file is the
+//! translator's table operation.
 
-use ps_flow::{FlowCache, FlowCacheStats};
-use ps_gpu::{DeviceBuffer, GpuEngine, Staging};
-use ps_hw::ioh::Ioh;
+use ps_flow::FlowCache;
 use ps_io::Packet;
 use ps_net::tcp::TcpFlags;
-use ps_net::{classify, Verdict};
 use ps_nic::port::PortId;
 use ps_sim::time::Time;
 
-use super::stateful::{parse_flow, rewrite_src, stage_keys};
-use crate::app::{App, PreShadeResult, ShardAffinity};
-use crate::columns::{ColumnStage, FLOW_COLUMNS};
-use crate::kernels::FlowHashKernel;
-
-/// Per-packet pre-shading cycles: classification + 5-tuple parse.
-const PRE_SHADE_CYCLES: u64 = 70;
-/// Flow-hash cost on the CPU path (the work the GPU absorbs).
-const HASH_CYCLES: u64 = 160;
-/// Cuckoo probe (two buckets, LLC-resident ways).
-const PROBE_CYCLES: u64 = 60;
-/// Header rewrite + incremental checksum updates.
-const REWRITE_CYCLES: u64 = 45;
-/// Per-relocation cost when an insert kicks residents around.
-const KICK_CYCLES: u64 = 35;
-
-/// Maximum packets one gathered launch stages (16 B keys).
-pub const MAX_GATHER: usize = 65_536;
+use super::stateful::{
+    rewrite_src, FlowNf, FlowOp, ParsedFlow, KICK_CYCLES, PROBE_CYCLES, REWRITE_CYCLES,
+};
+use crate::program::ColumnApp;
 
 /// Usable external ports per public address (1024..=65535).
 const PORTS_PER_IP: u32 = 64_512;
@@ -69,30 +47,19 @@ pub struct NatBinding {
     pub state: ConnState,
 }
 
-/// Per-node translator state: the flow cache plus the external
-/// address/port allocator (LIFO free list over a monotonic high-water
-/// counter — both pure functions of the node's packet order).
-struct NodeState {
-    cache: FlowCache<NatBinding>,
+/// One node's external address/port allocator (LIFO free list over a
+/// monotonic high-water counter — both pure functions of the node's
+/// packet order).
+struct Pool {
     free: Vec<u32>,
     next_id: u32,
-    /// Base of the node's public pool (`203.0.113.0`-style, one /24
-    /// stride per node).
-    pool_base: u32,
+    /// Base of the node's public pool (`203.0.113.0`-style). A /16
+    /// stride per node: room for the multi-address pool a
+    /// million-flow table needs (~16 addresses per node).
+    base: u32,
 }
 
-impl NodeState {
-    fn new(node: usize, capacity: usize, idle_ns: Time) -> NodeState {
-        NodeState {
-            cache: FlowCache::new(capacity, idle_ns),
-            free: Vec::new(),
-            next_id: 0,
-            // A /16 stride per node: room for the multi-address pool
-            // a million-flow table needs (~16 addresses per node).
-            pool_base: 0xCB71_0000 + ((node as u32) << 16),
-        }
-    }
-
+impl Pool {
     fn alloc(&mut self) -> u32 {
         self.free.pop().unwrap_or_else(|| {
             let id = self.next_id;
@@ -103,33 +70,33 @@ impl NodeState {
 
     fn ext_addr(&self, id: u32) -> (u32, u16) {
         (
-            self.pool_base + id / PORTS_PER_IP,
+            self.base + id / PORTS_PER_IP,
             PORT_MIN + (id % PORTS_PER_IP) as u16,
         )
     }
 }
 
-struct NodeGpu {
-    input: DeviceBuffer,
-    output: DeviceBuffer,
+/// The NAT / connection-tracker application.
+pub type NatApp = ColumnApp<FlowNf<Nat>>;
+
+/// The translator's table operation: per-node external pools beside
+/// the binding cache.
+pub struct Nat {
+    pools: Vec<Pool>,
 }
 
-/// The NAT / connection-tracker application.
-pub struct NatApp {
-    per_node: Vec<NodeState>,
-    ports_per_node: u16,
-    capacity: usize,
-    idle_ns: Time,
-    gpu: Vec<Option<NodeGpu>>,
-    /// The 5-tuple column stage: gather/scatter buffers, mode-
-    /// dependent transfer and PCIe byte accounting.
-    stage: ColumnStage,
-    /// Frames that no longer parsed at translation time (fault
-    /// injection can damage them mid-pipeline); counted drops.
-    pub malformed: u64,
-    /// Bindings lost to GPU faults (state-loss events, summed over
-    /// nodes).
-    pub state_losses: u64,
+impl Nat {
+    fn new(nodes: usize) -> Nat {
+        Nat {
+            pools: (0..nodes as u32)
+                .map(|node| Pool {
+                    free: Vec::new(),
+                    next_id: 0,
+                    base: 0xCB71_0000 + (node << 16),
+                })
+                .collect(),
+        }
+    }
 }
 
 impl NatApp {
@@ -138,70 +105,40 @@ impl NatApp {
     /// that expire after `idle_ns` of virtual-clock silence (`0` =
     /// never).
     pub fn new(total_ports: u16, nodes: usize, capacity: usize, idle_ns: Time) -> NatApp {
-        assert!(nodes > 0 && total_ports as usize >= nodes * 2);
-        NatApp {
-            per_node: (0..nodes)
-                .map(|n| NodeState::new(n, capacity, idle_ns))
-                .collect(),
-            ports_per_node: total_ports / nodes as u16,
+        ColumnApp::over(FlowNf::new(
+            Nat::new(nodes),
+            total_ports,
+            nodes,
             capacity,
             idle_ns,
-            gpu: Vec::new(),
-            stage: ColumnStage::new(FLOW_COLUMNS),
-            malformed: 0,
-            state_losses: 0,
-        }
+        ))
     }
+}
 
-    fn node_of(&self, port: PortId) -> usize {
-        (port.0 / self.ports_per_node) as usize % self.per_node.len()
-    }
+impl FlowOp for Nat {
+    type Entry = NatBinding;
+    const NAME: &'static str = "nat";
 
-    /// Live bindings across all nodes.
-    pub fn occupancy(&self) -> usize {
-        self.per_node.iter().map(|n| n.cache.occupancy()).sum()
-    }
-
-    /// Flow-cache counters summed over nodes.
-    pub fn cache_stats(&self) -> FlowCacheStats {
-        let mut s = FlowCacheStats::default();
-        for n in &self.per_node {
-            let c = n.cache.stats();
-            s.lookups += c.lookups;
-            s.hits += c.hits;
-            s.misses += c.misses;
-            s.inserts += c.inserts;
-            s.updates += c.updates;
-            s.evictions += c.evictions;
-            s.expiries += c.expiries;
-            s.displacements += c.displacements;
-            s.max_depth = s.max_depth.max(c.max_depth);
-        }
-        s
-    }
-
-    /// Translate one packet with its flow hash already computed.
-    /// Returns the cycle charge. The shared core of both execution
-    /// paths: CPU-only hashes on the host, the GPU path feeds the
-    /// device-computed hash in — identical table evolution either way.
-    fn translate(&mut self, p: &mut Packet, hash: u64) -> u64 {
-        let Some(pf) = super::revalidate(&mut self.malformed, parse_flow(&p.data)) else {
-            p.out_port = None;
-            return PROBE_CYCLES;
-        };
-        let node = self.node_of(p.in_port);
+    fn op(
+        &mut self,
+        cache: &mut FlowCache<NatBinding>,
+        node: usize,
+        p: &mut Packet,
+        pf: &ParsedFlow,
+        hash: u64,
+    ) -> u64 {
+        let pool = &mut self.pools[node];
         let now = p.arrival;
-        let ns = &mut self.per_node[node];
         let flags = TcpFlags(pf.tcp_flags);
         let mut cycles = PROBE_CYCLES + REWRITE_CYCLES;
 
-        let binding = match ns.cache.lookup_prehash(hash, &pf.tuple, now) {
+        let binding = match cache.lookup_prehash(hash, &pf.tuple, now) {
             Some(b) => {
                 // Tracker transitions on the observed packet.
                 if flags.0 & TcpFlags::RST != 0 {
                     let b = *b;
-                    ns.cache.remove(&pf.tuple);
-                    ns.free.push(b.ext_id);
+                    cache.remove(&pf.tuple);
+                    pool.free.push(b.ext_id);
                     b
                 } else if flags.0 & TcpFlags::FIN != 0 {
                     b.state = ConnState::FinWait;
@@ -209,8 +146,8 @@ impl NatApp {
                 } else if b.state == ConnState::FinWait && flags.ack() {
                     // The closing ACK: translate it, then release.
                     let b = *b;
-                    ns.cache.remove(&pf.tuple);
-                    ns.free.push(b.ext_id);
+                    cache.remove(&pf.tuple);
+                    pool.free.push(b.ext_id);
                     b
                 } else {
                     if b.state == ConnState::New {
@@ -221,179 +158,41 @@ impl NatApp {
             }
             None => {
                 let binding = NatBinding {
-                    ext_id: ns.alloc(),
+                    ext_id: pool.alloc(),
                     state: ConnState::New,
                 };
-                let r = ns.cache.insert_prehash(hash, pf.tuple, now, binding);
+                let r = cache.insert_prehash(hash, pf.tuple, now, binding);
                 cycles += KICK_CYCLES * u64::from(r.displaced);
                 if let Some((_, old)) = r.evicted {
                     // The LRU victim's external address returns to the
                     // pool — bounded state, no leaks under churn.
-                    ns.free.push(old.ext_id);
+                    pool.free.push(old.ext_id);
                 }
                 binding
             }
         };
-        let (ip, port) = ns.ext_addr(binding.ext_id);
-        rewrite_src(&mut p.data, &pf, ip, port);
+        let (ip, port) = pool.ext_addr(binding.ext_id);
+        rewrite_src(&mut p.data, pf, ip, port);
         p.out_port = Some(PortId(p.in_port.0 ^ 1));
         cycles
     }
-}
 
-impl App for NatApp {
-    fn name(&self) -> &str {
-        "nat"
+    fn state_lost(&mut self, node: usize) {
+        // The allocator's high-water mark survives (fresh bindings
+        // never collide with lost ones); the free list is part of the
+        // lost state.
+        self.pools[node].free.clear();
     }
 
-    fn set_staging(&mut self, mode: Staging) {
-        self.stage.set_mode(mode);
-    }
-
-    fn staging_totals(&self) -> Option<(u64, u64, u64)> {
-        Some(self.stage.totals())
-    }
-
-    fn setup_gpu(&mut self, node: usize, eng: &mut GpuEngine) {
-        if self.gpu.len() <= node {
-            self.gpu.resize_with(node + 1, || None);
-        }
-        let input = self.stage.alloc_input(eng, MAX_GATHER);
-        let output = self.stage.alloc_output(eng, MAX_GATHER);
-        self.gpu[node] = Some(NodeGpu { input, output });
-    }
-
-    fn pre_shade(&mut self, pkts: &mut Vec<Packet>) -> PreShadeResult {
-        let mut r = PreShadeResult::default();
-        pkts.retain(|p| match classify(&p.data, &[]) {
-            Verdict::FastPath if parse_flow(&p.data).is_some() => true,
-            Verdict::FastPath | Verdict::SlowPath(_) => {
-                // Non-IPv4 / non-UDP/TCP traffic is not translated;
-                // the host stack handles it.
-                r.slow_path += 1;
-                false
-            }
-            Verdict::Drop(_) => {
-                r.dropped += 1;
-                false
-            }
-        });
-        r.cycles = PRE_SHADE_CYCLES * (pkts.len() as u64 + r.dropped + r.slow_path);
-        r
-    }
-
-    fn process_cpu(&mut self, pkts: &mut Vec<Packet>) -> u64 {
-        let mut cycles = 0;
-        for p in pkts.iter_mut() {
-            let hash = match parse_flow(&p.data) {
-                Some(pf) => ps_flow::flow_hash(&pf.tuple),
-                None => 0, // translate() recounts the parse failure
-            };
-            cycles += HASH_CYCLES + self.translate(p, hash);
-        }
-        pkts.retain(|p| p.out_port.is_some());
-        cycles
-    }
-
-    fn shade(
-        &mut self,
-        node: usize,
-        eng: &mut GpuEngine,
-        ioh: &mut Ioh,
-        ready: Time,
-        pkts: &mut [Packet],
-    ) -> Time {
-        let n = pkts.len().min(MAX_GATHER);
-        let g = self.gpu[node].as_ref().expect("setup_gpu ran");
-        let (input, output) = (g.input, g.output);
-        let slots = self.stage.slots();
-        stage_keys(&mut self.malformed, &pkts[..n], self.stage.begin());
-        let h2d = self.stage.upload(eng, ioh, ready, &input, &pkts[..n]);
-        let kernel = FlowHashKernel {
-            input,
-            slots,
-            output,
-            n: n as u32,
-        };
-        let (kdone, _) = eng.launch(h2d, &kernel, n as u32);
-        let (done, _) = self.stage.download(eng, ioh, ready, kdone, &output, n);
-        let out = self.stage.take_out();
-
-        // Host-side table application in arrival order, with the
-        // device-computed hashes (functional post-shading).
-        for (i, p) in pkts[..n].iter_mut().enumerate() {
-            let hash = u64::from_le_bytes(out[i * 8..i * 8 + 8].try_into().expect("fixed"));
-            self.translate(p, hash);
-        }
-        self.stage.give_out(out);
-
-        let st = self.per_node[node].cache.stats();
-        let occ = self.per_node[node].cache.occupancy() as u64;
-        ps_trace::counter(
-            ps_trace::Category::Flow,
-            "flow_occupancy",
-            node as u32,
-            done,
-            occ,
-        );
-        ps_trace::counter(
-            ps_trace::Category::Flow,
-            "flow_evictions",
-            node as u32,
-            done,
-            st.evictions,
-        );
-        ps_trace::counter(
-            ps_trace::Category::Flow,
-            "flow_expiries",
-            node as u32,
-            done,
-            st.expiries,
-        );
-        ps_trace::counter(
-            ps_trace::Category::Flow,
-            "flow_kick_depth",
-            node as u32,
-            done,
-            st.max_depth,
-        );
-        done
-    }
-
-    fn post_shade_cycles(&self, n: usize) -> u64 {
-        (PROBE_CYCLES + REWRITE_CYCLES) * n as u64
-    }
-
-    fn on_gpu_fault(&mut self, node: usize) {
-        // The device context reset takes the node's synchronized flow
-        // state with it: every binding is lost, flows re-establish
-        // through the miss path. The allocator's high-water mark
-        // survives (fresh bindings never collide with lost ones); the
-        // free list is part of the lost state.
-        if let Some(ns) = self.per_node.get_mut(node) {
-            self.state_losses += ns.cache.flush();
-            ns.free.clear();
-        }
-    }
-
-    fn shard_replica(&self) -> Option<(Self, ShardAffinity)> {
-        Some((
-            NatApp::new(
-                self.ports_per_node * self.per_node.len() as u16,
-                self.per_node.len(),
-                self.capacity,
-                self.idle_ns,
-            ),
-            ShardAffinity::NodeLocal,
-        ))
+    fn replica(&self) -> Nat {
+        Nat::new(self.pools.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps_hw::pcie::PcieModel;
-    use ps_hw::spec::{IohSpec, PcieSpec};
+    use crate::App;
     use ps_net::ethernet::MacAddr;
     use ps_net::ethernet::HEADER_LEN as ETH_LEN;
     use ps_net::{Ipv4Packet, PacketBuilder, UdpDatagram};
@@ -485,13 +284,13 @@ mod tests {
         a.process_cpu(&mut first);
         let t = (0x0A000001u32, 0x08080808u32, 5000u16, 443u16, 17u8);
         assert_eq!(
-            a.per_node[0].cache.lookup(&t, 0).map(|b| b.state),
+            a.per_node[0].lookup(&t, 0).map(|b| b.state),
             Some(ConnState::New)
         );
         let mut second = vec![udp(0x0A000001, 5000, 0)];
         a.process_cpu(&mut second);
         assert_eq!(
-            a.per_node[0].cache.lookup(&t, 0).map(|b| b.state),
+            a.per_node[0].lookup(&t, 0).map(|b| b.state),
             Some(ConnState::Established)
         );
     }
@@ -543,41 +342,8 @@ mod tests {
         let src = |p: &Packet| u32::from(Ipv4Packet::new_unchecked(&p.data[ETH_LEN..]).src());
         assert_eq!(src(&pkts[0]) >> 16, 0xCB71, "node 0 pool");
         assert_eq!(src(&pkts[1]) >> 16, 0xCB72, "node 1 pool");
-        assert_eq!(a.per_node[0].cache.occupancy(), 1);
-        assert_eq!(a.per_node[1].cache.occupancy(), 1);
-    }
-
-    #[test]
-    fn gpu_path_agrees_with_cpu_path() {
-        let mut cpu = app();
-        let mut gpu = app();
-        let dev = ps_gpu::GpuDevice::gtx480_with_mem(32 << 20);
-        let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
-        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
-        gpu.setup_gpu(0, &mut eng);
-
-        let mk = || {
-            vec![
-                udp(0x0A000001, 5000, 0),
-                udp(0x0A000002, 5001, 1),
-                udp(0x0A000001, 5000, 0),
-                tcp(0x0A000003, 6000, TcpFlags::SYN, 2),
-            ]
-        };
-        let mut a = mk();
-        let mut b = mk();
-        cpu.pre_shade(&mut a);
-        cpu.process_cpu(&mut a);
-        gpu.pre_shade(&mut b);
-        let done = gpu.shade(0, &mut eng, &mut ioh, 0, &mut b);
-        assert!(done > 0);
-        let frames = |v: &[Packet]| {
-            v.iter()
-                .map(|p| (p.data.clone(), p.out_port))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(frames(&a), frames(&b), "byte-identical translations");
-        assert_eq!(cpu.occupancy(), gpu.occupancy());
+        assert_eq!(a.per_node[0].occupancy(), 1);
+        assert_eq!(a.per_node[1].occupancy(), 1);
     }
 
     #[test]
@@ -606,11 +372,7 @@ mod tests {
         let mut late = vec![udp(0x0A000002, 6000, 0)];
         late[0].arrival = 10_000;
         a.process_cpu(&mut late);
-        assert_eq!(
-            a.per_node[0].cache.expire_idle(10_000),
-            1,
-            "first flow idled out"
-        );
+        assert_eq!(a.per_node[0].expire_idle(10_000), 1, "first flow idled out");
         assert_eq!(a.occupancy(), 1);
     }
 }

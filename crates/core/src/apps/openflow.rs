@@ -2,22 +2,18 @@
 //! exact matching on the CPU; hash computation and wildcard matching
 //! offloaded to the GPU.
 
-use ps_gpu::{DeviceBuffer, GpuEngine, Staging};
-use ps_hw::ioh::Ioh;
+use ps_gpu::{DeviceBuffer, GpuEngine, Kernel};
 use ps_io::Packet;
+use ps_net::verdict::{DropReason, Verdict};
 use ps_net::FlowKey;
 use ps_nic::port::PortId;
-use ps_openflow::{Action, OpenFlowSwitch, ENTRY_SIZE};
-use ps_sim::time::Time;
+use ps_openflow::{flow_hash_bytes, Action, OpenFlowSwitch, ENTRY_SIZE};
 
 use super::{CYCLES_PER_NS, TABLE_MISS_NS};
-use crate::app::{App, PreShadeResult};
-use crate::columns::{ColumnStage, OPENFLOW_COLUMNS};
-use crate::kernels::{OpenFlowKernel, OF_NO_MATCH};
+use crate::columns::{ColumnSet, OPENFLOW_COLUMNS};
+use crate::kernels::{KernelIo, OpenFlowKernel, OF_NO_MATCH, OF_SHARED_LIMIT};
+use crate::program::{ColumnApp, ColumnProgram};
 
-/// Flow-key extraction cycles per packet (header parsing + field
-/// packing).
-const KEY_EXTRACT_CYCLES: u64 = 80;
 /// Flow-key hash on the CPU. The reference switch hashes the full
 /// padded key structure per packet; ~160 cycles on Nehalem (the cost
 /// the paper found worth offloading, §6.3).
@@ -33,189 +29,132 @@ const LLC_BYTES: u64 = 8 << 20;
 /// overhead).
 const EXACT_ENTRY_BYTES: u64 = 48;
 
-/// Maximum packets one gathered launch stages (32 B keys).
-pub const MAX_GATHER: usize = 65_536;
-
-struct NodeGpu {
-    wildcard: DeviceBuffer,
-    n_wildcard: usize,
-    shared_image: Option<std::sync::Arc<Vec<u8>>>,
-    input: DeviceBuffer,
-    output: DeviceBuffer,
-}
-
 /// The OpenFlow switch application.
-pub struct OpenFlowApp {
+pub type OpenFlowApp = ColumnApp<OpenFlowProgram>;
+
+/// The OpenFlow packet program: a 32-byte flow-key column in, a
+/// `(hash, wildcard action)` column out; exact-match resolution with
+/// the offloaded hash stays on the host.
+pub struct OpenFlowProgram {
     /// The switch state (public so experiments can install flows).
     pub switch: OpenFlowSwitch,
-    gpu: Vec<Option<NodeGpu>>,
-    /// The flow-key column stage: gather/scatter buffers (zero-alloc
-    /// in steady state), mode-dependent transfer and PCIe byte
-    /// accounting.
-    stage: ColumnStage,
-    /// Frames whose flow key no longer extracted at lookup time
-    /// (fault injection can damage a frame after classification);
-    /// each is a counted drop, never a panic.
-    pub malformed: u64,
+}
+
+/// One node's device copy of the wildcard table.
+pub struct DeviceWildcards {
+    image: DeviceBuffer,
+    entries: usize,
+    /// Host copy of the image when it fits in shared memory.
+    shared: Option<Vec<u8>>,
+}
+
+/// One result row: the flow-key hash, and the wildcard match if the
+/// scan already ran. The kernel scans for every packet; the host
+/// ([`ColumnProgram::host`]) leaves `wildcard` unset and scans in
+/// `apply` only when the exact table misses, which is what the
+/// CPU-only cycle model charges.
+pub struct OpenFlowRow {
+    hash: u32,
+    wildcard: Option<Option<Action>>,
 }
 
 impl OpenFlowApp {
     /// A switch with the given tables pre-installed.
     pub fn new(switch: OpenFlowSwitch) -> OpenFlowApp {
-        OpenFlowApp {
-            switch,
-            gpu: Vec::new(),
-            stage: ColumnStage::new(OPENFLOW_COLUMNS),
-            malformed: 0,
-        }
+        ColumnApp::over(OpenFlowProgram { switch })
     }
+}
 
+impl OpenFlowProgram {
     fn exact_probe_cycles(&self) -> u64 {
         // Blend cached and missing probes by the table's LLC overflow.
         let bytes = self.switch.exact.len() as u64 * EXACT_ENTRY_BYTES;
         let miss_frac = ((bytes as f64 / LLC_BYTES as f64) - 1.0).clamp(0.0, 1.0);
         EXACT_PROBE_CYCLES + (miss_frac * TABLE_MISS_NS as f64 * CYCLES_PER_NS) as u64
     }
-
-    fn apply(p: &mut Packet, action: Action) {
-        match action {
-            Action::Output(port) => p.out_port = Some(PortId(port)),
-            Action::Drop | Action::Controller => p.out_port = None,
-        }
-    }
 }
 
-impl App for OpenFlowApp {
-    fn name(&self) -> &str {
-        "openflow"
-    }
+impl ColumnProgram for OpenFlowProgram {
+    type Key = FlowKey;
+    type Row = OpenFlowRow;
+    type Tables = DeviceWildcards;
 
-    fn set_staging(&mut self, mode: Staging) {
-        self.stage.set_mode(mode);
-    }
+    const NAME: &'static str = "openflow";
+    const COLUMNS: ColumnSet = OPENFLOW_COLUMNS;
+    /// Flow-key extraction (header parsing + field packing).
+    const PRE_SHADE_CYCLES: u64 = 80;
 
-    fn staging_totals(&self) -> Option<(u64, u64, u64)> {
-        Some(self.stage.totals())
-    }
-
-    fn setup_gpu(&mut self, node: usize, eng: &mut GpuEngine) {
-        if self.gpu.len() <= node {
-            self.gpu.resize_with(node + 1, || None);
+    fn admit(&self, p: &mut Packet) -> Verdict {
+        match FlowKey::extract(p.in_port.0, &p.data) {
+            Ok(_) => Verdict::FastPath,
+            Err(_) => Verdict::Drop(DropReason::Malformed),
         }
-        let image = self.switch.wildcard.to_image();
-        let wildcard = eng.dev.mem.alloc(image.len().max(ENTRY_SIZE));
-        eng.dev.mem.write(&wildcard, 0, &image);
-        let shared_image =
-            (image.len() <= crate::kernels::OF_SHARED_LIMIT).then(|| std::sync::Arc::new(image));
-        let input = self.stage.alloc_input(eng, MAX_GATHER);
-        let output = self.stage.alloc_output(eng, MAX_GATHER);
-        self.gpu[node] = Some(NodeGpu {
-            wildcard,
-            n_wildcard: self.switch.wildcard.len(),
-            shared_image,
-            input,
-            output,
-        });
     }
 
-    fn pre_shade(&mut self, pkts: &mut Vec<Packet>) -> PreShadeResult {
-        let mut r = PreShadeResult::default();
-        // Key extraction (validity check only; the key itself is
-        // recomputed where needed — the cycle charge happens once,
-        // here).
-        pkts.retain(|p| {
-            if FlowKey::extract(p.in_port.0, &p.data).is_ok() {
-                true
-            } else {
-                r.dropped += 1;
-                false
-            }
-        });
-        r.cycles = KEY_EXTRACT_CYCLES * (pkts.len() as u64 + r.dropped);
-        r
+    fn key(&self, p: &Packet, slot: &mut [u8]) -> Option<FlowKey> {
+        let key = FlowKey::extract(p.in_port.0, &p.data).ok()?;
+        slot[..31].copy_from_slice(&key.to_bytes());
+        Some(key)
     }
 
-    fn process_cpu(&mut self, pkts: &mut Vec<Packet>) -> u64 {
-        let mut cycles = 0;
-        let probe = self.exact_probe_cycles();
-        for p in pkts.iter_mut() {
-            let parsed = FlowKey::extract(p.in_port.0, &p.data).ok();
-            let Some(key) = super::revalidate(&mut self.malformed, parsed) else {
-                p.out_port = None;
-                continue;
-            };
-            let r = self.switch.lookup(&key, p.len() as u64);
-            cycles += HASH_CYCLES + probe + WILDCARD_ENTRY_CYCLES * r.wildcard_scanned as u64;
-            Self::apply(p, r.action);
+    fn upload_tables(&self, eng: &mut GpuEngine) -> DeviceWildcards {
+        let host = self.switch.wildcard.to_image();
+        let image = eng.dev.mem.alloc(host.len().max(ENTRY_SIZE));
+        eng.dev.mem.write(&image, 0, &host);
+        DeviceWildcards {
+            image,
+            entries: self.switch.wildcard.len(),
+            shared: (host.len() <= OF_SHARED_LIMIT).then_some(host),
         }
-        pkts.retain(|p| p.out_port.is_some());
-        cycles
     }
 
-    fn shade(
-        &mut self,
-        node: usize,
-        eng: &mut GpuEngine,
-        ioh: &mut Ioh,
-        ready: Time,
-        pkts: &mut [Packet],
-    ) -> Time {
-        let n = pkts.len().min(MAX_GATHER);
-        let g = self.gpu[node].as_ref().expect("setup_gpu ran");
-        let (wildcard, n_wildcard, input, output) = (g.wildcard, g.n_wildcard, g.input, g.output);
-        let shared_image = g.shared_image.clone();
-        // Gather the flow-key column into the stage's reused buffer.
-        let staged = self.stage.begin();
-        staged.resize(n * 32, 0);
-        for (i, p) in pkts[..n].iter().enumerate() {
-            // A malformed frame stages an all-zero key (the result is
-            // discarded below); counted once, here.
-            let parsed = FlowKey::extract(p.in_port.0, &p.data).ok();
-            if let Some(key) = super::revalidate(&mut self.malformed, parsed) {
-                staged[i * 32..i * 32 + 31].copy_from_slice(&key.to_bytes());
-            }
+    fn kernel<'a>(&'a self, t: &'a DeviceWildcards, io: KernelIo) -> impl Kernel + 'a {
+        OpenFlowKernel {
+            wildcard: t.image,
+            n_wildcard: t.entries,
+            shared_image: t.shared.as_deref(),
+            io,
         }
-        let h2d = self.stage.upload(eng, ioh, ready, &input, &pkts[..n]);
-        let kernel = OpenFlowKernel {
-            wildcard,
-            n_wildcard,
-            shared_image,
-            input,
-            slots: self.stage.slots(),
-            output,
-            n: n as u32,
+    }
+
+    fn decode(row: &[u8]) -> OpenFlowRow {
+        let action = u16::from_le_bytes([row[4], row[5]]);
+        OpenFlowRow {
+            hash: u32::from_le_bytes(row[..4].try_into().expect("fixed")),
+            wildcard: Some((action != OF_NO_MATCH).then(|| Action::decode(action))),
+        }
+    }
+
+    fn host(&self, slot: &[u8]) -> (OpenFlowRow, u64) {
+        let row = OpenFlowRow {
+            hash: flow_hash_bytes(&slot[..31]),
+            wildcard: None,
         };
-        let (kdone, _) = eng.launch(h2d, &kernel, n as u32);
-        let (done, _) = self.stage.download(eng, ioh, ready, kdone, &output, n);
-        let out = self.stage.take_out();
+        (row, HASH_CYCLES)
+    }
 
-        // Result application: exact-match resolution with the
-        // GPU-computed hash; wildcard action as fallback (functional
-        // part of post-shading).
-        for (i, p) in pkts[..n].iter_mut().enumerate() {
-            let o = i * 8;
-            let hash = u32::from_le_bytes(out[o..o + 4].try_into().expect("fixed"));
-            let wild_action = u16::from_le_bytes([out[o + 4], out[o + 5]]);
-            let Ok(key) = FlowKey::extract(p.in_port.0, &p.data) else {
-                p.out_port = None;
-                continue;
-            };
-            let action = match self
-                .switch
-                .exact
-                .lookup_with_hash(hash, &key, p.len() as u64)
-            {
-                Some(a) => a,
-                None if wild_action != OF_NO_MATCH => Action::decode(wild_action),
-                None => {
-                    self.switch.misses += 1;
-                    Action::Controller
-                }
-            };
-            Self::apply(p, action);
-        }
-        self.stage.give_out(out);
-        done
+    fn apply(&mut self, p: &mut Packet, key: FlowKey, row: OpenFlowRow) -> u64 {
+        let mut cycles = self.exact_probe_cycles();
+        let sw = &mut self.switch;
+        let action = sw
+            .exact
+            .lookup_with_hash(row.hash, &key, p.len() as u64)
+            .or_else(|| {
+                row.wildcard.unwrap_or_else(|| {
+                    let (action, scanned) = sw.wildcard.lookup(&key);
+                    cycles += WILDCARD_ENTRY_CYCLES * scanned as u64;
+                    action
+                })
+            })
+            .unwrap_or_else(|| {
+                sw.misses += 1;
+                Action::Controller
+            });
+        p.out_port = match action {
+            Action::Output(port) => Some(PortId(port)),
+            Action::Drop | Action::Controller => None,
+        };
+        cycles
     }
 
     fn post_shade_cycles(&self, n: usize) -> u64 {
@@ -228,8 +167,7 @@ impl App for OpenFlowApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps_hw::pcie::PcieModel;
-    use ps_hw::spec::{IohSpec, PcieSpec};
+    use crate::App;
     use ps_net::ethernet::MacAddr;
     use ps_net::PacketBuilder;
     use ps_openflow::wildcard::wc;
@@ -282,37 +220,6 @@ mod tests {
         let ports: Vec<_> = pkts.iter().map(|p| p.out_port).collect();
         assert_eq!(ports, vec![Some(PortId(5)), Some(PortId(2))]);
         assert_eq!(app.switch.misses, 1);
-    }
-
-    #[test]
-    fn gpu_path_agrees_with_cpu_path() {
-        let mut cpu_app = OpenFlowApp::new(switch());
-        let mut gpu_app = OpenFlowApp::new(switch());
-        let dev = ps_gpu::GpuDevice::gtx480_with_mem(32 << 20);
-        let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
-        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
-        gpu_app.setup_gpu(0, &mut eng);
-
-        let mk = || {
-            vec![
-                packet(Ipv4Addr::new(1, 2, 3, 4), 80, 0),
-                packet(Ipv4Addr::new(10, 9, 9, 9), 81, 1),
-                packet(Ipv4Addr::new(99, 9, 9, 9), 81, 1),
-                packet(Ipv4Addr::new(10, 0, 0, 1), 53, 2),
-            ]
-        };
-        let mut a = mk();
-        let mut b = mk();
-        cpu_app.pre_shade(&mut a);
-        cpu_app.process_cpu(&mut a);
-        gpu_app.pre_shade(&mut b);
-        let done = gpu_app.shade(0, &mut eng, &mut ioh, 0, &mut b);
-        assert!(done > 0);
-        b.retain(|p| p.out_port.is_some());
-        let cpu_ports: Vec<_> = a.iter().map(|p| (p.id, p.out_port)).collect();
-        let gpu_ports: Vec<_> = b.iter().map(|p| (p.id, p.out_port)).collect();
-        assert_eq!(cpu_ports, gpu_ports);
-        assert_eq!(cpu_app.switch.misses, gpu_app.switch.misses);
     }
 
     #[test]

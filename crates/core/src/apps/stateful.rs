@@ -1,22 +1,230 @@
-//! Shared plumbing for the stateful NFs (NAT and the L4 load
-//! balancer): 5-tuple extraction, incremental header rewrites, and
-//! the flow-hash GPU staging layout both apps use.
+//! The shared packet program of the stateful NFs (NAT and the L4
+//! load balancer): 5-tuple extraction, the flow-hash offload, the
+//! per-node flow caches, and incremental header rewrites.
 //!
 //! Both NFs follow the same offload split as OpenFlow (§6.2.3): the
 //! GPU computes the per-packet flow hash over the staged canonical
-//! tuple bytes, and the host applies the stateful table operations in
+//! tuple bytes, and the host applies the stateful table operation in
 //! arrival order with the hash precomputed — so the CPU path and the
 //! GPU path run the *same* table code on the *same* hash function and
-//! stay functionally identical.
+//! stay functionally identical. [`FlowNf`] is that program, written
+//! once; an NF is its [`FlowOp`] — the table operation and the state
+//! it keeps besides the cache.
+//!
+//! State is partitioned by *RX NUMA node* (`in_port / ports_per_node`)
+//! — never global — which is what makes replicated execution
+//! deterministic: each node's packet order is identical in sequential
+//! and sharded runs, so each node's table evolves identically
+//! (DESIGN.md §10.3). Translated packets leave through the node-local
+//! port pair, so both NFs shard barrier-free
+//! ([`ShardAffinity::NodeLocal`]).
 
-use ps_flow::FlowTuple;
+use std::ops::{Deref, DerefMut};
+
+use ps_flow::{FlowCache, FlowCacheStats, FlowTuple};
+use ps_gpu::{GpuEngine, Kernel};
+use ps_io::Packet;
 use ps_net::ethernet::HEADER_LEN as ETH_LEN;
 use ps_net::ipv4::protocol;
-use ps_net::{checksum, EtherType, EthernetFrame, Ipv4Packet, TcpSegment, UdpDatagram};
+use ps_net::verdict::{SlowPathReason, Verdict};
+use ps_net::{checksum, classify, EtherType, EthernetFrame, Ipv4Packet, TcpSegment, UdpDatagram};
+use ps_sim::time::Time;
 
-/// Staged bytes per packet: 13 canonical tuple bytes + 3 pad, so the
-/// device reads stay 4-aligned.
-pub(crate) const KEY_STRIDE: usize = 16;
+use crate::app::ShardAffinity;
+use crate::columns::{ColumnSet, FLOW_COLUMNS};
+use crate::kernels::{FlowHashKernel, KernelIo};
+use crate::program::ColumnProgram;
+
+/// Flow-hash cost on the CPU path (the work the GPU absorbs).
+const HASH_CYCLES: u64 = 160;
+/// Cuckoo probe (two buckets, LLC-resident ways).
+pub(super) const PROBE_CYCLES: u64 = 60;
+/// Header rewrite + incremental checksum updates.
+pub(super) const REWRITE_CYCLES: u64 = 45;
+/// Per-relocation cost when an insert kicks residents around.
+pub(super) const KICK_CYCLES: u64 = 35;
+
+/// What distinguishes one stateful NF from another: the table
+/// operation applied to each packet, over the value type its flow
+/// cache pins.
+pub trait FlowOp: Sized {
+    /// What the flow cache stores per flow.
+    type Entry;
+    /// Application name for reports.
+    const NAME: &'static str;
+
+    /// Process one packet of RX node `node` against that node's
+    /// `cache`, with the packet's flow hash already computed: look
+    /// up / insert / release, rewrite the headers, set `out_port`.
+    /// Returns the cycle charge.
+    fn op(
+        &mut self,
+        cache: &mut FlowCache<Self::Entry>,
+        node: usize,
+        p: &mut Packet,
+        pf: &ParsedFlow,
+        hash: u64,
+    ) -> u64;
+
+    /// Node `node`'s cache was flushed by a GPU fault; drop whatever
+    /// side state was synchronized with it.
+    fn state_lost(&mut self, _node: usize) {}
+
+    /// A fresh, equivalent (pre-run) copy for one shard of a parallel
+    /// run.
+    fn replica(&self) -> Self;
+}
+
+/// The stateful-NF packet program: a 16-byte canonical 5-tuple column
+/// in, a flow-hash column out, and `O`'s table operation applied on
+/// the host against per-RX-node flow caches. Dereferences to the
+/// operation, so NF-specific counters and controls stay reachable.
+pub struct FlowNf<O: FlowOp> {
+    op: O,
+    pub(super) per_node: Vec<FlowCache<O::Entry>>,
+    ports_per_node: u16,
+    /// Flow entries lost to GPU faults (state-loss events, summed
+    /// over nodes).
+    pub state_losses: u64,
+}
+
+impl<O: FlowOp> FlowNf<O> {
+    /// `op` for a machine with `total_ports` ports split over `nodes`
+    /// NUMA nodes, keeping up to `capacity` flows per node that
+    /// expire after `idle_ns` of virtual-clock silence (`0` = never).
+    pub(super) fn new(
+        op: O,
+        total_ports: u16,
+        nodes: usize,
+        capacity: usize,
+        idle_ns: Time,
+    ) -> FlowNf<O> {
+        assert!(nodes > 0 && total_ports as usize >= nodes * 2);
+        FlowNf {
+            op,
+            per_node: (0..nodes)
+                .map(|_| FlowCache::new(capacity, idle_ns))
+                .collect(),
+            ports_per_node: total_ports / nodes as u16,
+            state_losses: 0,
+        }
+    }
+
+    /// Live flow entries across all nodes.
+    pub fn occupancy(&self) -> usize {
+        self.per_node.iter().map(FlowCache::occupancy).sum()
+    }
+
+    /// Flow-cache counters summed over nodes.
+    pub fn cache_stats(&self) -> FlowCacheStats {
+        let mut s = FlowCacheStats::default();
+        for c in &self.per_node {
+            s.merge(c.stats());
+        }
+        s
+    }
+}
+
+impl<O: FlowOp> Deref for FlowNf<O> {
+    type Target = O;
+    fn deref(&self) -> &O {
+        &self.op
+    }
+}
+
+impl<O: FlowOp> DerefMut for FlowNf<O> {
+    fn deref_mut(&mut self) -> &mut O {
+        &mut self.op
+    }
+}
+
+impl<O: FlowOp> ColumnProgram for FlowNf<O> {
+    type Key = ParsedFlow;
+    type Row = u64;
+    type Tables = ();
+
+    const NAME: &'static str = O::NAME;
+    const COLUMNS: ColumnSet = FLOW_COLUMNS;
+    /// Classification + 5-tuple parse.
+    const PRE_SHADE_CYCLES: u64 = 70;
+
+    fn admit(&self, p: &mut Packet) -> Verdict {
+        match classify(&p.data, &[]) {
+            // Non-IPv4 / non-UDP/TCP traffic is not translated; the
+            // host stack handles it.
+            Verdict::FastPath if parse_flow(&p.data).is_none() => {
+                Verdict::SlowPath(SlowPathReason::NonIp)
+            }
+            v => v,
+        }
+    }
+
+    fn key(&self, p: &Packet, slot: &mut [u8]) -> Option<ParsedFlow> {
+        let pf = parse_flow(&p.data)?;
+        // 13 canonical tuple bytes + 3 pad, so device reads stay
+        // 4-aligned.
+        slot[..13].copy_from_slice(&ps_flow::tuple_bytes(&pf.tuple));
+        Some(pf)
+    }
+
+    fn upload_tables(&self, _eng: &mut GpuEngine) {}
+
+    fn kernel<'a>(&'a self, _tables: &'a (), io: KernelIo) -> impl Kernel + 'a {
+        FlowHashKernel { io }
+    }
+
+    fn decode(row: &[u8]) -> u64 {
+        u64::from_le_bytes(row.try_into().expect("fixed"))
+    }
+
+    fn host(&self, slot: &[u8]) -> (u64, u64) {
+        let key = slot[..13].try_into().expect("16 B column");
+        (ps_flow::flow_hash_bytes(key), HASH_CYCLES)
+    }
+
+    fn apply(&mut self, p: &mut Packet, pf: ParsedFlow, hash: u64) -> u64 {
+        let node = (p.in_port.0 / self.ports_per_node) as usize % self.per_node.len();
+        self.op.op(&mut self.per_node[node], node, p, &pf, hash)
+    }
+
+    fn post_shade_cycles(&self, n: usize) -> u64 {
+        (PROBE_CYCLES + REWRITE_CYCLES) * n as u64
+    }
+
+    fn shaded(&self, node: usize, done: Time) {
+        let cache = &self.per_node[node];
+        let st = cache.stats();
+        for (name, value) in [
+            ("flow_occupancy", cache.occupancy() as u64),
+            ("flow_evictions", st.evictions),
+            ("flow_expiries", st.expiries),
+            ("flow_kick_depth", st.max_depth),
+        ] {
+            ps_trace::counter(ps_trace::Category::Flow, name, node as u32, done, value);
+        }
+    }
+
+    fn on_gpu_fault(&mut self, node: usize) {
+        // The device context reset takes the node's synchronized flow
+        // state with it: every entry is lost, flows re-establish
+        // through the miss path.
+        if let Some(cache) = self.per_node.get_mut(node) {
+            self.state_losses += cache.flush();
+            self.op.state_lost(node);
+        }
+    }
+
+    fn replica(&self) -> Option<(Self, ShardAffinity)> {
+        let fresh = |c: &FlowCache<_>| FlowCache::new(c.capacity(), c.idle_timeout());
+        let replica = FlowNf {
+            op: self.op.replica(),
+            per_node: self.per_node.iter().map(fresh).collect(),
+            ports_per_node: self.ports_per_node,
+            state_losses: 0,
+        };
+        Some((replica, ShardAffinity::NodeLocal))
+    }
+}
 
 /// Byte offsets of the IPv4 fields the rewrites patch (no options on
 /// the fast path, so the layout is fixed).
@@ -27,7 +235,7 @@ const IP_DST: usize = ETH_LEN + 16;
 /// A parsed fast-path flow: the cuckoo key plus what the rewrite and
 /// the connection tracker need.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ParsedFlow {
+pub struct ParsedFlow {
     /// The 5-tuple `(src, dst, sport, dport, proto)`.
     pub tuple: FlowTuple,
     /// Byte offset of the L4 header within the frame.
@@ -39,7 +247,7 @@ pub(crate) struct ParsedFlow {
 /// Extract the 5-tuple of an IPv4 UDP/TCP frame. Anything else —
 /// IPv6, other protocols, truncated L4 headers — returns [`None`]:
 /// the stateful NFs divert those to the slow path.
-pub(crate) fn parse_flow(data: &[u8]) -> Option<ParsedFlow> {
+pub(super) fn parse_flow(data: &[u8]) -> Option<ParsedFlow> {
     let eth = EthernetFrame::new_checked(data).ok()?;
     if eth.ethertype() != EtherType::Ipv4 {
         return None;
@@ -129,27 +337,13 @@ fn rewrite(
 }
 
 /// SNAT: rewrite the source address and port.
-pub(crate) fn rewrite_src(data: &mut [u8], pf: &ParsedFlow, ip: u32, port: u16) {
+pub(super) fn rewrite_src(data: &mut [u8], pf: &ParsedFlow, ip: u32, port: u16) {
     rewrite(data, pf.l4, pf.tuple.4, IP_SRC, pf.l4, ip, port);
 }
 
 /// DNAT: rewrite the destination address and port.
-pub(crate) fn rewrite_dst(data: &mut [u8], pf: &ParsedFlow, ip: u32, port: u16) {
+pub(super) fn rewrite_dst(data: &mut [u8], pf: &ParsedFlow, ip: u32, port: u16) {
     rewrite(data, pf.l4, pf.tuple.4, IP_DST, pf.l4 + 2, ip, port);
-}
-
-/// Stage the canonical key bytes of every parsed packet at
-/// [`KEY_STRIDE`] spacing (malformed frames stage a zero key; the
-/// caller discards their result).
-pub(crate) fn stage_keys(malformed: &mut u64, pkts: &[ps_io::Packet], staged: &mut Vec<u8>) {
-    staged.clear();
-    staged.resize(pkts.len() * KEY_STRIDE, 0);
-    for (i, p) in pkts.iter().enumerate() {
-        if let Some(pf) = super::revalidate(malformed, parse_flow(&p.data)) {
-            staged[i * KEY_STRIDE..i * KEY_STRIDE + 13]
-                .copy_from_slice(&ps_flow::tuple_bytes(&pf.tuple));
-        }
-    }
 }
 
 #[cfg(test)]

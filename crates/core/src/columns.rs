@@ -3,14 +3,16 @@
 //! Every offloaded kernel reads a small fixed-width field per packet
 //! — the IPv4 kernel a 4-byte destination address, the flow kernels a
 //! canonical 5-tuple — so the staging layer ships *columns*, not
-//! frames. A [`ColumnSet`] declares, per kernel, the input column it
-//! reads and the output column it writes back; a [`ColumnStage`] owns
-//! the host-side gather/scatter buffers and performs the
-//! mode-dependent transfer:
+//! frames. A [`ColumnSet`] is what a packet program declares about
+//! its kernel: the input column it reads and the output column it
+//! writes back. A [`ColumnStage`] — owned by the column-offload
+//! driver ([`ColumnApp`](crate::program::ColumnApp)), one per app —
+//! holds the host-side gather/scatter buffers, allocates the device
+//! columns, and performs the mode-dependent transfer:
 //!
 //! * [`Staging::Soa`] (default): the gathered column is one packed
 //!   `copy_h2d` of `n × width` bytes — byte- and address-identical to
-//!   what the apps always did, now factored into one place;
+//!   the seed's hand-written per-app copies;
 //! * [`Staging::Frames`] (ablation baseline): each packet occupies a
 //!   [`FRAME_SLOT`]-byte device cell and PCIe/IOH are charged the
 //!   *full frame bytes*, with the kernel reading its field at the
@@ -32,6 +34,8 @@ use ps_gpu::{DeviceBuffer, GpuEngine, Slots, Staging};
 use ps_hw::ioh::Ioh;
 use ps_io::Packet;
 use ps_sim::time::Time;
+
+use crate::kernels::KernelIo;
 
 /// One named fixed-width per-packet field.
 #[derive(Debug, Clone, Copy)]
@@ -66,6 +70,10 @@ pub struct ColumnSet {
     /// Staged-packets counter name.
     pub pkts_ctr: &'static str,
 }
+
+/// Widest input column any program may declare: the CPU-only path
+/// parses into a stack slot of this size.
+pub const MAX_INPUT_WIDTH: usize = 32;
 
 /// Device bytes reserved per packet in frame-staging mode: one
 /// huge-packet-buffer cell, as the seed's I/O engine uses host-side.
@@ -152,15 +160,16 @@ pub const FLOW_COLUMNS: ColumnSet = ColumnSet {
     pkts_ctr: "pcie_pkts.flow-hash",
 };
 
-/// The host side of one kernel's column staging: gather buffer,
-/// result buffer, mode-dependent transfer logic and cumulative PCIe
-/// byte accounting.
+/// The host side of one kernel's column staging: the gather/result
+/// buffer, mode-dependent transfer logic and cumulative PCIe byte
+/// accounting.
 #[derive(Debug)]
 pub struct ColumnStage {
     set: ColumnSet,
     mode: Staging,
-    staged: Vec<u8>,
-    out: Vec<u8>,
+    /// The one host buffer: the gathered input column until it is
+    /// uploaded, then the downloaded result column.
+    host: Vec<u8>,
     h2d_bytes: u64,
     d2h_bytes: u64,
     pkts: u64,
@@ -172,8 +181,7 @@ impl ColumnStage {
         ColumnStage {
             set,
             mode: Staging::Soa,
-            staged: Vec::new(),
-            out: Vec::new(),
+            host: Vec::new(),
             h2d_bytes: 0,
             d2h_bytes: 0,
             pkts: 0,
@@ -187,53 +195,40 @@ impl ColumnStage {
         self.mode = mode;
     }
 
-    /// The active staging mode.
-    pub fn mode(&self) -> Staging {
-        self.mode
-    }
-
-    /// The column layout this stage serves.
-    pub fn set(&self) -> &ColumnSet {
-        &self.set
-    }
-
-    /// Where the kernel finds thread `tid`'s input record under the
-    /// active mode.
-    pub fn slots(&self) -> Slots {
-        match self.mode {
-            Staging::Frames => Slots::frames(FRAME_SLOT as u32, self.set.frame_offset as u32),
-            Staging::Soa | Staging::DirectDma => Slots::packed(self.set.input.width as u32),
+    /// Allocate one node's device columns for up to `max_pkts` packets
+    /// and say how kernels address them under the active mode. In
+    /// SoA/direct mode the input is exactly the packed column
+    /// (`max_pkts × width` — the seed's allocation, so device addresses
+    /// stay identical); frame mode reserves [`FRAME_SLOTS`] frame cells
+    /// and points each thread at its field inside its cell. The output
+    /// column is packed in every mode.
+    pub fn alloc(&self, eng: &mut GpuEngine, max_pkts: usize) -> KernelIo {
+        let w = self.set.input.width;
+        let (input, slots) = match self.mode {
+            Staging::Frames => (
+                eng.dev.mem.alloc(FRAME_SLOTS * FRAME_SLOT),
+                Slots::frames(FRAME_SLOT as u32, self.set.frame_offset as u32),
+            ),
+            Staging::Soa | Staging::DirectDma => {
+                (eng.dev.mem.alloc(max_pkts * w), Slots::packed(w as u32))
+            }
+        };
+        let output = eng.dev.mem.alloc(max_pkts * self.set.output.width);
+        KernelIo {
+            input,
+            slots,
+            output,
         }
     }
 
-    /// Allocate the device input buffer for up to `max_pkts` packets
-    /// under the active mode. In SoA/direct mode this is exactly the
-    /// packed column (`max_pkts × width` — the seed's allocation, so
-    /// device addresses stay identical); frame mode reserves
-    /// [`FRAME_SLOTS`] frame cells.
-    pub fn alloc_input(&self, eng: &mut GpuEngine, max_pkts: usize) -> DeviceBuffer {
-        match self.mode {
-            Staging::Frames => eng.dev.mem.alloc(FRAME_SLOTS * FRAME_SLOT),
-            Staging::Soa | Staging::DirectDma => eng.dev.mem.alloc(max_pkts * self.set.input.width),
-        }
-    }
-
-    /// Allocate the device output buffer for up to `max_pkts` packets
-    /// (always packed: results are compact in every mode).
-    pub fn alloc_output(&self, eng: &mut GpuEngine, max_pkts: usize) -> DeviceBuffer {
-        eng.dev.mem.alloc(max_pkts * self.set.output.width)
-    }
-
-    /// Start a gather: clears and returns the host staging buffer for
-    /// the app to fill with `n × width` column bytes.
-    pub fn begin(&mut self) -> &mut Vec<u8> {
-        self.staged.clear();
-        &mut self.staged
-    }
-
-    /// Move the gathered column of `pkts` to `buf` under the active
-    /// mode; `ready` is when the gather finished on the host. Returns
-    /// when the kernel may start reading.
+    /// Gather the input column of `pkts` and move it to `buf` under
+    /// the active mode. `fill(p, slot)` writes packet `p`'s `width`
+    /// bytes into its slot of the reused host buffer; slots start
+    /// zeroed, so a packet whose field no longer parses just leaves
+    /// its slot alone — the batch layout stays fixed and the kernel
+    /// reads an all-zero sentinel. `ready` is when the gather finished
+    /// on the host (its cycles are the worker's pre-shading charge);
+    /// returns when the kernel may start reading.
     pub fn upload(
         &mut self,
         eng: &mut GpuEngine,
@@ -241,18 +236,23 @@ impl ColumnStage {
         ready: Time,
         buf: &DeviceBuffer,
         pkts: &[Packet],
+        mut fill: impl FnMut(&Packet, &mut [u8]),
     ) -> Time {
         let w = self.set.input.width;
         let n = pkts.len();
-        debug_assert_eq!(self.staged.len(), n * w, "gather filled the column");
+        self.host.clear();
+        self.host.resize(n * w, 0);
+        for (p, slot) in pkts.iter().zip(self.host.chunks_exact_mut(w)) {
+            fill(p, slot);
+        }
         match self.mode {
             Staging::Soa => {
-                self.h2d_bytes += self.staged.len() as u64;
-                eng.copy_h2d(ready, ioh, buf, 0, &self.staged)
+                self.h2d_bytes += self.host.len() as u64;
+                eng.copy_h2d(ready, ioh, buf, 0, &self.host)
             }
             Staging::Frames => {
                 assert!(n <= FRAME_SLOTS, "frame staging overflow: {n} packets");
-                for (i, col) in self.staged.chunks_exact(w).enumerate() {
+                for (i, col) in self.host.chunks_exact(w).enumerate() {
                     eng.deposit(buf, i * FRAME_SLOT + self.set.frame_offset, col);
                 }
                 let frame_bytes: u64 = pkts.iter().map(|p| p.data.len() as u64).sum();
@@ -263,8 +263,8 @@ impl ColumnStage {
                 // The column arrived with RX DMA; one IOH traversal
                 // was already paid by the NIC model. Only the ledger
                 // moves.
-                eng.deposit(buf, 0, &self.staged);
-                ioh.note_direct(self.staged.len() as u64);
+                eng.deposit(buf, 0, &self.host);
+                ioh.note_direct(self.host.len() as u64);
                 ready
             }
         }
@@ -283,47 +283,19 @@ impl ColumnStage {
         buf: &DeviceBuffer,
         n: usize,
     ) -> (Time, &[u8]) {
-        self.out.resize(n * self.set.output.width, 0);
-        let done = eng.copy_d2h(submit, ready, ioh, buf, 0, &mut self.out);
-        self.d2h_bytes += self.out.len() as u64;
+        self.host.clear();
+        self.host.resize(n * self.set.output.width, 0);
+        let done = eng.copy_d2h(submit, ready, ioh, buf, 0, &mut self.host);
+        self.d2h_bytes += self.host.len() as u64;
         self.pkts += n as u64;
-        let lane = eng.trace_lane;
-        ps_trace::counter(
-            ps_trace::Category::Gpu,
-            self.set.h2d_ctr,
-            lane,
-            done,
-            self.h2d_bytes,
-        );
-        ps_trace::counter(
-            ps_trace::Category::Gpu,
-            self.set.d2h_ctr,
-            lane,
-            done,
-            self.d2h_bytes,
-        );
-        ps_trace::counter(
-            ps_trace::Category::Gpu,
-            self.set.pkts_ctr,
-            lane,
-            done,
-            self.pkts,
-        );
-        (done, &self.out)
-    }
-
-    /// Take ownership of the result buffer — for apps whose result
-    /// application needs `&mut self` wholesale (stateful table ops)
-    /// and so cannot hold the borrow [`ColumnStage::download`]
-    /// returns. Pair with [`ColumnStage::give_out`] so the buffer
-    /// keeps being reused.
-    pub fn take_out(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out)
-    }
-
-    /// Return the buffer taken by [`ColumnStage::take_out`].
-    pub fn give_out(&mut self, out: Vec<u8>) {
-        self.out = out;
+        for (name, total) in [
+            (self.set.h2d_ctr, self.h2d_bytes),
+            (self.set.d2h_ctr, self.d2h_bytes),
+            (self.set.pkts_ctr, self.pkts),
+        ] {
+            ps_trace::counter(ps_trace::Category::Gpu, name, eng.trace_lane, done, total);
+        }
+        (done, &self.host)
     }
 
     /// Cumulative `(h2d_bytes, d2h_bytes, staged_packets)` for
@@ -362,10 +334,11 @@ mod tests {
         let (mut e2, mut i2) = rig();
         let p = pkts(64, 60);
         let mut stage = ColumnStage::new(IPV4_COLUMNS);
-        let buf1 = stage.alloc_input(&mut e1, 64);
+        let buf1 = stage.alloc(&mut e1, 64).input;
         let col: Vec<u8> = (0..64u32).flat_map(|i| i.to_le_bytes()).collect();
-        stage.begin().extend_from_slice(&col);
-        let t_stage = stage.upload(&mut e1, &mut i1, 1000, &buf1, &p);
+        let t_stage = stage.upload(&mut e1, &mut i1, 1000, &buf1, &p, |p, slot| {
+            slot.copy_from_slice(&col[p.id as usize * 4..][..4])
+        });
         let buf2 = e2.dev.mem.alloc(64 * 4);
         let t_plain = e2.copy_h2d(1000, &mut i2, &buf2, 0, &col);
         assert_eq!(t_stage, t_plain);
@@ -378,9 +351,8 @@ mod tests {
         let p = pkts(3, 60);
         let mut stage = ColumnStage::new(IPV4_COLUMNS);
         stage.set_mode(Staging::Frames);
-        let buf = stage.alloc_input(&mut e, 3);
-        stage.begin().extend_from_slice(&[1u8; 12]);
-        stage.upload(&mut e, &mut ioh, 0, &buf, &p);
+        let buf = stage.alloc(&mut e, 3).input;
+        stage.upload(&mut e, &mut ioh, 0, &buf, &p, |_, slot| slot.fill(1));
         assert_eq!(ioh.h2d_bytes(), 180, "charged sum of frame lengths");
         let mut cell = [0u8; 4];
         e.dev
@@ -396,9 +368,8 @@ mod tests {
         let p = pkts(16, 60);
         let mut stage = ColumnStage::new(FLOW_COLUMNS);
         stage.set_mode(Staging::DirectDma);
-        let buf = stage.alloc_input(&mut e, 16);
-        stage.begin().extend_from_slice(&[7u8; 256]);
-        let done = stage.upload(&mut e, &mut ioh, 5000, &buf, &p);
+        let buf = stage.alloc(&mut e, 16).input;
+        let done = stage.upload(&mut e, &mut ioh, 5000, &buf, &p, |_, slot| slot.fill(7));
         assert_eq!(done, 5000, "upload is free: bytes rode RX DMA");
         assert_eq!(ioh.h2d_bytes(), 0);
         assert_eq!(ioh.direct_bytes(), 256);
@@ -413,7 +384,7 @@ mod tests {
             let (mut e, mut ioh) = rig();
             let mut stage = ColumnStage::new(IPV4_COLUMNS);
             stage.set_mode(mode);
-            let out = stage.alloc_output(&mut e, 32);
+            let out = stage.alloc(&mut e, 32).output;
             let (_, res) = stage.download(&mut e, &mut ioh, 0, 100, &out, 32);
             assert_eq!(res.len(), 64);
             assert_eq!(ioh.d2h_bytes(), 64);

@@ -41,6 +41,21 @@ impl TableMem for CtxMem<'_, '_> {
     }
 }
 
+/// The column wiring every offload kernel shares: where thread `tid`
+/// reads its input record and where it writes its result row.
+/// Allocated once per node by `ColumnStage::alloc`; the engine runs
+/// exactly one thread per staged packet.
+#[derive(Debug, Clone, Copy)]
+pub struct KernelIo {
+    /// Input column, addressed per [`Slots`] (packed column or
+    /// frame-resident, per the staging mode).
+    pub input: DeviceBuffer,
+    /// Where thread `tid` finds its input record in `input`.
+    pub slots: Slots,
+    /// Output column: packed result rows in every mode.
+    pub output: DeviceBuffer,
+}
+
 /// IPv4 forwarding-table lookup: one thread per packet (§5.5 "map
 /// each packet into an independent GPU thread").
 pub struct Ipv4Kernel {
@@ -48,15 +63,8 @@ pub struct Ipv4Kernel {
     pub table: DeviceBuffer,
     /// Image layout.
     pub layout: Dir24Layout,
-    /// Input: u32 destination addresses, addressed per [`Slots`]
-    /// (packed column or frame-resident, per the staging mode).
-    pub input: DeviceBuffer,
-    /// Where thread `tid` finds its destination address in `input`.
-    pub slots: Slots,
-    /// Output: packed u16 next hops.
-    pub output: DeviceBuffer,
-    /// Valid packets.
-    pub n: u32,
+    /// In: little-endian u32 destination addresses; out: u16 next hops.
+    pub io: KernelIo,
 }
 
 impl Kernel for Ipv4Kernel {
@@ -65,10 +73,7 @@ impl Kernel for Ipv4Kernel {
     }
 
     fn thread(&self, tid: u32, ctx: &mut ThreadCtx<'_>) {
-        if tid >= self.n {
-            return;
-        }
-        let addr = ctx.read_u32(&self.input, self.slots.at(tid));
+        let addr = ctx.read_u32(&self.io.input, self.io.slots.at(tid));
         ctx.alu(20); // index arithmetic + branch
         let hop = {
             let mut mem = CtxMem::new(ctx, self.table);
@@ -77,53 +82,44 @@ impl Kernel for Ipv4Kernel {
         // Spilled entries take a second dependent access; the trace
         // records it automatically. Record the branch for divergence.
         ctx.branch(hop & 0x8000 == 0);
-        ctx.write(&self.output, tid as usize * 2, &hop.to_le_bytes());
+        ctx.write(&self.io.output, tid as usize * 2, &hop.to_le_bytes());
     }
 }
 
 /// IPv6 lookup: binary search on prefix lengths, one thread per
 /// packet; seven dependent probes dominate (§6.2.2).
-pub struct Ipv6Kernel {
+pub struct Ipv6Kernel<'a> {
     /// Waldvogel image location.
     pub table: DeviceBuffer,
     /// Level directory (kernel parameters, not device memory).
-    pub layout: V6Layout,
-    /// Input: 16 B destination addresses, addressed per [`Slots`].
-    pub input: DeviceBuffer,
-    /// Where thread `tid` finds its destination address in `input`.
-    pub slots: Slots,
-    /// Output: packed u16 next hops.
-    pub output: DeviceBuffer,
-    /// Valid packets.
-    pub n: u32,
+    pub layout: &'a V6Layout,
+    /// In: 16 B big-endian destination addresses; out: u16 next hops.
+    pub io: KernelIo,
 }
 
-impl Kernel for Ipv6Kernel {
+impl Kernel for Ipv6Kernel<'_> {
     fn name(&self) -> &str {
         "ipv6-waldvogel"
     }
 
     fn thread(&self, tid: u32, ctx: &mut ThreadCtx<'_>) {
-        if tid >= self.n {
-            return;
-        }
-        let raw: [u8; 16] = self.slots.read(ctx, &self.input, tid);
+        let raw: [u8; 16] = self.io.slots.read(ctx, &self.io.input, tid);
         let addr = u128::from_be_bytes(raw);
         // Hashing at each probe level: ~16 ALU ops per FNV over the
         // masked key, 7 levels.
         ctx.alu(7 * 16 + 30);
         let hop = {
             let mut mem = CtxMem::new(ctx, self.table);
-            ps_lookup::waldvogel::lookup(&self.layout, &mut mem, addr)
+            ps_lookup::waldvogel::lookup(self.layout, &mut mem, addr)
         };
-        ctx.write(&self.output, tid as usize * 2, &hop.to_le_bytes());
+        ctx.write(&self.io.output, tid as usize * 2, &hop.to_le_bytes());
     }
 }
 
 /// OpenFlow offload: per-packet flow-key hash + wildcard linear
 /// search (§6.2.3 "we offload hash value calculation and the wildcard
 /// matching to GPU"). Exact-match resolution stays on the CPU.
-pub struct OpenFlowKernel {
+pub struct OpenFlowKernel<'a> {
     /// Serialized wildcard table (in device global memory).
     pub wildcard: DeviceBuffer,
     /// Number of wildcard entries.
@@ -132,16 +128,10 @@ pub struct OpenFlowKernel {
     /// thread blocks stage it there once and scan without global
     /// traffic; this holds the staged copy. `None` = scan global
     /// memory (large tables).
-    pub shared_image: Option<std::sync::Arc<Vec<u8>>>,
-    /// Input: 32 B flow keys (31 B canonical + pad), addressed per
-    /// [`Slots`].
-    pub input: DeviceBuffer,
-    /// Where thread `tid` finds its flow key in `input`.
-    pub slots: Slots,
-    /// Output per packet: `hash:u32 action:u16 scanned:u16`.
-    pub output: DeviceBuffer,
-    /// Valid packets.
-    pub n: u32,
+    pub shared_image: Option<&'a [u8]>,
+    /// In: 32 B flow keys (31 B canonical + pad); out per packet:
+    /// `hash:u32 action:u16 scanned:u16`.
+    pub io: KernelIo,
 }
 
 /// Wildcard-table bytes that fit in shared memory alongside the
@@ -151,24 +141,18 @@ pub const OF_SHARED_LIMIT: usize = 32 << 10;
 /// Sentinel for "no wildcard entry matched".
 pub const OF_NO_MATCH: u16 = 0xFFFD;
 
-impl Kernel for OpenFlowKernel {
+impl Kernel for OpenFlowKernel<'_> {
     fn name(&self) -> &str {
         "openflow-hash+wildcard"
     }
 
     fn thread(&self, tid: u32, ctx: &mut ThreadCtx<'_>) {
-        if tid >= self.n {
-            return;
-        }
-        let raw: [u8; 32] = self.slots.read(ctx, &self.input, tid);
+        let raw: [u8; 32] = self.io.slots.read(ctx, &self.io.input, tid);
         // FNV-1a over 31 bytes: ~2 ops/byte.
         ctx.alu(62);
-        let mut h: u32 = 0x811c_9dc5;
-        for &b in &raw[..31] {
-            h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
-        }
+        let h = ps_openflow::flow_hash_bytes(&raw[..31]);
         let key = flow_key_from_bytes(&raw);
-        let (action, scanned) = match &self.shared_image {
+        let (action, scanned) = match self.shared_image {
             Some(image) => {
                 // Shared-memory scan: issue cost only.
                 let mut mem = ps_lookup::mem::SliceMem::new(image);
@@ -185,10 +169,10 @@ impl Kernel for OpenFlowKernel {
         ctx.alu(12 * scanned as u32);
         ctx.branch(action.is_some());
         let o = tid as usize * 8;
-        ctx.write_u32(&self.output, o, h);
+        ctx.write_u32(&self.io.output, o, h);
         let act = action.unwrap_or(OF_NO_MATCH);
-        ctx.write(&self.output, o + 4, &act.to_le_bytes());
-        ctx.write(&self.output, o + 6, &(scanned as u16).to_le_bytes());
+        ctx.write(&self.io.output, o + 4, &act.to_le_bytes());
+        ctx.write(&self.io.output, o + 6, &(scanned as u16).to_le_bytes());
     }
 }
 
@@ -214,15 +198,9 @@ pub fn flow_key_from_bytes(b: &[u8; 32]) -> FlowKey {
 /// stateful table operations in arrival order with the hash
 /// precomputed — the same split as OpenFlow's hash offload (§6.2.3).
 pub struct FlowHashKernel {
-    /// Input: 16 B key slots (13 canonical tuple bytes + pad),
-    /// addressed per [`Slots`].
-    pub input: DeviceBuffer,
-    /// Where thread `tid` finds its key slot in `input`.
-    pub slots: Slots,
-    /// Output: packed u64 hashes.
-    pub output: DeviceBuffer,
-    /// Valid packets.
-    pub n: u32,
+    /// In: 16 B key slots (13 canonical tuple bytes + pad); out: u64
+    /// hashes.
+    pub io: KernelIo,
 }
 
 impl Kernel for FlowHashKernel {
@@ -231,15 +209,12 @@ impl Kernel for FlowHashKernel {
     }
 
     fn thread(&self, tid: u32, ctx: &mut ThreadCtx<'_>) {
-        if tid >= self.n {
-            return;
-        }
-        let raw: [u8; 16] = self.slots.read(ctx, &self.input, tid);
+        let raw: [u8; 16] = self.io.slots.read(ctx, &self.io.input, tid);
         // Two splitmix64 rounds over the packed words: ~24 ALU ops.
         ctx.alu(24);
         let key: [u8; 13] = raw[..13].try_into().expect("fixed");
         let h = ps_flow::flow_hash_bytes(&key);
-        ctx.write(&self.output, tid as usize * 8, &h.to_le_bytes());
+        ctx.write(&self.io.output, tid as usize * 8, &h.to_le_bytes());
     }
 }
 
@@ -388,10 +363,11 @@ mod tests {
         let k = Ipv4Kernel {
             table: tbuf,
             layout: table.layout(),
-            input,
-            slots: Slots::packed(4),
-            output,
-            n: 4,
+            io: KernelIo {
+                input,
+                slots: Slots::packed(4),
+                output,
+            },
         };
         let stats = kernel::execute(&k, &mut dev.mem, 4);
         assert_eq!(stats.threads, 4);

@@ -21,9 +21,11 @@
 //! * workers **post-shade** and transmit; RSS keeps flows on one
 //!   worker so FIFO order holds per flow (§5.3).
 //!
-//! [`apps`] implements the four evaluated applications (IPv4, IPv6,
-//! OpenFlow, IPsec), each in CPU-only and CPU+GPU modes, over the
-//! same functional code paths.
+//! [`apps`] implements the evaluated applications (IPv4, IPv6,
+//! OpenFlow, IPsec, plus the stateful NAT and load balancer), each in
+//! CPU-only and CPU+GPU modes over the same functional code paths.
+//! The column-staged ones are packet programs ([`ColumnProgram`])
+//! run by the one column-offload driver, [`ColumnApp`].
 
 pub mod app;
 pub mod apps;
@@ -31,11 +33,13 @@ pub mod chunk;
 pub mod columns;
 pub mod config;
 pub mod kernels;
+pub mod program;
 pub mod router;
 
 pub use app::{App, PreShadeResult, ShardAffinity};
 pub use chunk::Chunk;
 pub use columns::{ColumnSet, ColumnSpec, ColumnStage};
 pub use config::{LatencyConfig, Mode, PriorityClass, RouterConfig};
+pub use program::{ColumnApp, ColumnProgram};
 pub use ps_gpu::Staging;
 pub use router::{Router, RouterReport};

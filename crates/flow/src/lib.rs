@@ -59,13 +59,7 @@ pub fn tuple_bytes(t: &FlowTuple) -> [u8; 13] {
 /// high 32 bits the second — one hash yields both choices, which is
 /// what the GPU offload ships back per packet.
 pub fn flow_hash(t: &FlowTuple) -> u64 {
-    let b = tuple_bytes(t);
-    let lo = u64::from_le_bytes(b[0..8].try_into().expect("fixed"));
-    let hi = u64::from_le_bytes([b[8], b[9], b[10], b[11], b[12], 0, 0, 0]);
-    let mut s = lo ^ 0x9E37_79B9_7F4A_7C15;
-    let first = splitmix64(&mut s);
-    s = first ^ hi;
-    splitmix64(&mut s)
+    flow_hash_bytes(&tuple_bytes(t))
 }
 
 /// Hash a tuple already serialized as [`tuple_bytes`] — the function
@@ -101,6 +95,22 @@ pub struct FlowCacheStats {
     pub displacements: u64,
     /// Deepest kick chain any single insert needed.
     pub max_depth: u64,
+}
+
+impl FlowCacheStats {
+    /// Fold another cache's counters into these (per-node caches
+    /// reported as one): counts add, `max_depth` takes the maximum.
+    pub fn merge(&mut self, other: &FlowCacheStats) {
+        self.lookups += other.lookups;
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.inserts += other.inserts;
+        self.updates += other.updates;
+        self.evictions += other.evictions;
+        self.expiries += other.expiries;
+        self.displacements += other.displacements;
+        self.max_depth = self.max_depth.max(other.max_depth);
+    }
 }
 
 /// One resident flow.

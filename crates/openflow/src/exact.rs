@@ -14,8 +14,14 @@ use crate::action::Action;
 
 /// FNV-1a 32-bit over the canonical 31-byte flow key serialization.
 pub fn flow_hash(key: &FlowKey) -> u32 {
+    flow_hash_bytes(&key.to_bytes())
+}
+
+/// Hash a key already serialized by [`FlowKey::to_bytes`] — the
+/// function the GPU kernel runs per thread on the staged column.
+pub fn flow_hash_bytes(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
-    for b in key.to_bytes() {
+    for &b in bytes {
         h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
     }
     h

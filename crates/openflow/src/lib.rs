@@ -24,6 +24,6 @@ pub mod switch;
 pub mod wildcard;
 
 pub use action::Action;
-pub use exact::{flow_hash, ExactTable};
+pub use exact::{flow_hash, flow_hash_bytes, ExactTable};
 pub use switch::{LookupResult, OpenFlowSwitch};
 pub use wildcard::{WildcardEntry, WildcardTable, ENTRY_SIZE};

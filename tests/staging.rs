@@ -25,6 +25,7 @@
 use packetshader::check::{check, ensure, ensure_eq, Gen};
 use packetshader::core::apps::{Backend, Ipv4App, LbApp, NatApp, OpenFlowApp};
 use packetshader::core::columns::{ColumnStage, FLOW_COLUMNS, FRAME_SLOT, IPV4_COLUMNS};
+use packetshader::core::kernels::KernelIo;
 use packetshader::core::{App, Router, RouterConfig, RouterReport, Staging};
 use packetshader::gpu::{GpuDevice, GpuEngine};
 use packetshader::hw::ioh::Ioh;
@@ -332,10 +333,12 @@ fn column_gather_reads_back_identically_in_every_mode() {
             let (mut eng, mut ioh) = rig();
             let mut stage = ColumnStage::new(set);
             stage.set_mode(mode);
-            let buf = stage.alloc_input(&mut eng, n.max(1));
-            stage.begin().extend_from_slice(&col);
-            stage.upload(&mut eng, &mut ioh, 0, &buf, &pkts);
-            let slots = stage.slots();
+            let KernelIo {
+                input: buf, slots, ..
+            } = stage.alloc(&mut eng, n.max(1));
+            stage.upload(&mut eng, &mut ioh, 0, &buf, &pkts, |p, slot| {
+                slot.copy_from_slice(&col[p.id as usize * w..][..w])
+            });
             // Read every record back through the mode's addressing.
             let mut got = Vec::with_capacity(n * w);
             for tid in 0..n {
