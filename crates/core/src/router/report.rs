@@ -43,6 +43,11 @@ pub struct RouterReport {
     pub slow_path: u64,
     /// GPU kernels launched (both devices).
     pub gpu_kernels: u64,
+    /// Shading launches (master gathers that reached `App::shade` or
+    /// its CPU fallback).
+    pub shade_batches: u64,
+    /// Packets across all shading launches.
+    pub shade_packets: u64,
     /// Mean packets per shading launch.
     pub mean_shade_batch: f64,
     /// Mean packets per RX fetch.

@@ -99,6 +99,8 @@ impl<A: App> Router<A> {
                 .filter_map(|n| n.gpu.as_ref())
                 .map(|g| g.kernels_launched)
                 .sum(),
+            shade_batches: self.stats.shade_batches,
+            shade_packets: self.stats.shade_packets,
             mean_shade_batch: mean(self.stats.shade_packets, self.stats.shade_batches),
             mean_rx_batch: mean(self.stats.rx_packets, self.stats.rx_batches),
             ioh_d2h_gbit: self
@@ -216,6 +218,8 @@ pub(crate) fn merged_report<A: App>(shards: &[Router<A>], window: Time) -> Route
         app_drops,
         slow_path,
         gpu_kernels,
+        shade_batches: shade.1,
+        shade_packets: shade.0,
         mean_shade_batch: mean(shade.0, shade.1),
         mean_rx_batch: mean(rx.0, rx.1),
         ioh_d2h_gbit: d2h,

@@ -102,6 +102,107 @@ fn fingerprints_match_seed_implementation() {
     );
 }
 
+/// Long-window pins (ISSUE 13). The 1 ms fingerprints above are too
+/// short, stream-less and too coarse to see *when* the master wakes:
+/// a change to the master's wake bookkeeping that moves a gather by
+/// one poll passes all six of them. These two run the paper's
+/// headline operating point (IPv4 64 B at 38 Gbps, just under the
+/// ceiling: thousands of small gathers) and the stream-mode IPsec
+/// gateway (the master re-polls at the copy-engine slot, not at batch
+/// completion) long enough for the wake backlog to matter, and pin
+/// the gather count and size and the latency tails, not only the
+/// packet totals. Captured at commit 9c1cec0, before the wake
+/// bookkeeping was touched.
+///
+/// Tuple: offered, delivered, rx_drops, shade_batches, shade_packets,
+/// latency [p50, p99, p999, max], sojourn p999, and the bits of the
+/// mean latency (quantiles are bucket bounds; the mean moves if any
+/// one packet's latency does).
+type LongPin = (u64, u64, u64, u64, u64, [u64; 4], u64, u64);
+
+fn long_pin<A: App + Send>(
+    cfg: RouterConfig,
+    app: A,
+    spec: TrafficSpec,
+    duration: packetshader::sim::time::Time,
+) -> LongPin {
+    let r = Router::run(cfg, app, spec, duration);
+    (
+        r.offered.packets,
+        r.delivered.packets,
+        r.rx_drops,
+        r.shade_batches,
+        r.shade_packets,
+        [
+            r.latency.p50(),
+            r.latency.p99(),
+            r.latency.p999(),
+            r.latency.max(),
+        ],
+        r.sojourn.p999(),
+        r.latency.mean().to_bits(),
+    )
+}
+
+#[test]
+fn long_window_ipv4_knee_matches_parent() {
+    // The full RouteViews-sized table spreads next hops over all
+    // eight ports; the 2,000-prefix table above sends half the load
+    // to each of two, which at 38 Gbps is a TX bottleneck, not the
+    // knee.
+    let routes = workloads::ipv4_routes_paper(1);
+    assert_eq!(
+        long_pin(
+            RouterConfig::paper_gpu(),
+            Ipv4App::new(&routes),
+            TrafficSpec::ipv4_64b(38.0, 5),
+            5 * MILLIS,
+        ),
+        (
+            215909,
+            216852,
+            4779,
+            619,
+            264544,
+            [36863, 53247, 61439, 66373],
+            53247,
+            4675168191687164030
+        ),
+        "ipv4 64 B gpu, 38 Gbps x 5 ms"
+    );
+}
+
+#[test]
+fn long_window_ipsec_streams_matches_parent() {
+    let cfg = RouterConfig {
+        concurrent_copy: true,
+        ..RouterConfig::paper_gpu()
+    };
+    let spec = TrafficSpec {
+        frame_len: 1514,
+        ..TrafficSpec::ipv4_64b(20.0, 5)
+    };
+    assert_eq!(
+        long_pin(
+            cfg,
+            IpsecApp::new([7u8; 16], 0xABCD, b"determinism-key"),
+            spec,
+            10 * MILLIS,
+        ),
+        (
+            13004,
+            8907,
+            5106,
+            197,
+            11061,
+            [163839, 221119, 221119, 221119],
+            202881,
+            4684422658716759261
+        ),
+        "ipsec 1514 B gpu + streams, 20 Gbps x 10 ms"
+    );
+}
+
 /// The full GPU-mode trace dump — every span, counter and instant the
 /// pipeline emits, byte for byte — must match the seed implementation.
 /// Pinned as (length, FNV-1a) per seed; a fast path that reordered a
