@@ -88,16 +88,12 @@ impl<A: App> Router<A> {
         sched.at(t, Ev::WorkerLoop { worker: w });
     }
 
+    /// Wake node `node`'s master at `t`, unless its latest wake-up
+    /// request is for `t` or earlier and no wake-up has run since.
     pub(super) fn wake_master(&mut self, sched: &mut Scheduler<Ev>, node: usize, t: Time) {
-        let t = t.max(sched.now());
-        let ms = self.master_mut(node);
-        if let Some(pending) = ms.next_wake {
-            if pending <= t {
-                return;
-            }
-        }
-        ms.next_wake = Some(t);
-        sched.at(t, Ev::MasterLoop { node });
+        self.master_mut(node)
+            .wakes
+            .arm(sched, t, || Ev::MasterLoop { node });
     }
 
     fn on_worker_loop(&mut self, sched: &mut Scheduler<Ev>, w: usize) {
@@ -129,30 +125,28 @@ impl<A: App> Router<A> {
         };
         let fetch_prio = can_fetch && !self.prio_ring(w).is_empty();
         if fetch_prio || (can_fetch && !self.ring(w).is_empty()) {
-            let batch = if fetch_prio {
+            let mut pkts = self.free_batches.pop().unwrap_or_default();
+            if fetch_prio {
                 let cap = self
                     .cfg
                     .latency
                     .priority
                     .map_or(self.cfg.io.batch_cap, |c| c.cap);
-                let b = self.prio_ring_mut(w).pop_batch(cap);
+                self.prio_ring_mut(w).pop_batch_into(&mut pkts, cap);
                 ps_io::trace::trace_prio_ring_depth(w as u32, now, self.prio_ring(w).len() as u64);
-                b
             } else {
                 let cap = self.effective_batch_cap(w);
                 if self.cfg.latency.adaptive_batch {
                     ps_io::trace::trace_batch_cap(w as u32, now, cap as u64);
                 }
-                let b = self.ring_mut(w).pop_batch(cap);
+                self.ring_mut(w).pop_batch_into(&mut pkts, cap);
                 ps_io::trace::trace_ring_depth(w as u32, now, self.ring(w).len() as u64);
-                b
-            };
+            }
             self.stats.rx_batches += 1;
-            self.stats.rx_packets += batch.len() as u64;
-            let n = batch.len() as u64;
-            let bytes: u64 = batch.iter().map(|p| p.len() as u64).sum();
+            self.stats.rx_packets += pkts.len() as u64;
+            let n = pkts.len() as u64;
+            let bytes: u64 = pkts.iter().map(|p| p.len() as u64).sum();
             let rx_cycles = self.cost.rx_batch_cycles(n, bytes, self.cfg.io.placement);
-            let mut pkts = batch;
             let corrupt_before = match &self.plan {
                 Some(_) => pkts.iter().filter(|p| p.corrupted).count() as u64,
                 None => 0,
@@ -190,6 +184,7 @@ impl<A: App> Router<A> {
             );
 
             if pkts.is_empty() {
+                self.reclaim_batch(pkts);
                 self.wake_worker(sched, w, t1);
                 return;
             }
@@ -314,7 +309,7 @@ impl<A: App> Router<A> {
 
         let src_node = self.worker_node(w);
         let qpi = self.cfg.testbed.ioh.qpi_hop_ns;
-        for p in pkts {
+        for p in pkts.drain(..) {
             let out = p.out_port.expect("retained");
             let node = self.node_of_port(out);
             if qpi > 0 && node != src_node {
@@ -376,6 +371,7 @@ impl<A: App> Router<A> {
                 Ev::TxDone { pkt },
             );
         }
+        self.reclaim_batch(pkts);
         self.wake_worker(sched, w, t2);
     }
 

@@ -4,12 +4,10 @@
 
 use ps_fault::ShadeFault;
 use ps_hw::ioh::Direction;
-use ps_io::Packet;
 use ps_sim::time::Time;
 use ps_sim::{Scheduler, MICROS};
 
 use crate::app::App;
-use crate::chunk::Chunk;
 
 use super::node::NodeShard;
 use super::{Ev, Router};
@@ -37,17 +35,25 @@ impl<A: App> Router<A> {
         (self.cfg.total_workers() + self.cfg.nodes + node) as u32
     }
 
+    /// Every wake-up due now, in order: one that finds the master busy
+    /// moves to `busy_until`, one that finds it free with no input is
+    /// spent, and any other gathers and shades once (after which the
+    /// master is busy again).
     pub(super) fn on_master_loop(&mut self, sched: &mut Scheduler<Ev>, node: usize) {
+        let wake = || Ev::MasterLoop { node };
+        loop {
+            let ms = self.master_mut(node);
+            let (busy_until, idle) = (ms.busy_until, ms.input.is_empty());
+            if !ms.wakes.fire(sched, busy_until, idle, wake) {
+                return;
+            }
+            self.shade_once(sched, node);
+        }
+    }
+
+    /// Gather what is queued, shade it, scatter the results.
+    fn shade_once(&mut self, sched: &mut Scheduler<Ev>, node: usize) {
         let now = sched.now();
-        self.master_mut(node).next_wake = None;
-        if self.master_mut(node).busy_until > now {
-            let t = self.master_mut(node).busy_until;
-            self.wake_master(sched, node, t);
-            return;
-        }
-        if self.master_mut(node).input.is_empty() {
-            return;
-        }
         // Gather pending chunks (Figure 10(b)); without gather, take
         // exactly one.
         let take = if self.cfg.gather {
@@ -57,14 +63,17 @@ impl<A: App> Router<A> {
         } else {
             1
         };
-        let chunks: Vec<Chunk> = self.master_mut(node).input.drain(..take).collect();
-        let mut all: Vec<Packet> = Vec::with_capacity(chunks.iter().map(Chunk::len).sum());
-        let mut splits = Vec::with_capacity(take);
-        for c in &chunks {
-            splits.push((c.worker, c.len(), c.fetched_at));
-        }
-        for c in chunks {
-            all.extend(c.packets);
+        // The packets move into one batch; each chunk keeps its (now
+        // empty) vector and its length, and takes its share back in
+        // the scatter. `all` and `splits` are the master's own scratch,
+        // reused from gather to gather.
+        let ms = self.master_mut(node);
+        let mut all = std::mem::take(&mut ms.all);
+        let mut splits = std::mem::take(&mut ms.splits);
+        for mut c in ms.input.drain(..take) {
+            let len = c.len();
+            all.append(&mut c.packets);
+            splits.push((c, len));
         }
 
         let ready = now + self.cycles_ns(MASTER_CYCLES_PER_CHUNK * take as u64);
@@ -108,7 +117,8 @@ impl<A: App> Router<A> {
             }
         }
 
-        if fallback {
+        let shade_lane = self.shade_lane(node);
+        let (done, busy_until) = if fallback {
             // The GPU batch is lost: after the driver timeout the
             // master re-runs the kernel functionally on the host at
             // the calibrated CPU cost. `process_cpu` may *remove*
@@ -128,19 +138,15 @@ impl<A: App> Router<A> {
             ps_trace::complete(
                 ps_trace::Category::Stage,
                 "cpu_fallback",
-                self.shade_lane(node),
+                shade_lane,
                 start,
                 done,
                 || vec![("pkts", n)],
             );
-            let mut out: Vec<Vec<Packet>> = splits
-                .iter()
-                .map(|&(_, len, _)| Vec::with_capacity(len))
-                .collect();
             let mut j = 0usize; // cursor into the original id sequence
             let mut s = 0usize; // current split
             let mut bound = splits[0].1;
-            for p in all {
+            for p in all.drain(..) {
                 while ids[j] != p.id {
                     j += 1;
                 }
@@ -148,35 +154,21 @@ impl<A: App> Router<A> {
                     s += 1;
                     bound += splits[s].1;
                 }
-                out[s].push(p);
+                splits[s].0.packets.push(p);
                 j += 1;
-            }
-            for ((worker, _, fetched_at), pkts) in splits.into_iter().zip(out) {
-                let chunk = Chunk::new(worker, pkts, fetched_at);
-                self.worker_mut(worker).done_queue.push_back((done, chunk));
-                self.wake_worker(sched, worker, done);
             }
             // The master itself did the fallback work: it blocks
             // until the batch is done regardless of stream mode.
-            self.master_mut(node).busy_until = done;
+            (done, done)
         } else {
             let NodeShard { ioh, gpu, .. } = &mut self.nodes[node];
-            let done = self.app.shade(
-                node,
-                gpu.as_mut().expect("CpuGpu mode has a GPU per node"),
-                ioh,
-                start,
-                &mut all,
-            );
+            let gpu = gpu.as_mut().expect("CpuGpu mode has a GPU per node");
+            let done = self.app.shade(node, gpu, ioh, start, &mut all);
             let done = if straggle_pct > 0 {
                 let extra = (done - start) * u64::from(straggle_pct) / 100;
                 // The straggling warp occupies the engines past the
                 // modeled completion, queueing the next launch too.
-                self.nodes[node]
-                    .gpu
-                    .as_mut()
-                    .expect("CpuGpu mode has a GPU per node")
-                    .delay_engines(extra);
+                gpu.delay_engines(extra);
                 if let Some(plan) = self.plan.as_mut() {
                     plan.note_straggle_ns(extra);
                 }
@@ -187,41 +179,43 @@ impl<A: App> Router<A> {
             ps_trace::complete(
                 ps_trace::Category::Stage,
                 "shade",
-                self.shade_lane(node),
+                shade_lane,
                 start,
                 done,
                 || vec![("pkts", n)],
             );
 
-            // Scatter results back to per-worker output queues, moving
-            // the packets out of the gathered batch — no per-packet
-            // clones of the frame data.
-            let mut rest = all.into_iter();
-            for (worker, len, fetched_at) in splits {
-                let pkts: Vec<Packet> = rest.by_ref().take(len).collect();
-                let chunk = Chunk::new(worker, pkts, fetched_at);
-                self.worker_mut(worker).done_queue.push_back((done, chunk));
-                self.wake_worker(sched, worker, done);
+            // Scatter the results back, moving the packets out of the
+            // gathered batch into the vectors they came in — no
+            // per-packet clones of the frame data, no new vectors.
+            let mut rest = all.drain(..);
+            for (chunk, len) in &mut splits {
+                chunk.packets.extend(rest.by_ref().take(*len));
             }
+            drop(rest);
 
             // With streams the master pipelines the next gather behind
             // this one as soon as this gather's uploads are queued;
             // without streams it blocks until the results are back.
-            self.master_mut(node).busy_until = if self.cfg.concurrent_copy {
-                start.max(
-                    self.nodes[node]
-                        .gpu
-                        .as_ref()
-                        .expect("CpuGpu mode has a GPU per node")
-                        .next_copy_slot(),
-                )
+            let busy_until = if self.cfg.concurrent_copy {
+                start.max(gpu.next_copy_slot())
             } else {
                 done
             };
+            (done, busy_until)
+        };
+        // Hand each chunk to its worker's output queue.
+        for (chunk, _) in splits.drain(..) {
+            let worker = chunk.worker;
+            self.worker_mut(worker).done_queue.push_back((done, chunk));
+            self.wake_worker(sched, worker, done);
         }
-        if !self.master_mut(node).input.is_empty() {
-            let t = self.master_mut(node).busy_until;
-            self.wake_master(sched, node, t);
+        let ms = self.master_mut(node);
+        ms.busy_until = busy_until;
+        ms.all = all;
+        ms.splits = splits;
+        if !ms.input.is_empty() {
+            self.wake_master(sched, node, busy_until);
         }
     }
 }

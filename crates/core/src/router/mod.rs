@@ -52,8 +52,9 @@ use node::{MasterState, NodeShard, WorkerState};
 use parallel::CrossTx;
 use stats::RunStats;
 
-/// Upper bound on the recycled frame-buffer / event-box pools; keeps
-/// a pathological burst from pinning memory forever.
+/// Upper bound on each recycling pool (frame buffers, event boxes,
+/// batch vectors); keeps a pathological burst from pinning memory
+/// forever.
 const POOL_CAP: usize = 8192;
 
 /// The router model.
@@ -82,6 +83,10 @@ pub struct Router<A: App> {
     /// the `Box` allocations themselves are the pooled resource.
     #[allow(clippy::vec_box)]
     free_boxes: Vec<Box<Packet>>,
+    /// Recycled batch vectors: an RX fetch fills one, it travels with
+    /// its chunk (through the master and back, when shaded), and the
+    /// TX path returns it here empty.
+    free_batches: Vec<Vec<Packet>>,
     /// Armed fault plan; [`None`] whenever the config's spec is
     /// all-zero, so fault-free runs draw no randomness and emit no
     /// trace events from this layer.
@@ -123,6 +128,7 @@ impl<A: App> Router<A> {
             stats: RunStats::default(),
             free_bufs: Vec::new(),
             free_boxes: Vec::new(),
+            free_batches: Vec::new(),
             plan: cfg.faults.enabled().then(|| FaultPlan::new(cfg.faults)),
             shard: None,
             cross_windowed: false,
@@ -188,6 +194,14 @@ impl<A: App> Router<A> {
     fn reclaim_buf(&mut self, buf: Vec<u8>) {
         if self.free_bufs.len() < POOL_CAP {
             self.free_bufs.push(buf);
+        }
+    }
+
+    /// Return an emptied batch vector to the recycling pool.
+    fn reclaim_batch(&mut self, batch: Vec<Packet>) {
+        debug_assert!(batch.is_empty());
+        if self.free_batches.len() < POOL_CAP {
+            self.free_batches.push(batch);
         }
     }
 

@@ -16,6 +16,7 @@ use ps_io::Packet;
 use ps_nic::port::{Port, PortId};
 use ps_nic::ring::Ring;
 use ps_sim::time::Time;
+use ps_sim::FoldedWakes;
 
 use crate::app::App;
 use crate::chunk::Chunk;
@@ -26,7 +27,10 @@ pub(crate) struct WorkerState {
     pub busy_until: Time,
     /// Armed RX interrupt (worker parked).
     pub idle: bool,
-    /// Earliest already-scheduled wake, to dedupe events.
+    /// The wake armed most recently, unless a `WorkerLoop` has run
+    /// since (each one clears it): dedupes back-to-back wake requests.
+    /// Not the earliest pending wake — a request for an earlier instant
+    /// replaces it and the later event stays queued.
     pub next_wake: Option<Time>,
     /// Interrupt moderation horizon.
     pub last_int: Time,
@@ -39,10 +43,18 @@ pub(crate) struct WorkerState {
 /// Per-node master-core state (§5.3 master threads).
 pub(crate) struct MasterState {
     pub input: VecDeque<Chunk>,
-    pub next_wake: Option<Time>,
+    /// Pending `MasterLoop` wake-ups. A wake-up that finds the master
+    /// busy re-arms itself at `busy_until`, so wake-ups multiply while
+    /// the master is loaded; they are kept as counts per instant, one
+    /// scheduler event each (see [`FoldedWakes`]).
+    pub wakes: FoldedWakes,
     /// The master thread blocks in the shading step until this
     /// instant (with streams it only blocks for the copy submission).
     pub busy_until: Time,
+    /// Scratch for the gathered batch; empty between gathers.
+    pub all: Vec<Packet>,
+    /// Scratch for the gathered chunks, each with its packet count.
+    pub splits: Vec<(Chunk, usize)>,
 }
 
 /// All hardware owned by one NUMA domain.
@@ -101,8 +113,10 @@ impl NodeShard {
             .collect();
         let master = MasterState {
             input: VecDeque::new(),
-            next_wake: None,
+            wakes: FoldedWakes::new(),
             busy_until: 0,
+            all: Vec::new(),
+            splits: Vec::new(),
         };
         let rings = (0..cfg.workers_per_node)
             .map(|_| Ring::new(cfg.io.ring_entries))

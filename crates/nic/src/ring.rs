@@ -75,12 +75,20 @@ impl<T> Ring<T> {
         self.items.pop_front()
     }
 
-    /// Dequeue up to `max` items — the batched fetch at the heart of
-    /// the I/O engine (§4.3: "the chunk size is not fixed but only
-    /// capped").
-    pub fn pop_batch(&mut self, max: usize) -> Vec<T> {
+    /// Dequeue up to `max` items onto the end of `out` — the batched
+    /// fetch at the heart of the I/O engine (§4.3: "the chunk size is
+    /// not fixed but only capped"). The caller owns (and can recycle)
+    /// the vector.
+    pub fn pop_batch_into(&mut self, out: &mut Vec<T>, max: usize) {
         let n = max.min(self.items.len());
-        self.items.drain(..n).collect()
+        out.extend(self.items.drain(..n));
+    }
+
+    /// [`Ring::pop_batch_into`] a fresh vector.
+    pub fn pop_batch(&mut self, max: usize) -> Vec<T> {
+        let mut out = Vec::new();
+        self.pop_batch_into(&mut out, max);
+        out
     }
 
     /// Peek at the head without removing it.
@@ -134,6 +142,21 @@ mod tests {
         }
         assert_eq!(r.pop_batch(4), vec![0, 1, 2, 3]);
         assert_eq!(r.len(), 6);
+    }
+
+    #[test]
+    fn batch_pop_into_appends_and_keeps_the_allocation() {
+        let mut r = Ring::new(64);
+        for i in 0..10 {
+            r.push(i).unwrap();
+        }
+        let mut out = Vec::with_capacity(16);
+        let buf = out.as_ptr();
+        r.pop_batch_into(&mut out, 4);
+        r.pop_batch_into(&mut out, 64);
+        assert_eq!(out, (0..10).collect::<Vec<_>>());
+        assert_eq!(out.as_ptr(), buf);
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -105,18 +105,31 @@ impl<E> Scheduler<E> {
     /// Panics if `t` is in the past: a model scheduling backwards in
     /// time is always a bug and would silently corrupt causality.
     pub fn at(&mut self, t: Time, ev: E) {
+        let seq = self.reserve_seq();
+        self.at_reserved(t, seq, ev);
+    }
+
+    /// Take the next sequence number without scheduling anything: the
+    /// place in the same-instant order an event scheduled *now* would
+    /// get. [`crate::wake::FoldedWakes`] keeps it for wakes it folds
+    /// into an already-scheduled event, so that the fold can be undone
+    /// at exactly this place if a foreign event turns out to sit
+    /// between them.
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+
+    /// Schedule `ev` at `(t, seq)` for a `seq` from
+    /// [`Scheduler::reserve_seq`] that no queued event holds.
+    pub(crate) fn at_reserved(&mut self, t: Time, seq: u64, ev: E) {
         assert!(
             t >= self.now,
             "event scheduled in the past: t={} now={}",
             t,
             self.now
         );
-        self.seq += 1;
-        let e = Entry {
-            time: t,
-            seq: self.seq,
-            ev,
-        };
+        let e = Entry { time: t, seq, ev };
         // Keep the slot holding a key that precedes the whole heap:
         // a smaller event displaces the occupant into the heap; with
         // the slot empty, only an event preceding the heap root may

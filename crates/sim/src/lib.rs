@@ -5,6 +5,8 @@
 //!
 //! * a deterministic event queue over a nanosecond-resolution virtual
 //!   clock ([`Simulation`], [`Scheduler`]),
+//! * folded wake-ups for polling threads whose wake events re-arm
+//!   themselves ([`FoldedWakes`]),
 //! * FIFO bandwidth servers used to model PCIe directions, IOH
 //!   directions and Ethernet wires ([`resource::BandwidthServer`]),
 //! * statistics primitives: counters, rate meters and log-bucketed
@@ -30,6 +32,7 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace_summary;
+pub mod wake;
 
 pub use event::{Scheduler, Simulation};
 pub use shard::{
@@ -37,6 +40,7 @@ pub use shard::{
     ShardedScheduler,
 };
 pub use time::{Time, GIGA, KILO, MEGA, MICROS, MILLIS, SECONDS};
+pub use wake::FoldedWakes;
 
 /// A simulation model: one big deterministic state machine.
 ///
