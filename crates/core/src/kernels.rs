@@ -339,9 +339,11 @@ impl Kernel for IpsecHmacKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps_gpu::{kernel, GpuDevice};
+    use ps_crypto::esp::{encrypt_tunnel, SecurityAssociation};
+    use ps_gpu::{kernel, DeviceMemory, GpuDevice, LaunchStats};
     use ps_lookup::dir24::Dir24Table;
     use ps_lookup::route::Route4;
+    use ps_net::esp as espfmt;
 
     #[test]
     fn ipv4_kernel_produces_real_lookups() {
@@ -379,6 +381,212 @@ mod tests {
             })
             .collect();
         assert_eq!(hops, vec![2, 1, 7, 7]);
+    }
+
+    /// One staged IPsec launch: device memory laid out as
+    /// `IpsecApp::shade` lays it out (payload, params, block map, in
+    /// that allocation order), plus what the tests need to read back.
+    struct EspBatch {
+        mem: DeviceMemory,
+        payload: DeviceBuffer,
+        params: DeviceBuffer,
+        block_info: DeviceBuffer,
+        n_blocks: u32,
+        n_pkts: u32,
+        /// `(base, total)` of each staged packet's ESP region.
+        regions: Vec<(usize, usize)>,
+    }
+
+    const NONCE: u32 = 0xDEAD;
+
+    fn sa() -> SecurityAssociation {
+        SecurityAssociation::new(0x1001, &[0x42; 16], NONCE, b"hmac-key-for-test")
+    }
+
+    /// Stage `inners` the way `IpsecApp::shade` does: SPI/seq/IV,
+    /// plaintext, RFC 4303 padding and trailer per packet, regions
+    /// padded to 16 B, one params slot and `ct_len / 16` block-map
+    /// words per *valid* packet. A `None` is a malformed frame: it
+    /// takes a sentinel slot on the host and stages nothing.
+    fn stage_esp(sa: &mut SecurityAssociation, inners: &[Option<Vec<u8>>]) -> EspBatch {
+        let (mut packed, mut params, mut info) = (Vec::new(), Vec::new(), Vec::new());
+        let mut regions = Vec::new();
+        for inner in inners.iter().flatten() {
+            let seq = sa.seq;
+            sa.seq = sa.seq.wrapping_add(1);
+            let iv = SecurityAssociation::iv_for_seq(seq);
+            let ct_len = espfmt::ciphertext_len(inner.len());
+            let total = espfmt::total_len(inner.len());
+            let base = packed.len();
+            packed.resize(base + total, 0);
+            let region = &mut packed[base..base + total];
+            region[0..4].copy_from_slice(&sa.spi.to_be_bytes());
+            region[4..8].copy_from_slice(&seq.to_be_bytes());
+            region[8..16].copy_from_slice(&iv);
+            let ct = &mut region[16..16 + ct_len];
+            ct[..inner.len()].copy_from_slice(inner);
+            let pad_len = ct_len - inner.len() - espfmt::TRAILER_MIN;
+            for (j, b) in ct[inner.len()..inner.len() + pad_len]
+                .iter_mut()
+                .enumerate()
+            {
+                *b = (j + 1) as u8;
+            }
+            ct[ct_len - 2] = pad_len as u8;
+            ct[ct_len - 1] = 4;
+            packed.resize(packed.len().div_ceil(16) * 16, 0);
+
+            let vi = regions.len() as u32;
+            params.extend_from_slice(&(base as u32).to_le_bytes());
+            params.extend_from_slice(&(ct_len as u32).to_le_bytes());
+            params.extend_from_slice(&iv);
+            for blk in 0..(ct_len / 16) as u32 {
+                info.extend_from_slice(&(vi << 8 | blk).to_le_bytes());
+            }
+            regions.push((base, total));
+        }
+        let mut mem = DeviceMemory::new(packed.len() + params.len() + info.len() + 4 * 256);
+        let payload = mem.alloc(packed.len());
+        let params_buf = mem.alloc(params.len());
+        let block_info = mem.alloc(info.len());
+        mem.write(&payload, 0, &packed);
+        mem.write(&params_buf, 0, &params);
+        mem.write(&block_info, 0, &info);
+        EspBatch {
+            mem,
+            payload,
+            params: params_buf,
+            block_info,
+            n_blocks: (info.len() / 4) as u32,
+            n_pkts: regions.len() as u32,
+            regions,
+        }
+    }
+
+    /// A deterministic inner packet for frame length `frame_len`.
+    fn inner(pkt: usize, frame_len: usize) -> Option<Vec<u8>> {
+        Some(
+            (0..frame_len - 14)
+                .map(|i| {
+                    (i as u8)
+                        .wrapping_mul(31)
+                        .wrapping_add((pkt as u8).wrapping_mul(7))
+                })
+                .collect(),
+        )
+    }
+
+    fn fnv64(data: &[u8]) -> u64 {
+        data.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// `(mem_transactions, max_chain, issue_cycles, divergent_branches)`.
+    type Pinned = (u64, u32, u64, u64);
+
+    fn pinned(threads: u32, s: Pinned) -> LaunchStats {
+        LaunchStats {
+            threads,
+            warps: threads.div_ceil(32),
+            mem_transactions: s.0,
+            max_chain: s.1,
+            issue_cycles: s.2,
+            divergent_branches: s.3,
+        }
+    }
+
+    /// Run AES then HMAC over `inners` and compare the launch stats
+    /// and the device payload with constants recorded on the
+    /// per-thread kernels (before `Kernel::warp` existed). The payload
+    /// is also checked against `encrypt_tunnel`, so the staging helper
+    /// above cannot drift from the ESP format unnoticed.
+    fn check_pin(inners: &[Option<Vec<u8>>], aes_pin: Pinned, hmac_pin: Pinned, payload_pin: u64) {
+        let mut sa_gpu = sa();
+        let mut b = stage_esp(&mut sa_gpu, inners);
+        let aes = IpsecAesKernel {
+            aes: sa_gpu.cipher(),
+            nonce: NONCE,
+            payload: b.payload,
+            block_info: b.block_info,
+            params: b.params,
+            n_blocks: b.n_blocks,
+        };
+        let aes_stats = kernel::execute(&aes, &mut b.mem, b.n_blocks);
+        let hmac = IpsecHmacKernel {
+            hmac: sa_gpu.hmac(),
+            payload: b.payload,
+            params: b.params,
+            n: b.n_pkts,
+        };
+        let hmac_stats = kernel::execute(&hmac, &mut b.mem, b.n_pkts);
+
+        let mut sa_cpu = sa();
+        let out = b.mem.slice(&b.payload);
+        for (inner, &(base, total)) in inners.iter().flatten().zip(&b.regions) {
+            assert_eq!(
+                &out[base..base + total],
+                &encrypt_tunnel(&mut sa_cpu, inner)[..],
+                "region at {base} is not the ESP packet the CPU path produces"
+            );
+        }
+        assert_eq!(
+            (aes_stats, hmac_stats, fnv64(out)),
+            (
+                pinned(b.n_blocks, aes_pin),
+                pinned(b.n_pkts, hmac_pin),
+                payload_pin
+            ),
+        );
+    }
+
+    #[test]
+    fn ipsec_pin_64_full_frames() {
+        let inners: Vec<_> = (0..64).map(|i| inner(i, 1514)).collect();
+        check_pin(
+            &inners,
+            (2284, 4, 37_600, 0),
+            (1736, 28, 21_600, 0),
+            9248777515481933827,
+        );
+    }
+
+    #[test]
+    fn ipsec_pin_mixed_sizes_with_malformed_slot() {
+        let mut inners: Vec<_> = [64, 1514, 128, 577, 1514, 64]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| inner(i, len))
+            .collect();
+        inners.insert(3, None);
+        check_pin(
+            &inners,
+            (94, 4, 1600, 0),
+            (101, 28, 10_800, 0),
+            985117254054753553,
+        );
+    }
+
+    #[test]
+    fn ipsec_pin_single_small_packet() {
+        check_pin(
+            &[inner(0, 64)],
+            (4, 4, 200, 0),
+            (4, 4, 2000, 0),
+            1395569783504292010,
+        );
+    }
+
+    /// 5 x 7 = 35 AES blocks: the second warp has three live lanes.
+    #[test]
+    fn ipsec_pin_partial_last_warp() {
+        let inners: Vec<_> = (0..5).map(|i| inner(i, 114)).collect();
+        check_pin(
+            &inners,
+            (18, 4, 400, 0),
+            (17, 4, 2400, 0),
+            17408697909178242466,
+        );
     }
 
     #[test]
