@@ -1,10 +1,19 @@
 //! Wall-clock microbenchmarks of the IPsec crypto substrate.
 
+use std::net::Ipv4Addr;
+
 use ps_bench::runner::{black_box, Runner, Throughput};
+use ps_core::kernels::{EspStaging, IpsecAesKernel, IpsecHmacKernel};
 use ps_crypto::aes::CtrStream;
 use ps_crypto::esp::{decrypt_tunnel, encrypt_tunnel, SecurityAssociation};
 use ps_crypto::hmac::HmacSha1;
 use ps_crypto::sha1::Sha1;
+use ps_gpu::{GpuDevice, GpuEngine};
+use ps_hw::ioh::Ioh;
+use ps_hw::pcie::PcieModel;
+use ps_hw::spec::{IohSpec, PcieSpec};
+use ps_net::ethernet::MacAddr;
+use ps_net::PacketBuilder;
 
 fn main() {
     let mut r = Runner::new("crypto");
@@ -54,5 +63,74 @@ fn main() {
         );
     }
 
+    ipsec_shade(&mut r);
+
     r.finish();
+}
+
+/// The five phases of `IpsecApp::shade` over one 64 x 1514 B gather,
+/// each timed on its own through the same public pieces `shade` is
+/// built from (EXPERIMENTS.md "Where an IPsec shade goes"). ns/iter is
+/// per gather: divide by 64 for ns per shaded packet.
+fn ipsec_shade(r: &mut Runner) {
+    const PKTS: usize = 64;
+    let per_gather = Some(Throughput::Elements(PKTS as u64));
+    let sa = SecurityAssociation::new(0x1001, &[0x42; 16], 0xD00D, b"ps-bench-hmac-key");
+    let inners: Vec<Vec<u8>> = (0..PKTS).map(|i| vec![i as u8; 1500]).collect();
+    let stage = |st: &mut EspStaging| {
+        st.clear();
+        for (seq, inner) in inners.iter().enumerate() {
+            black_box(st.push(sa.spi, seq as u32, inner));
+        }
+    };
+    let mut st = EspStaging::default();
+    r.bench("ipsec-shade/stage_64x1514B", per_gather, || stage(&mut st));
+
+    let mut eng = GpuEngine::new(
+        GpuDevice::gtx480_with_mem(4 << 20),
+        PcieModel::new(PcieSpec::dual_ioh_x16()),
+    );
+    let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
+    let payload = eng.dev.mem.alloc(st.packed.len());
+    let params = eng.dev.mem.alloc(st.params.len());
+    let block_info = eng.dev.mem.alloc(st.block_info.len());
+    r.bench("ipsec-shade/h2d_64x1514B", per_gather, || {
+        eng.copy_h2d(0, &mut ioh, &payload, 0, &st.packed);
+        eng.copy_h2d(0, &mut ioh, &params, 0, &st.params);
+        eng.copy_h2d(0, &mut ioh, &block_info, 0, &st.block_info)
+    });
+
+    let aes = IpsecAesKernel {
+        aes: sa.cipher(),
+        nonce: 0xD00D,
+        payload,
+        block_info,
+        params,
+        n_blocks: st.n_blocks(),
+    };
+    r.bench("ipsec-shade/aes_kernel_64x1514B", per_gather, || {
+        eng.launch(0, &aes, aes.n_blocks)
+    });
+    let hmac = IpsecHmacKernel {
+        hmac: sa.hmac(),
+        payload,
+        params,
+        n: st.n_pkts(),
+    };
+    r.bench("ipsec-shade/hmac_kernel_64x1514B", per_gather, || {
+        eng.launch(0, &hmac, hmac.n)
+    });
+
+    let mut out = Vec::new();
+    let mut frames = vec![Vec::new(); PKTS];
+    let total = ps_net::esp::total_len(1500);
+    let (src, dst) = (Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(198, 51, 100, 1));
+    r.bench("ipsec-shade/out_64x1514B", per_gather, || {
+        out.resize(st.packed.len(), 0);
+        eng.copy_d2h(0, 0, &mut ioh, &payload, 0, &mut out);
+        for (frame, esp) in frames.iter_mut().zip(out.chunks(total.div_ceil(16) * 16)) {
+            let (s, d) = (MacAddr::local(0xE0), MacAddr::local(0xE1));
+            PacketBuilder::raw_v4_into(frame, s, d, src, dst, 50, &esp[..total]);
+        }
+    });
 }

@@ -2,6 +2,7 @@
 //! HMAC-SHA1, block-parallel AES and packet-parallel HMAC on the GPU.
 
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use ps_crypto::esp::{encrypt_tunnel, SecurityAssociation};
 use ps_gpu::{DeviceBuffer, GpuEngine};
@@ -14,7 +15,7 @@ use ps_nic::port::PortId;
 use ps_sim::time::Time;
 
 use crate::app::{App, PreShadeResult};
-use crate::kernels::{IpsecAesKernel, IpsecHmacKernel};
+use crate::kernels::{EspStaging, IpsecAesKernel, IpsecHmacKernel};
 
 /// CPU cycles per ciphertext byte for table-based AES-128-CTR with
 /// SSE assistance (the paper's "highly optimized AES and SHA1
@@ -43,10 +44,10 @@ struct NodeGpu {
 /// buffers grow only until the largest batch has been seen.
 #[derive(Default)]
 struct Staging {
-    packed: Vec<u8>,
-    params: Vec<u8>,
-    block_info: Vec<u8>,
-    slots: Vec<(usize, usize, usize)>,
+    esp: EspStaging,
+    /// Per gathered packet: its ESP packet within the packed buffer,
+    /// `None` for a malformed frame.
+    slots: Vec<Option<Range<usize>>>,
     out: Vec<u8>,
 }
 
@@ -94,15 +95,18 @@ impl IpsecApp {
         PortId(in_port.0 ^ 1)
     }
 
-    fn outer_frame(&self, esp_payload: &[u8]) -> Vec<u8> {
-        PacketBuilder::raw_v4(
+    /// Write the tunnel frame around `esp_payload` into `frame`'s own
+    /// allocation, so the packet keeps its pooled RX buffer.
+    fn outer_frame_into(&self, frame: &mut Vec<u8>, esp_payload: &[u8]) {
+        PacketBuilder::raw_v4_into(
+            frame,
             MacAddr::local(0xE0),
             MacAddr::local(0xE1),
             self.tunnel_src,
             self.tunnel_dst,
             protocol::ESP,
             esp_payload,
-        )
+        );
     }
 
     fn cpu_crypto_cycles(inner_len: usize) -> u64 {
@@ -176,7 +180,7 @@ impl App for IpsecApp {
             };
             cycles += Self::cpu_crypto_cycles(inner.len());
             let esp = encrypt_tunnel(&mut self.sa, inner);
-            p.data = self.outer_frame(&esp);
+            self.outer_frame_into(&mut p.data, &esp);
             p.out_port = Some(Self::out_port(p.in_port));
             self.encrypted += 1;
         }
@@ -191,79 +195,45 @@ impl App for IpsecApp {
         ready: Time,
         pkts: &mut [Packet],
     ) -> Time {
-        let n = pkts.len().min(MAX_GATHER_PKTS);
+        assert!(
+            pkts.len() <= MAX_GATHER_PKTS,
+            "gather exceeds the params staging"
+        );
         let g = self.gpu[node].as_ref().expect("setup_gpu ran");
         let (payload_buf, params_buf, info_buf) = (g.payload, g.params, g.block_info);
 
         // Build the packed plaintext regions + per-packet params +
-        // per-block map. Framing (padding, trailer, SPI/seq) happens
-        // here on the CPU; the GPU does the crypto. The staging
-        // buffers are struct fields reused across launches.
+        // per-block map. The staging buffers are struct fields reused
+        // across launches.
         let mut st = std::mem::take(&mut self.stage);
-        st.packed.clear();
-        st.block_info.clear();
+        st.esp.clear();
         st.slots.clear();
-        st.params.clear();
-        st.params.resize(n * 16, 0);
-        // Valid-packet cursor: a malformed frame takes a sentinel
-        // slot, consumes no ESP sequence number (bit-parity with the
-        // CPU path, which also skips it) and stages nothing.
-        let mut vi = 0usize;
-        for p in pkts[..n].iter() {
+        for p in pkts.iter() {
+            // A malformed frame takes a sentinel slot, consumes no ESP
+            // sequence number (bit-parity with the CPU path, which
+            // also skips it) and stages nothing.
             let Some(inner) = inner_frame(&p.data) else {
                 self.malformed += 1;
-                st.slots.push((usize::MAX, 0, 0));
+                st.slots.push(None);
                 continue;
             };
             let seq = self.sa.seq;
             self.sa.seq = self.sa.seq.wrapping_add(1);
-            let iv = SecurityAssociation::iv_for_seq(seq);
-            let ct_len = espfmt::ciphertext_len(inner.len());
-            let total = espfmt::total_len(inner.len());
-            let base = st.packed.len();
-            debug_assert_eq!(base % 16, 0);
-            st.packed.resize(base + total, 0);
-            {
-                let region = &mut st.packed[base..base + total];
-                region[0..4].copy_from_slice(&self.sa.spi.to_be_bytes());
-                region[4..8].copy_from_slice(&seq.to_be_bytes());
-                region[8..16].copy_from_slice(&iv);
-                let ct = &mut region[16..16 + ct_len];
-                ct[..inner.len()].copy_from_slice(inner);
-                let pad_len = ct_len - inner.len() - espfmt::TRAILER_MIN;
-                for (j, b) in ct[inner.len()..inner.len() + pad_len]
-                    .iter_mut()
-                    .enumerate()
-                {
-                    *b = (j + 1) as u8;
-                }
-                ct[ct_len - 2] = pad_len as u8;
-                ct[ct_len - 1] = 4; // next header: IPv4-in-ESP
-            }
-            // Pad the region to 16 B so the next base stays aligned.
-            let padded = st.packed.len().div_ceil(16) * 16;
-            st.packed.resize(padded, 0);
-
-            st.params[vi * 16..vi * 16 + 4].copy_from_slice(&(base as u32).to_le_bytes());
-            st.params[vi * 16 + 4..vi * 16 + 8].copy_from_slice(&(ct_len as u32).to_le_bytes());
-            st.params[vi * 16 + 8..vi * 16 + 16].copy_from_slice(&iv);
-            for blk in 0..(ct_len / 16) as u32 {
-                st.block_info
-                    .extend_from_slice(&((vi as u32) << 8 | blk).to_le_bytes());
-            }
-            st.slots.push((base, ct_len, total));
-            vi += 1;
+            st.slots.push(Some(st.esp.push(self.sa.spi, seq, inner)));
         }
         assert!(
-            st.packed.len() <= MAX_GATHER_BYTES,
+            st.esp.packed.len() <= MAX_GATHER_BYTES,
             "gather exceeds staging"
         );
-        let n_blocks = (st.block_info.len() / 4) as u32;
+        let (n_pkts, n_blocks) = (st.esp.n_pkts(), st.esp.n_blocks());
+        // The params copy is sized by the gather, not by how many of
+        // its frames survived revalidation.
+        st.esp.params.resize(pkts.len() * 16, 0);
 
         // Copy-in: payload, params, block map (pipelined copies).
-        let c1 = eng.copy_h2d(ready, ioh, &payload_buf, 0, &st.packed);
-        let c2 = eng.copy_h2d(ready, ioh, &params_buf, 0, &st.params);
-        let c3 = eng.copy_h2d(ready, ioh, &info_buf, 0, &st.block_info);
+        let c1 = eng.copy_h2d(ready, ioh, &payload_buf, 0, &st.esp.packed);
+        let c2 = eng.copy_h2d(ready, ioh, &params_buf, 0, &st.esp.params);
+        let c3 = eng.copy_h2d(ready, ioh, &info_buf, 0, &st.esp.block_info);
         let inputs_ready = c1.max(c2).max(c3);
 
         // Encrypt-then-MAC: the engine serializes the two kernels.
@@ -282,23 +252,21 @@ impl App for IpsecApp {
             hmac: self.sa.hmac(),
             payload: payload_buf,
             params: params_buf,
-            n: vi as u32,
+            n: n_pkts,
         };
-        let (hmac_done, _) = eng.launch(aes_done, &hmac, vi as u32);
+        let (hmac_done, _) = eng.launch(aes_done, &hmac, n_pkts);
 
-        // Copy-out the whole packed buffer.
-        st.out.clear();
-        st.out.resize(st.packed.len(), 0);
+        // Copy-out the whole packed buffer (every byte of `out` is
+        // overwritten, so only its length is set here).
+        st.out.resize(st.esp.packed.len(), 0);
         let done = eng.copy_d2h(ready, hmac_done, ioh, &payload_buf, 0, &mut st.out);
 
-        for (i, p) in pkts[..n].iter_mut().enumerate() {
-            let (base, _ct, total) = st.slots[i];
-            if base == usize::MAX {
+        for (p, slot) in pkts.iter_mut().zip(&st.slots) {
+            let Some(region) = slot else {
                 p.out_port = None;
                 continue;
-            }
-            let esp = &st.out[base..base + total];
-            p.data = self.outer_frame(esp);
+            };
+            self.outer_frame_into(&mut p.data, &st.out[region.clone()]);
             p.out_port = Some(Self::out_port(p.in_port));
             self.encrypted += 1;
         }
@@ -406,6 +374,21 @@ mod tests {
         let peer = gpu.peer_sa();
         let inner = decrypt_tunnel(&peer, ip.payload()).expect("GPU tunnel decrypts");
         assert_eq!(inner, inner_before);
+    }
+
+    /// Truncating an oversized gather would hand its tail back
+    /// unencrypted, with whatever `out_port` it came in with.
+    #[test]
+    #[should_panic(expected = "gather exceeds the params staging")]
+    fn oversized_gather_is_a_bug_not_a_truncation() {
+        let mut gpu = app();
+        let dev = ps_gpu::GpuDevice::gtx480_with_mem(1 << 20);
+        let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
+        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
+        let mut pkts: Vec<Packet> = (0..=MAX_GATHER_PKTS as u64)
+            .map(|id| Packet::new(id, Vec::new(), PortId(0), 0))
+            .collect();
+        gpu.shade(0, &mut eng, &mut ioh, 0, &mut pkts);
     }
 
     #[test]

@@ -4,15 +4,21 @@
 //! memory traffic goes through [`ThreadCtx`] so the timing model sees
 //! the true access pattern (coalesced input reads, scattered table
 //! probes, block-parallel AES, per-packet HMAC, per-packet flow
-//! hashing for the stateful NFs).
+//! hashing for the stateful NFs). The two IPsec kernels also execute
+//! a warp at a time ([`Kernel::warp`]): same bytes, same recorded
+//! costs, bulk crypto on the host; their `thread` bodies remain the
+//! specification the tests compare against.
 
-use ps_crypto::aes::{ctr_counter_block, Aes128};
+use std::ops::Range;
+
+use ps_crypto::aes::{ctr_counter_block, ctr_xor, Aes128};
+use ps_crypto::esp::SecurityAssociation;
 use ps_crypto::hmac::HmacSha1;
-use ps_gpu::{DeviceBuffer, Kernel, Slots, ThreadCtx};
+use ps_gpu::{DeviceBuffer, Kernel, Slots, ThreadCtx, WarpCtx};
 use ps_lookup::dir24::Dir24Layout;
 use ps_lookup::mem::TableMem;
 use ps_lookup::waldvogel::V6Layout;
-use ps_net::FlowKey;
+use ps_net::{esp as espfmt, FlowKey};
 use ps_openflow::WildcardTable;
 
 /// Adapter: a `TableMem` view over device memory for one buffer, so
@@ -218,16 +224,79 @@ impl Kernel for FlowHashKernel {
     }
 }
 
-/// Per-packet staging parameters for the IPsec kernels: where each
-/// packet's ESP region lives in the packed payload buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct EspSlot {
-    /// Byte offset of the packet's ESP region (16-aligned).
-    pub base: u32,
-    /// Ciphertext length (multiple of 16).
-    pub ct_len: u32,
-    /// Per-packet CTR IV.
-    pub iv: [u8; 8],
+/// Host-side staging for one IPsec launch, in the layout the two
+/// kernels read: ESP regions packed at 16 B-aligned bases, one 16 B
+/// params slot `[base:u32 ct_len:u32 iv:8B]` per packet, and one
+/// block-map word `pkt_idx << 8 | block_idx` per AES block. Framing
+/// (SPI/seq/IV, padding, trailer) happens here on the CPU; the GPU
+/// does the crypto. `clear` keeps capacity, so a staging reused
+/// across launches stops allocating once it has seen its largest
+/// batch.
+#[derive(Debug, Default)]
+pub struct EspStaging {
+    /// Packed ESP regions: plaintext in, ciphertext + ICV out.
+    pub packed: Vec<u8>,
+    /// Per-packet params slots.
+    pub params: Vec<u8>,
+    /// Per-block map.
+    pub block_info: Vec<u8>,
+}
+
+impl EspStaging {
+    /// Forget the previous launch.
+    pub fn clear(&mut self) {
+        self.packed.clear();
+        self.params.clear();
+        self.block_info.clear();
+    }
+
+    /// Packets staged.
+    pub fn n_pkts(&self) -> u32 {
+        (self.params.len() / 16) as u32
+    }
+
+    /// AES blocks staged.
+    pub fn n_blocks(&self) -> u32 {
+        (self.block_info.len() / 4) as u32
+    }
+
+    /// Frame `inner` as the next packet of the launch under sequence
+    /// number `seq`; returns where its ESP packet lies in `packed`.
+    pub fn push(&mut self, spi: u32, seq: u32, inner: &[u8]) -> Range<usize> {
+        let iv = SecurityAssociation::iv_for_seq(seq);
+        let ct_len = espfmt::ciphertext_len(inner.len());
+        let total = espfmt::total_len(inner.len());
+        let base = self.packed.len();
+        debug_assert_eq!(base % 16, 0);
+        // Pad the region to 16 B so the next base stays aligned.
+        self.packed.resize(base + total.div_ceil(16) * 16, 0);
+        let region = &mut self.packed[base..base + total];
+        region[0..4].copy_from_slice(&spi.to_be_bytes());
+        region[4..8].copy_from_slice(&seq.to_be_bytes());
+        region[8..16].copy_from_slice(&iv);
+        let ct = &mut region[16..16 + ct_len];
+        ct[..inner.len()].copy_from_slice(inner);
+        let pad_len = ct_len - inner.len() - espfmt::TRAILER_MIN;
+        for (j, b) in ct[inner.len()..inner.len() + pad_len]
+            .iter_mut()
+            .enumerate()
+        {
+            *b = (j + 1) as u8;
+        }
+        ct[ct_len - 2] = pad_len as u8;
+        ct[ct_len - 1] = 4; // next header: IPv4-in-ESP
+
+        let pkt = self.n_pkts();
+        self.params.extend_from_slice(&(base as u32).to_le_bytes());
+        self.params
+            .extend_from_slice(&(ct_len as u32).to_le_bytes());
+        self.params.extend_from_slice(&iv);
+        for blk in 0..(ct_len / 16) as u32 {
+            self.block_info
+                .extend_from_slice(&(pkt << 8 | blk).to_le_bytes());
+        }
+        base..base + total
+    }
 }
 
 /// AES-128-CTR at AES-block granularity: one thread per 16 B block
@@ -278,6 +347,55 @@ impl Kernel for IpsecAesKernel<'_> {
             *d ^= k;
         }
         ctx.write(&self.payload, off, &data);
+    }
+
+    /// The same launch a warp at a time. Consecutive lanes that hold
+    /// consecutive blocks of one packet read adjacent map words, the
+    /// same params slot and adjacent payload blocks, so each such run
+    /// is recorded as four ranges and encrypted with one pipelined
+    /// [`ctr_xor`] instead of one latency-bound block per lane. Runs
+    /// are read off the block map, not assumed from the staging, and
+    /// processed in lane order.
+    fn warp(&self, first_tid: u32, lanes: u32, ctx: &mut WarpCtx<'_>) {
+        let live = lanes.min(self.n_blocks.saturating_sub(first_tid)) as usize;
+        if live == 0 {
+            return;
+        }
+        let mut words = [0u32; 32];
+        let map = ctx.bytes(&self.block_info, first_tid as usize * 4, live * 4);
+        for (w, b) in words.iter_mut().zip(map.chunks_exact(4)) {
+            *w = u32::from_le_bytes(b.try_into().expect("4 bytes"));
+        }
+        let mut lane = 0;
+        while lane < live {
+            let info = words[lane];
+            let (pkt, blk) = ((info >> 8) as usize, info & 0xFF);
+            // The run ends where the next word is not the next block
+            // of this packet — including where the 8-bit block index
+            // would carry into the packet index.
+            let mut run = 1;
+            while lane + run < live
+                && blk as usize + run <= 0xFF
+                && words[lane + run] == info + run as u32
+            {
+                run += 1;
+            }
+            let tid = first_tid as usize + lane;
+            let p = ctx.bytes(&self.params, pkt * 16, 16);
+            let base = u32::from_le_bytes(p[0..4].try_into().expect("4 bytes")) as usize;
+            let iv: [u8; 8] = p[8..16].try_into().expect("fixed");
+            let off = base + 16 + blk as usize * 16;
+            let len = run * 16;
+
+            ctx.touch(0, &self.block_info, tid * 4, run * 4);
+            ctx.touch(1, &self.params, pkt * 16, 16);
+            ctx.touch(2, &self.payload, off, len);
+            ctx.touch(3, &self.payload, off, len);
+            ctx.lane_alu(10 * 20);
+            let data = ctx.bytes_mut(&self.payload, off, len);
+            ctr_xor(self.aes, self.nonce, &iv, blk, data);
+            lane += run;
+        }
     }
 }
 
@@ -334,16 +452,47 @@ impl Kernel for IpsecHmacKernel<'_> {
         let icv = self.hmac.finish96(inner);
         ctx.write(&self.payload, base + auth_len, &icv);
     }
+
+    /// The same launch a warp at a time: each lane's access sequence
+    /// (params, 64 B reads, 16 B tail reads, ICV write) is recorded
+    /// from its lengths alone, and the authenticated region is MACed
+    /// in place in device memory instead of through 64 B copies.
+    fn warp(&self, first_tid: u32, lanes: u32, ctx: &mut WarpCtx<'_>) {
+        for tid in first_tid..(first_tid + lanes).min(self.n) {
+            let p = ctx.bytes(&self.params, tid as usize * 16, 16);
+            let base = u32::from_le_bytes(p[0..4].try_into().expect("4 bytes")) as usize;
+            let ct_len = u32::from_le_bytes(p[4..8].try_into().expect("4 bytes")) as usize;
+            let auth_len = 16 + ct_len;
+            debug_assert_eq!(auth_len % 16, 0, "ESP regions are 16-aligned");
+
+            ctx.touch(0, &self.params, tid as usize * 16, 16);
+            let mut step = 1;
+            let mut off = base;
+            for chunk in [64, 16] {
+                while base + auth_len - off >= chunk {
+                    ctx.touch(step, &self.payload, off, chunk);
+                    step += 1;
+                    off += chunk;
+                }
+            }
+            ctx.touch(step, &self.payload, base + auth_len, 12);
+            let comps = ps_crypto::sha1::hmac_compressions(auth_len) as u64;
+            ctx.lane_alu(comps * 400);
+
+            let icv = self.hmac.mac96(ctx.bytes(&self.payload, base, auth_len));
+            ctx.bytes_mut(&self.payload, base + auth_len, 12)
+                .copy_from_slice(&icv);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps_crypto::esp::{encrypt_tunnel, SecurityAssociation};
+    use ps_crypto::esp::encrypt_tunnel;
     use ps_gpu::{kernel, DeviceMemory, GpuDevice, LaunchStats};
     use ps_lookup::dir24::Dir24Table;
     use ps_lookup::route::Route4;
-    use ps_net::esp as espfmt;
 
     #[test]
     fn ipv4_kernel_produces_real_lookups() {
@@ -393,8 +542,8 @@ mod tests {
         block_info: DeviceBuffer,
         n_blocks: u32,
         n_pkts: u32,
-        /// `(base, total)` of each staged packet's ESP region.
-        regions: Vec<(usize, usize)>,
+        /// Each staged packet's ESP packet within `payload`.
+        regions: Vec<Range<usize>>,
     }
 
     const NONCE: u32 = 0xDEAD;
@@ -403,62 +552,33 @@ mod tests {
         SecurityAssociation::new(0x1001, &[0x42; 16], NONCE, b"hmac-key-for-test")
     }
 
-    /// Stage `inners` the way `IpsecApp::shade` does: SPI/seq/IV,
-    /// plaintext, RFC 4303 padding and trailer per packet, regions
-    /// padded to 16 B, one params slot and `ct_len / 16` block-map
-    /// words per *valid* packet. A `None` is a malformed frame: it
-    /// takes a sentinel slot on the host and stages nothing.
+    /// Stage `inners` the way `IpsecApp::shade` does and copy the
+    /// three buffers into a device sized for them. A `None` is a
+    /// malformed frame: it takes a sentinel slot on the host, consumes
+    /// no sequence number and stages nothing.
     fn stage_esp(sa: &mut SecurityAssociation, inners: &[Option<Vec<u8>>]) -> EspBatch {
-        let (mut packed, mut params, mut info) = (Vec::new(), Vec::new(), Vec::new());
+        let mut st = EspStaging::default();
         let mut regions = Vec::new();
         for inner in inners.iter().flatten() {
             let seq = sa.seq;
             sa.seq = sa.seq.wrapping_add(1);
-            let iv = SecurityAssociation::iv_for_seq(seq);
-            let ct_len = espfmt::ciphertext_len(inner.len());
-            let total = espfmt::total_len(inner.len());
-            let base = packed.len();
-            packed.resize(base + total, 0);
-            let region = &mut packed[base..base + total];
-            region[0..4].copy_from_slice(&sa.spi.to_be_bytes());
-            region[4..8].copy_from_slice(&seq.to_be_bytes());
-            region[8..16].copy_from_slice(&iv);
-            let ct = &mut region[16..16 + ct_len];
-            ct[..inner.len()].copy_from_slice(inner);
-            let pad_len = ct_len - inner.len() - espfmt::TRAILER_MIN;
-            for (j, b) in ct[inner.len()..inner.len() + pad_len]
-                .iter_mut()
-                .enumerate()
-            {
-                *b = (j + 1) as u8;
-            }
-            ct[ct_len - 2] = pad_len as u8;
-            ct[ct_len - 1] = 4;
-            packed.resize(packed.len().div_ceil(16) * 16, 0);
-
-            let vi = regions.len() as u32;
-            params.extend_from_slice(&(base as u32).to_le_bytes());
-            params.extend_from_slice(&(ct_len as u32).to_le_bytes());
-            params.extend_from_slice(&iv);
-            for blk in 0..(ct_len / 16) as u32 {
-                info.extend_from_slice(&(vi << 8 | blk).to_le_bytes());
-            }
-            regions.push((base, total));
+            regions.push(st.push(sa.spi, seq, inner));
         }
-        let mut mem = DeviceMemory::new(packed.len() + params.len() + info.len() + 4 * 256);
-        let payload = mem.alloc(packed.len());
-        let params_buf = mem.alloc(params.len());
-        let block_info = mem.alloc(info.len());
-        mem.write(&payload, 0, &packed);
-        mem.write(&params_buf, 0, &params);
-        mem.write(&block_info, 0, &info);
+        let bytes = st.packed.len() + st.params.len() + st.block_info.len();
+        let mut mem = DeviceMemory::new(bytes + 4 * 256);
+        let payload = mem.alloc(st.packed.len());
+        let params = mem.alloc(st.params.len());
+        let block_info = mem.alloc(st.block_info.len());
+        mem.write(&payload, 0, &st.packed);
+        mem.write(&params, 0, &st.params);
+        mem.write(&block_info, 0, &st.block_info);
         EspBatch {
             mem,
             payload,
-            params: params_buf,
+            params,
             block_info,
-            n_blocks: (info.len() / 4) as u32,
-            n_pkts: regions.len() as u32,
+            n_blocks: st.n_blocks(),
+            n_pkts: st.n_pkts(),
             regions,
         }
     }
@@ -523,11 +643,11 @@ mod tests {
 
         let mut sa_cpu = sa();
         let out = b.mem.slice(&b.payload);
-        for (inner, &(base, total)) in inners.iter().flatten().zip(&b.regions) {
+        for (inner, region) in inners.iter().flatten().zip(&b.regions) {
             assert_eq!(
-                &out[base..base + total],
+                &out[region.clone()],
                 &encrypt_tunnel(&mut sa_cpu, inner)[..],
-                "region at {base} is not the ESP packet the CPU path produces"
+                "region {region:?} is not the ESP packet the CPU path produces"
             );
         }
         assert_eq!(
@@ -587,6 +707,68 @@ mod tests {
             (17, 4, 2400, 0),
             17408697909178242466,
         );
+    }
+
+    /// Any batch, any launch width: the `warp` overrides of both
+    /// IPsec kernels leave the same device bytes and the same
+    /// `LaunchStats` as their per-thread bodies. Launching more
+    /// threads than there is work exercises the idle-lane guards.
+    #[test]
+    fn ipsec_warp_execution_matches_per_thread() {
+        ps_check::check("ipsec_warp_execution_matches_per_thread", |g| {
+            let inners = g.vec_of(1, 201, |g| {
+                let malformed = g.int_in(0..10u32) == 0;
+                (!malformed).then(|| g.bytes(46, 1501))
+            });
+            let extra = g.int_in(0..40u32);
+            let mut sa = sa();
+            let mut b = stage_esp(&mut sa, &inners);
+            let aes = IpsecAesKernel {
+                aes: sa.cipher(),
+                nonce: NONCE,
+                payload: b.payload,
+                block_info: b.block_info,
+                params: b.params,
+                n_blocks: b.n_blocks,
+            };
+            kernel::warp_matches_threads(&aes, &mut b.mem, b.n_blocks + extra)?;
+            let hmac = IpsecHmacKernel {
+                hmac: sa.hmac(),
+                payload: b.payload,
+                params: b.params,
+                n: b.n_pkts,
+            };
+            kernel::warp_matches_threads(&hmac, &mut b.mem, b.n_pkts + extra)?;
+            Ok(())
+        });
+    }
+
+    /// The block map's words are `pkt << 8 | blk`, so the last block
+    /// of a 256-block packet and the first block of the next packet
+    /// are numerically consecutive. They are not one run: the second
+    /// lane reads another params slot.
+    #[test]
+    fn aes_run_stops_where_the_block_index_carries() {
+        let mut mem = DeviceMemory::new(1 << 14);
+        let payload = mem.alloc(8 << 10);
+        let params = mem.alloc(32);
+        let block_info = mem.alloc(8);
+        for (pkt, base) in [(0u32, 0u32), (1, 4352)] {
+            mem.write(&params, pkt as usize * 16, &base.to_le_bytes());
+            mem.write(&params, pkt as usize * 16 + 8, &[pkt as u8 + 1; 8]);
+        }
+        mem.write(&block_info, 0, &0xFFu32.to_le_bytes());
+        mem.write(&block_info, 4, &0x100u32.to_le_bytes());
+        let sa = sa();
+        let aes = IpsecAesKernel {
+            aes: sa.cipher(),
+            nonce: NONCE,
+            payload,
+            block_info,
+            params,
+            n_blocks: 2,
+        };
+        kernel::warp_matches_threads(&aes, &mut mem, 2).expect("two runs");
     }
 
     #[test]

@@ -246,13 +246,8 @@ impl<A: App> Router<A> {
         sched.at_fifo(self.cfg.nodes + self.cfg.ports as usize, next, Ev::Gen);
     }
 
+    /// The arrival time the generator will stamp on its next packet.
     fn gen_peek_next(&self) -> Time {
-        // Generator paces deterministically; its next emission time is
-        // exposed by running it lazily: we schedule Gen at the time the
-        // *next* packet will carry. Peek by cloning cost would be
-        // heavy; instead the generator's pacing makes next_time public
-        // through spec: we simply reuse its internal pacing by asking
-        // for the time of the next packet on the next Gen event.
         self.gen.next_time()
     }
 

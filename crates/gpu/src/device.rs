@@ -35,7 +35,7 @@ impl DeviceBuffer {
 /// reuses fixed I/O staging buffers per chunk slot, so a bump
 /// allocator plus whole-buffer reuse is a faithful (and simple)
 /// model; there is no free-list because the real system never frees.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DeviceMemory {
     data: Vec<u8>,
     next: usize,

@@ -227,10 +227,10 @@ impl GpuEngine {
     /// than `ready` (normally the copy-in completion). Executes the
     /// kernel functionally against device memory immediately and
     /// returns `(completion_time, stats)`.
-    pub fn launch(
+    pub fn launch<K: Kernel + ?Sized>(
         &mut self,
         ready: Time,
-        kernel: &dyn Kernel,
+        kernel: &K,
         threads: u32,
     ) -> (Time, LaunchStats) {
         let stats = kernel::execute_with(kernel, &mut self.dev.mem, threads, &mut self.scratch);

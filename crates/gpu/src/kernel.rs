@@ -7,9 +7,22 @@
 //! memory transactions, `alu()` accumulates issue cycles, and
 //! `branch()` records data-dependent decisions so warp divergence can
 //! be charged (§5.5 "Divergency in GPU code").
+//!
+//! The executor hands a kernel one warp (32 lanes) at a time through
+//! [`Kernel::warp`]. Its default runs [`Kernel::thread`] once per
+//! lane; a kernel whose lanes touch memory in a regular pattern may
+//! override it and do the warp's work in bulk through a [`WarpCtx`],
+//! which separates *recording* an access ([`WarpCtx::touch`]) from
+//! *doing* it ([`WarpCtx::bytes_mut`]). An override changes host work
+//! only: the launch's [`LaunchStats`] and every device byte must equal
+//! what the per-lane `thread` calls produce — [`warp_matches_threads`]
+//! is the one-line check.
 
 use crate::device::{DeviceBuffer, DeviceMemory};
 use crate::timing::KernelCost;
+
+/// Lanes per warp.
+const WARP_SIZE: u32 = 32;
 
 /// A GPU kernel: one object, many threads.
 pub trait Kernel {
@@ -18,6 +31,32 @@ pub trait Kernel {
 
     /// Execute thread `tid` of the launch.
     fn thread(&self, tid: u32, ctx: &mut ThreadCtx<'_>);
+
+    /// Execute lanes `first_tid..first_tid + lanes` of one warp. The
+    /// default runs [`Kernel::thread`] per lane. An override must
+    /// leave device memory and the warp's recorded costs (per-step
+    /// segment sets, maximum per-lane ALU, branch decisions) exactly
+    /// as that loop would; `thread` stays as the specification.
+    fn warp(&self, first_tid: u32, lanes: u32, ctx: &mut WarpCtx<'_>) {
+        for tid in first_tid..first_tid + lanes {
+            ctx.lane(|t| self.thread(tid, t));
+        }
+    }
+}
+
+/// Runs the wrapped kernel's `thread` body for every lane even when
+/// the kernel overrides [`Kernel::warp`] — the reference executor the
+/// differential tests compare an override against.
+pub struct PerThread<'k, K: ?Sized>(pub &'k K);
+
+impl<K: Kernel + ?Sized> Kernel for PerThread<'_, K> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn thread(&self, tid: u32, ctx: &mut ThreadCtx<'_>) {
+        self.0.thread(tid, ctx);
+    }
 }
 
 /// Aggregated outcome of a kernel launch.
@@ -40,8 +79,6 @@ pub struct LaunchStats {
 /// Per-thread execution context.
 pub struct ThreadCtx<'a> {
     mem: &'a mut DeviceMemory,
-    /// Which lane of its warp this thread occupies.
-    lane: u32,
     /// Index of the thread's next memory step.
     step: usize,
     alu: u64,
@@ -121,6 +158,59 @@ impl<'a> ThreadCtx<'a> {
     }
 }
 
+/// Per-warp execution context: what a [`Kernel::warp`] override uses
+/// to record the warp's costs and to reach device memory.
+pub struct WarpCtx<'a> {
+    mem: &'a mut DeviceMemory,
+    acc: &'a mut WarpAccumulator,
+    /// Largest per-lane ALU total seen so far in this warp.
+    max_alu: u64,
+}
+
+impl WarpCtx<'_> {
+    /// Run one lane's per-thread code.
+    #[inline]
+    pub fn lane(&mut self, f: impl FnOnce(&mut ThreadCtx<'_>)) {
+        let mut t = ThreadCtx {
+            mem: &mut *self.mem,
+            step: 0,
+            alu: 0,
+            branch_step: 0,
+            warp: &mut *self.acc,
+        };
+        f(&mut t);
+        self.max_alu = self.max_alu.max(t.alu);
+    }
+
+    /// Record that lanes of this warp access `buf[off..off + len]` at
+    /// memory step `step` (a lane's `step`-th global access). A run of
+    /// lanes whose accesses tile a range may be recorded as the range:
+    /// the segment set is the same. Copies nothing.
+    #[inline]
+    pub fn touch(&mut self, step: usize, buf: &DeviceBuffer, off: usize, len: usize) {
+        self.acc.record_access(step, buf.addr(off), len);
+    }
+
+    /// Record one lane's total ALU + shared-memory issue cycles; the
+    /// warp is charged its slowest lane.
+    #[inline]
+    pub fn lane_alu(&mut self, cycles: u64) {
+        self.max_alu = self.max_alu.max(cycles);
+    }
+
+    /// Device memory at `buf[off..off + len]`, unrecorded.
+    #[inline]
+    pub fn bytes(&self, buf: &DeviceBuffer, off: usize, len: usize) -> &[u8] {
+        &self.mem.slice(buf)[off..off + len]
+    }
+
+    /// Mutable device memory at `buf[off..off + len]`, unrecorded.
+    #[inline]
+    pub fn bytes_mut(&mut self, buf: &DeviceBuffer, off: usize, len: usize) -> &mut [u8] {
+        &mut self.mem.slice_mut(buf)[off..off + len]
+    }
+}
+
 const SEGMENT_SHIFT: u32 = 7; // 128-byte coalescing segments
 
 /// Collects per-warp traces while the 32 lanes execute sequentially.
@@ -135,8 +225,8 @@ const SEGMENT_SHIFT: u32 = 7; // 128-byte coalescing segments
 pub struct WarpAccumulator {
     /// Per memory step: unique 128 B segment ids touched. Only
     /// `steps[..used_steps]` is live; slots beyond hold empty spare
-    /// vectors with retained capacity.
-    steps: Vec<Vec<u64>>,
+    /// sets with retained capacity.
+    steps: Vec<StepSegments>,
     used_steps: usize,
     /// Per branch step: (first decision, diverged?). Slots at or past
     /// `used_branches` are stale and re-initialized on first touch.
@@ -144,19 +234,39 @@ pub struct WarpAccumulator {
     used_branches: usize,
 }
 
+/// The distinct segments one memory step has touched, unordered, with
+/// their maximum: lanes mostly walk memory upwards (coalesced column
+/// reads, per-packet payload streams), so a segment above the maximum
+/// is new without scanning the set.
+#[derive(Debug, Default)]
+struct StepSegments {
+    segs: Vec<u64>,
+    max: u64,
+}
+
+impl StepSegments {
+    #[inline]
+    fn insert(&mut self, seg: u64) {
+        if self.segs.is_empty() || seg > self.max {
+            self.max = seg;
+            self.segs.push(seg);
+        } else if !self.segs.contains(&seg) {
+            self.segs.push(seg);
+        }
+    }
+}
+
 impl WarpAccumulator {
     fn record_access(&mut self, step: usize, addr: usize, len: usize) {
         if self.steps.len() <= step {
-            self.steps.resize_with(step + 1, Vec::new);
+            self.steps.resize_with(step + 1, StepSegments::default);
         }
         self.used_steps = self.used_steps.max(step + 1);
         let first = (addr >> SEGMENT_SHIFT) as u64;
         let last = ((addr + len.max(1) - 1) >> SEGMENT_SHIFT) as u64;
+        let set = &mut self.steps[step];
         for seg in first..=last {
-            let v = &mut self.steps[step];
-            if !v.contains(&seg) {
-                v.push(seg);
-            }
+            set.insert(seg);
         }
     }
 
@@ -181,7 +291,7 @@ impl WarpAccumulator {
 
     fn finish(&mut self, max_alu: u64) -> (u64, u32, u64, u64) {
         let live = &mut self.steps[..self.used_steps];
-        let transactions: u64 = live.iter().map(|s| s.len() as u64).sum();
+        let transactions: u64 = live.iter().map(|s| s.segs.len() as u64).sum();
         let chain = self.used_steps as u32;
         let divergent = self.branches[..self.used_branches]
             .iter()
@@ -191,8 +301,8 @@ impl WarpAccumulator {
         // the warp's issue cost again for each divergent decision, the
         // standard lockstep-masking cost model (§2.1).
         let issue = max_alu * (1 + divergent);
-        for v in live {
-            v.clear(); // capacity retained
+        for s in live {
+            s.segs.clear(); // capacity retained
         }
         self.used_steps = 0;
         self.used_branches = 0;
@@ -206,7 +316,11 @@ impl WarpAccumulator {
 ///
 /// Allocates fresh warp scratch; the engine's steady-state path is
 /// [`execute_with`], which reuses scratch across launches.
-pub fn execute(kernel: &dyn Kernel, mem: &mut DeviceMemory, threads: u32) -> LaunchStats {
+pub fn execute<K: Kernel + ?Sized>(
+    kernel: &K,
+    mem: &mut DeviceMemory,
+    threads: u32,
+) -> LaunchStats {
     execute_with(kernel, mem, threads, &mut WarpAccumulator::default())
 }
 
@@ -214,16 +328,18 @@ pub fn execute(kernel: &dyn Kernel, mem: &mut DeviceMemory, threads: u32) -> Lau
 /// holds one [`WarpAccumulator`] for its lifetime, so per-warp step
 /// and branch buffers are allocated once at the high-water mark and
 /// recycled for every subsequent launch.
-pub fn execute_with(
-    kernel: &dyn Kernel,
+///
+/// Generic over the kernel so a concrete kernel's `thread` body
+/// inlines into the lane loop; `&dyn Kernel` still works.
+pub fn execute_with<K: Kernel + ?Sized>(
+    kernel: &K,
     mem: &mut DeviceMemory,
     threads: u32,
     warp: &mut WarpAccumulator,
 ) -> LaunchStats {
-    let warp_size = 32;
     let mut stats = LaunchStats {
         threads,
-        warps: threads.div_ceil(warp_size),
+        warps: threads.div_ceil(WARP_SIZE),
         mem_transactions: 0,
         max_chain: 0,
         issue_cycles: 0,
@@ -231,21 +347,14 @@ pub fn execute_with(
     };
     let mut tid = 0;
     while tid < threads {
-        let lanes = warp_size.min(threads - tid);
-        let mut max_alu = 0u64;
-        for lane in 0..lanes {
-            let mut ctx = ThreadCtx {
-                mem,
-                lane,
-                step: 0,
-                alu: 0,
-                branch_step: 0,
-                warp: &mut *warp,
-            };
-            kernel.thread(tid + lane, &mut ctx);
-            max_alu = max_alu.max(ctx.alu);
-            let _ = ctx.lane;
-        }
+        let lanes = WARP_SIZE.min(threads - tid);
+        let mut ctx = WarpCtx {
+            mem: &mut *mem,
+            acc: &mut *warp,
+            max_alu: 0,
+        };
+        kernel.warp(tid, lanes, &mut ctx);
+        let max_alu = ctx.max_alu;
         let (tx, chain, issue, div) = warp.finish(max_alu);
         stats.mem_transactions += tx;
         stats.max_chain = stats.max_chain.max(chain);
@@ -254,6 +363,29 @@ pub fn execute_with(
         tid += lanes;
     }
     stats
+}
+
+/// The differential check for a [`Kernel::warp`] override: run the
+/// launch per thread ([`PerThread`]) on a copy of `mem` and through
+/// `warp` on `mem` itself, and report the first difference in
+/// [`LaunchStats`] or device bytes. `mem` is left holding the launch's
+/// result, so the next kernel of a pipeline can be checked on top.
+pub fn warp_matches_threads<K: Kernel + ?Sized>(
+    kernel: &K,
+    mem: &mut DeviceMemory,
+    threads: u32,
+) -> Result<LaunchStats, String> {
+    let mut reference = mem.clone();
+    let want = execute(&PerThread(kernel), &mut reference, threads);
+    let got = execute(kernel, mem, threads);
+    let name = kernel.name();
+    if got != want {
+        return Err(format!("{name}: warp {got:?} != per-thread {want:?}"));
+    }
+    match (mem.raw().iter().zip(reference.raw())).position(|(a, b)| a != b) {
+        Some(at) => Err(format!("{name}: device byte {at} differs from per-thread")),
+        None => Ok(got),
+    }
 }
 
 /// Convert launch stats into the cost summary the timing model uses.
@@ -433,6 +565,85 @@ mod tests {
             let reused = execute_with(&Branchy { buf }, &mut mem, 48, &mut scratch);
             assert_eq!(fresh, reused, "branchy");
         }
+    }
+
+    /// The monotone fast path is an optimisation of a set: lanes that
+    /// walk memory downwards, revisit a segment or land between two
+    /// seen ones must count each distinct segment once.
+    #[test]
+    fn segment_sets_ignore_lane_order() {
+        struct Pattern {
+            buf: DeviceBuffer,
+            segs: &'static [usize],
+        }
+        impl Kernel for Pattern {
+            fn name(&self) -> &str {
+                "pattern"
+            }
+            fn thread(&self, tid: u32, ctx: &mut ThreadCtx<'_>) {
+                let _ = ctx.read_u8(&self.buf, self.segs[tid as usize] * 128);
+            }
+        }
+        let mut mem = DeviceMemory::new(1 << 12);
+        let buf = mem.alloc(1 << 11);
+        for (segs, distinct) in [
+            (&[9, 7, 5, 3, 1][..], 5),
+            (&[0, 4, 4, 2, 4, 0, 2][..], 3),
+            (&[3, 3, 3][..], 1),
+            (&[1, 5, 3, 5, 2, 8, 1][..], 5),
+        ] {
+            let s = execute(&Pattern { buf, segs }, &mut mem, segs.len() as u32);
+            assert_eq!(s.mem_transactions, distinct, "{segs:?}");
+        }
+    }
+
+    /// `warp_matches_threads` accepts a faithful bulk override and
+    /// names what a wrong one got wrong: costs first, then bytes.
+    #[test]
+    fn warp_override_check_catches_cost_and_byte_drift() {
+        /// Each thread increments its own byte; the override does the
+        /// warp's bytes in one pass, optionally wrongly.
+        struct Bump {
+            buf: DeviceBuffer,
+            skip_write_step: bool,
+            skip_last_lane: bool,
+        }
+        impl Kernel for Bump {
+            fn name(&self) -> &str {
+                "bump"
+            }
+            fn thread(&self, tid: u32, ctx: &mut ThreadCtx<'_>) {
+                let v = ctx.read_u8(&self.buf, tid as usize);
+                ctx.alu(tid);
+                ctx.write(&self.buf, tid as usize, &[v + 1]);
+            }
+            fn warp(&self, first_tid: u32, lanes: u32, ctx: &mut WarpCtx<'_>) {
+                let (off, len) = (first_tid as usize, lanes as usize);
+                ctx.touch(0, &self.buf, off, len);
+                if !self.skip_write_step {
+                    ctx.touch(1, &self.buf, off, len);
+                }
+                ctx.lane_alu(u64::from(first_tid + lanes - 1));
+                let done = len - usize::from(self.skip_last_lane);
+                for b in &mut ctx.bytes_mut(&self.buf, off, len)[..done] {
+                    *b += 1;
+                }
+            }
+        }
+        let mut mem = DeviceMemory::new(1 << 10);
+        let buf = mem.alloc(300);
+        let bump = |skip_write_step, skip_last_lane| Bump {
+            buf,
+            skip_write_step,
+            skip_last_lane,
+        };
+        let ok = warp_matches_threads(&bump(false, false), &mut mem, 70).expect("faithful");
+        assert_eq!((ok.max_chain, ok.issue_cycles), (2, 31 + 63 + 69));
+        assert!(mem.slice(&buf)[..70].iter().all(|&b| b == 1));
+        let err = warp_matches_threads(&bump(true, false), &mut mem, 70).unwrap_err();
+        assert!(err.contains("max_chain: 1"), "{err}");
+        let err = warp_matches_threads(&bump(false, true), &mut mem, 70).unwrap_err();
+        assert!(err.contains("device byte"), "{err}");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //!   thread against simulated device memory ([`DeviceMemory`]), so the
 //!   forwarding tables, crypto and flow lookups produce *real*
 //!   results — the router's output is bit-exact regardless of timing.
+//!   A kernel may do a warp's work in bulk ([`Kernel::warp`]) when
+//!   that leaves the same bytes and the same recorded costs.
 //! * **Analytic timing**: each thread's memory accesses and ALU work
 //!   are traced per warp (32 lanes, lockstep, divergence counted,
 //!   per-warp coalescing into 128 B segments) and converted into a
@@ -34,6 +36,6 @@ pub mod timing;
 
 pub use device::{DeviceBuffer, DeviceMemory, GpuDevice};
 pub use engine::GpuEngine;
-pub use kernel::{Kernel, LaunchStats, ThreadCtx};
+pub use kernel::{Kernel, LaunchStats, ThreadCtx, WarpCtx};
 pub use staging::{Slots, Staging};
 pub use timing::KernelCost;

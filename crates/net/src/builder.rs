@@ -105,8 +105,8 @@ impl PacketBuilder {
         buf
     }
 
-    /// A raw IPv4 frame (no transport header) of exactly `frame_len`
-    /// bytes with the given protocol number; used to wrap ESP packets.
+    /// A raw IPv4 frame (no transport header) with the given protocol
+    /// number around `payload`; used to wrap ESP packets.
     pub fn raw_v4(
         src_mac: MacAddr,
         dst_mac: MacAddr,
@@ -115,28 +115,47 @@ impl PacketBuilder {
         proto: u8,
         payload: &[u8],
     ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Self::raw_v4_into(&mut buf, src_mac, dst_mac, src, dst, proto, payload);
+        buf
+    }
+
+    /// [`PacketBuilder::raw_v4`] written into `buf`, replacing its
+    /// contents and reusing its allocation.
+    pub fn raw_v4_into(
+        buf: &mut Vec<u8>,
+        src_mac: MacAddr,
+        dst_mac: MacAddr,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        proto: u8,
+        payload: &[u8],
+    ) {
         let ip_len = ipv4::HEADER_LEN + payload.len();
-        let frame_len = (ethernet::HEADER_LEN + ip_len).max(MIN_FRAME_LEN);
-        let mut buf = vec![0u8; frame_len];
+        let off = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
+        // Headers are zeroed then filled, the payload is copied, and
+        // only minimum-frame padding past it needs zeroes. A buffer
+        // that must grow grows to the frame exactly: amortized doubling
+        // would leave every pooled frame buffer twice its size.
+        buf.clear();
+        buf.reserve_exact((off + payload.len()).max(MIN_FRAME_LEN));
+        buf.resize(off, 0);
+        buf.extend_from_slice(payload);
+        buf.resize(buf.len().max(MIN_FRAME_LEN), 0);
         {
             let mut eth = EthernetFrame::new_unchecked(&mut buf[..]);
             eth.set_src(src_mac);
             eth.set_dst(dst_mac);
             eth.set_ethertype(EtherType::Ipv4);
         }
-        {
-            let mut ip = Ipv4Packet::new_unchecked(&mut buf[ethernet::HEADER_LEN..]);
-            ip.set_version_ihl();
-            ip.set_total_len(ip_len as u16);
-            ip.set_ttl(64);
-            ip.set_protocol(proto);
-            ip.set_src(src);
-            ip.set_dst(dst);
-            ip.fill_checksum();
-        }
-        let off = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
-        buf[off..off + payload.len()].copy_from_slice(payload);
-        buf
+        let mut ip = Ipv4Packet::new_unchecked(&mut buf[ethernet::HEADER_LEN..]);
+        ip.set_version_ihl();
+        ip.set_total_len(ip_len as u16);
+        ip.set_ttl(64);
+        ip.set_protocol(proto);
+        ip.set_src(src);
+        ip.set_dst(dst);
+        ip.fill_checksum();
     }
 }
 
@@ -199,6 +218,29 @@ mod tests {
         let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
         assert_eq!(ip.protocol(), protocol::ESP);
         assert_eq!(ip.payload(), &payload[..]);
+    }
+
+    /// Stale bytes in a recycled buffer never leak into the frame —
+    /// not into the zeroed header fields, not into the minimum-frame
+    /// padding — and a buffer that is large enough is not reallocated.
+    #[test]
+    fn raw_v4_into_reuses_a_dirty_buffer() {
+        for payload_len in [0usize, 7, 100, 1538] {
+            let payload = vec![0xAB; payload_len];
+            let args = (
+                MacAddr::local(1),
+                MacAddr::local(2),
+                Ipv4Addr::new(1, 1, 1, 1),
+                Ipv4Addr::new(2, 2, 2, 2),
+            );
+            let fresh = PacketBuilder::raw_v4(args.0, args.1, args.2, args.3, 50, &payload);
+            let mut buf = vec![0xFF; 2048];
+            let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+            PacketBuilder::raw_v4_into(&mut buf, args.0, args.1, args.2, args.3, 50, &payload);
+            assert_eq!(buf, fresh, "payload {payload_len}");
+            assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+            assert!(buf.len() >= MIN_FRAME_LEN);
+        }
     }
 
     #[test]
