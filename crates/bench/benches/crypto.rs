@@ -77,14 +77,13 @@ fn ipsec_shade(r: &mut Runner) {
     let per_gather = Some(Throughput::Elements(PKTS as u64));
     let sa = SecurityAssociation::new(0x1001, &[0x42; 16], 0xD00D, b"ps-bench-hmac-key");
     let inners: Vec<Vec<u8>> = (0..PKTS).map(|i| vec![i as u8; 1500]).collect();
-    let stage = |st: &mut EspStaging| {
+    let mut st = EspStaging::default();
+    r.bench("ipsec-shade/stage_64x1514B", per_gather, || {
         st.clear();
         for (seq, inner) in inners.iter().enumerate() {
             black_box(st.push(sa.spi, seq as u32, inner));
         }
-    };
-    let mut st = EspStaging::default();
-    r.bench("ipsec-shade/stage_64x1514B", per_gather, || stage(&mut st));
+    });
 
     let mut eng = GpuEngine::new(
         GpuDevice::gtx480_with_mem(4 << 20),

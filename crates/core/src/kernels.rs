@@ -299,6 +299,13 @@ impl EspStaging {
     }
 }
 
+/// Decode one params slot: `(base, ct_len, iv)`.
+fn esp_params(slot: &[u8]) -> (usize, usize, [u8; 8]) {
+    let word = |at: usize| u32::from_le_bytes(slot[at..at + 4].try_into().expect("4 bytes"));
+    let iv = slot[8..16].try_into().expect("8 bytes");
+    (word(0) as usize, word(4) as usize, iv)
+}
+
 /// AES-128-CTR at AES-block granularity: one thread per 16 B block
 /// (§6.2.4 "we chop packets into AES blocks (16B) and map each block
 /// to one GPU thread").
@@ -331,9 +338,7 @@ impl Kernel for IpsecAesKernel<'_> {
         let info = ctx.read_u32(&self.block_info, tid as usize * 4);
         let pkt = (info >> 8) as usize;
         let blk = info & 0xFF;
-        let p: [u8; 16] = ctx.read(&self.params, pkt * 16);
-        let base = u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize;
-        let iv: [u8; 8] = p[8..16].try_into().expect("fixed");
+        let (base, _, iv) = esp_params(&ctx.read::<16>(&self.params, pkt * 16));
         // Keystream: one AES encryption over the counter block. With
         // shared-memory T-tables this is ~4 lookups + 4 xors per round
         // on a real GPU; charge ~20 issue ops per round.
@@ -381,9 +386,7 @@ impl Kernel for IpsecAesKernel<'_> {
                 run += 1;
             }
             let tid = first_tid as usize + lane;
-            let p = ctx.bytes(&self.params, pkt * 16, 16);
-            let base = u32::from_le_bytes(p[0..4].try_into().expect("4 bytes")) as usize;
-            let iv: [u8; 8] = p[8..16].try_into().expect("fixed");
+            let (base, _, iv) = esp_params(ctx.bytes(&self.params, pkt * 16, 16));
             let off = base + 16 + blk as usize * 16;
             let len = run * 16;
 
@@ -423,9 +426,7 @@ impl Kernel for IpsecHmacKernel<'_> {
         if tid >= self.n {
             return;
         }
-        let p: [u8; 16] = ctx.read(&self.params, tid as usize * 16);
-        let base = u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize;
-        let ct_len = u32::from_le_bytes([p[4], p[5], p[6], p[7]]) as usize;
+        let (base, ct_len, _) = esp_params(&ctx.read::<16>(&self.params, tid as usize * 16));
         let auth_len = 16 + ct_len; // SPI+seq+IV+ciphertext
 
         // Stream the authenticated region in 64 B reads, feeding the
@@ -459,9 +460,7 @@ impl Kernel for IpsecHmacKernel<'_> {
     /// in place in device memory instead of through 64 B copies.
     fn warp(&self, first_tid: u32, lanes: u32, ctx: &mut WarpCtx<'_>) {
         for tid in first_tid..(first_tid + lanes).min(self.n) {
-            let p = ctx.bytes(&self.params, tid as usize * 16, 16);
-            let base = u32::from_le_bytes(p[0..4].try_into().expect("4 bytes")) as usize;
-            let ct_len = u32::from_le_bytes(p[4..8].try_into().expect("4 bytes")) as usize;
+            let (base, ct_len, _) = esp_params(ctx.bytes(&self.params, tid as usize * 16, 16));
             let auth_len = 16 + ct_len;
             debug_assert_eq!(auth_len % 16, 0, "ESP regions are 16-aligned");
 
@@ -546,6 +545,28 @@ mod tests {
         regions: Vec<Range<usize>>,
     }
 
+    impl EspBatch {
+        fn aes<'a>(&self, sa: &'a SecurityAssociation) -> IpsecAesKernel<'a> {
+            IpsecAesKernel {
+                aes: sa.cipher(),
+                nonce: NONCE,
+                payload: self.payload,
+                block_info: self.block_info,
+                params: self.params,
+                n_blocks: self.n_blocks,
+            }
+        }
+
+        fn hmac<'a>(&self, sa: &'a SecurityAssociation) -> IpsecHmacKernel<'a> {
+            IpsecHmacKernel {
+                hmac: sa.hmac(),
+                payload: self.payload,
+                params: self.params,
+                n: self.n_pkts,
+            }
+        }
+    }
+
     const NONCE: u32 = 0xDEAD;
 
     fn sa() -> SecurityAssociation {
@@ -624,22 +645,8 @@ mod tests {
     fn check_pin(inners: &[Option<Vec<u8>>], aes_pin: Pinned, hmac_pin: Pinned, payload_pin: u64) {
         let mut sa_gpu = sa();
         let mut b = stage_esp(&mut sa_gpu, inners);
-        let aes = IpsecAesKernel {
-            aes: sa_gpu.cipher(),
-            nonce: NONCE,
-            payload: b.payload,
-            block_info: b.block_info,
-            params: b.params,
-            n_blocks: b.n_blocks,
-        };
-        let aes_stats = kernel::execute(&aes, &mut b.mem, b.n_blocks);
-        let hmac = IpsecHmacKernel {
-            hmac: sa_gpu.hmac(),
-            payload: b.payload,
-            params: b.params,
-            n: b.n_pkts,
-        };
-        let hmac_stats = kernel::execute(&hmac, &mut b.mem, b.n_pkts);
+        let aes_stats = kernel::execute(&b.aes(&sa_gpu), &mut b.mem, b.n_blocks);
+        let hmac_stats = kernel::execute(&b.hmac(&sa_gpu), &mut b.mem, b.n_pkts);
 
         let mut sa_cpu = sa();
         let out = b.mem.slice(&b.payload);
@@ -723,22 +730,8 @@ mod tests {
             let extra = g.int_in(0..40u32);
             let mut sa = sa();
             let mut b = stage_esp(&mut sa, &inners);
-            let aes = IpsecAesKernel {
-                aes: sa.cipher(),
-                nonce: NONCE,
-                payload: b.payload,
-                block_info: b.block_info,
-                params: b.params,
-                n_blocks: b.n_blocks,
-            };
-            kernel::warp_matches_threads(&aes, &mut b.mem, b.n_blocks + extra)?;
-            let hmac = IpsecHmacKernel {
-                hmac: sa.hmac(),
-                payload: b.payload,
-                params: b.params,
-                n: b.n_pkts,
-            };
-            kernel::warp_matches_threads(&hmac, &mut b.mem, b.n_pkts + extra)?;
+            kernel::warp_matches_threads(&b.aes(&sa), &mut b.mem, b.n_blocks + extra)?;
+            kernel::warp_matches_threads(&b.hmac(&sa), &mut b.mem, b.n_pkts + extra)?;
             Ok(())
         });
     }

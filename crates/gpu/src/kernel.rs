@@ -45,9 +45,9 @@ pub trait Kernel {
 }
 
 /// Runs the wrapped kernel's `thread` body for every lane even when
-/// the kernel overrides [`Kernel::warp`] — the reference executor the
-/// differential tests compare an override against.
-pub struct PerThread<'k, K: ?Sized>(pub &'k K);
+/// the kernel overrides [`Kernel::warp`]: the reference side of
+/// [`warp_matches_threads`].
+struct PerThread<'k, K: ?Sized>(&'k K);
 
 impl<K: Kernel + ?Sized> Kernel for PerThread<'_, K> {
     fn name(&self) -> &str {
@@ -366,7 +366,7 @@ pub fn execute_with<K: Kernel + ?Sized>(
 }
 
 /// The differential check for a [`Kernel::warp`] override: run the
-/// launch per thread ([`PerThread`]) on a copy of `mem` and through
+/// launch through `thread` alone on a copy of `mem` and through
 /// `warp` on `mem` itself, and report the first difference in
 /// [`LaunchStats`] or device bytes. `mem` is left holding the launch's
 /// result, so the next kernel of a pipeline can be checked on top.
