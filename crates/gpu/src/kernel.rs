@@ -152,6 +152,7 @@ impl<'a> ThreadCtx<'a> {
         self.alu += u64::from(cycles);
     }
 
+    #[inline]
     fn record_access(&mut self, addr: usize, len: usize) {
         self.warp.record_access(self.step, addr, len);
         self.step += 1;
@@ -225,8 +226,8 @@ const SEGMENT_SHIFT: u32 = 7; // 128-byte coalescing segments
 pub struct WarpAccumulator {
     /// Per memory step: unique 128 B segment ids touched. Only
     /// `steps[..used_steps]` is live; slots beyond hold empty spare
-    /// sets with retained capacity.
-    steps: Vec<StepSegments>,
+    /// vectors with retained capacity.
+    steps: Vec<Vec<u64>>,
     used_steps: usize,
     /// Per branch step: (first decision, diverged?). Slots at or past
     /// `used_branches` are stale and re-initialized on first touch.
@@ -234,39 +235,38 @@ pub struct WarpAccumulator {
     used_branches: usize,
 }
 
-/// The distinct segments one memory step has touched, unordered, with
-/// their maximum: lanes mostly walk memory upwards (coalesced column
-/// reads, per-packet payload streams), so a segment above the maximum
-/// is new without scanning the set.
-#[derive(Debug, Default)]
-struct StepSegments {
-    segs: Vec<u64>,
-    max: u64,
-}
-
-impl StepSegments {
-    #[inline]
-    fn insert(&mut self, seg: u64) {
-        if self.segs.is_empty() || seg > self.max {
-            self.max = seg;
-            self.segs.push(seg);
-        } else if !self.segs.contains(&seg) {
-            self.segs.push(seg);
+/// Add `seg` to one memory step's set of distinct segments. The set is
+/// unordered except that its largest member is kept last. Lanes mostly
+/// walk memory upwards — neighbours share a segment (coalesced column
+/// reads) or move on to the next one (per-packet payload streams) — so
+/// most segments equal the largest or exceed it, and need no scan.
+#[inline]
+fn insert_segment(set: &mut Vec<u64>, seg: u64) {
+    match set.last() {
+        Some(&max) if seg == max => {}
+        Some(&max) if seg < max => {
+            if !set.contains(&seg) {
+                let last = set.len() - 1;
+                set.push(max);
+                set[last] = seg;
+            }
         }
+        _ => set.push(seg),
     }
 }
 
 impl WarpAccumulator {
+    #[inline]
     fn record_access(&mut self, step: usize, addr: usize, len: usize) {
         if self.steps.len() <= step {
-            self.steps.resize_with(step + 1, StepSegments::default);
+            self.steps.resize_with(step + 1, Vec::new);
         }
         self.used_steps = self.used_steps.max(step + 1);
         let first = (addr >> SEGMENT_SHIFT) as u64;
         let last = ((addr + len.max(1) - 1) >> SEGMENT_SHIFT) as u64;
         let set = &mut self.steps[step];
         for seg in first..=last {
-            set.insert(seg);
+            insert_segment(set, seg);
         }
     }
 
@@ -291,7 +291,7 @@ impl WarpAccumulator {
 
     fn finish(&mut self, max_alu: u64) -> (u64, u32, u64, u64) {
         let live = &mut self.steps[..self.used_steps];
-        let transactions: u64 = live.iter().map(|s| s.segs.len() as u64).sum();
+        let transactions: u64 = live.iter().map(|s| s.len() as u64).sum();
         let chain = self.used_steps as u32;
         let divergent = self.branches[..self.used_branches]
             .iter()
@@ -301,8 +301,8 @@ impl WarpAccumulator {
         // the warp's issue cost again for each divergent decision, the
         // standard lockstep-masking cost model (§2.1).
         let issue = max_alu * (1 + divergent);
-        for s in live {
-            s.segs.clear(); // capacity retained
+        for v in live {
+            v.clear(); // capacity retained
         }
         self.used_steps = 0;
         self.used_branches = 0;
