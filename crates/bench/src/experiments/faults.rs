@@ -208,21 +208,44 @@ mod tests {
 
     #[test]
     fn json_shape_is_pinned() {
-        let rows = vec![Row {
-            app: "ipv4",
-            rate: 0.01,
-            out_gbps: 12.5,
-            injected: 10,
-            handled: 4,
-            dropped: 6,
-            reconciled: true,
-        }];
-        let j = to_json("all", 0xFA17, &rows);
-        assert!(j.contains("\"schema\": \"ps-bench-degradation/v1\""));
-        assert!(j.contains("\"scenario\": \"all\""));
-        assert!(j.contains(
-            "{\"app\": \"ipv4\", \"rate\": 0.010, \"out_gbps\": 12.500, \
-             \"injected\": 10, \"handled\": 4, \"dropped\": 6, \"reconciled\": true}"
-        ));
+        // The whole artifact, byte for byte. The second row carries a
+        // non-finite float, which is written as 0.000.
+        let rows = vec![
+            Row {
+                app: "ipv4",
+                rate: 0.01,
+                out_gbps: 12.5,
+                injected: 10,
+                handled: 4,
+                dropped: 6,
+                reconciled: true,
+            },
+            Row {
+                app: "ipsec",
+                rate: 0.05,
+                out_gbps: f64::INFINITY,
+                injected: 3,
+                handled: 1,
+                dropped: 1,
+                reconciled: false,
+            },
+        ];
+        let want = [
+            "{",
+            "  \"schema\": \"ps-bench-degradation/v1\",",
+            "  \"scenario\": \"all\",",
+            "  \"seed\": 64023,",
+            &format!("  \"window_ms\": {},", window_ms()),
+            &format!("  \"shards\": {},", ps_core::router::shards_from_env()),
+            "  \"rows\": [",
+            "    {\"app\": \"ipv4\", \"rate\": 0.010, \"out_gbps\": 12.500, \
+             \"injected\": 10, \"handled\": 4, \"dropped\": 6, \"reconciled\": true},",
+            "    {\"app\": \"ipsec\", \"rate\": 0.050, \"out_gbps\": 0.000, \
+             \"injected\": 3, \"handled\": 1, \"dropped\": 1, \"reconciled\": false}",
+            "  ]",
+            "}",
+            "",
+        ];
+        assert_eq!(to_json("all", 0xFA17, &rows), want.join("\n"));
     }
 }

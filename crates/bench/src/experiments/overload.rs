@@ -332,16 +332,30 @@ mod tests {
 
     #[test]
     fn json_shape_is_pinned() {
-        let rows = vec![fake("fixed", 0.5, 210.0)];
-        let j = to_json(&rows);
-        assert!(j.contains("\"schema\": \"ps-bench-overload/v1\""));
-        assert!(j.contains(
-            "{\"profile\": \"fixed\", \"factor\": 0.500, \"in_gbps\": 20.000, \
+        // The whole artifact, byte for byte. The second row carries
+        // non-finite floats, which are written as 0.000.
+        let rows = vec![fake("fixed", 0.5, 210.0), fake("adaptive", 2.0, f64::NAN)];
+        let want = [
+            "{",
+            "  \"schema\": \"ps-bench-overload/v1\",",
+            &format!("  \"window_ms\": {},", window_ms()),
+            &format!("  \"shards\": {},", ps_core::router::shards_from_env()),
+            "  \"rows\": [",
+            "    {\"profile\": \"fixed\", \"factor\": 0.500, \"in_gbps\": 20.000, \
              \"out_gbps\": 19.500, \"p50_us\": 40.000, \"p99_us\": 210.000, \
              \"p999_us\": 315.000, \"max_us\": 420.000, \"peak_ring\": 17, \
              \"drops_backpressure\": 5, \"drops_far_future\": 0, \
-             \"drops_nic_admission\": 0, \"drops_nic_fault\": 0, \"drops_ring_tail\": 0}"
-        ));
+             \"drops_nic_admission\": 0, \"drops_nic_fault\": 0, \"drops_ring_tail\": 0},",
+            "    {\"profile\": \"adaptive\", \"factor\": 2.000, \"in_gbps\": 20.000, \
+             \"out_gbps\": 19.500, \"p50_us\": 40.000, \"p99_us\": 0.000, \
+             \"p999_us\": 0.000, \"max_us\": 0.000, \"peak_ring\": 17, \
+             \"drops_backpressure\": 5, \"drops_far_future\": 0, \
+             \"drops_nic_admission\": 0, \"drops_nic_fault\": 0, \"drops_ring_tail\": 0}",
+            "  ]",
+            "}",
+            "",
+        ];
+        assert_eq!(to_json(&rows), want.join("\n"));
     }
 
     #[test]

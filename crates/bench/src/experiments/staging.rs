@@ -240,14 +240,29 @@ mod tests {
 
     #[test]
     fn json_shape_is_pinned() {
-        let rows = vec![fake("ipv4-64B", "soa", 24, 4.0)];
-        let j = to_json(&rows);
-        assert!(j.contains("\"schema\": \"ps-bench-staging/v1\""));
-        assert!(j.contains(
-            "{\"app\": \"ipv4-64B\", \"mode\": \"soa\", \"gather\": 24, \"out_gbps\": 30.000, \
+        // The whole artifact, byte for byte. The second row carries a
+        // non-finite float, which is written as 0.000.
+        let rows = vec![
+            fake("ipv4-64B", "soa", 24, 4.0),
+            fake("openflow-64B", "direct-dma", 4, f64::NAN),
+        ];
+        let want = [
+            "{",
+            "  \"schema\": \"ps-bench-staging/v1\",",
+            &format!("  \"window_ms\": {},", window_ms()),
+            &format!("  \"shards\": {},", ps_core::router::shards_from_env()),
+            "  \"rows\": [",
+            "    {\"app\": \"ipv4-64B\", \"mode\": \"soa\", \"gather\": 24, \"out_gbps\": 30.000, \
              \"p50_us\": 200.000, \"h2d_bytes_per_pkt\": 4.000, \"d2h_bytes_per_pkt\": 2.000, \
-             \"staged_pkts\": 1000}"
-        ));
+             \"staged_pkts\": 1000},",
+            "    {\"app\": \"openflow-64B\", \"mode\": \"direct-dma\", \"gather\": 4, \
+             \"out_gbps\": 30.000, \"p50_us\": 200.000, \"h2d_bytes_per_pkt\": 0.000, \
+             \"d2h_bytes_per_pkt\": 2.000, \"staged_pkts\": 1000}",
+            "  ]",
+            "}",
+            "",
+        ];
+        assert_eq!(to_json(&rows), want.join("\n"));
     }
 
     #[test]
