@@ -3,22 +3,11 @@
 
 use ps_core::apps::IpsecApp;
 use ps_core::{Router, RouterConfig};
-use ps_pktgen::{TrafficKind, TrafficSpec};
+use ps_pktgen::TrafficKind;
 use ps_sim::MILLIS;
 
-use crate::{header, window_ms, workloads};
-
-fn spec(kind: TrafficKind, frame_len: usize, gbps: f64) -> TrafficSpec {
-    TrafficSpec {
-        kind,
-        frame_len,
-        offered_bits: (gbps * 1e9) as u64,
-        ports: 8,
-        seed: 42,
-        flows: None,
-        ..TrafficSpec::default()
-    }
-}
+use crate::workloads::{self, spec};
+use crate::{header, window_ms};
 
 /// Gather/scatter (Figure 10(b)): with it the master exposes more
 /// parallelism per kernel launch; without it every chunk launches

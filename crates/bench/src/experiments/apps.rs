@@ -5,22 +5,11 @@ use ps_core::{Router, RouterConfig};
 use ps_pktgen::{TrafficKind, TrafficSpec};
 use ps_sim::MILLIS;
 
-use crate::{header, window_ms, workloads};
+use crate::workloads::{self, spec};
+use crate::{header, window_ms};
 
 /// The standard packet-size sweep.
 pub const SIZES: [usize; 6] = [64, 128, 256, 512, 1024, 1514];
-
-fn spec(kind: TrafficKind, frame_len: usize, gbps: f64) -> TrafficSpec {
-    TrafficSpec {
-        kind,
-        frame_len,
-        offered_bits: (gbps * 1e9) as u64,
-        ports: 8,
-        seed: 42,
-        flows: None,
-        ..TrafficSpec::default()
-    }
-}
 
 /// Generic CPU-vs-GPU sweep over packet sizes.
 fn sweep<FA, FB>(

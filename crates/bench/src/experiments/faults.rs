@@ -18,6 +18,7 @@ use ps_fault::FaultSpec;
 use ps_pktgen::{TrafficKind, TrafficSpec};
 use ps_sim::MILLIS;
 
+use crate::report::{self, Val};
 use crate::{header, window_ms, workloads};
 
 /// Injection rates swept (probability per opportunity). The 1% cell
@@ -44,15 +45,7 @@ pub struct Row {
 }
 
 fn spec(kind: TrafficKind, frame_len: usize) -> TrafficSpec {
-    TrafficSpec {
-        kind,
-        frame_len,
-        offered_bits: 40_000_000_000,
-        ports: 8,
-        seed: 42,
-        flows: None,
-        ..TrafficSpec::default()
-    }
+    workloads::spec(kind, frame_len, 40.0)
 }
 
 fn row(app: &'static str, rate: f64, gbps: f64, r: &RouterReport) -> Row {
@@ -153,42 +146,29 @@ pub fn run(scenario: &str) -> Vec<Row> {
     rows
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.000".to_string()
-    }
-}
-
 /// Serialize sweep rows to the `ps-bench-degradation/v1` JSON schema
-/// (same hand-rolled flat style as the wall-clock baseline: no parser
-/// dependency, shape pinned by a test).
+/// (bytes pinned by a test).
 pub fn to_json(scenario: &str, seed: u64, rows: &[Row]) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema\": \"ps-bench-degradation/v1\",");
-    let _ = writeln!(s, "  \"scenario\": \"{scenario}\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"window_ms\": {},", window_ms());
-    let _ = writeln!(s, "  \"shards\": {},", ps_core::router::shards_from_env());
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"app\": \"{}\", \"rate\": {}, \"out_gbps\": {}, \"injected\": {}, \
-             \"handled\": {}, \"dropped\": {}, \"reconciled\": {}}}",
-            r.app,
-            fmt_f64(r.rate),
-            fmt_f64(r.out_gbps),
-            r.injected,
-            r.handled,
-            r.dropped,
-            r.reconciled,
-        );
-        s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows: Vec<report::Fields> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("app", Val::Str(r.app)),
+                ("rate", Val::F3(r.rate)),
+                ("out_gbps", Val::F3(r.out_gbps)),
+                ("injected", Val::Int(r.injected)),
+                ("handled", Val::Int(r.handled)),
+                ("dropped", Val::Int(r.dropped)),
+                ("reconciled", Val::Bool(r.reconciled)),
+            ]
+        })
+        .collect();
+    let mut head = report::run_header("ps-bench-degradation/v1");
+    head.splice(
+        1..1,
+        [("scenario", Val::Str(scenario)), ("seed", Val::Int(seed))],
+    );
+    report::to_json(&head, &rows)
 }
 
 /// `ps-bench --faults <scenario>`: run the sweep and write the JSON

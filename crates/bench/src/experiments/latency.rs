@@ -11,15 +11,7 @@ use crate::{header, window_ms, workloads};
 pub type Fig12Row = (f64, f64, f64, f64);
 
 fn spec(gbps: f64) -> TrafficSpec {
-    TrafficSpec {
-        kind: TrafficKind::Ipv6Udp,
-        frame_len: 64,
-        offered_bits: (gbps * 1e9) as u64,
-        ports: 8,
-        seed: 42,
-        flows: None,
-        ..TrafficSpec::default()
-    }
+    workloads::spec(TrafficKind::Ipv6Udp, 64, gbps)
 }
 
 fn mean_latency_us(cfg: RouterConfig, prefixes: usize, gbps: f64) -> f64 {

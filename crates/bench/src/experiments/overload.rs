@@ -27,12 +27,11 @@
 //! is judged on: adaptive batching cuts p99 sojourn well below fixed
 //! at 0.5x load while delivering the same throughput at 1.0x.
 
-use std::fmt::Write as _;
-
 use ps_core::{LatencyConfig, Router, RouterConfig};
 use ps_pktgen::{DropLedger, TrafficKind, TrafficSpec};
 use ps_sim::MILLIS;
 
+use crate::report::{self, Val};
 use crate::{header, window_ms, workloads};
 
 /// Load factors swept, as fractions of the measured ceiling.
@@ -69,15 +68,7 @@ pub struct Row {
 }
 
 fn spec_at(gbps: f64) -> TrafficSpec {
-    TrafficSpec {
-        kind: TrafficKind::Ipv4Udp,
-        frame_len: 64,
-        offered_bits: (gbps * 1e9) as u64,
-        ports: 8,
-        seed: 42,
-        flows: None,
-        ..TrafficSpec::default()
-    }
+    workloads::spec(TrafficKind::Ipv4Udp, 64, gbps)
 }
 
 /// Measure the delivered ceiling: the paper pipeline under a
@@ -254,49 +245,31 @@ pub fn print_headlines(rows: &[Row]) {
     }
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.000".to_string()
-    }
-}
-
 /// Serialize sweep rows to the `ps-bench-overload/v1` JSON schema
-/// (hand-rolled flat style, shape pinned by a test — same policy as
-/// the baseline and staging schemas).
+/// (bytes pinned by a test).
 pub fn to_json(rows: &[Row]) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema\": \"ps-bench-overload/v1\",");
-    let _ = writeln!(s, "  \"window_ms\": {},", window_ms());
-    let _ = writeln!(s, "  \"shards\": {},", ps_core::router::shards_from_env());
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"profile\": \"{}\", \"factor\": {}, \"in_gbps\": {}, \"out_gbps\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \"max_us\": {}, \
-             \"peak_ring\": {}, \"drops_backpressure\": {}, \"drops_far_future\": {}, \
-             \"drops_nic_admission\": {}, \"drops_nic_fault\": {}, \"drops_ring_tail\": {}}}",
-            r.profile,
-            fmt_f64(r.factor),
-            fmt_f64(r.in_gbps),
-            fmt_f64(r.out_gbps),
-            fmt_f64(r.p50_us),
-            fmt_f64(r.p99_us),
-            fmt_f64(r.p999_us),
-            fmt_f64(r.max_us),
-            r.peak_ring,
-            r.drops.backpressure,
-            r.drops.far_future,
-            r.drops.nic_admission,
-            r.drops.nic_fault,
-            r.drops.ring_tail,
-        );
-        s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows: Vec<report::Fields> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("profile", Val::Str(r.profile)),
+                ("factor", Val::F3(r.factor)),
+                ("in_gbps", Val::F3(r.in_gbps)),
+                ("out_gbps", Val::F3(r.out_gbps)),
+                ("p50_us", Val::F3(r.p50_us)),
+                ("p99_us", Val::F3(r.p99_us)),
+                ("p999_us", Val::F3(r.p999_us)),
+                ("max_us", Val::F3(r.max_us)),
+                ("peak_ring", Val::Int(r.peak_ring as u64)),
+                ("drops_backpressure", Val::Int(r.drops.backpressure)),
+                ("drops_far_future", Val::Int(r.drops.far_future)),
+                ("drops_nic_admission", Val::Int(r.drops.nic_admission)),
+                ("drops_nic_fault", Val::Int(r.drops.nic_fault)),
+                ("drops_ring_tail", Val::Int(r.drops.ring_tail)),
+            ]
+        })
+        .collect();
+    report::to_json(&report::run_header("ps-bench-overload/v1"), &rows)
 }
 
 /// `ps-bench --overload [out.json]`: run the sweep and write the JSON

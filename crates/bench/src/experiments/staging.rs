@@ -16,13 +16,13 @@
 //! column (4 B of a 64 B frame) and so the starkest ratio — and adds
 //! one OpenFlow row per mode for a second column width (32 B key).
 
-use std::fmt::Write as _;
-
 use ps_core::{Router, RouterConfig, Staging};
-use ps_pktgen::{TrafficKind, TrafficSpec};
+use ps_pktgen::TrafficKind;
 use ps_sim::MILLIS;
 
-use crate::{header, window_ms, workloads};
+use crate::report::{self, Val};
+use crate::workloads::{self, spec};
+use crate::{header, window_ms};
 
 /// The three staging modes in presentation order.
 pub const MODES: [Staging; 3] = [Staging::Frames, Staging::Soa, Staging::DirectDma];
@@ -50,18 +50,6 @@ pub struct Row {
     pub d2h_bpp: f64,
     /// Packets staged through the column layer.
     pub staged_pkts: u64,
-}
-
-fn spec(kind: TrafficKind, frame_len: usize, gbps: f64) -> TrafficSpec {
-    TrafficSpec {
-        kind,
-        frame_len,
-        offered_bits: (gbps * 1e9) as u64,
-        ports: 8,
-        seed: 42,
-        flows: None,
-        ..TrafficSpec::default()
-    }
 }
 
 fn cell(
@@ -174,42 +162,25 @@ pub fn print_deltas(rows: &[Row]) {
     }
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.000".to_string()
-    }
-}
-
 /// Serialize sweep rows to the `ps-bench-staging/v1` JSON schema
-/// (hand-rolled flat style, shape pinned by a test — no parser
-/// dependency, same policy as the baseline and degradation schemas).
+/// (bytes pinned by a test).
 pub fn to_json(rows: &[Row]) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema\": \"ps-bench-staging/v1\",");
-    let _ = writeln!(s, "  \"window_ms\": {},", window_ms());
-    let _ = writeln!(s, "  \"shards\": {},", ps_core::router::shards_from_env());
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"app\": \"{}\", \"mode\": \"{}\", \"gather\": {}, \"out_gbps\": {}, \
-             \"p50_us\": {}, \"h2d_bytes_per_pkt\": {}, \"d2h_bytes_per_pkt\": {}, \
-             \"staged_pkts\": {}}}",
-            r.app,
-            r.mode,
-            r.gather,
-            fmt_f64(r.out_gbps),
-            fmt_f64(r.p50_us),
-            fmt_f64(r.h2d_bpp),
-            fmt_f64(r.d2h_bpp),
-            r.staged_pkts,
-        );
-        s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows: Vec<report::Fields> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("app", Val::Str(r.app)),
+                ("mode", Val::Str(r.mode)),
+                ("gather", Val::Int(r.gather as u64)),
+                ("out_gbps", Val::F3(r.out_gbps)),
+                ("p50_us", Val::F3(r.p50_us)),
+                ("h2d_bytes_per_pkt", Val::F3(r.h2d_bpp)),
+                ("d2h_bytes_per_pkt", Val::F3(r.d2h_bpp)),
+                ("staged_pkts", Val::Int(r.staged_pkts)),
+            ]
+        })
+        .collect();
+    report::to_json(&report::run_header("ps-bench-staging/v1"), &rows)
 }
 
 /// `ps-bench --ablation direct-dma [out.json]`: run the sweep and

@@ -7,6 +7,7 @@
 
 pub mod baseline;
 pub mod experiments;
+pub mod report;
 pub mod runner;
 pub mod trace;
 pub mod workloads;

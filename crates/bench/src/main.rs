@@ -14,9 +14,9 @@
 //! ps-bench --overload [o.json]           # same sweep + JSON artifact
 //! ps-bench trace-breakdown
 //! ps-bench --trace-out t.json fig6   # also dump the virtual-time trace
-//! ps-bench --baseline [out.json]     # record wall-clock ns/pkt snapshot
-//! ps-bench --compare [base.json]     # fail on wall-clock regressions
-//! ps-bench --scaling [out.json]      # shard matrix 1/2/4/8 + ratio gates
+//! ps-bench --baseline [out.json]     # record exact counts
+//! ps-bench --compare [base.json]     # fail on any drift
+//! ps-bench --scaling                 # shard matrix 1/2/4/8 + speedup gate
 //! ps-bench --shards 2 fig11a         # eligible runs on 2 OS threads
 //! ```
 //!
@@ -37,57 +37,43 @@ fn main() {
     // composes with the exclusive modes.
     if let Some(i) = args.iter().position(|a| a == "--shards") {
         if i + 1 >= args.len() {
-            eprintln!("ps-bench: --shards needs a count (>= 1)");
-            std::process::exit(2);
+            fail(2, "--shards needs a count (>= 1)");
         }
         let n = args.remove(i + 1);
         args.remove(i);
         if n.parse::<usize>().map_or(true, |n| n < 1) {
-            eprintln!("ps-bench: --shards needs a numeric count >= 1, got {n}");
-            std::process::exit(2);
+            fail(2, &format!("--shards needs a numeric count >= 1, got {n}"));
         }
         std::env::set_var("PS_SHARDS", &n);
     }
-    // Wall-clock regression harness: exclusive modes, no tracing
-    // (a collector would perturb the very numbers being recorded).
-    if let Some(i) = args.iter().position(|a| a == "--baseline") {
-        let path = args.get(i + 1).cloned();
-        let path = path.as_deref().unwrap_or("BENCH_baseline.json");
-        if let Err(e) = ps_bench::baseline::write_baseline(path) {
-            eprintln!("ps-bench: baseline failed: {e}");
-            std::process::exit(1);
+    // The exact-count gate (EXPERIMENTS.md "Exact-count baseline"):
+    // exclusive modes, no tracing. `--compare` exits 1 when any row
+    // differs and 2 when the file cannot be compared at all.
+    if let Some(i) = args
+        .iter()
+        .position(|a| a == "--baseline" || a == "--compare")
+    {
+        let path = args.get(i + 1).map_or("BENCH_baseline.json", |p| p);
+        if args[i] == "--baseline" {
+            if let Err(e) = ps_bench::baseline::write_baseline(path) {
+                fail(1, &format!("baseline failed: {e}"));
+            }
+            return;
         }
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--compare") {
-        let path = args.get(i + 1).cloned();
-        let path = path.as_deref().unwrap_or("BENCH_baseline.json");
         match ps_bench::baseline::compare(path) {
             Ok(0) => return,
             Ok(_) => std::process::exit(1),
-            Err(e) => {
-                eprintln!("ps-bench: compare failed: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(2, &format!("cannot compare: {e}")),
         }
     }
     // Shard scaling matrix: the replicated minimal workload at
-    // shards ∈ {1,2,4,8} under identical offered load, gated on
-    // in-run speedup/overhead ratios (direction-aware, see
-    // baseline::scaling_verdicts). Optional path writes the rows as a
-    // JSON artifact for CI upload.
-    if let Some(i) = args.iter().position(|a| a == "--scaling") {
-        let path = args.get(i + 1).cloned();
-        match ps_bench::baseline::scaling(path.as_deref()) {
-            Ok(0) => return,
-            Ok(n) => {
-                eprintln!("ps-bench: {n} scaling gate(s) failed");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("ps-bench: scaling failed: {e}");
-                std::process::exit(1);
-            }
+    // shards ∈ {1,2,4,8} under identical offered load, each row gated
+    // on its in-run speedup over x1 or skipped when the host is too
+    // narrow to show one (see baseline::scaling_verdicts).
+    if args.iter().any(|a| a == "--scaling") {
+        match ps_bench::baseline::scaling() {
+            0 => return,
+            n => fail(1, &format!("{n} scaling gate(s) failed")),
         }
     }
     // Staging ablation with a JSON artifact: `--ablation direct-dma
@@ -95,21 +81,18 @@ fn main() {
     // delta is its headline) and writes the rows for CI upload.
     if let Some(i) = args.iter().position(|a| a == "--ablation") {
         if i + 1 >= args.len() {
-            eprintln!("ps-bench: --ablation needs a name (direct-dma)");
-            std::process::exit(2);
+            fail(2, "--ablation needs a name (direct-dma)");
         }
         let name = args.remove(i + 1);
         if name != "direct-dma" && name != "staging" {
-            eprintln!("ps-bench: unknown ablation {name} (have: direct-dma)");
-            std::process::exit(2);
+            fail(2, &format!("unknown ablation {name} (have: direct-dma)"));
         }
         let path = args
             .get(i + 1)
             .cloned()
             .unwrap_or_else(|| "staging_ablation.json".to_string());
         if let Err(e) = ex::staging::run_and_write(&path) {
-            eprintln!("ps-bench: staging ablation failed: {e}");
-            std::process::exit(1);
+            fail(1, &format!("staging ablation failed: {e}"));
         }
         return;
     }
@@ -122,8 +105,7 @@ fn main() {
             .cloned()
             .unwrap_or_else(|| "overload_sweep.json".to_string());
         if let Err(e) = ex::overload::run_and_write(&path) {
-            eprintln!("ps-bench: overload sweep failed: {e}");
-            std::process::exit(1);
+            fail(1, &format!("overload sweep failed: {e}"));
         }
         return;
     }
@@ -132,29 +114,27 @@ fn main() {
     // sweep prints its own fault_summary tables).
     if let Some(i) = args.iter().position(|a| a == "--faults") {
         if i + 1 >= args.len() {
-            eprintln!("ps-bench: --faults needs a scenario (nic|corrupt|pcie|gpu|all)");
-            std::process::exit(2);
+            fail(2, "--faults needs a scenario (nic|corrupt|pcie|gpu|all)");
         }
         let scenario = args.remove(i + 1);
         if let Err(e) = ex::faults::run_and_write(&scenario) {
-            eprintln!("ps-bench: degradation sweep failed: {e}");
-            std::process::exit(1);
+            fail(1, &format!("degradation sweep failed: {e}"));
         }
         return;
     }
     let mut trace_out = None;
     if let Some(i) = args.iter().position(|a| a == "--trace-out") {
         if i + 1 >= args.len() {
-            eprintln!("ps-bench: --trace-out needs a path");
-            std::process::exit(2);
+            fail(2, "--trace-out needs a path");
         }
         trace_out = Some(args.remove(i + 1));
         args.remove(i);
     }
     if args.is_empty() {
         eprintln!("usage: ps-bench [--shards n] [--trace-out t.json] <experiment>...");
-        eprintln!("       ps-bench --baseline [out.json] | --compare [base.json]");
-        eprintln!("       ps-bench --scaling [out.json]  (shard matrix + ratio gates)");
+        eprintln!("       ps-bench --baseline [out.json]  (record exact counts)");
+        eprintln!("       ps-bench --compare [base.json]  (fail on any drift)");
+        eprintln!("       ps-bench --scaling              (shard matrix + speedup gate)");
         eprintln!("       ps-bench --faults <nic|corrupt|pcie|gpu|all>   (degradation sweep)");
         eprintln!("       ps-bench --overload [out.json]                 (load sweep + artifact)");
         eprintln!(
@@ -180,10 +160,7 @@ fn main() {
         if let Some(path) = trace_out {
             match ps_bench::trace::write_chrome(&collector, &path) {
                 Ok(bytes) => println!("trace: wrote {path} ({bytes} bytes)"),
-                Err(e) => {
-                    eprintln!("ps-bench: cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
+                Err(e) => fail(1, &format!("cannot write {path}: {e}")),
             }
         }
     } else {
@@ -191,129 +168,21 @@ fn main() {
     }
 }
 
+/// Print `msg` and exit with `code` (2: bad invocation or unusable
+/// input, 1: the run itself failed).
+fn fail(code: i32, msg: &str) -> ! {
+    eprintln!("ps-bench: {msg}");
+    std::process::exit(code)
+}
+
 fn dispatch(name: &str) {
-    match name {
-        "all" => ex::run_all(),
-        "spec" => {
-            ex::micro::spec_table2();
-        }
-        "table1" => {
-            ex::micro::table1_pcie();
-        }
-        "launch" => {
-            ex::micro::launch_latency();
-        }
-        "fig2" => {
-            ex::fig2::run();
-        }
-        "table3" => {
-            ex::io::table3_breakdown();
-        }
-        "fig5" => {
-            ex::io::fig5_batching();
-        }
-        "fig6" => {
-            ex::io::fig6_io_engine();
-        }
-        "numa" => {
-            ex::io::numa_placement();
-        }
-        "fig11a" => {
-            ex::apps::fig11a_ipv4();
-        }
-        "fig11b" => {
-            ex::apps::fig11b_ipv6();
-        }
-        "fig11c" => {
-            ex::apps::fig11c_openflow();
-        }
-        "fig11d" => {
-            ex::apps::fig11d_ipsec();
-        }
-        "fig12" => {
-            ex::latency::fig12();
-        }
-        "ablate-gather" => {
-            ex::ablations::gather_scatter();
-        }
-        "ablate-streams" => {
-            ex::ablations::concurrent_copy();
-        }
-        "ablate-opportunistic" => {
-            ex::ablations::opportunistic();
-        }
-        "ablate-staging" => {
-            ex::staging::run();
-        }
-        "overload" => {
-            ex::overload::run();
-        }
-        "trace-breakdown" => {
-            ex::trace::stage_breakdown();
-        }
-        "nfv" => {
-            ex::nfv::run();
-        }
-        "nfv-apps" => {
-            ex::nfv::cross_nf();
-        }
-        "nfv-pressure" => {
-            ex::nfv::flow_pressure();
-        }
-        "dbg-ipsec" => {
-            use ps_core::apps::IpsecApp;
-            use ps_core::{Router, RouterConfig};
-            use ps_pktgen::{TrafficKind, TrafficSpec};
-            for (size, concurrent) in [(64usize, true), (64, false), (1514, true)] {
-                let mut cfg = RouterConfig::paper_gpu();
-                cfg.concurrent_copy = concurrent;
-                let spec = TrafficSpec {
-                    kind: TrafficKind::Ipv4Udp,
-                    frame_len: size,
-                    offered_bits: 40_000_000_000,
-                    ports: 8,
-                    seed: 42,
-                    flows: None,
-                    ..TrafficSpec::default()
-                };
-                let app = IpsecApp::new([0x42; 16], 0xD00D, b"dbg");
-                let r = Router::run(cfg, app, spec, 8 * ps_sim::MILLIS);
-                println!(
-                    "size={size} streams={concurrent} in_gbps(input)={:.1} kernels={} shade_batch={:.1} rx_drops={:?} p50={}us ioh_d2h={:.1?} ioh_h2d={:.1?}",
-                    r.out_gbps_input_sized(size),
-                    r.gpu_kernels,
-                    r.mean_shade_batch,
-                    r.drop_split,
-                    r.latency.p50() / 1000,
-                    r.ioh_d2h_gbit,
-                    r.ioh_h2d_gbit,
-                );
-            }
-        }
-        "dbg-gpu" => {
-            use ps_core::{Router, RouterConfig};
-            use ps_pktgen::{TrafficKind, TrafficSpec};
-            let cfg = RouterConfig::paper_gpu();
-            let spec = TrafficSpec {
-                kind: TrafficKind::Ipv4Udp,
-                frame_len: 64,
-                offered_bits: 80_000_000_000,
-                ports: 8,
-                seed: 42,
-                flows: None,
-                ..TrafficSpec::default()
-            };
-            let app = ps_bench::workloads::ipv4_app(50_000, 1);
-            let r = Router::run(cfg, app, spec, 2 * ps_sim::MILLIS);
-            println!("out={:.1} Gbps in={:.1}", r.out_gbps(), r.in_gbps());
-            println!(
-                "rx_drops={} app_drops={} slow={} kernels={} shade_batch={:.1} rx_batch={:.1} p50={}us",
-                r.rx_drops, r.app_drops, r.slow_path, r.gpu_kernels,
-                r.mean_shade_batch, r.mean_rx_batch, r.latency.p50() / 1000,
-            );
-        }
-        other => {
-            eprintln!("unknown experiment: {other}");
+    if name == "all" {
+        return ex::run_all();
+    }
+    match ex::BY_NAME.iter().find(|(n, _)| *n == name) {
+        Some((_, run)) => run(),
+        None => {
+            eprintln!("unknown experiment: {name}");
             std::process::exit(2);
         }
     }

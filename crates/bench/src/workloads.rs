@@ -7,7 +7,21 @@ use ps_lookup::synth;
 use ps_net::FlowKey;
 use ps_openflow::wildcard::wc;
 use ps_openflow::{Action, OpenFlowSwitch, WildcardEntry};
-use ps_pktgen::{Generator, TrafficSpec};
+use ps_pktgen::{Generator, TrafficKind, TrafficSpec};
+
+/// The harness's standard offer: `frame_len`-byte `kind` frames at
+/// `gbps` across 8 ports, seed 42, random flows.
+pub fn spec(kind: TrafficKind, frame_len: usize, gbps: f64) -> TrafficSpec {
+    TrafficSpec {
+        kind,
+        frame_len,
+        offered_bits: (gbps * 1e9) as u64,
+        ports: 8,
+        seed: 42,
+        flows: None,
+        ..TrafficSpec::default()
+    }
+}
 
 /// IPv4 routes: a RouteViews-shaped table plus two /1 "provider
 /// default" routes so every randomly addressed packet forwards (the
