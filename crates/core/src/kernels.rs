@@ -456,9 +456,14 @@ impl Kernel for IpsecHmacKernel<'_> {
 
     /// The same launch a warp at a time: each lane's access sequence
     /// (params, 64 B reads, 16 B tail reads, ICV write) is recorded
-    /// from its lengths alone, and the authenticated region is MACed
-    /// in place in device memory instead of through 64 B copies.
+    /// from its lengths alone, and the authenticated regions are MACed
+    /// in place in device memory instead of through 64 B copies —
+    /// lanes of one length together, up to sixteen a call
+    /// ([`HmacSha1::mac96_many`]), wherever in the warp they sit.
     fn warp(&self, first_tid: u32, lanes: u32, ctx: &mut WarpCtx<'_>) {
+        // (auth_len, base) of each live lane.
+        let mut regions = [(0usize, 0usize); 32];
+        let mut live = 0;
         for tid in first_tid..(first_tid + lanes).min(self.n) {
             let (base, ct_len, _) = esp_params(ctx.bytes(&self.params, tid as usize * 16, 16));
             let auth_len = 16 + ct_len;
@@ -478,9 +483,31 @@ impl Kernel for IpsecHmacKernel<'_> {
             let comps = ps_crypto::sha1::hmac_compressions(auth_len) as u64;
             ctx.lane_alu(comps * 400);
 
-            let icv = self.hmac.mac96(ctx.bytes(&self.payload, base, auth_len));
-            ctx.bytes_mut(&self.payload, base + auth_len, 12)
-                .copy_from_slice(&icv);
+            regions[live] = (auth_len, base);
+            live += 1;
+        }
+
+        // Sorting brings the lanes of one length together wherever in
+        // the warp they sat. A group's ICVs are stored after its MACs:
+        // staged regions are disjoint, so the order is free.
+        let regions = &mut regions[..live];
+        regions.sort_unstable();
+        for group in regions.chunk_by(|a, b| a.0 == b.0) {
+            let auth_len = group[0].0;
+            for lanes in group.chunks(HmacSha1::MANY) {
+                let mut bases = [0usize; HmacSha1::MANY];
+                let mut icvs = [[0u8; 12]; HmacSha1::MANY];
+                let (bases, icvs) = (&mut bases[..lanes.len()], &mut icvs[..lanes.len()]);
+                for (base, lane) in bases.iter_mut().zip(lanes) {
+                    *base = lane.1;
+                }
+                let payload = ctx.bytes(&self.payload, 0, self.payload.len());
+                self.hmac.mac96_many(payload, bases, auth_len, icvs);
+                for (&base, icv) in bases.iter().zip(icvs.iter()) {
+                    ctx.bytes_mut(&self.payload, base + auth_len, 12)
+                        .copy_from_slice(icv);
+                }
+            }
         }
     }
 }
@@ -727,6 +754,62 @@ mod tests {
                 let malformed = g.int_in(0..10u32) == 0;
                 (!malformed).then(|| g.bytes(46, 1501))
             });
+            let extra = g.int_in(0..40u32);
+            let mut sa = sa();
+            let mut b = stage_esp(&mut sa, &inners);
+            kernel::warp_matches_threads(&b.aes(&sa), &mut b.mem, b.n_blocks + extra)?;
+            kernel::warp_matches_threads(&b.hmac(&sa), &mut b.mem, b.n_pkts + extra)?;
+            Ok(())
+        });
+    }
+
+    /// The same comparison over batches shaped for the HMAC kernel's
+    /// grouping, which random lengths almost never form: a warp of one
+    /// length (two full 16-lane calls), 16 + 1, the narrowest group
+    /// that goes wide (5) beside the widest that does not (4), three
+    /// lengths interleaved lane by lane, a malformed slot in the
+    /// middle, and a lead-in that moves where the warps cut.
+    #[test]
+    fn ipsec_hmac_warp_groups_lanes_by_length() {
+        ps_check::check("ipsec_hmac_warp_groups_lanes_by_length", |g| {
+            let counts: [usize; 3] = match g.int_in(0..5u32) {
+                0 => [g.int_in(16..=32usize), 0, 0],
+                1 => [17, 0, 0],
+                2 => [5, 4, g.int_in(0..=3usize)],
+                3 => [
+                    g.int_in(5..=11usize),
+                    g.int_in(5..=11usize),
+                    g.int_in(5..=10usize),
+                ],
+                _ => [
+                    g.int_in(1..=32usize),
+                    g.int_in(0..=20usize),
+                    g.int_in(0..=20usize),
+                ],
+            };
+            // Three inner lengths whose authenticated regions differ.
+            let short = g.int_in(46..500usize);
+            let lens = [
+                short,
+                short + 16 * g.int_in(1..30usize),
+                short + 16 * g.int_in(30..60usize),
+            ];
+            let lead = if g.int_in(0..3u32) == 0 {
+                g.int_in(1..32usize)
+            } else {
+                0
+            };
+            let mut inners: Vec<_> = (0..lead).map(|_| Some(g.bytes(46, 1501))).collect();
+            for round in 0..32 {
+                for (len, count) in lens.iter().zip(counts) {
+                    if round < count {
+                        inners.push(Some(g.bytes(*len, len + 1)));
+                    }
+                }
+            }
+            if g.int_in(0..2u32) == 0 {
+                inners.insert(g.int_in(0..=inners.len()), None);
+            }
             let extra = g.int_in(0..40u32);
             let mut sa = sa();
             let mut b = stage_esp(&mut sa, &inners);

@@ -82,26 +82,6 @@ static TE: [[u32; 256]; 4] = te_tables();
 #[cfg(target_arch = "x86_64")]
 mod ni {
     use core::arch::x86_64::*;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    static STATE: AtomicU8 = AtomicU8::new(0);
-
-    /// Does this CPU have AES-NI (+SSE2)? First call probes, later
-    /// calls are one relaxed load.
-    #[inline]
-    pub fn available() -> bool {
-        match STATE.load(Ordering::Relaxed) {
-            2 => true,
-            1 => false,
-            _ => {
-                let ok = std::arch::is_x86_feature_detected!("aes")
-                    && std::arch::is_x86_feature_detected!("sse2")
-                    && std::arch::is_x86_feature_detected!("sse4.1");
-                STATE.store(if ok { 2 } else { 1 }, Ordering::Relaxed);
-                ok
-            }
-        }
-    }
 
     #[inline]
     #[target_feature(enable = "aes,sse2")]
@@ -253,7 +233,7 @@ impl Aes128 {
     /// it, T-tables otherwise).
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
-        if ni::available() {
+        if crate::cpu::aes_ni() {
             *block = unsafe { ni::encrypt1(&self.round_keys, block) };
             return;
         }
@@ -274,7 +254,7 @@ impl Aes128 {
     /// the others (both the AES-NI and T-table forms interleave).
     pub fn encrypt4(&self, blocks: &mut [[u8; 16]; 4]) {
         #[cfg(target_arch = "x86_64")]
-        if ni::available() {
+        if crate::cpu::aes_ni() {
             unsafe { ni::encrypt4(&self.round_keys, blocks) };
             return;
         }
@@ -410,7 +390,7 @@ pub fn ctr_block(aes: &Aes128, nonce: u32, iv: &[u8; 8], idx: u32, data: &mut [u
 /// to [`oracle::ctr_xor`] byte for byte.
 pub fn ctr_xor(aes: &Aes128, nonce: u32, iv: &[u8; 8], first_block: u32, data: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
-    if ni::available() {
+    if crate::cpu::aes_ni() {
         unsafe { ni::ctr_xor(&aes.round_keys, nonce, iv, first_block, data) };
         return;
     }

@@ -18,11 +18,13 @@
 //! exposes the per-block operation the GPU kernel uses directly.
 
 pub mod aes;
+mod cpu;
 pub mod esp;
 pub mod hmac;
 pub mod sha1;
 
 pub use aes::{Aes128, CtrStream};
+pub use cpu::backends;
 pub use esp::{decrypt_tunnel, encrypt_tunnel, EspError, SecurityAssociation};
 pub use hmac::HmacSha1;
 pub use sha1::Sha1;

@@ -99,11 +99,16 @@ impl Sha1 {
         s.finalize()
     }
 
+    /// The chaining state after the blocks absorbed so far.
+    pub(crate) fn state(&self) -> [u32; 5] {
+        self.h
+    }
+
     /// Compress one block: SHA-NI when the CPU has it, scalar
     /// otherwise.
     fn compress(&mut self, block: &[u8; BLOCK]) {
         #[cfg(target_arch = "x86_64")]
-        if ni::available() {
+        if crate::cpu::sha_ni() {
             unsafe { ni::compress(&mut self.h, block) };
             return;
         }
@@ -181,26 +186,6 @@ impl Sha1 {
 #[cfg(target_arch = "x86_64")]
 mod ni {
     use core::arch::x86_64::*;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    static STATE: AtomicU8 = AtomicU8::new(0);
-
-    /// Does this CPU have the SHA extensions? First call probes,
-    /// later calls are one relaxed load.
-    #[inline]
-    pub fn available() -> bool {
-        match STATE.load(Ordering::Relaxed) {
-            2 => true,
-            1 => false,
-            _ => {
-                let ok = std::arch::is_x86_feature_detected!("sha")
-                    && std::arch::is_x86_feature_detected!("ssse3")
-                    && std::arch::is_x86_feature_detected!("sse4.1");
-                STATE.store(if ok { 2 } else { 1 }, Ordering::Relaxed);
-                ok
-            }
-        }
-    }
 
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub unsafe fn compress(h: &mut [u32; 5], block: &[u8; super::BLOCK]) {
