@@ -14,7 +14,7 @@ use ps_sim::{Scheduler, MICROS};
 
 use crate::app::App;
 
-use super::{Ev, Router};
+use super::{Due, Ev, Router};
 
 /// Interrupt delivery latency once fired.
 const INT_LATENCY: Time = 2 * MICROS;
@@ -36,107 +36,98 @@ impl<A: App> Router<A> {
         }
     }
 
-    pub(super) fn on_gen(&mut self, sched: &mut Scheduler<Ev>) {
-        let (meta, node, wire_done) = loop {
-            // The input port rotates deterministically, so hosting is
-            // decided from a free peek — an unhosted packet's metadata
-            // (and, with keyed flows, its tuple draw) is never built.
-            let node = self.node_of_port(self.gen.peek_port());
-            if !self.hosted(node) {
-                // Another shard simulates this packet; every shard
-                // replays the same generator pacing so skipping it
-                // here touches nothing — the hosted subset evolves
-                // packet-for-packet like the sequential run.
-                self.gen.skip_meta();
-                let next = self.gen_peek_next();
-                if next >= self.stop_at {
-                    return;
-                }
-                if !self.cross_windowed && sched.peek_time().is_none_or(|t| next < t) {
-                    continue;
-                }
-                self.schedule_gen(sched, next);
+    /// The generator's next packet reaches its NIC port: admit or drop
+    /// it (hosted packets only), then queue the arrival after it until
+    /// the generation window ends.
+    pub(super) fn on_arrival(&mut self, sched: &mut Scheduler<Ev>) {
+        // The input port rotates deterministically, so hosting is
+        // decided from a free peek — an unhosted packet's metadata
+        // (and, with keyed flows, its tuple draw) is never built.
+        let node = self.node_of_port(self.gen.peek_port());
+        if self.hosted(node) {
+            self.admit(sched, node);
+        } else {
+            // Another shard simulates this packet; every shard replays
+            // the same generator pacing so skipping it here touches
+            // nothing — the hosted subset evolves packet-for-packet like
+            // the sequential run.
+            self.gen.skip_meta();
+        }
+        let next = self.gen.next_time();
+        if next < self.stop_at {
+            self.due
+                .push(sched, Self::ARRIVALS, next, Due::Arrival, Due::event);
+        }
+    }
+
+    /// NIC admission of one hosted packet: closed-loop throttle, RX
+    /// wire, injected faults, descriptor starvation, and for admitted
+    /// frames the RX DMA whose completion lands in a worker's ring.
+    fn admit(&mut self, sched: &mut Scheduler<Ev>, node: usize) {
+        let meta = self.gen.next_meta();
+        debug_assert!(meta.t >= sched.now());
+        if meta.t >= self.measure_from {
+            self.stats.offered.add(meta.len as u64);
+        }
+
+        // Closed-loop source throttle: the target RX ring reports its
+        // occupancy upward; at or above the watermark the source
+        // consumes the paced slot but drops at the generator — the
+        // frame is never built and touches neither the wire nor the
+        // fabric. Ring state at this instant is deterministic (every
+        // earlier event and completion has run), and for hosted
+        // packets it is shard-local, so the verdict is identical at
+        // every shard count.
+        if let LoadMode::ClosedLoop { high_watermark } = self.gen.spec().load {
+            let w = self.worker_for_hash(meta.rss_hash(), meta.port);
+            if self.ring(w).len() >= high_watermark as usize {
+                self.stats.drops.backpressure += 1;
                 return;
             }
-            let meta = self.gen.next_meta();
-            debug_assert!(meta.t >= sched.now());
-            if meta.t >= self.measure_from {
-                self.stats.offered.add(meta.len as u64);
-            }
+        }
 
-            // Closed-loop source throttle: the target RX ring reports
-            // its occupancy upward; at or above the watermark the
-            // source consumes the paced slot but drops at the
-            // generator — the frame is never built and touches
-            // neither the wire nor the fabric. Ring state at this
-            // instant is deterministic (every earlier event has been
-            // dispatched), and for hosted packets it is shard-local,
-            // so the verdict is identical at every shard count.
-            if let LoadMode::ClosedLoop { high_watermark } = self.gen.spec().load {
-                let w = self.worker_for_hash(meta.rss_hash(), meta.port);
-                if self.ring(w).len() >= high_watermark as usize {
-                    self.stats.drops.backpressure += 1;
-                    let next = self.gen_peek_next();
-                    if next >= self.stop_at {
-                        return;
-                    }
-                    // Same drain shortcut as the NIC-drop path below:
-                    // the verdict reads ring state too, but only when
-                    // the next arrival strictly precedes every pending
-                    // event — nothing can mutate a ring in between.
-                    if !self.cross_windowed && sched.peek_time().is_none_or(|t| next < t) {
-                        continue;
-                    }
-                    self.schedule_gen(sched, next);
-                    return;
-                }
-            }
-
-            // Wire serialization into the NIC, then RX DMA through the
-            // node's IOH into the huge packet buffer. The frame itself
-            // is built only if the NIC admits it.
-            let wire_done = self.port_mut(meta.port).rx_arrival(meta.t, meta.len);
-            // Injected NIC faults (link-flap windows, starvation
-            // bursts) kill the frame at the MAC before the admission
-            // check; they consume RX wire time like any arrival but no
-            // fabric bandwidth.
-            let local_port = meta.port.0 as usize % self.cfg.ports_per_node() as usize;
-            let faulted = match self.plan.as_mut() {
-                Some(plan) => {
-                    let port = &mut self.nodes[node].ports[local_port];
-                    if !port.link_up(wire_done) {
-                        plan.note_flap_drop(meta.port.0);
-                        port.fault_drops += 1;
-                        true
-                    } else {
-                        match plan.nic_fault(meta.port.0, wire_done) {
-                            Some(NicFault::LinkFlap { down_ns }) => {
-                                port.set_link_down(wire_done + down_ns);
-                                port.fault_drops += 1;
-                                true
-                            }
-                            Some(NicFault::Starve) => {
-                                port.fault_drops += 1;
-                                true
-                            }
-                            None => false,
+        // Wire serialization into the NIC, then RX DMA through the
+        // node's IOH into the huge packet buffer. The frame itself is
+        // built only if the NIC admits it.
+        let wire_done = self.port_mut(meta.port).rx_arrival(meta.t, meta.len);
+        // Injected NIC faults (link-flap windows, starvation bursts)
+        // kill the frame at the MAC before the admission check; they
+        // consume RX wire time like any arrival but no fabric
+        // bandwidth.
+        let local_port = meta.port.0 as usize % self.cfg.ports_per_node() as usize;
+        let faulted = match self.plan.as_mut() {
+            Some(plan) => {
+                let port = &mut self.nodes[node].ports[local_port];
+                if !port.link_up(wire_done) {
+                    plan.note_flap_drop(meta.port.0);
+                    port.fault_drops += 1;
+                    true
+                } else {
+                    match plan.nic_fault(meta.port.0, wire_done) {
+                        Some(NicFault::LinkFlap { down_ns }) => {
+                            port.set_link_down(wire_done + down_ns);
+                            port.fault_drops += 1;
+                            true
                         }
+                        Some(NicFault::Starve) => {
+                            port.fault_drops += 1;
+                            true
+                        }
+                        None => false,
                     }
                 }
-                None => false,
-            };
-            // Descriptor starvation: drop in the NIC before the DMA if
-            // the IOH's inbound backlog is past the posted-descriptor
-            // horizon (dropped frames must not consume fabric
-            // bandwidth).
-            if !faulted
-                && self.nodes[node]
-                    .ioh
-                    .backlog(wire_done, Direction::DeviceToHost)
-                    <= RX_ADMIT_BACKLOG
-            {
-                break (meta, node, wire_done);
             }
+            None => false,
+        };
+        // Descriptor starvation: drop in the NIC before the DMA if the
+        // IOH's inbound backlog is past the posted-descriptor horizon
+        // (dropped frames must not consume fabric bandwidth).
+        if faulted
+            || self.nodes[node]
+                .ioh
+                .backlog(wire_done, Direction::DeviceToHost)
+                > RX_ADMIT_BACKLOG
+        {
             self.stats.nic_drops += 1;
             // Ledger the cause separately — injected faults and
             // descriptor starvation share the NIC-drop total (which
@@ -147,25 +138,9 @@ impl<A: App> Router<A> {
             } else {
                 self.stats.drops.nic_admission += 1;
             }
-            let next = self.gen_peek_next();
-            if next >= self.stop_at {
-                return;
-            }
-            // The drop verdict reads only generator, RX-wire, and
-            // inbound-IOH state, all mutated exclusively here — so
-            // while the next arrival strictly precedes every other
-            // pending event (which could advance the IOH's shared
-            // capacity horizon), consecutive drops drain in this loop
-            // instead of paying one scheduler round-trip each. In a
-            // windowed parallel run the shortcut is off: `Gen` must
-            // not run ahead of a window deadline, because barrier
-            // deliveries reserve the same IOH capacity.
-            if !self.cross_windowed && sched.peek_time().is_none_or(|t| next < t) {
-                continue;
-            }
-            self.schedule_gen(sched, next);
             return;
-        };
+        }
+
         let len = meta.len;
         let mut dma_done =
             self.nodes[node]
@@ -177,7 +152,7 @@ impl<A: App> Router<A> {
             // structure (blind RSS x blind buffer allocation, see
             // `Placement::remote_fraction`), so their DMA crosses the
             // other IOH too.
-            if meta.id % 4 != 0 {
+            if !meta.id.is_multiple_of(4) {
                 let other = (node + 1) % self.cfg.nodes;
                 let mirrored =
                     self.nodes[other]
@@ -210,55 +185,22 @@ impl<A: App> Router<A> {
                 p.corrupted = true;
             }
         }
-        let pkt = self.event_box(p);
-        let ev = Ev::RxReady { worker, pkt };
+        let done = Due::Rx { worker, pkt: p };
         if crossed {
             // A node's crossing packets finish at the max of *two*
             // IOH horizons while its local-only packets track one, so
-            // the interleaved per-node stream is not monotone — those
-            // completions take the heap.
-            sched.at(dma_done, ev);
+            // the interleaved per-node stream is not monotone.
+            self.due.push_unordered(sched, dma_done, done, Due::event);
         } else {
-            // Local-only RX completions come out of the node IOH's
-            // bandwidth server in nondecreasing order: a FIFO lane
-            // spares the heap. Priority completions are a subsequence
-            // of that same monotone stream, so they keep the lane
-            // contract on their own dedicated lane.
-            let lane = if prio { self.prio_rx_lane(node) } else { node };
-            sched.at_fifo(lane, dma_done, ev);
-        }
-
-        // Next arrival (open loop) until the generation window ends.
-        let next = self.gen_peek_next();
-        if next < self.stop_at {
-            self.schedule_gen(sched, next);
+            let lane = Self::rx_lane(node, prio);
+            self.due.push(sched, lane, dma_done, done, Due::event);
         }
     }
 
-    /// Schedule the next `Gen` event. The generator paces arrivals in
-    /// nondecreasing order, so the whole Gen chain rides one dedicated
-    /// FIFO lane (just past the per-port TX lanes) instead of churning
-    /// the heap — `at_fifo` is observably identical to `at`, this is
-    /// pure constant-factor relief for the hottest event in the run.
-    /// It matters most in shard replicas, which replay the full
-    /// generator stream and pay one Gen round-trip per skipped packet.
-    fn schedule_gen(&self, sched: &mut Scheduler<Ev>, next: Time) {
-        sched.at_fifo(self.cfg.nodes + self.cfg.ports as usize, next, Ev::Gen);
-    }
-
-    /// The arrival time the generator will stamp on its next packet.
-    fn gen_peek_next(&self) -> Time {
-        self.gen.next_time()
-    }
-
-    pub(super) fn on_rx_ready(
-        &mut self,
-        sched: &mut Scheduler<Ev>,
-        worker: usize,
-        pkt: Box<Packet>,
-    ) {
+    /// An RX DMA completed: the frame lands in its worker's ring (or is
+    /// tail-dropped), and an idle worker gets its interrupt.
+    pub(super) fn on_rx_done(&mut self, sched: &mut Scheduler<Ev>, worker: usize, pkt: Packet) {
         let now = sched.now();
-        let pkt = self.event_unbox(pkt);
         let prio = pkt.priority;
         let ring = if prio {
             self.prio_ring_mut(worker)

@@ -4,22 +4,18 @@
 //! the same instant fire in scheduling order, which makes every run
 //! bit-for-bit reproducible regardless of queue internals.
 //!
-//! Internally the queue is three structures with one total order:
-//!
-//! * a **binary heap** holding arbitrary events;
-//! * a one-entry **next slot** caching an event known to precede
-//!   everything in the heap — the common "schedule the immediate next
-//!   arrival" pattern then never touches the heap at all;
-//! * **FIFO lanes** ([`Scheduler::at_fifo`]) for streams whose
-//!   completion times are nondecreasing (bandwidth/serialization
-//!   servers): appending to a sorted deque is O(1) where a heap push
-//!   plus pop costs two `O(log n)` sifts over a cache-hostile array.
-//!
-//! Every pop takes the `(time, seq)` minimum across all three, so the
-//! dispatch order is exactly the one a single global heap would give.
+//! Internally the queue is a **binary heap** plus a one-entry **next
+//! slot** caching an event known to precede everything in the heap —
+//! the common "schedule the immediate next arrival" pattern then never
+//! touches the heap at all. Every pop takes the `(time, seq)` minimum
+//! of the two, so the dispatch order is exactly the one a single heap
+//! would give. Streams of items whose order is known in advance (DMA
+//! and wire completions, generator arrivals) do not go through the
+//! queue one by one: [`crate::Completions`] keeps them and holds one
+//! event here for the earliest.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::Time;
 use crate::Model;
@@ -58,14 +54,16 @@ impl<E> Ord for Entry<E> {
 /// [`Model::handle`] so handlers can schedule follow-up events.
 pub struct Scheduler<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// When occupied, an event whose key precedes every heap entry
-    /// (lane heads may still precede it; `pop` checks).
+    /// When occupied, an event whose key precedes every heap entry.
     next: Option<Entry<E>>,
-    /// FIFO lanes: each deque is sorted by construction (nondecreasing
-    /// times, increasing seq).
-    lanes: Vec<VecDeque<Entry<E>>>,
     seq: u64,
     now: Time,
+    /// Key of the event being dispatched (the last one popped).
+    current: (Time, u64),
+    /// Deadline of the `run_until` / `pop_due` call in progress: no
+    /// event later than this may run in it, and neither may a
+    /// [`crate::Completions`] item.
+    horizon: Time,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -80,9 +78,10 @@ impl<E> Scheduler<E> {
         Scheduler {
             heap: BinaryHeap::new(),
             next: None,
-            lanes: Vec::new(),
             seq: 0,
             now: 0,
+            current: (0, 0),
+            horizon: Time::MAX,
         }
     }
 
@@ -92,11 +91,10 @@ impl<E> Scheduler<E> {
         self.now
     }
 
-    /// Number of pending events.
+    /// Number of pending events (a [`crate::Completions`] set counts
+    /// as the events it holds here, not as its items).
     pub fn pending(&self) -> usize {
-        self.heap.len()
-            + usize::from(self.next.is_some())
-            + self.lanes.iter().map(VecDeque::len).sum::<usize>()
+        self.heap.len() + usize::from(self.next.is_some())
     }
 
     /// Schedule `ev` at absolute time `t`.
@@ -150,42 +148,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Schedule `ev` at absolute time `t` on FIFO lane `lane`,
-    /// equivalent to [`Scheduler::at`] in every observable way.
-    ///
-    /// Lanes suit event streams whose times are nondecreasing — DMA
-    /// or wire completions out of a bandwidth server. Lanes are
-    /// created on first use.
-    ///
-    /// # Panics
-    /// Panics if `t` is in the past, or precedes the last event
-    /// already queued on this lane (the lane contract).
-    pub fn at_fifo(&mut self, lane: usize, t: Time, ev: E) {
-        assert!(
-            t >= self.now,
-            "event scheduled in the past: t={} now={}",
-            t,
-            self.now
-        );
-        if lane >= self.lanes.len() {
-            self.lanes.resize_with(lane + 1, VecDeque::new);
-        }
-        let q = &mut self.lanes[lane];
-        if let Some(back) = q.back() {
-            assert!(
-                back.time <= t,
-                "fifo lane {lane} not monotone: {} then {t}",
-                back.time
-            );
-        }
-        self.seq += 1;
-        q.push_back(Entry {
-            time: t,
-            seq: self.seq,
-            ev,
-        });
-    }
-
     /// Schedule `ev` after a delay of `d` nanoseconds.
     pub fn after(&mut self, d: Time, ev: E) {
         self.at(self.now + d, ev);
@@ -197,23 +159,35 @@ impl<E> Scheduler<E> {
         self.at(self.now, ev);
     }
 
-    /// Key of the earliest pending event, across all three structures.
-    /// Crate-visible so the shard merge ([`crate::shard`]) can order
-    /// heads across shards by `(time, shard, seq)`.
+    /// Key of the earliest pending event. Crate-visible so the shard
+    /// merge ([`crate::shard`]) can order heads across shards by
+    /// `(time, shard, seq)`.
+    #[inline]
     pub(crate) fn peek_key(&self) -> Option<(Time, u64)> {
-        let mut best = match &self.next {
+        match &self.next {
             Some(n) => Some(n.key()),
             None => self.heap.peek().map(|Reverse(h)| h.key()),
-        };
-        for q in &self.lanes {
-            if let Some(h) = q.front() {
-                let k = h.key();
-                if best.is_none_or(|b| k < b) {
-                    best = Some(k);
-                }
-            }
         }
-        best
+    }
+
+    /// Key of the event being dispatched.
+    pub(crate) fn current_key(&self) -> (Time, u64) {
+        self.current
+    }
+
+    /// Deadline of the `run_until` / `pop_due` call in progress.
+    #[inline]
+    pub(crate) fn horizon(&self) -> Time {
+        self.horizon
+    }
+
+    /// Drop the earliest pending event unseen: its owner is handling
+    /// it inside the event being dispatched (see
+    /// [`crate::Completions`]).
+    pub(crate) fn discard_next(&mut self) {
+        if self.next.take().is_none() {
+            self.heap.pop();
+        }
     }
 
     /// Time of the earliest pending event, if any.
@@ -235,47 +209,29 @@ impl<E> Scheduler<E> {
     /// Advance the clock to `t` without dispatching anything (no-op if
     /// the clock is already past `t`). Shard workers call this at every
     /// window barrier so cross-shard deliveries for the next window are
-    /// never "in the past" of an idle shard.
+    /// never "in the past" of an idle shard; [`crate::Completions`]
+    /// moves it to each item it settles.
     pub(crate) fn advance_clock(&mut self, t: Time) {
         if self.now < t {
             self.now = t;
         }
     }
 
-    /// Pop the earliest event unless its time exceeds `deadline`.
-    /// One scan decides both "is there a due event" and "which one" —
-    /// the driver loop would otherwise pay the three-structure scan
-    /// twice per dispatch (peek, then pop).
+    /// Pop the earliest event unless its time exceeds `deadline`,
+    /// which becomes the horizon for the event popped.
     fn pop_at_or_before(&mut self, deadline: Time) -> Option<(Time, E)> {
-        /// Where the minimum lives.
-        enum Src {
-            Slot,
-            Heap,
-            Lane(usize),
-        }
-        let mut best = match &self.next {
-            Some(n) => Some((n.key(), Src::Slot)),
-            None => self.heap.peek().map(|Reverse(h)| (h.key(), Src::Heap)),
-        };
-        for (i, q) in self.lanes.iter().enumerate() {
-            if let Some(h) = q.front() {
-                let k = h.key();
-                if best.as_ref().is_none_or(|(b, _)| k < *b) {
-                    best = Some((k, Src::Lane(i)));
-                }
-            }
-        }
-        let (k, src) = best?;
+        self.horizon = deadline;
+        let k = self.peek_key()?;
         if k.0 > deadline {
             return None;
         }
-        let e = match src {
-            Src::Slot => self.next.take().expect("slot occupied"),
-            Src::Heap => self.heap.pop().expect("heap non-empty").0,
-            Src::Lane(i) => self.lanes[i].pop_front().expect("lane non-empty"),
+        let e = match self.next.take() {
+            Some(n) => n,
+            None => self.heap.pop().expect("heap non-empty").0,
         };
         debug_assert!(e.time >= self.now);
         self.now = e.time;
+        self.current = k;
         Some((e.time, e.ev))
     }
 }
@@ -429,42 +385,96 @@ mod tests {
         assert_eq!(sim.now(), 1000);
     }
 
+    /// Event that starts a run of [`Lanes::c`].
+    const RUN: u32 = u32::MAX;
+
+    /// Items on [`crate::Completions`] lanes, settled in runs; every
+    /// other event is recorded as it is.
+    struct Lanes {
+        c: crate::Completions<u32>,
+        seen: Vec<(Time, u32)>,
+    }
+
+    impl Model for Lanes {
+        type Event = u32;
+        fn handle(&mut self, sched: &mut Scheduler<u32>, ev: u32) {
+            if ev != RUN {
+                self.seen.push((sched.now(), ev));
+                return;
+            }
+            assert!(self.c.fired(sched));
+            while let Some(v) = self.c.next(sched, |_| RUN) {
+                self.seen.push((sched.now(), v));
+            }
+        }
+    }
+
+    fn lanes(n: usize) -> Simulation<Lanes> {
+        Simulation::new(Lanes {
+            c: crate::Completions::new(n),
+            seen: vec![],
+        })
+    }
+
     #[test]
     fn fifo_lanes_interleave_with_heap_in_global_order() {
-        let mut sim = recorder(false);
-        // Lane 0: monotone stream; lane 1: another; heap: odd times.
-        sim.sched.at_fifo(0, 10, 1);
-        sim.sched.at_fifo(0, 30, 3);
-        sim.sched.at_fifo(1, 20, 2);
+        let mut sim = lanes(2);
+        let Simulation { model, sched } = &mut sim;
+        // Lane 0: monotone stream; lane 1: another; the unordered
+        // lane: 31 then 8; heap: odd times.
+        model.c.push(sched, 0, 10, 1, |_| RUN);
+        model.c.push(sched, 0, 30, 3, |_| RUN);
+        model.c.push(sched, 1, 20, 2, |_| RUN);
+        model.c.push_unordered(sched, 31, 4, |_| RUN);
+        model.c.push_unordered(sched, 8, 0, |_| RUN);
         sim.schedule(15, 10);
         sim.schedule(25, 20);
         sim.schedule(5, 0);
-        sim.run_to_completion();
+        // Three heap events, and a run after each of them plus the one
+        // the push of time 8 needed ahead of time 10.
+        assert_eq!(sim.run_to_completion(), 3 + 3);
         assert_eq!(
             sim.model.seen,
-            vec![(5, 0), (10, 1), (15, 10), (20, 2), (25, 20), (30, 3)]
+            vec![
+                (5, 0),
+                (8, 0),
+                (10, 1),
+                (15, 10),
+                (20, 2),
+                (25, 20),
+                (30, 3),
+                (31, 4)
+            ]
         );
     }
 
     #[test]
     fn fifo_lane_ties_fire_in_scheduling_order() {
-        // Same instant across lane, heap and slot: scheduling order
+        // Same instant across lanes, slot and heap: scheduling order
         // (= seq order) decides, exactly as a single heap would.
-        let mut sim = recorder(false);
+        let mut sim = lanes(2);
         sim.schedule(5, 1); // slot
-        sim.sched.at_fifo(0, 5, 2);
+        let Simulation { model, sched } = &mut sim;
+        model.c.push(sched, 0, 5, 2, |_| RUN);
         sim.schedule(5, 3); // heap
-        sim.sched.at_fifo(0, 5, 4);
+        let Simulation { model, sched } = &mut sim;
+        model.c.push_unordered(sched, 5, 4, |_| RUN);
+        model.c.push(sched, 1, 5, 5, |_| RUN);
+        sim.schedule(5, 6);
+        let Simulation { model, sched } = &mut sim;
+        model.c.push(sched, 0, 5, 7, |_| RUN);
         sim.run_to_completion();
-        assert_eq!(sim.model.seen, vec![(5, 1), (5, 2), (5, 3), (5, 4)]);
+        let order: Vec<u32> = sim.model.seen.iter().map(|&(_, v)| v).collect();
+        assert_eq!(order, [1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]
     #[should_panic(expected = "not monotone")]
     fn fifo_lane_rejects_time_regression() {
         let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.at_fifo(0, 10, 1);
-        sched.at_fifo(0, 9, 2);
+        let mut c = crate::Completions::new(1);
+        c.push(&mut sched, 0, 10, 1, |_| RUN);
+        c.push(&mut sched, 0, 9, 2, |_| RUN);
     }
 
     #[test]
@@ -487,10 +497,13 @@ mod tests {
         let mut sched: Scheduler<u32> = Scheduler::new();
         sched.at(10, 1); // slot
         sched.at(20, 2); // heap
-        sched.at_fifo(0, 15, 3); // lane
+        sched.at(15, 3); // heap
         assert_eq!(sched.pending(), 3);
         sched.pop();
         assert_eq!(sched.pending(), 2);
+        sched.discard_next();
+        assert_eq!(sched.pending(), 1);
+        assert_eq!(sched.pop(), Some((20, 2)));
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //!   clock ([`Simulation`], [`Scheduler`]),
 //! * folded wake-ups for polling threads whose wake events re-arm
 //!   themselves ([`FoldedWakes`]),
+//! * completions settled in runs: items whose order is known when they
+//!   start (DMA, wire, generator arrivals) held behind one scheduler
+//!   event ([`Completions`]),
 //! * FIFO bandwidth servers used to model PCIe directions, IOH
 //!   directions and Ethernet wires ([`resource::BandwidthServer`]),
 //! * statistics primitives: counters, rate meters and log-bucketed
@@ -25,6 +28,7 @@
 
 #![deny(missing_docs)]
 
+pub mod completions;
 pub mod event;
 pub mod resource;
 pub mod rng;
@@ -34,6 +38,7 @@ pub mod time;
 pub mod trace_summary;
 pub mod wake;
 
+pub use completions::Completions;
 pub use event::{Scheduler, Simulation};
 pub use shard::{
     default_shard_threads, run_sharded, run_sharded_on, CrossQueue, ShardModel, ShardRunStats,

@@ -2,8 +2,8 @@
 //! model on plain OS threads.
 //!
 //! The data plane partitions into *shards* (one per NUMA domain in
-//! `ps-core`), each owning a private [`Scheduler`] — its own heap,
-//! next-slot and FIFO lanes — and a disjoint slice of model state.
+//! `ps-core`), each owning a private [`Scheduler`] — its own heap and
+//! next-slot — and a disjoint slice of model state.
 //! Shards interact only through **typed cross-shard messages** with a
 //! minimum latency `L` (the lookahead: in PacketShader terms, the
 //! cross-IOH/QPI hop). That bound is what makes parallel execution
@@ -91,6 +91,9 @@ impl<E> ShardedScheduler<E> {
 
     /// Pop the globally earliest event across all shards in
     /// `(time, shard, seq)` order. Returns `(shard, time, event)`.
+    /// Each shard's queue sets its own horizon, so a
+    /// [`crate::Completions`] run in the popped event's handler orders
+    /// itself against that shard's events only.
     pub fn pop_merged(&mut self) -> Option<(usize, Time, E)> {
         let mut best: Option<(Time, usize)> = None;
         for (i, s) in self.shards.iter().enumerate() {
