@@ -27,6 +27,26 @@ pub struct Dir24Layout {
     pub tbllong: usize,
 }
 
+impl Dir24Layout {
+    /// Byte offset of `addr`'s TBL24 entry: the first read of every
+    /// lookup.
+    #[inline]
+    pub fn tbl24_offset(&self, addr: u32) -> usize {
+        self.tbl24 + (addr >> 8) as usize * 2
+    }
+
+    /// Where `addr`'s TBL24 entry `e` leads: `None` when `e` is the
+    /// next hop itself, else the byte offset of the TBLlong entry that
+    /// holds it (the second, dependent read).
+    #[inline]
+    pub fn spill_offset(&self, e: u16, addr: u32) -> Option<usize> {
+        (e & LONG_FLAG != 0).then(|| {
+            let block = (e & !LONG_FLAG) as usize;
+            self.tbllong + (block * 256 + (addr & 0xFF) as usize) * 2
+        })
+    }
+}
+
 /// A built DIR-24-8 table: flat image + layout.
 ///
 /// Supports incremental route insertion (the FIB-update direction the
@@ -215,14 +235,11 @@ impl Dir24Table {
 /// `TBL24` read, plus one `TBLlong` read when the entry spills.
 #[inline]
 pub fn lookup<M: TableMem>(layout: &Dir24Layout, mem: &mut M, addr: u32) -> u16 {
-    let hi = (addr >> 8) as usize;
-    let e = mem.read_u16(layout.tbl24 + hi * 2);
-    if e & LONG_FLAG == 0 {
-        return e;
+    let e = mem.read_u16(layout.tbl24_offset(addr));
+    match layout.spill_offset(e, addr) {
+        None => e,
+        Some(off) => mem.read_u16(off),
     }
-    let block = (e & !LONG_FLAG) as usize;
-    let lo = (addr & 0xFF) as usize;
-    mem.read_u16(layout.tbllong + (block * 256 + lo) * 2)
 }
 
 /// Reference check helper: table lookup must equal the oracle.
