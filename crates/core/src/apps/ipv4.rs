@@ -30,6 +30,10 @@ pub struct Ipv4Program {
     version: u64,
 }
 
+/// Spare bytes a re-allocated device FIB keeps past the image: 256
+/// spill blocks of 256 two-byte entries.
+const SPILL_HEADROOM: usize = 256 * 512;
+
 /// One node's device copy of the FIB.
 pub struct DeviceFib {
     image: DeviceBuffer,
@@ -104,7 +108,14 @@ impl ColumnProgram for Ipv4Program {
             return ready;
         }
         fib.version = self.version;
-        eng.copy_h2d(ready, ioh, &fib.image, 0, self.table.image())
+        let image = self.table.image();
+        if image.len() > fib.image.len() {
+            // A new spill block outgrew the device copy. Device memory
+            // is never freed, so the image moves to an allocation with
+            // room for more blocks, not one per update.
+            fib.image = eng.dev.mem.alloc(image.len() + SPILL_HEADROOM);
+        }
+        eng.copy_h2d(ready, ioh, &fib.image, 0, image)
     }
 
     fn kernel<'a>(&'a self, fib: &'a DeviceFib, io: KernelIo) -> impl Kernel + 'a {
@@ -205,6 +216,55 @@ mod tests {
         assert!(t > 0);
         assert_eq!(after[0].out_port, Some(PortId(5)), "post-update: new /24");
         assert_eq!(app.lookup_host(u32::from(dst)), 5, "CPU table agrees");
+    }
+
+    /// A run-time route longer than /24, in a /24 that has no spill
+    /// block yet, grows the image by a block. The next launch moves the
+    /// device copy to a larger allocation instead of writing past its
+    /// end, and charges the whole image as any refresh does.
+    #[test]
+    fn fib_update_that_adds_a_spill_block_reaches_the_gpu() {
+        let mut app = Ipv4App::new(&routes());
+        // Room for the image twice: the first copy is never freed.
+        let dev = ps_gpu::GpuDevice::gtx480_with_mem(80 << 20);
+        let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
+        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
+        app.setup_gpu(0, &mut eng);
+        let dsts = [
+            Ipv4Addr::new(10, 11, 200, 129),
+            Ipv4Addr::new(10, 11, 200, 1),
+            Ipv4Addr::new(10, 11, 201, 1),
+        ];
+        let mut shade = |app: &mut Ipv4App| {
+            let mut pkts: Vec<Packet> = dsts.iter().map(|&d| packet(d)).collect();
+            app.pre_shade(&mut pkts);
+            app.shade(0, &mut eng, &mut ioh, 0, &mut pkts);
+            let hops = pkts.iter().map(|p| p.out_port.expect("routed").0);
+            (
+                hops.collect::<Vec<_>>(),
+                ioh.h2d_bytes(),
+                eng.dev.mem.remaining(),
+            )
+        };
+        let (hops, h2d, _) = shade(&mut app);
+        assert_eq!(hops, [2, 2, 2]);
+
+        let image = app.table.image().len();
+        app.install_route(Route4::new(0x0A0BC880, 25, 5));
+        assert_eq!(app.table.image().len(), image + 512, "one new spill block");
+        let (hops, h2d_after, free) = shade(&mut app);
+        assert_eq!(hops, [5, 2, 2], "/25, then the /16 it spilled from");
+        assert_eq!(
+            h2d_after - h2d,
+            (image + 512 + 3 * 4) as u64,
+            "image + column"
+        );
+
+        // The next new block fits the headroom: no further allocation.
+        app.install_route(Route4::new(0x0A0BC901, 32, 3));
+        let (hops, _, free_after) = shade(&mut app);
+        assert_eq!(hops, [5, 2, 3]);
+        assert_eq!(free_after, free);
     }
 
     #[test]
