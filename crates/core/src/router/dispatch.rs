@@ -427,18 +427,7 @@ impl<A: App> Router<A> {
         }
         while let Some(due) = self.due.next(sched, Due::event) {
             match due {
-                Due::Arrival => {
-                    self.on_arrival(sched);
-                    if self.cross_windowed {
-                        // Under conservative windows an arrival still
-                        // ends the run. Order does not need it: the
-                        // horizon stops every run at its window's end,
-                        // before any barrier delivery. It only adds
-                        // events.
-                        self.due.park(sched, Due::event);
-                        return;
-                    }
-                }
+                Due::Arrival => self.on_arrival(sched),
                 Due::Rx { worker, pkt } => self.on_rx_done(sched, worker, pkt),
                 Due::Tx(pkt) => self.on_tx_done(sched.now(), pkt),
             }

@@ -271,8 +271,9 @@ impl<T> Completions<T> {
 
     /// The next item of the run, with the clock moved to its time; or
     /// `None` when the next item may not run yet (an event or the
-    /// horizon comes first, or nothing is pending), which ends the run
-    /// as [`Completions::park`] does.
+    /// horizon comes first, or nothing is pending), which ends the run:
+    /// an event named by `ev` is queued at the earliest pending item's
+    /// own key unless one is there already.
     pub fn next<E>(&mut self, sched: &mut Scheduler<E>, ev: impl FnOnce(&T) -> E) -> Option<T> {
         assert!(self.settling, "Completions::next outside a run");
         let front = self.head();
@@ -301,9 +302,9 @@ impl<T> Completions<T> {
         None
     }
 
-    /// End the run now: queue an event at the earliest pending item's
-    /// own key unless one is there already.
-    pub fn park<E>(&mut self, sched: &mut Scheduler<E>, ev: impl FnOnce(&T) -> E) {
+    /// End the run: queue an event at the earliest pending item's own
+    /// key unless one is there already.
+    fn park<E>(&mut self, sched: &mut Scheduler<E>, ev: impl FnOnce(&T) -> E) {
         self.settling = false;
         let front = self.head();
         if front == EMPTY {
