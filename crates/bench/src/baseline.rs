@@ -37,7 +37,7 @@ use crate::workloads::{ipv4_app, ipv6_app, openflow_app, spec};
 use crate::{header, window_ms};
 
 /// The schema `--baseline` writes and `--compare` accepts.
-pub const SCHEMA: &str = "ps-bench-baseline/v2";
+pub(crate) const SCHEMA: &str = "ps-bench-baseline/v2";
 
 /// One exact row. `value` is gated on its written text: a
 /// [`Val::Int`], or a [`Val::F3`] at three decimals.
@@ -95,7 +95,7 @@ fn count_rows(out: &mut Vec<Row>, id: &str, runs: &[[u64; 3]]) {
 /// Every row of the baseline, in file order. Table sizes are scaled
 /// (not paper-sized) so setup stays small; what matters is that the
 /// set is stable across builds.
-pub fn run_workloads() -> Vec<Row> {
+pub(crate) fn run_workloads() -> Vec<Row> {
     let window = window_ms() * MILLIS;
     let mut out = Vec::new();
     let gpu = RouterConfig::paper_gpu();
@@ -174,7 +174,7 @@ pub fn run_workloads() -> Vec<Row> {
 /// gathers. The 53.2 → 45.1 µs improvement EXPERIMENTS.md quotes at
 /// half load is the adaptive + opportunistic profile of `ps-bench
 /// overload`, not these rows.
-pub fn latency_p99_rows(window: Time) -> Vec<Row> {
+pub(crate) fn latency_p99_rows(window: Time) -> Vec<Row> {
     let mut out = Vec::new();
     let modes = [
         ("fixed", LatencyConfig::off()),
@@ -194,7 +194,7 @@ pub fn latency_p99_rows(window: Time) -> Vec<Row> {
 }
 
 /// Serialize rows to the [`SCHEMA`] JSON.
-pub fn to_json(rows: &[Row]) -> String {
+pub(crate) fn to_json(rows: &[Row]) -> String {
     let window = ("window_ms", Val::Int(window_ms()));
     let rows: Vec<_> = rows.iter().map(fields).collect();
     report::to_json(&[("schema", Val::Str(SCHEMA)), window], &rows)
@@ -225,7 +225,10 @@ pub fn write_baseline(path: &str) -> std::io::Result<()> {
 /// not what this run writes (an older schema, another window), a row
 /// repeats, or a row lacks `id`, `metric` or `value` (named by its
 /// position; a row never borrows a field from the next one).
-pub fn parse_baseline(text: &str, window_ms: u64) -> Result<BTreeMap<String, String>, String> {
+pub(crate) fn parse_baseline(
+    text: &str,
+    window_ms: u64,
+) -> Result<BTreeMap<String, String>, String> {
     let (head, rows) = report::parse(text)?;
     let want = format!("schema={SCHEMA} window_ms={window_ms}");
     let have: Vec<_> = head.iter().map(|(k, v)| format!("{k}={v}")).collect();
@@ -266,7 +269,7 @@ pub fn drift(mut recorded: BTreeMap<String, String>, current: &[Row]) -> Vec<Str
 
 /// `--compare`: re-run the grid and gate every row at equality with
 /// the file. `Ok(n)` is the number of rows that differ; `Err` means
-/// the file cannot be compared (see [`parse_baseline`]).
+/// the file cannot be compared (see `parse_baseline`).
 pub fn compare(path: &str) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let recorded = parse_baseline(&text, window_ms()).map_err(|e| format!("{path}: {e}"))?;
@@ -289,10 +292,10 @@ pub struct Sample {
 }
 
 /// The shard counts the scaling matrix measures.
-pub const SCALING_COUNTS: [usize; 4] = [1, 2, 4, 8];
+pub(crate) const SCALING_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Speedup over x1 a scaling row must show.
-pub const SCALING_MIN: f64 = 1.2;
+pub(crate) const SCALING_MIN: f64 = 1.2;
 
 /// Run the replicated minimal workload at every [`SCALING_COUNTS`]
 /// under identical offered load: one NUMA domain per shard at the
@@ -302,7 +305,7 @@ pub const SCALING_MIN: f64 = 1.2;
 /// virtual-time result (asserted), so wall ratios between rows are
 /// the speedup. The three repeats are interleaved (x1, x2, x4, x8,
 /// x1, ...) so ambient drift spreads over every row's minimum.
-pub fn run_scaling_matrix(window: Time) -> Vec<Sample> {
+pub(crate) fn run_scaling_matrix(window: Time) -> Vec<Sample> {
     let mut cfg = RouterConfig::paper_cpu();
     cfg.nodes = 8;
     cfg.workers_per_node = 1;

@@ -12,12 +12,12 @@ use crate::{header, window_ms};
 /// Gather/scatter (Figure 10(b)): with it the master exposes more
 /// parallelism per kernel launch; without it every chunk launches
 /// alone and the per-launch overhead dominates. IPv6 64 B.
-pub fn gather_scatter() -> (f64, f64) {
+pub(crate) fn gather_scatter() -> (f64, f64) {
     gather_scatter_with(200_000)
 }
 
 /// Scaled variant.
-pub fn gather_scatter_with(prefixes: usize) -> (f64, f64) {
+pub(crate) fn gather_scatter_with(prefixes: usize) -> (f64, f64) {
     header("Ablation — gather/scatter (§5.4), IPv6 64 B");
     let mut on_cfg = RouterConfig::paper_gpu();
     on_cfg.gather = true;
@@ -86,7 +86,7 @@ pub fn opportunistic() -> ((f64, f64), (f64, f64)) {
 }
 
 /// Scaled variant. Returns `((lat_off, lat_on), (tput_off, tput_on))`.
-pub fn opportunistic_with(prefixes: usize) -> ((f64, f64), (f64, f64)) {
+pub(crate) fn opportunistic_with(prefixes: usize) -> ((f64, f64), (f64, f64)) {
     header("Ablation — opportunistic offloading (§7), IPv6 64 B");
     let run = |opportunistic, gbps: f64| {
         let mut cfg = RouterConfig::paper_gpu();

@@ -1,6 +1,6 @@
 //! Figure 11: the four applications, CPU-only vs CPU+GPU.
 
-use ps_core::apps::{IpsecApp, Ipv4App, Ipv6App};
+use ps_core::apps::IpsecApp;
 use ps_core::{Router, RouterConfig};
 use ps_pktgen::{TrafficKind, TrafficSpec};
 use ps_sim::MILLIS;
@@ -9,7 +9,7 @@ use crate::workloads::{self, spec};
 use crate::{header, window_ms};
 
 /// The standard packet-size sweep.
-pub const SIZES: [usize; 6] = [64, 128, 256, 512, 1024, 1514];
+pub(crate) const SIZES: [usize; 6] = [64, 128, 256, 512, 1024, 1514];
 
 /// Generic CPU-vs-GPU sweep over packet sizes.
 fn sweep<FA, FB>(
@@ -51,7 +51,7 @@ where
 }
 
 /// Object-safe adapter so the sweep can run different app types.
-pub trait RunApp {
+pub(crate) trait RunApp {
     /// Run the router and return delivered Gbps.
     fn run(self: Box<Self>, cfg: RouterConfig, spec: TrafficSpec) -> f64;
     /// Run and report at the *input* frame size (the IPsec metric).
@@ -68,7 +68,7 @@ impl<A: ps_core::App + Send + 'static> RunApp for A {
 }
 
 /// Figure 11(a): IPv4 forwarding (paper: 28 vs 39 Gbps at 64 B).
-pub fn fig11a_ipv4() -> Vec<(usize, f64, f64)> {
+pub(crate) fn fig11a_ipv4() -> Vec<(usize, f64, f64)> {
     fig11a_with(ps_lookup::synth::ROUTEVIEWS_PREFIXES, &SIZES)
 }
 
@@ -86,7 +86,7 @@ pub fn fig11a_with(prefixes: usize, sizes: &[usize]) -> Vec<(usize, f64, f64)> {
 }
 
 /// Figure 11(b): IPv6 forwarding (paper: ~8 vs 38 Gbps at 64 B).
-pub fn fig11b_ipv6() -> Vec<(usize, f64, f64)> {
+pub(crate) fn fig11b_ipv6() -> Vec<(usize, f64, f64)> {
     fig11b_with(200_000, &SIZES)
 }
 
@@ -105,7 +105,7 @@ pub fn fig11b_with(prefixes: usize, sizes: &[usize]) -> Vec<(usize, f64, f64)> {
 
 /// Figure 11(c): OpenFlow, 64 B packets, sweeping table sizes.
 /// Returns `(label, exact, wildcard, cpu Gbps, gpu Gbps)`.
-pub fn fig11c_openflow() -> Vec<(String, u32, usize, f64, f64)> {
+pub(crate) fn fig11c_openflow() -> Vec<(String, u32, usize, f64, f64)> {
     header("Figure 11(c) — OpenFlow switch, 64 B (paper: GPU ~32 Gbps @32K+32)");
     let mut rows = Vec::new();
     println!(
@@ -143,7 +143,7 @@ pub fn run_openflow(exact: u32, wildcards: usize) -> (f64, f64) {
 
 /// Figure 11(d): IPsec gateway (paper: ~2.8 vs 10.2 Gbps at 64 B,
 /// ~5.7 vs 20 Gbps at 1514 B; GPU gain ~3.5x).
-pub fn fig11d_ipsec() -> Vec<(usize, f64, f64)> {
+pub(crate) fn fig11d_ipsec() -> Vec<(usize, f64, f64)> {
     fig11d_with(&SIZES)
 }
 
@@ -160,14 +160,4 @@ pub fn fig11d_with(sizes: &[usize]) -> Vec<(usize, f64, f64)> {
         gpu_cfg,
         true,
     )
-}
-
-/// Convenience constructors used by examples/tests.
-pub fn ipv4_paper_app() -> Ipv4App {
-    workloads::ipv4_app(ps_lookup::synth::ROUTEVIEWS_PREFIXES, 1)
-}
-
-/// IPv6 app at paper scale.
-pub fn ipv6_paper_app() -> Ipv6App {
-    workloads::ipv6_app(200_000, 2)
 }

@@ -23,7 +23,7 @@ use crate::{header, window_ms, workloads};
 
 /// Injection rates swept (probability per opportunity). The 1% cell
 /// is the acceptance headline; 5% shows where degradation steepens.
-pub const RATES: [f64; 4] = [0.0, 0.001, 0.01, 0.05];
+pub(crate) const RATES: [f64; 4] = [0.0, 0.001, 0.01, 0.05];
 
 /// One sweep cell.
 #[derive(Debug, Clone)]
@@ -148,7 +148,7 @@ pub fn run(scenario: &str) -> Vec<Row> {
 
 /// Serialize sweep rows to the `ps-bench-degradation/v1` JSON schema
 /// (bytes pinned by a test).
-pub fn to_json(scenario: &str, seed: u64, rows: &[Row]) -> String {
+pub(crate) fn to_json(scenario: &str, seed: u64, rows: &[Row]) -> String {
     let rows: Vec<report::Fields> = rows
         .iter()
         .map(|r| {

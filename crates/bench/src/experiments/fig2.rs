@@ -20,10 +20,10 @@ use crate::{header, workloads};
 const TIGHT_LOOP_OVERLAP: f64 = 3.0;
 
 /// One row: `(batch, cpu1 Mops, cpu2 Mops, gpu Mops)`.
-pub type Fig2Row = (usize, f64, f64, f64);
+pub(crate) type Fig2Row = (usize, f64, f64, f64);
 
 /// CPU socket lookup rate (M lookups/s) for the given table.
-pub fn cpu_socket_rate(table: &V6Table, sample: &[u128]) -> f64 {
+pub(crate) fn cpu_socket_rate(table: &V6Table, sample: &[u128]) -> f64 {
     // Measure the true access count (probes + collisions) on a sample.
     let mut accesses = 0u64;
     for &a in sample {
@@ -40,7 +40,7 @@ pub fn cpu_socket_rate(table: &V6Table, sample: &[u128]) -> f64 {
 
 /// GPU lookup rate (M lookups/s) at a given batch size, including
 /// transfers and launch overhead.
-pub fn gpu_rate(table: &V6Table, addrs: &[u128], batch: usize) -> f64 {
+pub(crate) fn gpu_rate(table: &V6Table, addrs: &[u128], batch: usize) -> f64 {
     let image_len = table.image().len();
     let staging = batch * 16 + batch * 2;
     let mut dev = GpuDevice::gtx480_with_mem(image_len + staging + (4 << 20));
@@ -73,7 +73,7 @@ pub fn gpu_rate(table: &V6Table, addrs: &[u128], batch: usize) -> f64 {
 }
 
 /// Run Figure 2 with a table of `prefixes` prefixes.
-pub fn run_with(prefixes: usize) -> Vec<Fig2Row> {
+pub(crate) fn run_with(prefixes: usize) -> Vec<Fig2Row> {
     header("Figure 2 — IPv6 lookup throughput vs batch size (M lookups/s)");
     let routes = workloads::ipv6_routes(prefixes, 20100830);
     let table = V6Table::build(&routes);

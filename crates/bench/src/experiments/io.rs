@@ -15,7 +15,7 @@ use ps_sim::{MILLIS, SECONDS};
 use crate::{header, window_ms};
 
 /// Table 3: the legacy skb-path breakdown.
-pub fn table3_breakdown() -> Vec<(String, f64, u64)> {
+pub(crate) fn table3_breakdown() -> Vec<(String, f64, u64)> {
     header("Table 3 — CPU cycle breakdown in packet RX (legacy skb path)");
     let l = LinuxBaseline::default();
     println!(
@@ -81,7 +81,7 @@ pub fn fig5_batching() -> Vec<(usize, f64)> {
 
 /// Figure 6 rows per packet size:
 /// `(size, rx Gbps, tx Gbps, forward Gbps, node-crossing Gbps)`.
-pub fn fig6_io_engine() -> Vec<(usize, f64, f64, f64, f64)> {
+pub(crate) fn fig6_io_engine() -> Vec<(usize, f64, f64, f64, f64)> {
     header("Figure 6 — packet I/O engine (paper: TX ~80, RX 53-60, fwd >40)");
     let sizes = [64usize, 128, 256, 512, 1024, 1514];
     println!(

@@ -8,7 +8,7 @@ use ps_hw::spec::{GpuSpec, Testbed};
 use crate::header;
 
 /// Table 2: print the simulated server's specification.
-pub fn spec_table2() -> Testbed {
+pub(crate) fn spec_table2() -> Testbed {
     header("Table 2 — simulated testbed (paper: $7,000 server)");
     let t = Testbed::paper();
     println!(
@@ -29,10 +29,10 @@ pub fn spec_table2() -> Testbed {
 }
 
 /// Table 1 rows: `(bytes, paper h2d, model h2d, paper d2h, model d2h)`.
-pub type Table1Row = (u64, f64, f64, f64, f64);
+pub(crate) type Table1Row = (u64, f64, f64, f64, f64);
 
 /// Paper Table 1 values.
-pub const TABLE1_PAPER: &[(u64, f64, f64)] = &[
+pub(crate) const TABLE1_PAPER: &[(u64, f64, f64)] = &[
     (256, 55.0, 63.0),
     (1024, 185.0, 211.0),
     (4096, 759.0, 786.0),
@@ -43,7 +43,7 @@ pub const TABLE1_PAPER: &[(u64, f64, f64)] = &[
 ];
 
 /// Table 1: host↔device transfer rate vs buffer size.
-pub fn table1_pcie() -> Vec<Table1Row> {
+pub(crate) fn table1_pcie() -> Vec<Table1Row> {
     header("Table 1 — PCIe transfer rate (MB/s), paper vs model");
     let m = PcieModel::new(Testbed::paper().pcie);
     println!(
@@ -61,7 +61,7 @@ pub fn table1_pcie() -> Vec<Table1Row> {
 }
 
 /// §2.2: kernel launch latency for 1 vs 4096 threads.
-pub fn launch_latency() -> (f64, f64) {
+pub(crate) fn launch_latency() -> (f64, f64) {
     header("§2.2 — kernel launch latency (paper: 3.8 us @1, 4.1 us @4096)");
     let g = GpuSpec::gtx480();
     let one = timing::launch_overhead(&g, 1) as f64 / 1000.0;

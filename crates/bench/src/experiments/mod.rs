@@ -2,7 +2,7 @@
 //! table and returns the data, so integration tests can assert the
 //! shapes (who wins, crossovers, ceilings) without parsing text.
 
-pub mod ablations;
+pub(crate) mod ablations;
 pub mod apps;
 pub mod faults;
 pub mod fig2;
@@ -36,7 +36,7 @@ pub const BY_NAME: [(&str, fn()); 22] = [
     ("ablate-staging", || _ = staging::run()),
     ("nfv", nfv::run),
     ("nfv-apps", || _ = nfv::cross_nf()),
-    ("nfv-pressure", || _ = nfv::flow_pressure()),
+    ("nfv-pressure", nfv::flow_pressure),
     ("overload", || _ = overload::run()),
     ("trace-breakdown", || _ = trace::stage_breakdown()),
 ];

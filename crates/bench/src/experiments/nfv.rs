@@ -3,29 +3,28 @@
 //!
 //! Two artifacts:
 //!
-//! * [`cross_nf`] — IPv4 forwarding vs NAT vs LB under the *identical*
+//! * `cross_nf` — IPv4 forwarding vs NAT vs LB under the *identical*
 //!   IMIX + heavy-tail offered load, CPU-only and CPU+GPU. The gap to
 //!   plain forwarding is the price of per-packet state; the GPU column
 //!   shows what offloading the flow hash buys back.
-//! * [`flow_pressure`] — NAT throughput and flow-cache health while
+//! * `flow_pressure` — NAT throughput and flow-cache health while
 //!   the per-node table shrinks from comfortable to thrashing under an
 //!   ephemeral-flow storm (every packet a new flow, nothing expires).
 
 use ps_core::apps::{Backend, LbApp, NatApp};
 use ps_core::{App, RouterConfig};
-use ps_flow::FlowCacheStats;
 use ps_pktgen::{Generator, TrafficSpec};
 
 use crate::header;
 
 /// The standard stateful-NFV offered load: IMIX frame blend, 512
 /// heavy-tailed keyed flows at concentration exponent 3.
-pub fn nfv_spec(gbps: f64, seed: u64) -> TrafficSpec {
+pub(crate) fn nfv_spec(gbps: f64, seed: u64) -> TrafficSpec {
     TrafficSpec::imix(gbps, seed).with_heavy_tail(512, 3)
 }
 
 /// A 16-server backend pool for the load balancer runs.
-pub fn backend_pool() -> Vec<Backend> {
+pub(crate) fn backend_pool() -> Vec<Backend> {
     (0..16)
         .map(|i| Backend {
             ip: 0x0A63_0001 + i,
@@ -36,7 +35,7 @@ pub fn backend_pool() -> Vec<Backend> {
 
 /// Cross-NF comparison under identical load. Returns
 /// `(name, cpu_gbps, gpu_gbps)` rows.
-pub fn cross_nf() -> Vec<(&'static str, f64, f64)> {
+pub(crate) fn cross_nf() -> Vec<(&'static str, f64, f64)> {
     header("Stateful NFV — IPv4 vs NAT vs LB, identical IMIX load (Gbps)");
     println!(
         "{:>6} | {:>9} | {:>9} | {:>6}",
@@ -72,28 +71,17 @@ pub fn cross_nf() -> Vec<(&'static str, f64, f64)> {
     rows
 }
 
-/// One pressure cell: per-node table capacity vs what survived.
-pub struct PressureRow {
-    /// Per-node slot budget requested.
-    pub capacity: usize,
-    /// Concurrent entries resident after the storm.
-    pub occupancy: usize,
-    /// Summed flow-cache counters.
-    pub stats: FlowCacheStats,
-}
-
 /// Drive `n` ephemeral flows (IMIX, per-packet random tuples) straight
 /// through a NAT at several per-node table sizes. No router around it:
 /// this isolates the cache, so the eviction and displacement columns
 /// are the table's own, not backpressure artifacts.
-pub fn flow_pressure() -> Vec<PressureRow> {
+pub(crate) fn flow_pressure() {
     header("Stateful NFV — NAT flow-table pressure (ephemeral-flow storm)");
     println!(
         "{:>10} | {:>10} | {:>10} | {:>10} | {:>6}",
         "capacity", "occupancy", "evictions", "hit rate", "depth"
     );
     const N: usize = 400_000;
-    let mut rows = Vec::new();
     for shift in [14usize, 16, 18, 20] {
         let capacity = 1usize << shift;
         let mut nat = NatApp::new(8, 2, capacity, 0);
@@ -117,13 +105,7 @@ pub fn flow_pressure() -> Vec<PressureRow> {
             100.0 * stats.hits as f64 / (stats.lookups.max(1)) as f64,
             stats.max_depth,
         );
-        rows.push(PressureRow {
-            capacity,
-            occupancy,
-            stats,
-        });
     }
-    rows
 }
 
 /// Run both NFV artifacts (the `ps-bench nfv` entry point).

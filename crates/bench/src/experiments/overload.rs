@@ -35,12 +35,12 @@ use crate::report::{self, Val};
 use crate::{header, window_ms, workloads};
 
 /// Load factors swept, as fractions of the measured ceiling.
-pub const FACTORS: [f64; 6] = [0.5, 0.75, 1.0, 1.25, 1.5, 2.0];
+pub(crate) const FACTORS: [f64; 6] = [0.5, 0.75, 1.0, 1.25, 1.5, 2.0];
 
 /// Closed-loop high watermark: the source stops offering when the
 /// target RX ring holds this many frames. Half the default 128-entry
 /// ring keeps headroom for in-flight DMA completions.
-pub const HIGH_WATERMARK: u32 = 64;
+pub(crate) const HIGH_WATERMARK: u32 = 64;
 
 /// One measured cell of the sweep.
 #[derive(Debug, Clone)]
@@ -74,7 +74,7 @@ fn spec_at(gbps: f64) -> TrafficSpec {
 /// Measure the delivered ceiling: the paper pipeline under a
 /// saturating 80 Gbps open-loop offer. Virtual-time deterministic per
 /// window, so every sweep over the same window sees the same ceiling.
-pub fn measure_ceiling(prefixes: usize, window: u64) -> f64 {
+pub(crate) fn measure_ceiling(prefixes: usize, window: u64) -> f64 {
     let r = Router::run(
         RouterConfig::paper_gpu(),
         workloads::ipv4_app(prefixes, 1),
@@ -148,7 +148,7 @@ pub fn run() -> Vec<Row> {
 }
 
 /// Scaled variant (`prefixes` sizes the IPv4 FIB).
-pub fn run_with(prefixes: usize) -> Vec<Row> {
+pub(crate) fn run_with(prefixes: usize) -> Vec<Row> {
     header("Overload sweep — latency profiles across the throughput knee");
     let window = window_ms() * MILLIS;
     let ceiling = measure_ceiling(prefixes, window);
@@ -217,7 +217,7 @@ pub fn at<'a>(rows: &'a [Row], profile: &str, factor: f64) -> Option<&'a Row> {
 }
 
 /// The headline deltas the sweep is judged on.
-pub fn print_headlines(rows: &[Row]) {
+pub(crate) fn print_headlines(rows: &[Row]) {
     if let (Some(f), Some(a)) = (at(rows, "fixed", 0.5), at(rows, "adaptive", 0.5)) {
         println!(
             "0.5x: adaptive p99 sojourn {:.1} us vs fixed {:.1} us ({:.1}x lower)",
@@ -247,7 +247,7 @@ pub fn print_headlines(rows: &[Row]) {
 
 /// Serialize sweep rows to the `ps-bench-overload/v1` JSON schema
 /// (bytes pinned by a test).
-pub fn to_json(rows: &[Row]) -> String {
+pub(crate) fn to_json(rows: &[Row]) -> String {
     let rows: Vec<report::Fields> = rows
         .iter()
         .map(|r| {

@@ -29,7 +29,7 @@ pub const MODES: [Staging; 3] = [Staging::Frames, Staging::Soa, Staging::DirectD
 
 /// Gather depths the IPv4 sweep crosses with the modes (the paper
 /// config gathers up to 24 chunks per shading step).
-pub const GATHER_DEPTHS: [usize; 3] = [4, 12, 24];
+pub(crate) const GATHER_DEPTHS: [usize; 3] = [4, 12, 24];
 
 /// One measured cell of the ablation.
 #[derive(Debug, Clone)]
@@ -77,7 +77,7 @@ pub fn run() -> Vec<Row> {
 }
 
 /// Scaled variant (`prefixes` sizes the IPv4 FIB).
-pub fn run_with(prefixes: usize) -> Vec<Row> {
+pub(crate) fn run_with(prefixes: usize) -> Vec<Row> {
     header("Ablation — GPU staging: frames vs SoA columns vs NIC->GPU direct DMA");
     let window = window_ms() * MILLIS;
     let mut rows = Vec::new();
@@ -137,7 +137,7 @@ fn at_full_gather<'a>(rows: &'a [Row], app: &str, mode: &str) -> Option<&'a Row>
 }
 
 /// The headline deltas the ablation is judged on.
-pub fn print_deltas(rows: &[Row]) {
+pub(crate) fn print_deltas(rows: &[Row]) {
     for app in ["ipv4-64B", "openflow-64B"] {
         let (Some(frames), Some(soa), Some(direct)) = (
             at_full_gather(rows, app, "frames"),
@@ -164,7 +164,7 @@ pub fn print_deltas(rows: &[Row]) {
 
 /// Serialize sweep rows to the `ps-bench-staging/v1` JSON schema
 /// (bytes pinned by a test).
-pub fn to_json(rows: &[Row]) -> String {
+pub(crate) fn to_json(rows: &[Row]) -> String {
     let rows: Vec<report::Fields> = rows
         .iter()
         .map(|r| {

@@ -14,7 +14,7 @@ use ps_trace::Phase;
 use crate::{header, window_ms, workloads};
 
 /// The stages the breakdown reports, in pipeline order.
-pub const BREAKDOWN_STAGES: [&str; 6] = [
+pub(crate) const BREAKDOWN_STAGES: [&str; 6] = [
     "pre_shade",
     "gather",
     "copy_h2d",
@@ -33,7 +33,7 @@ pub struct StageBreakdownRow {
     /// `pkts` argument) — the normalization denominator.
     pub packets: u64,
     /// `(stage name, total ns, ns per packet)` in
-    /// [`BREAKDOWN_STAGES`] order.
+    /// `BREAKDOWN_STAGES` order.
     pub stages: Vec<(&'static str, u64, f64)>,
 }
 
@@ -50,7 +50,7 @@ impl StageBreakdownRow {
 /// Run the IPv4 app in the paper's CPU+GPU configuration across batch
 /// caps, tracing every run, and print copy vs. kernel vs. CPU time
 /// per packet.
-pub fn stage_breakdown() -> Vec<StageBreakdownRow> {
+pub(crate) fn stage_breakdown() -> Vec<StageBreakdownRow> {
     header("Per-stage breakdown — copy vs kernel vs CPU per batch size (IPv4, GPU)");
     let batches = [16usize, 64, 256];
     println!(
@@ -76,7 +76,7 @@ pub fn stage_breakdown() -> Vec<StageBreakdownRow> {
 }
 
 /// One traced run at the given batch cap, reduced to a breakdown row.
-pub fn breakdown_for_batch(batch: usize) -> StageBreakdownRow {
+pub(crate) fn breakdown_for_batch(batch: usize) -> StageBreakdownRow {
     let mut cfg = RouterConfig::paper_gpu();
     cfg.io.batch_cap = batch;
     let spec = TrafficSpec {
@@ -96,7 +96,7 @@ pub fn breakdown_for_batch(batch: usize) -> StageBreakdownRow {
 }
 
 /// Reduce a filled collector to a breakdown row.
-pub fn breakdown_from_collector(
+pub(crate) fn breakdown_from_collector(
     batch: usize,
     collector: &ps_trace::Collector,
 ) -> StageBreakdownRow {

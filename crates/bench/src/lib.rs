@@ -16,7 +16,7 @@ use std::time::Instant;
 
 /// Milliseconds of virtual time per throughput measurement. Raise for
 /// smoother numbers, lower for faster runs.
-pub fn window_ms() -> u64 {
+pub(crate) fn window_ms() -> u64 {
     std::env::var("PS_BENCH_MS")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -33,11 +33,11 @@ impl fmt::Display for Val<'_> {
 }
 
 /// `(key, value)` pairs in output order: a header, or one row.
-pub type Fields<'a> = Vec<(&'a str, Val<'a>)>;
+pub(crate) type Fields<'a> = Vec<(&'a str, Val<'a>)>;
 
 /// The header every sweep artifact starts with: its schema, the
 /// window and the shard count the run resolved from the environment.
-pub fn run_header(schema: &str) -> Fields<'_> {
+pub(crate) fn run_header(schema: &str) -> Fields<'_> {
     vec![
         ("schema", Val::Str(schema)),
         ("window_ms", Val::Int(crate::window_ms())),
@@ -49,7 +49,7 @@ pub fn run_header(schema: &str) -> Fields<'_> {
 }
 
 /// Serialize `header` (first entry: the schema) and `rows`.
-pub fn to_json(header: &[(&str, Val)], rows: &[Fields]) -> String {
+pub(crate) fn to_json(header: &[(&str, Val)], rows: &[Fields]) -> String {
     let mut s = String::from("{\n");
     for (k, v) in header {
         s += &format!("  \"{k}\": {v},\n");
@@ -65,7 +65,7 @@ pub fn to_json(header: &[(&str, Val)], rows: &[Fields]) -> String {
 
 /// Fields as read back: every value as the text it was written
 /// with (strings unquoted).
-pub type Pairs = Vec<(String, String)>;
+pub(crate) type Pairs = Vec<(String, String)>;
 
 /// The value of `key` among `fields`.
 pub fn get<'a>(fields: &'a Pairs, key: &str) -> Option<&'a str> {
@@ -73,7 +73,7 @@ pub fn get<'a>(fields: &'a Pairs, key: &str) -> Option<&'a str> {
     found.map(|(_, v)| v.as_str())
 }
 
-/// Read back what [`to_json`] writes — `(header, rows)` — one `{...}`
+/// Read back what `to_json` writes — `(header, rows)` — one `{...}`
 /// row at a time: a field is only ever looked for inside its own row.
 /// Not a JSON parser — no nesting, no escapes.
 pub fn parse(text: &str) -> Result<(Pairs, Vec<Pairs>), String> {

@@ -29,9 +29,9 @@ const ESP_FIXED_CYCLES: u64 = 250;
 const PRE_SHADE_CYCLES: u64 = 80;
 
 /// Staging capacity per launch.
-pub const MAX_GATHER_PKTS: usize = 32_768;
+pub(crate) const MAX_GATHER_PKTS: usize = 32_768;
 /// Packed payload staging bytes per launch.
-pub const MAX_GATHER_BYTES: usize = 24 << 20;
+pub(crate) const MAX_GATHER_BYTES: usize = 24 << 20;
 
 struct NodeGpu {
     payload: DeviceBuffer,

@@ -29,8 +29,16 @@ pub struct MinimalApp {
 
 impl MinimalApp {
     /// Minimal forwarding over `total_ports` ports.
+    ///
+    /// # Panics
+    /// Panics unless `total_ports` is even and at least 2: the
+    /// same-node pattern pairs ports and the node-crossing pattern
+    /// maps each port to the other half.
     pub fn new(pattern: ForwardPattern, total_ports: u16) -> MinimalApp {
-        assert!(total_ports.is_power_of_two() || total_ports.is_multiple_of(2));
+        assert!(
+            total_ports >= 2 && total_ports.is_multiple_of(2),
+            "minimal forwarding needs an even port count >= 2, got {total_ports}"
+        );
         MinimalApp {
             pattern,
             total_ports,
@@ -112,6 +120,18 @@ mod tests {
         let cross = MinimalApp::new(ForwardPattern::NodeCrossing, 8);
         assert_eq!(cross.out_port(PortId(0)), PortId(4));
         assert_eq!(cross.out_port(PortId(5)), PortId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "even port count >= 2, got 0")]
+    fn zero_ports_rejected() {
+        MinimalApp::new(ForwardPattern::NodeCrossing, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "even port count >= 2, got 1")]
+    fn one_port_rejected() {
+        MinimalApp::new(ForwardPattern::SameNode, 1);
     }
 
     #[test]

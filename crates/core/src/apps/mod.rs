@@ -48,7 +48,7 @@ pub const CYCLES_PER_NS: f64 = 2.66;
 /// In-router software-pipelining overlap for dependent table misses:
 /// the batch loop interleaves packets, but I/O work competes for MSHRs
 /// (cf. the tight lookup-only loop of Figure 2, which reaches ~3x).
-pub const ROUTER_LOOKUP_OVERLAP: f64 = 1.3;
+pub(crate) const ROUTER_LOOKUP_OVERLAP: f64 = 1.3;
 
 /// Decode one row of a next-hop result column (both LPM programs).
 pub(crate) fn decode_hop(row: &[u8]) -> u16 {

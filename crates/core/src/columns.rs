@@ -73,7 +73,7 @@ pub struct ColumnSet {
 
 /// Widest input column any program may declare: the CPU-only path
 /// parses into a stack slot of this size.
-pub const MAX_INPUT_WIDTH: usize = 32;
+pub(crate) const MAX_INPUT_WIDTH: usize = 32;
 
 /// Device bytes reserved per packet in frame-staging mode: one
 /// huge-packet-buffer cell, as the seed's I/O engine uses host-side.
@@ -83,7 +83,7 @@ pub const FRAME_SLOT: usize = 2048;
 /// [`FRAME_SLOT`] bytes). The paper-config master gathers at most
 /// `max_gather_chunks × batch_cap` ≈ 1.5 K packets per shading step,
 /// well under this; [`ColumnStage::upload`] asserts the bound.
-pub const FRAME_SLOTS: usize = 8192;
+pub(crate) const FRAME_SLOTS: usize = 8192;
 
 /// IPv4 forwarding: the kernel reads the 4-byte destination address
 /// (frame offset 30 = Ethernet 14 + IP dst 16) and writes a 2-byte
@@ -106,7 +106,7 @@ pub const IPV4_COLUMNS: ColumnSet = ColumnSet {
 
 /// IPv6 forwarding: 16-byte destination address (frame offset 38 =
 /// Ethernet 14 + IPv6 dst 24), 2-byte next-hop column back.
-pub const IPV6_COLUMNS: ColumnSet = ColumnSet {
+pub(crate) const IPV6_COLUMNS: ColumnSet = ColumnSet {
     kernel: "ipv6-waldvogel",
     input: ColumnSpec {
         name: "dst_ipv6",
@@ -125,7 +125,7 @@ pub const IPV6_COLUMNS: ColumnSet = ColumnSet {
 /// OpenFlow: the 32-byte padded canonical flow key (synthesized from
 /// the headers starting at the IP header, frame offset 14), 8-byte
 /// `(hash, action, scanned)` result column back.
-pub const OPENFLOW_COLUMNS: ColumnSet = ColumnSet {
+pub(crate) const OPENFLOW_COLUMNS: ColumnSet = ColumnSet {
     kernel: "openflow-hash+wildcard",
     input: ColumnSpec {
         name: "flow_key",
@@ -199,7 +199,7 @@ impl ColumnStage {
     /// and say how kernels address them under the active mode. In
     /// SoA/direct mode the input is exactly the packed column
     /// (`max_pkts × width` — the seed's allocation, so device addresses
-    /// stay identical); frame mode reserves [`FRAME_SLOTS`] frame cells
+    /// stay identical); frame mode reserves `FRAME_SLOTS` frame cells
     /// and points each thread at its field inside its cell. The output
     /// column is packed in every mode.
     pub fn alloc(&self, eng: &mut GpuEngine, max_pkts: usize) -> KernelIo {
@@ -274,7 +274,7 @@ impl ColumnStage {
     /// (`submit` = CPU queueing time, `ready` = kernel completion),
     /// emit the cumulative PCIe counters for this launch, and return
     /// `(completion, results)`.
-    pub fn download(
+    pub(crate) fn download(
         &mut self,
         eng: &mut GpuEngine,
         ioh: &mut Ioh,

@@ -25,20 +25,15 @@ pub struct PriorityClass {
     pub mask: u32,
     /// Required value of the examined bits.
     pub value: u32,
-    /// Fetch cap for the priority lane — deliberately small so
-    /// priority packets never wait behind a bulk-sized batch.
-    pub cap: usize,
 }
 
 impl PriorityClass {
-    /// Mark roughly one flow in `n` (a power of two) as priority,
-    /// with a fetch cap of 8.
-    pub fn one_in(n: u32) -> PriorityClass {
+    /// Mark roughly one flow in `n` (a power of two) as priority.
+    pub(crate) fn one_in(n: u32) -> PriorityClass {
         assert!(n.is_power_of_two(), "priority fraction must be 2^k");
         PriorityClass {
             mask: n - 1,
             value: 0,
-            cap: 8,
         }
     }
 
@@ -65,11 +60,6 @@ pub struct LatencyConfig {
     /// overload grows the queues, which grows the batches back to the
     /// paper's operating point.
     pub adaptive_batch: bool,
-    /// Floor of the adaptive fetch cap.
-    pub min_batch: usize,
-    /// Ring depth per unit of adaptive cap: `cap = depth /
-    /// depth_per_cap`, clamped to `[min_batch, io.batch_cap]`.
-    pub depth_per_cap: usize,
     /// Priority-lane classifier; [`None`] means no priority lane.
     pub priority: Option<PriorityClass>,
 }
@@ -79,8 +69,6 @@ impl LatencyConfig {
     pub fn off() -> LatencyConfig {
         LatencyConfig {
             adaptive_batch: false,
-            min_batch: 4,
-            depth_per_cap: 4,
             priority: None,
         }
     }
@@ -128,13 +116,8 @@ pub struct RouterConfig {
     pub gather: bool,
     /// Maximum chunks gathered into one shading step.
     pub max_gather_chunks: usize,
-    /// Chunk pipelining depth per worker (1 = disabled, §5.4).
-    pub pipeline_depth: usize,
     /// Opportunistic offloading (§7): small chunks take the CPU path.
     pub opportunistic: bool,
-    /// Chunk-size threshold below which opportunistic offloading
-    /// stays on the CPU.
-    pub opportunistic_threshold: usize,
     /// Device memory to allocate per simulated GPU (bytes). Sized to
     /// the workload to keep host memory use reasonable.
     pub gpu_mem_bytes: usize,
@@ -163,9 +146,7 @@ impl RouterConfig {
             concurrent_copy: false,
             gather: true,
             max_gather_chunks: 24,
-            pipeline_depth: 8,
             opportunistic: false,
-            opportunistic_threshold: 16,
             gpu_mem_bytes: 128 << 20,
             staging: Staging::Soa,
             faults: FaultSpec::none(),
@@ -198,7 +179,7 @@ impl RouterConfig {
     }
 
     /// Workers in the whole system.
-    pub fn total_workers(&self) -> usize {
+    pub(crate) fn total_workers(&self) -> usize {
         self.nodes * self.workers_per_node
     }
 

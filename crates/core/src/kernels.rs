@@ -25,7 +25,7 @@ use ps_openflow::WildcardTable;
 
 /// Adapter: a `TableMem` view over device memory for one buffer, so
 /// the *same* lookup code runs on host slices and GPU threads.
-pub struct CtxMem<'c, 'a> {
+pub(crate) struct CtxMem<'c, 'a> {
     ctx: &'c mut ThreadCtx<'a>,
     buf: DeviceBuffer,
 }
@@ -66,7 +66,7 @@ pub struct KernelIo {
 
 /// IPv4 forwarding-table lookup: one thread per packet (§5.5 "map
 /// each packet into an independent GPU thread").
-pub struct Ipv4Kernel {
+pub(crate) struct Ipv4Kernel {
     /// DIR-24-8 image location in device memory.
     pub table: DeviceBuffer,
     /// Image layout.
@@ -183,7 +183,7 @@ impl Kernel for Ipv6Kernel<'_> {
 /// OpenFlow offload: per-packet flow-key hash + wildcard linear
 /// search (§6.2.3 "we offload hash value calculation and the wildcard
 /// matching to GPU"). Exact-match resolution stays on the CPU.
-pub struct OpenFlowKernel<'a> {
+pub(crate) struct OpenFlowKernel<'a> {
     /// Serialized wildcard table (in device global memory).
     pub wildcard: DeviceBuffer,
     /// Number of wildcard entries.
@@ -200,10 +200,10 @@ pub struct OpenFlowKernel<'a> {
 
 /// Wildcard-table bytes that fit in shared memory alongside the
 /// block's other needs (the GTX480 has 48 KB per SM).
-pub const OF_SHARED_LIMIT: usize = 32 << 10;
+pub(crate) const OF_SHARED_LIMIT: usize = 32 << 10;
 
 /// Sentinel for "no wildcard entry matched".
-pub const OF_NO_MATCH: u16 = 0xFFFD;
+pub(crate) const OF_NO_MATCH: u16 = 0xFFFD;
 
 impl Kernel for OpenFlowKernel<'_> {
     fn name(&self) -> &str {
@@ -241,7 +241,7 @@ impl Kernel for OpenFlowKernel<'_> {
 }
 
 /// Rebuild a [`FlowKey`] from its canonical 31-byte serialization.
-pub fn flow_key_from_bytes(b: &[u8; 32]) -> FlowKey {
+pub(crate) fn flow_key_from_bytes(b: &[u8; 32]) -> FlowKey {
     FlowKey {
         in_port: u16::from_be_bytes([b[0], b[1]]),
         dl_src: b[2..8].try_into().expect("fixed"),
@@ -261,7 +261,7 @@ pub fn flow_key_from_bytes(b: &[u8; 32]) -> FlowKey {
 /// with the cuckoo table's hash function. The host applies the
 /// stateful table operations in arrival order with the hash
 /// precomputed — the same split as OpenFlow's hash offload (§6.2.3).
-pub struct FlowHashKernel {
+pub(crate) struct FlowHashKernel {
     /// In: 16 B key slots (13 canonical tuple bytes + pad); out: u64
     /// hashes.
     pub io: KernelIo,

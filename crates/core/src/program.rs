@@ -24,7 +24,7 @@ use crate::kernels::KernelIo;
 
 /// Maximum packets one gathered GPU launch can stage; the per-node
 /// device columns are sized for it.
-pub const MAX_GATHER: usize = 65_536;
+pub(crate) const MAX_GATHER: usize = 65_536;
 
 /// One packet program: what an application declares to be run by
 /// [`ColumnApp`] on the CPU-only path and on the GPU shading path.

@@ -32,6 +32,21 @@ use crate::config::Mode;
 use super::parallel::CrossTx;
 use super::Router;
 
+/// Chunks a CPU+GPU worker may have in flight at the master (§5.4
+/// pipelining).
+const PIPELINE_DEPTH: usize = 8;
+/// Chunk size below which opportunistic offloading (§7) keeps a
+/// chunk on the CPU.
+const OPPORTUNISTIC_THRESHOLD: usize = 16;
+/// Fetch cap for the priority lane: deliberately small so priority
+/// packets never wait behind a bulk-sized batch.
+const PRIORITY_CAP: usize = 8;
+/// Floor of the adaptive fetch cap.
+const MIN_BATCH: usize = 4;
+/// Ring depth per unit of adaptive cap: `cap = depth / DEPTH_PER_CAP`,
+/// clamped to `[MIN_BATCH, io.batch_cap]`.
+const DEPTH_PER_CAP: usize = 4;
+
 /// Router events.
 ///
 /// `Gen`, `RxReady` and `TxDone` all start a run of the router's
@@ -147,18 +162,14 @@ impl<A: App> Router<A> {
         // so latency-critical packets never wait behind a bulk batch.
         let can_fetch = match self.cfg.mode {
             Mode::CpuOnly => true,
-            Mode::CpuGpu => self.worker(w).outstanding < self.cfg.pipeline_depth,
+            Mode::CpuGpu => self.worker(w).outstanding < PIPELINE_DEPTH,
         };
         let fetch_prio = can_fetch && !self.prio_ring(w).is_empty();
         if fetch_prio || (can_fetch && !self.ring(w).is_empty()) {
             let mut pkts = self.free_batches.pop().unwrap_or_default();
             if fetch_prio {
-                let cap = self
-                    .cfg
-                    .latency
-                    .priority
-                    .map_or(self.cfg.io.batch_cap, |c| c.cap);
-                self.prio_ring_mut(w).pop_batch_into(&mut pkts, cap);
+                self.prio_ring_mut(w)
+                    .pop_batch_into(&mut pkts, PRIORITY_CAP);
                 ps_io::trace::trace_prio_ring_depth(w as u32, now, self.prio_ring(w).len() as u64);
             } else {
                 let cap = self.effective_batch_cap(w);
@@ -221,8 +232,7 @@ impl<A: App> Router<A> {
                 // gather/shade/scatter buys throughput with latency,
                 // which is the wrong trade for the priority lane.
                 Mode::CpuGpu => {
-                    fetch_prio
-                        || (self.cfg.opportunistic && pkts.len() < self.cfg.opportunistic_threshold)
+                    fetch_prio || (self.cfg.opportunistic && pkts.len() < OPPORTUNISTIC_THRESHOLD)
                 }
             };
             if use_cpu {
@@ -288,7 +298,7 @@ impl<A: App> Router<A> {
             return self.cfg.io.batch_cap;
         }
         let cap = self.cfg.io.batch_cap;
-        (self.ring(w).len() / lat.depth_per_cap.max(1)).clamp(lat.min_batch.min(cap), cap)
+        (self.ring(w).len() / DEPTH_PER_CAP).clamp(MIN_BATCH.min(cap), cap)
     }
 
     /// Post-shade + TX a finished chunk on worker `w`.

@@ -111,10 +111,26 @@ pub struct Router<A: App> {
 
 impl<A: App> Router<A> {
     /// Build a router; `stop_at` bounds packet generation.
+    ///
+    /// # Panics
+    /// Panics, naming the fields, on a layout the node shards cannot
+    /// hold: no nodes, no workers per node, or a port count that is
+    /// zero or does not split evenly over the nodes.
     pub fn new(cfg: RouterConfig, mut app: A, spec: TrafficSpec, stop_at: Time) -> Router<A> {
         assert_eq!(
             spec.ports, cfg.ports,
             "traffic spec and router must agree on port count"
+        );
+        assert!(cfg.nodes >= 1, "RouterConfig: nodes must be >= 1, got 0");
+        assert!(
+            cfg.workers_per_node >= 1,
+            "RouterConfig: workers_per_node must be >= 1, got 0"
+        );
+        assert!(
+            cfg.ports > 0 && usize::from(cfg.ports).is_multiple_of(cfg.nodes),
+            "RouterConfig: ports ({}) must be a nonzero multiple of nodes ({})",
+            cfg.ports,
+            cfg.nodes
         );
         app.set_staging(cfg.staging);
         let nodes = (0..cfg.nodes)

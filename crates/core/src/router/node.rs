@@ -57,6 +57,10 @@ pub(crate) struct MasterState {
     pub splits: Vec<(Chunk, usize)>,
 }
 
+/// Descriptors per RX ring, bulk and priority alike (the 82599's
+/// per-queue ring size in the paper's setup).
+const RING_ENTRIES: usize = 1024;
+
 /// All hardware owned by one NUMA domain.
 pub(crate) struct NodeShard {
     /// This node's NIC ports (globally, ports
@@ -119,10 +123,10 @@ impl NodeShard {
             splits: Vec::new(),
         };
         let rings = (0..cfg.workers_per_node)
-            .map(|_| Ring::new(cfg.io.ring_entries))
+            .map(|_| Ring::new(RING_ENTRIES))
             .collect();
         let prio_rings = (0..cfg.workers_per_node)
-            .map(|_| Ring::new(cfg.io.ring_entries))
+            .map(|_| Ring::new(RING_ENTRIES))
             .collect();
         NodeShard {
             ports,

@@ -30,7 +30,7 @@ use ps_hw::numa::Placement;
 use ps_io::Packet;
 use ps_pktgen::TrafficSpec;
 use ps_sim::time::Time;
-use ps_sim::{run_sharded, CrossQueue, Model, Scheduler, ShardModel, ShardedScheduler};
+use ps_sim::{run_sharded, CrossQueue, Model, Scheduler, ShardModel};
 
 use crate::app::{App, ShardAffinity};
 use crate::config::RouterConfig;
@@ -136,12 +136,15 @@ pub(crate) fn run_parallel<A: App + Send>(
             r
         })
         .collect();
-    let mut scheds = ShardedScheduler::new(shards);
     // Every shard replays the full generator stream (skipping packets
     // it does not host), so every shard seeds its own Gen.
-    for i in 0..shards {
-        scheds.shard_mut(i).at(0, Ev::Gen);
-    }
+    let mut scheds: Vec<Scheduler<Ev>> = (0..shards)
+        .map(|_| {
+            let mut s = Scheduler::new();
+            s.at(0, Ev::Gen);
+            s
+        })
+        .collect();
     let lookahead = if windowed {
         cfg.testbed.ioh.qpi_hop_ns
     } else {

@@ -234,10 +234,52 @@ fn conservation<A: App>(r: &Router<A>) -> (u64, u64, String) {
     (r.stats.offered.packets, accounted, parts)
 }
 
-/// Run `duration` cut at random instants; at every cut, hosted
-/// generated = delivered + Σ drop-ledger causes + in flight, and the
-/// cut run ends with the report of an uncut one. A completion lost or
-/// settled twice at a slice edge breaks the identity.
+/// A router at time zero with its generator armed, counting from the
+/// first packet rather than from the end of warm-up.
+fn started<A: App>(
+    cfg: RouterConfig,
+    app: A,
+    spec: TrafficSpec,
+    duration: Time,
+) -> Simulation<Router<A>> {
+    let mut r = Router::new(cfg, app, spec, duration);
+    r.measure_from = 0;
+    let mut sim = Simulation::new(r);
+    sim.schedule(0, Ev::Gen);
+    sim
+}
+
+/// Run `start()` through `cuts` (ascending, the last one the window
+/// end); at every cut, hosted generated = delivered + Σ drop-ledger
+/// causes + in flight, and the cut run ends with the report of an
+/// uncut one. A completion lost or settled twice at a slice edge
+/// breaks the identity.
+fn conserves_at_cuts<A: App>(
+    start: impl Fn() -> Simulation<Router<A>>,
+    cuts: &[Time],
+) -> ps_check::CaseResult {
+    use ps_check::{ensure, ensure_eq};
+    let end = *cuts.last().expect("at least the window end");
+    let mut sim = start();
+    for &cut in cuts {
+        sim.run_until(cut);
+        let (generated, accounted, parts) = conservation(&sim.model);
+        ensure_eq!(accounted, generated, "at {} ns: {}", cut, parts);
+    }
+    ensure!(sim.model.stats.offered.packets > 0);
+    let mut whole = start();
+    whole.run_until(end);
+    ensure_eq!(
+        format!("{:?}", sim.model.report(end)),
+        format!("{:?}", whole.model.report(end)),
+        "a run cut at {:?} ends where an uncut one does",
+        cuts
+    );
+    Ok(())
+}
+
+/// [`conserves_at_cuts`] over `duration`, cut at 3–6 random instants,
+/// for a few random traffic seeds.
 fn check_conservation<A: App>(
     name: &str,
     cfg: RouterConfig,
@@ -245,15 +287,7 @@ fn check_conservation<A: App>(
     spec: impl Fn(u64) -> TrafficSpec,
     duration: Time,
 ) {
-    use ps_check::{check_with, ensure, ensure_eq, Config};
-    let start = |seed: u64| {
-        let mut r = Router::new(cfg, app(), spec(seed), duration);
-        // Count from the first packet, not from the end of warm-up.
-        r.measure_from = 0;
-        let mut sim = Simulation::new(r);
-        sim.schedule(0, Ev::Gen);
-        sim
-    };
+    use ps_check::{check_with, Config};
     let mut config = Config::from_env(name);
     config.cases = config.cases.min(3);
     check_with(name, &config, |g| {
@@ -261,22 +295,7 @@ fn check_conservation<A: App>(
         let mut cuts = g.vec_of(3, 6, |g| g.int_in(1..duration));
         cuts.sort_unstable();
         cuts.push(duration);
-        let mut sim = start(seed);
-        for &cut in &cuts {
-            sim.run_until(cut);
-            let (generated, accounted, parts) = conservation(&sim.model);
-            ensure_eq!(accounted, generated, "at {} ns: {}", cut, parts);
-        }
-        ensure!(sim.model.stats.offered.packets > 0);
-        let mut whole = start(seed);
-        whole.run_until(duration);
-        ensure_eq!(
-            format!("{:?}", sim.model.report(duration)),
-            format!("{:?}", whole.model.report(duration)),
-            "a run cut at {:?} ends where an uncut one does",
-            cuts
-        );
-        Ok(())
+        conserves_at_cuts(|| started(cfg, app(), spec(seed), duration), &cuts)
     });
 }
 
@@ -332,4 +351,119 @@ fn conservation_holds_at_every_slice_cut() {
         |seed| fixed(64, 30.0, seed),
         300 * MICROS,
     );
+}
+
+fn layout(nodes: usize, workers_per_node: usize, ports: u16) -> RouterConfig {
+    RouterConfig {
+        nodes,
+        workers_per_node,
+        ports,
+        ..RouterConfig::paper_cpu()
+    }
+}
+
+fn build(cfg: RouterConfig) -> Router<MinimalApp> {
+    let app = MinimalApp::new(ForwardPattern::SameNode, cfg.ports);
+    Router::new(cfg, app, spec(10.0, cfg.ports), MILLIS)
+}
+
+#[test]
+#[should_panic(expected = "RouterConfig: nodes must be >= 1")]
+fn zero_nodes_rejected() {
+    build(layout(0, 4, 8));
+}
+
+#[test]
+#[should_panic(expected = "RouterConfig: workers_per_node must be >= 1")]
+fn zero_workers_rejected() {
+    build(layout(2, 0, 8));
+}
+
+#[test]
+#[should_panic(expected = "RouterConfig: ports (6) must be a nonzero multiple of nodes (4)")]
+fn ports_not_split_over_nodes_rejected() {
+    build(layout(4, 1, 6));
+}
+
+#[test]
+#[should_panic(expected = "RouterConfig: ports (0) must be a nonzero multiple of nodes (1)")]
+fn zero_ports_rejected() {
+    let cfg = layout(1, 1, 0);
+    let app = crate::apps::Ipv4App::new(&[ps_lookup::route::Route4::new(0, 0, 0)]);
+    Router::new(cfg, app, spec(10.0, 0), MILLIS);
+}
+
+/// Small random layouts either fail at construction with the message
+/// that names the first offending field, or run to the window end and
+/// conserve packets at every slice cut. Nothing panics mid-run. The
+/// window outlasts the 200 µs interrupt-moderation floor, so workers
+/// fetch, forward and transmit before it ends.
+#[test]
+fn small_layouts_are_rejected_or_conserve() {
+    const WINDOW: Time = 300 * MICROS;
+    // 4 × 4 × 9 × 3 = 432 layouts, most rejected at construction; a
+    // valid one runs in a few milliseconds of host time.
+    let name = "small_layouts_are_rejected_or_conserve";
+    let mut config = ps_check::Config::from_env(name);
+    config.cases = config.cases.max(512);
+    ps_check::check_with(name, &config, |g| {
+        let cfg = layout(
+            g.int_in(0usize..=3),
+            g.int_in(0usize..=3),
+            g.int_in(0u16..=8),
+        );
+        let pattern = [
+            ForwardPattern::Echo,
+            ForwardPattern::SameNode,
+            ForwardPattern::NodeCrossing,
+        ][g.int_in(0usize..3)];
+        let seed = g.int_in(0u64..1000);
+        let case = format!(
+            "nodes {}, workers_per_node {}, ports {}, {pattern:?}",
+            cfg.nodes, cfg.workers_per_node, cfg.ports
+        );
+        // The first check each constructor makes that this layout fails.
+        let expected = if cfg.ports < 2 || cfg.ports % 2 == 1 {
+            Some("minimal forwarding needs an even port count >= 2")
+        } else if cfg.nodes == 0 {
+            Some("RouterConfig: nodes must be >= 1")
+        } else if cfg.workers_per_node == 0 {
+            Some("RouterConfig: workers_per_node must be >= 1")
+        } else if usize::from(cfg.ports) % cfg.nodes != 0 {
+            Some("must be a nonzero multiple of nodes")
+        } else {
+            None
+        };
+        let traffic = || TrafficSpec {
+            ports: cfg.ports,
+            ..TrafficSpec::ipv4_64b(10.0, seed)
+        };
+        let start = || started(cfg, MinimalApp::new(pattern, cfg.ports), traffic(), WINDOW);
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(start));
+        match (built, expected) {
+            (Err(payload), Some(want)) => {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default();
+                ps_check::ensure!(
+                    msg.contains(want),
+                    "{}: rejected with {:?}, expected {:?}",
+                    case,
+                    msg,
+                    want
+                );
+                Ok(())
+            }
+            (Err(_), None) => Err(format!("{case}: a valid layout was rejected")),
+            (Ok(_), Some(want)) => Err(format!("{case}: accepted, expected {want:?}")),
+            (Ok(_), None) => {
+                let mut cuts = g.vec_of(1, 4, |g| g.int_in(1..WINDOW));
+                cuts.sort_unstable();
+                cuts.push(WINDOW);
+                conserves_at_cuts(start, &cuts).map_err(|e| format!("{case}: {e}"))
+            }
+        }
+    });
 }

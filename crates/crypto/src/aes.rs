@@ -95,7 +95,7 @@ mod ni {
 
     /// Encrypt one block.
     #[target_feature(enable = "aes,sse2")]
-    pub unsafe fn encrypt1(rk: &[[u8; 16]; 11], block: &[u8; 16]) -> [u8; 16] {
+    pub(crate) unsafe fn encrypt1(rk: &[[u8; 16]; 11], block: &[u8; 16]) -> [u8; 16] {
         let k = load_rk(rk);
         let mut s = _mm_xor_si128(_mm_loadu_si128(block.as_ptr() as *const __m128i), k[0]);
         for key in &k[1..10] {
@@ -231,7 +231,7 @@ impl Aes128 {
 
     /// Encrypt one 16-byte block in place (AES-NI when the CPU has
     /// it, T-tables otherwise).
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    pub(crate) fn encrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
         if crate::cpu::aes_ni() {
             *block = unsafe { ni::encrypt1(&self.round_keys, block) };
@@ -475,7 +475,7 @@ pub mod oracle {
     }
 
     /// Encrypt one 16-byte block in place, byte-oriented.
-    pub fn encrypt_block(aes: &Aes128, block: &mut [u8; 16]) {
+    pub(crate) fn encrypt_block(aes: &Aes128, block: &mut [u8; 16]) {
         let rk = aes.round_keys();
         add_round_key(block, &rk[0]);
         for round_key in &rk[1..10] {

@@ -2,7 +2,7 @@
 //! performs per packet — encrypt-then-MAC with AES-128-CTR and
 //! HMAC-SHA1-96, the paper's cipher suite (§6.2.4).
 
-use ps_net::esp::{self, EspPacket, ICV_LEN, IV_LEN};
+use ps_net::esp::{self, EspPacket, IV_LEN};
 
 use crate::aes::{Aes128, CtrStream};
 use crate::hmac::HmacSha1;
@@ -153,11 +153,6 @@ pub fn decrypt_tunnel(sa: &SecurityAssociation, payload: &[u8]) -> Result<Vec<u8
 /// bytes; re-exported for workload sizing.
 pub fn encapsulated_len(len: usize) -> usize {
     esp::total_len(len)
-}
-
-/// `ICV_LEN` re-export for cost models.
-pub const fn icv_len() -> usize {
-    ICV_LEN
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 /// SHA-1 block size in bytes.
 pub const BLOCK: usize = 64;
 /// SHA-1 digest size in bytes.
-pub const DIGEST: usize = 20;
+pub(crate) const DIGEST: usize = 20;
 
 /// Incremental SHA-1.
 #[derive(Clone)]
@@ -188,7 +188,7 @@ mod ni {
     use core::arch::x86_64::*;
 
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub unsafe fn compress(h: &mut [u32; 5], block: &[u8; super::BLOCK]) {
+    pub(crate) unsafe fn compress(h: &mut [u32; 5], block: &[u8; super::BLOCK]) {
         // Byte shuffle that both swaps each 32-bit word to big-endian
         // and reverses word order within the lane, matching the
         // a|b|c|d layout sha1rnds4 expects.

@@ -9,7 +9,7 @@
 //!
 //! * **NIC** (owned by `ps-nic`): RX descriptor-starvation bursts and
 //!   link flaps. Both kill frames at the MAC, before any DMA.
-//! * **Wire** (owned by `ps-pktgen`): frame corruption — bit flips,
+//! * **Wire** (generator to NIC): frame corruption — bit flips,
 //!   truncation, zero-length runts, broken checksums/ICVs
 //!   ([`CorruptKind`]). Corrupted frames enter the pipeline and must
 //!   come out as *counted drops*, never panics.
@@ -50,7 +50,88 @@ use ps_rng::{splitmix64, Rng};
 use ps_sim::time::Time;
 use ps_trace::Category;
 
-pub use ps_pktgen::fault::CorruptKind;
+/// Ethernet header length — corruption kinds aimed at L3 leave the
+/// Ethernet header intact so the damage lands where parsers and
+/// checksums actually look.
+const ETH_LEN: usize = 14;
+
+/// The ways a frame can be damaged on the wire. Each kind targets a
+/// different defensive layer in the router: parsers (truncation,
+/// zero length), checksum/ICV verification (bad checksum), and both
+/// (a bit flip lands anywhere).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CorruptKind {
+    /// One random bit anywhere in the frame is inverted.
+    BitFlip,
+    /// The frame is cut short at a random interior offset.
+    Truncate,
+    /// The frame arrives with zero octets (a runt the MAC passed up).
+    ZeroLength,
+    /// A bit inside the L3 region flips, guaranteeing any checksum or
+    /// authentication tag over that region no longer verifies.
+    BadChecksum,
+}
+
+impl CorruptKind {
+    /// All kinds, in the order [`CorruptKind::pick`] indexes them.
+    pub const ALL: [CorruptKind; 4] = [
+        CorruptKind::BitFlip,
+        CorruptKind::Truncate,
+        CorruptKind::ZeroLength,
+        CorruptKind::BadChecksum,
+    ];
+
+    /// Draw a kind uniformly from `rng`.
+    pub fn pick(rng: &mut Rng) -> CorruptKind {
+        Self::ALL[rng.gen_range(0..Self::ALL.len())]
+    }
+
+    /// Stable lowercase label for tables and traces.
+    pub fn name(self) -> &'static str {
+        match self {
+            CorruptKind::BitFlip => "bit_flip",
+            CorruptKind::Truncate => "truncate",
+            CorruptKind::ZeroLength => "zero_len",
+            CorruptKind::BadChecksum => "bad_csum",
+        }
+    }
+}
+
+/// Damage `data` in place according to `kind`, drawing offsets from
+/// `rng`. Pure apart from the RNG: the same stream and input produce
+/// the same corruption, which is what keeps fault plans replayable.
+pub fn corrupt_in_place(rng: &mut Rng, kind: CorruptKind, data: &mut Vec<u8>) {
+    match kind {
+        CorruptKind::BitFlip => {
+            if !data.is_empty() {
+                let idx = rng.gen_range(0..data.len());
+                let bit = 1u8 << rng.gen_range(0u32..8);
+                data[idx] ^= bit;
+            }
+        }
+        CorruptKind::Truncate => {
+            if data.len() > 1 {
+                let keep = rng.gen_range(1..data.len());
+                data.truncate(keep);
+            }
+        }
+        CorruptKind::ZeroLength => data.clear(),
+        CorruptKind::BadChecksum => {
+            if data.len() > ETH_LEN {
+                // Flip one bit within the first 20 octets after the
+                // Ethernet header — inside the IPv4 header checksum /
+                // IPv6 pseudo-header / ESP authenticated region.
+                let span = (data.len() - ETH_LEN).min(20);
+                let idx = ETH_LEN + rng.gen_range(0..span);
+                let bit = 1u8 << rng.gen_range(0u32..8);
+                data[idx] ^= bit;
+            } else if !data.is_empty() {
+                let idx = rng.gen_range(0..data.len());
+                data[idx] ^= 1;
+            }
+        }
+    }
+}
 
 /// Per-class fault probabilities and shape parameters. All-zero
 /// chances mean "no plan": the router then skips the fault layer
@@ -187,7 +268,7 @@ impl FaultSpec {
 }
 
 /// `PS_FAULT_SEED` from the environment (decimal or `0x`-hex).
-pub fn env_seed() -> Option<u64> {
+pub(crate) fn env_seed() -> Option<u64> {
     let v = std::env::var("PS_FAULT_SEED").ok()?;
     let s = v.trim();
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -555,7 +636,7 @@ impl FaultPlan {
             return None;
         }
         let kind = CorruptKind::pick(&mut self.rng_wire);
-        ps_pktgen::fault::corrupt_in_place(&mut self.rng_wire, kind, data);
+        corrupt_in_place(&mut self.rng_wire, kind, data);
         self.stats.corrupt_injected += 1;
         self.stats.corrupt_in_flight += 1;
         let ki = CorruptKind::ALL
@@ -796,5 +877,42 @@ mod tests {
         assert!(t.contains("nic_starve"), "{t}");
         assert!(t.contains("p1:3+0c"), "{t}");
         assert!(t.contains("OK"), "{t}");
+    }
+
+    #[test]
+    fn corrupt_kinds_damage_as_documented() {
+        let base = vec![0xAB; 64];
+        let mut rng = Rng::seed_from_u64(11);
+        for _ in 0..100 {
+            let mut d = base.clone();
+            corrupt_in_place(&mut rng, CorruptKind::BitFlip, &mut d);
+            let diff: u32 = d.iter().map(|b| (b ^ 0xAB).count_ones()).sum();
+            assert_eq!(diff, 1);
+
+            let mut d = base.clone();
+            corrupt_in_place(&mut rng, CorruptKind::Truncate, &mut d);
+            assert!(!d.is_empty() && d.len() < base.len(), "len {}", d.len());
+
+            let mut d = base.clone();
+            corrupt_in_place(&mut rng, CorruptKind::ZeroLength, &mut d);
+            assert!(d.is_empty());
+
+            let mut d = base.clone();
+            corrupt_in_place(&mut rng, CorruptKind::BadChecksum, &mut d);
+            assert_eq!(d.len(), base.len());
+            let first_diff = d.iter().position(|&b| b != 0xAB).expect("one flip");
+            assert!((14..34).contains(&first_diff), "flip at {first_diff}");
+        }
+    }
+
+    #[test]
+    fn corrupt_handles_degenerate_frames() {
+        let mut rng = Rng::seed_from_u64(12);
+        for kind in CorruptKind::ALL {
+            let mut empty: Vec<u8> = Vec::new();
+            corrupt_in_place(&mut rng, kind, &mut empty);
+            let mut one = vec![0u8; 1];
+            corrupt_in_place(&mut rng, kind, &mut one);
+        }
     }
 }

@@ -35,12 +35,12 @@ pub type FlowTuple = (u32, u32, u16, u16, u8);
 /// Slots per bucket (set associativity). Four 5-tuple entries keep a
 /// bucket within one or two cache lines, the layout hardware cuckoo
 /// tables use.
-pub const WAYS: usize = 4;
+pub(crate) const WAYS: usize = 4;
 
 /// Bound on the cuckoo kick chain explored per insertion. Chains this
 /// long are vanishingly rare below ~90% load; past the bound the
 /// insert falls back to LRU eviction.
-pub const MAX_KICKS: usize = 8;
+pub(crate) const MAX_KICKS: usize = 8;
 
 /// Canonical byte serialization of a flow tuple — the exact bytes the
 /// GPU hash kernel reads, so device and host hash identical input.

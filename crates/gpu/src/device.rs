@@ -93,7 +93,7 @@ impl DeviceMemory {
     }
 
     /// Borrow an allocation's bytes mutably.
-    pub fn slice_mut(&mut self, buf: &DeviceBuffer) -> &mut [u8] {
+    pub(crate) fn slice_mut(&mut self, buf: &DeviceBuffer) -> &mut [u8] {
         &mut self.data[buf.offset..buf.offset + buf.len]
     }
 

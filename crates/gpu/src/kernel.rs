@@ -238,7 +238,7 @@ type WarpCost = (u64, u32, u64, u64);
 /// nothing. The per-launch `steps.resize_with(step + 1, ...)` churn
 /// this replaces showed up directly in the IPsec wall-clock sweeps.
 #[derive(Debug, Default)]
-pub struct WarpAccumulator {
+pub(crate) struct WarpAccumulator {
     /// Per memory step: unique 128 B segment ids touched. Only
     /// `steps[..used_steps]` is live; slots beyond hold empty spare
     /// vectors with retained capacity.
@@ -330,7 +330,7 @@ impl WarpAccumulator {
 /// time is computed separately from the returned stats.
 ///
 /// Allocates fresh warp scratch; the engine's steady-state path is
-/// [`execute_with`], which reuses scratch across launches.
+/// `execute_with`, which reuses scratch across launches.
 pub fn execute<K: Kernel + ?Sized>(
     kernel: &K,
     mem: &mut DeviceMemory,
@@ -346,7 +346,7 @@ pub fn execute<K: Kernel + ?Sized>(
 ///
 /// Generic over the kernel so a concrete kernel's `thread` body
 /// inlines into the lane loop; `&dyn Kernel` still works.
-pub fn execute_with<K: Kernel + ?Sized>(
+pub(crate) fn execute_with<K: Kernel + ?Sized>(
     kernel: &K,
     mem: &mut DeviceMemory,
     threads: u32,

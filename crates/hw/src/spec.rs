@@ -26,16 +26,13 @@ pub struct CpuSpec {
     /// Outstanding misses per core when all four cores burst
     /// references (§2.4: "only 4 misses").
     pub mshr_contended: u32,
-    /// Cache line size (x86): every random access costs one line of
-    /// memory bandwidth (§2.4).
-    pub cache_line: u32,
     /// Per-socket memory bandwidth, bits/s (§2.4: 32 GB/s).
     pub mem_bw_bits: u64,
 }
 
 impl CpuSpec {
     /// The Xeon X5550 as configured in Table 2.
-    pub const fn x5550() -> CpuSpec {
+    pub(crate) const fn x5550() -> CpuSpec {
         CpuSpec {
             hz: 2_660_000_000,
             cores: 4,
@@ -43,7 +40,6 @@ impl CpuSpec {
             mem_latency_remote_ns: 87,
             mshr_per_core: 6,
             mshr_contended: 4,
-            cache_line: 64,
             mem_bw_bits: 32 * 8 * GIGA,
         }
     }
@@ -56,8 +52,6 @@ pub struct GpuSpec {
     pub sms: u32,
     /// Stream processors (lanes) per SM.
     pub lanes_per_sm: u32,
-    /// Threads per warp.
-    pub warp_size: u32,
     /// Maximum resident warps per SM ("the scheduler in an SM holds
     /// up to 32 warps", §2.1).
     pub max_warps_per_sm: u32,
@@ -88,7 +82,6 @@ impl GpuSpec {
         GpuSpec {
             sms: 15,
             lanes_per_sm: 32,
-            warp_size: 32,
             max_warps_per_sm: 32,
             hz: 1_400_000_000,
             mem_bytes: 1_536 * 1024 * 1024,
@@ -205,8 +198,6 @@ impl IohSpec {
 pub struct NicSpec {
     /// Port line rate, bits/s.
     pub line_rate_bits: u64,
-    /// RX/TX descriptor ring size per queue.
-    pub ring_entries: usize,
     /// Interrupt-moderation delay. §6.4 attributes the higher latency
     /// at low input rates to this; the observed ~200 µs floor implies
     /// an effective ITR around 200 µs for the paper's ixgbe build.
@@ -215,10 +206,9 @@ pub struct NicSpec {
 
 impl NicSpec {
     /// Intel 82599 (X520-DA2) port.
-    pub const fn x520() -> NicSpec {
+    pub(crate) const fn x520() -> NicSpec {
         NicSpec {
             line_rate_bits: 10 * GIGA,
-            ring_entries: 1024,
             interrupt_moderation_ns: 200_000,
         }
     }

@@ -8,22 +8,15 @@ pub struct IoConfig {
     /// Maximum packets fetched per batched RX call (the chunk cap,
     /// §5.3; Figure 5 sweeps this).
     pub batch_cap: usize,
-    /// RX/TX descriptor ring entries per queue.
-    pub ring_entries: usize,
     /// NUMA placement policy (§4.5).
     pub placement: Placement,
-    /// Software prefetch of descriptors/data (§4.3). Disabling it
-    /// re-exposes the compulsory-cache-miss bin of Table 3.
-    pub prefetch: bool,
 }
 
 impl Default for IoConfig {
     fn default() -> Self {
         IoConfig {
             batch_cap: 64,
-            ring_entries: 1024,
             placement: Placement::NumaAware,
-            prefetch: true,
         }
     }
 }
@@ -60,6 +53,5 @@ mod tests {
         assert_eq!(IoConfig::paper().batch_cap, 64);
         assert_eq!(IoConfig::unbatched().batch_cap, 1);
         assert_eq!(IoConfig::numa_blind().placement, Placement::NumaBlind);
-        assert!(IoConfig::default().prefetch);
     }
 }

@@ -4,28 +4,23 @@
 //! This crate holds the engine's data structures and cost models; the
 //! event-driven router that drives them lives in `ps-core`.
 //!
-//! * [`hugebuf`] — the huge packet buffer (Figure 4(b)): fixed
-//!   2,048 B data cells and 8 B compact metadata cells, recycled with
-//!   the RX ring instead of per-packet skb allocation;
 //! * [`packet`] — the owned packet record that moves through the
-//!   simulated pipeline;
+//!   simulated pipeline (pooled `Vec<u8>` frames; the huge packet
+//!   buffer's savings are charged by [`cost`], see DESIGN.md);
 //! * [`cost`] — the calibrated CPU-cycle model: the legacy Linux skb
 //!   path with Table 3's bins, and the batched engine path whose
 //!   per-packet + per-batch split reproduces Figure 5;
-//! * [`config`] — engine knobs: batch cap, NUMA placement policy,
-//!   queue↔core maps;
+//! * [`config`] — engine knobs: batch cap and NUMA placement policy;
 //! * [`trace`] — `io`-category trace events for batch assembly (see
 //!   OBSERVABILITY.md).
 
 pub mod config;
 pub mod cost;
-pub mod hugebuf;
 pub mod packet;
 pub mod trace;
 
 pub use config::IoConfig;
 pub use cost::{CostModel, LinuxBaseline};
-pub use hugebuf::HugePacketBuffer;
 pub use packet::Packet;
 
 /// DMA bytes a frame of `len` costs on the fabric: payload rounded up

@@ -71,7 +71,7 @@ pub fn mask4(addr: u32, len: u8) -> u32 {
 
 /// Mask an IPv6 address to its top `len` bits.
 #[inline]
-pub fn mask6(addr: u128, len: u8) -> u128 {
+pub(crate) fn mask6(addr: u128, len: u8) -> u128 {
     if len == 0 {
         0
     } else {

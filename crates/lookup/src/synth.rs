@@ -18,7 +18,7 @@ use crate::route::{Route4, Route6};
 /// snapshot: `(length, weight)` in permille. /24 dominates at ~53 %,
 /// lengths 25..32 sum to ~3 % ("only 3 percent of the prefixes are
 /// longer than 24 bits", §6.2.1).
-pub const ROUTEVIEWS_LENGTH_PERMILLE: &[(u8, u32)] = &[
+pub(crate) const ROUTEVIEWS_LENGTH_PERMILLE: &[(u8, u32)] = &[
     (8, 3),
     (9, 3),
     (10, 5),

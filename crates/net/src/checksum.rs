@@ -44,17 +44,6 @@ pub fn pseudo_header_v4(src: [u8; 4], dst: [u8; 4], protocol: u8, len: u16) -> u
     acc
 }
 
-/// Pseudo-header sum for UDP/TCP over IPv6.
-pub fn pseudo_header_v6(src: [u8; 16], dst: [u8; 16], protocol: u8, len: u32) -> u32 {
-    let mut acc = 0;
-    acc = sum(acc, &src);
-    acc = sum(acc, &dst);
-    acc += len >> 16;
-    acc += len & 0xFFFF;
-    acc += u32::from(protocol);
-    acc
-}
-
 /// Incrementally update a 16-bit checksum after a 16-bit field changed
 /// from `old` to `new` (RFC 1624, eqn. 3). Used for the TTL-decrement
 /// fast path (§6.2.1: "updates TTL and checksum fields").

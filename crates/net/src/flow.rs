@@ -5,7 +5,7 @@ use crate::ethernet::{EtherType, EthernetFrame, MacAddr};
 use crate::ipv4::{protocol, Ipv4Packet};
 use crate::tcp::TcpSegment;
 use crate::udp::UdpDatagram;
-use crate::{Error, Result};
+use crate::Result;
 
 /// The ten header fields OpenFlow 0.8.9 matches on.
 ///
@@ -37,7 +37,7 @@ pub struct FlowKey {
 }
 
 /// Value of `dl_vlan` for untagged frames.
-pub const VLAN_NONE: u16 = 0xFFFF;
+pub(crate) const VLAN_NONE: u16 = 0xFFFF;
 
 impl FlowKey {
     /// Extract the flow key from a raw Ethernet frame received on
@@ -118,11 +118,6 @@ impl FlowKey {
     pub fn dst_mac(&self) -> MacAddr {
         MacAddr(self.dl_dst)
     }
-}
-
-/// Extraction failure shorthand used by switch code.
-pub fn extract_or_err(in_port: u16, frame: &[u8]) -> Result<FlowKey> {
-    FlowKey::extract(in_port, frame).map_err(|_| Error::Malformed)
 }
 
 #[cfg(test)]

@@ -98,7 +98,7 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     }
 
     /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
+    pub(crate) fn header_checksum(&self) -> u16 {
         u16::from_be_bytes([self.b()[10], self.b()[11]])
     }
 

@@ -102,7 +102,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv6Packet<T> {
     }
 
     /// Set version=6, zero traffic class and flow label.
-    pub fn set_version(&mut self) {
+    pub(crate) fn set_version(&mut self) {
         self.m()[0] = 0x60;
         self.m()[1] = 0;
         self.m()[2] = 0;
@@ -110,17 +110,17 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv6Packet<T> {
     }
 
     /// Set the payload length field.
-    pub fn set_payload_len(&mut self, len: u16) {
+    pub(crate) fn set_payload_len(&mut self, len: u16) {
         self.m()[4..6].copy_from_slice(&len.to_be_bytes());
     }
 
     /// Set the next-header field.
-    pub fn set_next_header(&mut self, nh: u8) {
+    pub(crate) fn set_next_header(&mut self, nh: u8) {
         self.m()[6] = nh;
     }
 
     /// Set the hop limit.
-    pub fn set_hop_limit(&mut self, hl: u8) {
+    pub(crate) fn set_hop_limit(&mut self, hl: u8) {
         self.m()[7] = hl;
     }
 

@@ -18,7 +18,6 @@ pub mod ethernet;
 pub mod flow;
 pub mod ipv4;
 pub mod ipv6;
-pub mod pcap;
 pub mod tcp;
 pub mod udp;
 pub mod verdict;
@@ -61,9 +60,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// Minimum Ethernet frame size (without FCS) the simulation uses.
 pub const MIN_FRAME_LEN: usize = 60;
-/// Maximum standard Ethernet frame size (without FCS): 1514 B, the
-/// paper's largest evaluated packet size.
-pub const MAX_FRAME_LEN: usize = 1514;
 /// Wire overhead per frame in the paper's throughput metric (§1,
 /// footnote 1): 4 B FCS + 8 B preamble + 12 B inter-frame gap.
 pub const WIRE_OVERHEAD: usize = 24;

@@ -57,7 +57,7 @@ impl<T: AsRef<[u8]>> UdpDatagram<T> {
     }
 
     /// Checksum field (0 = not computed, legal for UDP over IPv4).
-    pub fn checksum_field(&self) -> u16 {
+    pub(crate) fn checksum_field(&self) -> u16 {
         u16::from_be_bytes([self.b()[6], self.b()[7]])
     }
 
@@ -95,13 +95,13 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpDatagram<T> {
     }
 
     /// Set the length field.
-    pub fn set_len(&mut self, l: u16) {
+    pub(crate) fn set_len(&mut self, l: u16) {
         self.m()[4..6].copy_from_slice(&l.to_be_bytes());
     }
 
     /// Compute and install the checksum over an IPv4 pseudo header.
     /// Per RFC 768 a computed checksum of 0 is transmitted as 0xFFFF.
-    pub fn fill_checksum_v4(&mut self, src: [u8; 4], dst: [u8; 4]) {
+    pub(crate) fn fill_checksum_v4(&mut self, src: [u8; 4], dst: [u8; 4]) {
         self.m()[6..8].copy_from_slice(&[0, 0]);
         let acc = checksum::pseudo_header_v4(src, dst, crate::ipv4::protocol::UDP, self.len());
         let end = (self.len() as usize).min(self.b().len());

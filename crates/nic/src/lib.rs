@@ -4,9 +4,8 @@
 //! engine builds on:
 //!
 //! * [`rss`] — Receive-Side Scaling: the real Toeplitz hash (verified
-//!   against the Microsoft reference vectors) plus an indirection
-//!   table that the NUMA-aware configuration restricts to same-node
-//!   cores (§4.4–4.5);
+//!   against the Microsoft reference vectors). The router maps a hash
+//!   to a same-node worker queue itself (§4.4–4.5);
 //! * [`ring`] — RX/TX descriptor rings with drop-on-full semantics and
 //!   per-queue statistics (the paper's per-queue counters that avoid
 //!   cache bouncing, §4.4);
@@ -19,6 +18,6 @@ pub mod port;
 pub mod ring;
 pub mod rss;
 
-pub use port::{InterruptState, Port, PortId, QueueId};
+pub use port::{Port, PortId, QueueId};
 pub use ring::Ring;
-pub use rss::{toeplitz_hash, Rss, MSFT_KEY};
+pub use rss::{toeplitz_hash, MSFT_KEY};

@@ -13,17 +13,6 @@ pub struct PortId(pub u16);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueueId(pub u16);
 
-/// Receive-interrupt state for one RX queue (§5.2): PacketShader
-/// disables the interrupt while it polls, re-enables it when the
-/// queue runs dry, and the next arrival fires a wakeup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterruptState {
-    /// Interrupt armed; the next packet arrival wakes the worker.
-    Armed,
-    /// Worker is polling; arrivals do not interrupt.
-    Disabled,
-}
-
 /// One physical port: two unidirectional wires at line rate.
 ///
 /// Frames are charged their wire length (frame + 24 B of preamble,
@@ -96,11 +85,6 @@ impl Port {
     pub fn tx_frame(&mut self, now: Time, len: usize) -> Time {
         self.tx.add(len as u64);
         self.tx_wire.submit(now, ps_net::wire_len(len) as u64)
-    }
-
-    /// Earliest instant the TX wire could take another frame.
-    pub fn tx_free_at(&self) -> Time {
-        self.tx_wire.next_free()
     }
 
     /// RX wire utilization over `[0, now]`.

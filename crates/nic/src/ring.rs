@@ -48,7 +48,7 @@ impl<T> Ring<T> {
     }
 
     /// True when no descriptor is free.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.items.len() == self.capacity
     }
 

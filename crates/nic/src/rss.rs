@@ -1,4 +1,4 @@
-//! Receive-Side Scaling: Toeplitz hashing and queue selection (§4.4).
+//! Receive-Side Scaling: the Toeplitz hash (§4.4).
 
 /// The Microsoft verification key from the RSS specification; also
 /// the default key of the ixgbe driver the paper modifies.
@@ -107,57 +107,6 @@ pub fn hash_v6(
     toeplitz_hash(key, &input)
 }
 
-/// RSS configuration for one NIC: key + indirection table.
-#[derive(Debug, Clone)]
-pub struct Rss {
-    key: [u8; 40],
-    /// 128-entry indirection table mapping hash LSBs to queue ids, as
-    /// in the 82599.
-    indirection: Vec<u16>,
-}
-
-impl Rss {
-    /// RSS spreading over queues `0..queues` with the standard key.
-    pub fn spread_over(queues: u16) -> Rss {
-        assert!(queues > 0);
-        Rss {
-            key: MSFT_KEY,
-            indirection: (0..128).map(|i| i % queues).collect(),
-        }
-    }
-
-    /// RSS restricted to an explicit queue list — the paper's
-    /// NUMA-aware configuration maps a NIC's queues only to cores in
-    /// its own node (§4.5).
-    pub fn over_queues(queues: &[u16]) -> Rss {
-        assert!(!queues.is_empty());
-        Rss {
-            key: MSFT_KEY,
-            indirection: (0..128).map(|i| queues[i % queues.len()]).collect(),
-        }
-    }
-
-    /// Queue for a flow's 5-tuple.
-    pub fn queue_for(&self, src: u32, dst: u32, src_port: u16, dst_port: u16) -> u16 {
-        let h = hash_v4(&self.key, src, dst, src_port, dst_port);
-        self.indirection[(h & 0x7F) as usize]
-    }
-
-    /// Queue for a raw hash value (used when the caller already
-    /// extracted a flow key).
-    pub fn queue_for_hash(&self, hash: u32) -> u16 {
-        self.indirection[(hash & 0x7F) as usize]
-    }
-
-    /// The queues this configuration can select.
-    pub fn target_queues(&self) -> Vec<u16> {
-        let mut qs: Vec<u16> = self.indirection.clone();
-        qs.sort_unstable();
-        qs.dedup();
-        qs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,51 +144,6 @@ mod tests {
             input[0..4].copy_from_slice(&src.to_be_bytes());
             input[4..8].copy_from_slice(&dst.to_be_bytes());
             assert_eq!(toeplitz_hash(&MSFT_KEY, &input), want);
-        }
-    }
-
-    #[test]
-    fn same_flow_same_queue() {
-        let rss = Rss::spread_over(4);
-        let a = rss.queue_for(0x0A000001, 0x0B000001, 1000, 2000);
-        let b = rss.queue_for(0x0A000001, 0x0B000001, 1000, 2000);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn spreads_across_queues() {
-        let rss = Rss::spread_over(4);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..1000u32 {
-            seen.insert(rss.queue_for(i * 7919, 0x0B000001, (i % 60000) as u16, 80));
-        }
-        assert_eq!(seen.len(), 4, "all queues used: {seen:?}");
-    }
-
-    #[test]
-    fn spread_is_roughly_even() {
-        let rss = Rss::spread_over(4);
-        let mut counts = [0u32; 4];
-        for i in 0..40_000u32 {
-            counts[rss.queue_for(
-                i.wrapping_mul(2654435761),
-                0x0B000001,
-                (i % 61000) as u16,
-                53,
-            ) as usize] += 1;
-        }
-        for c in counts {
-            assert!((8_000..12_000).contains(&c), "counts={counts:?}");
-        }
-    }
-
-    #[test]
-    fn restricted_indirection_only_hits_listed_queues() {
-        let rss = Rss::over_queues(&[2, 3]);
-        assert_eq!(rss.target_queues(), vec![2, 3]);
-        for i in 0..500u32 {
-            let q = rss.queue_for(i * 31, i * 17, 5, 6);
-            assert!(q == 2 || q == 3);
         }
     }
 

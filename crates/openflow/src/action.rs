@@ -14,7 +14,7 @@ pub enum Action {
 impl Action {
     /// Encode for the serialized wildcard image: output ports are
     /// their index, 0xFFFE = drop, 0xFFFF = controller.
-    pub fn encode(&self) -> u16 {
+    pub(crate) fn encode(&self) -> u16 {
         match self {
             Action::Output(p) => {
                 assert!(*p < 0xFFFE, "port index too large");

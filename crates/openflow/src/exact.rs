@@ -38,7 +38,7 @@ pub struct FlowStats {
 
 /// An installed exact-match entry.
 #[derive(Debug, Clone, Copy)]
-pub struct ExactEntry {
+pub(crate) struct ExactEntry {
     /// The action to apply.
     pub action: Action,
     /// Match counters.

@@ -15,23 +15,23 @@ use crate::action::Action;
 /// Field-presence bits (1 = match this field).
 pub mod wc {
     /// Match `in_port`.
-    pub const IN_PORT: u16 = 1 << 0;
+    pub(crate) const IN_PORT: u16 = 1 << 0;
     /// Match `dl_src`.
-    pub const DL_SRC: u16 = 1 << 1;
+    pub(crate) const DL_SRC: u16 = 1 << 1;
     /// Match `dl_dst`.
-    pub const DL_DST: u16 = 1 << 2;
+    pub(crate) const DL_DST: u16 = 1 << 2;
     /// Match `dl_vlan`.
-    pub const DL_VLAN: u16 = 1 << 3;
+    pub(crate) const DL_VLAN: u16 = 1 << 3;
     /// Match `dl_type`.
-    pub const DL_TYPE: u16 = 1 << 4;
+    pub(crate) const DL_TYPE: u16 = 1 << 4;
     /// Match `nw_src` under its mask.
-    pub const NW_SRC: u16 = 1 << 5;
+    pub(crate) const NW_SRC: u16 = 1 << 5;
     /// Match `nw_dst` under its mask.
     pub const NW_DST: u16 = 1 << 6;
     /// Match `nw_proto`.
     pub const NW_PROTO: u16 = 1 << 7;
     /// Match `tp_src`.
-    pub const TP_SRC: u16 = 1 << 8;
+    pub(crate) const TP_SRC: u16 = 1 << 8;
     /// Match `tp_dst`.
     pub const TP_DST: u16 = 1 << 9;
 }

@@ -7,8 +7,6 @@
 //! all eight 10 GbE ports, plus a sink that accounts throughput, loss
 //! and round-trip latency from embedded timestamps.
 
-pub mod fault;
-
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use ps_rng::Rng;
@@ -138,7 +136,7 @@ impl DropLedger {
 }
 
 /// The Simple IMIX frame lengths (bytes, no FCS).
-pub const IMIX_LENS: [usize; 3] = [64, 594, 1518];
+pub(crate) const IMIX_LENS: [usize; 3] = [64, 594, 1518];
 
 /// The repeating 12-frame IMIX cycle: indexes into [`IMIX_LENS`],
 /// interleaved 7:4:1 so every port sees all three sizes.
@@ -252,16 +250,16 @@ struct FrameTemplate {
 
 /// Byte offsets of the patched fields (Ethernet header is 14 bytes).
 mod field {
-    pub const IP4_CKSUM: usize = 24;
-    pub const IP4_SRC: usize = 26;
-    pub const IP4_DST: usize = 30;
-    pub const UDP4_SPORT: usize = 34;
-    pub const UDP4_DPORT: usize = 36;
-    pub const UDP4_CKSUM: usize = 40;
-    pub const IP6_SRC: usize = 22;
-    pub const IP6_DST: usize = 38;
-    pub const UDP6_SPORT: usize = 54;
-    pub const UDP6_DPORT: usize = 56;
+    pub(crate) const IP4_CKSUM: usize = 24;
+    pub(crate) const IP4_SRC: usize = 26;
+    pub(crate) const IP4_DST: usize = 30;
+    pub(crate) const UDP4_SPORT: usize = 34;
+    pub(crate) const UDP4_DPORT: usize = 36;
+    pub(crate) const UDP4_CKSUM: usize = 40;
+    pub(crate) const IP6_SRC: usize = 22;
+    pub(crate) const IP6_DST: usize = 38;
+    pub(crate) const UDP6_SPORT: usize = 54;
+    pub(crate) const UDP6_DPORT: usize = 56;
 }
 
 impl FrameTemplate {
@@ -608,7 +606,7 @@ impl Generator {
     /// a pure function of `(seed, seq)` so the skip path needs no
     /// stream state. Maps a per-packet uniform `u` through `k·u^e`:
     /// flow 0 is the biggest elephant, high ids are mice.
-    pub fn heavy_flow_id(spec: &TrafficSpec, seq: u64, k: u32, exponent: u32) -> u32 {
+    pub(crate) fn heavy_flow_id(spec: &TrafficSpec, seq: u64, k: u32, exponent: u32) -> u32 {
         let mut z = spec
             .seed
             .wrapping_add(0x5EAF_00D5)

@@ -11,12 +11,7 @@
 //! `rand`'s reference xoshiro crates use. Changing either half
 //! invalidates every recorded seed-dependent number in
 //! EXPERIMENTS.md / reproduce_output.txt, so treat the algorithm as
-//! frozen; if it must change, bump the [`ALGORITHM`] tag and
-//! regenerate the recorded outputs.
-
-/// Frozen identifier of the generator algorithm. Recorded experiment
-/// outputs are only comparable across runs with the same tag.
-pub const ALGORITHM: &str = "splitmix64+xoshiro256**";
+//! frozen; if it must change, regenerate the recorded outputs.
 
 /// One SplitMix64 step: advances `state` and returns the next output.
 /// Public because the determinism tests pin its known-answer outputs.
@@ -51,7 +46,7 @@ impl Rng {
 
     /// The next 64 uniform random bits (xoshiro256** output function).
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -84,7 +79,7 @@ impl Rng {
 
     /// A uniform float in `[0, 1)` with 53 bits of precision.
     #[inline]
-    pub fn gen_f64(&mut self) -> f64 {
+    pub(crate) fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

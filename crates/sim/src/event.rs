@@ -192,7 +192,7 @@ impl<E> Scheduler<E> {
 
     /// Time of the earliest pending event, if any.
     #[inline]
-    pub fn peek_time(&self) -> Option<Time> {
+    pub(crate) fn peek_time(&self) -> Option<Time> {
         self.peek_key().map(|(t, _)| t)
     }
 
@@ -262,11 +262,6 @@ impl<M: Model> Simulation<M> {
     /// Schedule an initial (or external) event.
     pub fn schedule(&mut self, t: Time, ev: M::Event) {
         self.sched.at(t, ev);
-    }
-
-    /// Schedule an event after a delay from the current time.
-    pub fn schedule_after(&mut self, d: Time, ev: M::Event) {
-        self.sched.after(d, ev);
     }
 
     /// Dispatch a single event. Returns `false` when the queue is dry.

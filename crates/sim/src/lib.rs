@@ -13,10 +13,12 @@
 //! * FIFO bandwidth servers used to model PCIe directions, IOH
 //!   directions and Ethernet wires ([`resource::BandwidthServer`]),
 //! * statistics primitives: counters, rate meters and log-bucketed
-//!   histograms ([`stats`]),
-//! * a small deterministic RNG ([`rng::SplitMix64`]) so the simulation
-//!   itself has no external dependencies and identical seeds always
-//!   replay identical virtual-time traces.
+//!   histograms ([`stats`]).
+//!
+//! The simulation core draws no random numbers: every random stream
+//! (traffic, flow keys, fault plans) comes from `ps-rng` in the layer
+//! that needs it, so identical seeds always replay identical
+//! virtual-time traces.
 //!
 //! The design keeps all concurrency in *virtual* time: PacketShader's
 //! worker and master *threads* are simulated entities, which keeps
@@ -31,7 +33,6 @@
 pub mod completions;
 pub mod event;
 pub mod resource;
-pub mod rng;
 pub mod shard;
 pub mod stats;
 pub mod time;
@@ -42,9 +43,8 @@ pub use completions::Completions;
 pub use event::{Scheduler, Simulation};
 pub use shard::{
     default_shard_threads, run_sharded, run_sharded_on, CrossQueue, ShardModel, ShardRunStats,
-    ShardedScheduler,
 };
-pub use time::{Time, GIGA, KILO, MEGA, MICROS, MILLIS, SECONDS};
+pub use time::{Time, GIGA, MICROS, MILLIS, SECONDS};
 pub use wake::FoldedWakes;
 
 /// A simulation model: one big deterministic state machine.

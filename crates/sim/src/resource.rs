@@ -67,11 +67,6 @@ impl BandwidthServer {
         self.bits_per_sec
     }
 
-    /// Earliest instant a transaction submitted now would start.
-    pub fn next_free(&self) -> Time {
-        self.next_free
-    }
-
     /// Submit a transaction of `bytes` at time `now`; returns its
     /// completion time and occupies the server until then.
     pub fn submit(&mut self, now: Time, bytes: u64) -> Time {
@@ -122,12 +117,6 @@ impl BandwidthServer {
         self.next_free.saturating_sub(now)
     }
 
-    /// Whether the server would accept a transaction at `now` without
-    /// queueing more than `limit` ns of delay.
-    pub fn admits_within(&self, now: Time, limit: Time) -> bool {
-        self.backlog_delay(now) <= limit
-    }
-
     /// Total bytes served so far.
     pub fn bytes_served(&self) -> u64 {
         self.bytes_served
@@ -139,14 +128,6 @@ impl BandwidthServer {
             return 0.0;
         }
         (self.busy.min(now)) as f64 / now as f64
-    }
-
-    /// Reset accounting (bytes served, busy time) without touching the
-    /// service horizon; used when an experiment discards a warm-up
-    /// window.
-    pub fn reset_accounting(&mut self) {
-        self.bytes_served = 0;
-        self.busy = 0;
     }
 }
 
@@ -193,14 +174,5 @@ mod tests {
         let mut s = BandwidthServer::new(8 * GIGA, 0);
         s.submit(0, 1000); // busy 1 us
         assert!((s.utilization(2 * MICROS) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn admits_within_limit() {
-        let mut s = BandwidthServer::new(8 * GIGA, 0);
-        s.submit(0, 8000); // busy until 8 us
-        assert!(s.admits_within(0, 8 * MICROS));
-        assert!(!s.admits_within(0, 7 * MICROS));
-        assert!(s.admits_within(8 * MICROS, 0));
     }
 }

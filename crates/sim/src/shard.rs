@@ -3,7 +3,10 @@
 //!
 //! The data plane partitions into *shards* (one per NUMA domain in
 //! `ps-core`), each owning a private [`Scheduler`] — its own heap and
-//! next-slot — and a disjoint slice of model state.
+//! next-slot — and a disjoint slice of model state. The caller holds
+//! the queues as a plain `[Scheduler]` slice, one per shard. There is
+//! no merged order across queues: a shard's events are ordered by its
+//! own queue alone, and shards meet only at window barriers.
 //! Shards interact only through **typed cross-shard messages** with a
 //! minimum latency `L` (the lookahead: in PacketShader terms, the
 //! cross-IOH/QPI hop). That bound is what makes parallel execution
@@ -51,66 +54,6 @@ use std::sync::{Barrier, Mutex};
 
 use crate::event::Scheduler;
 use crate::time::Time;
-
-/// One event queue per shard with a deterministic merged total order:
-/// `(time, shard, seq)` — earliest time first, ties broken by shard
-/// index, then by scheduling order within the shard. With one shard
-/// this is exactly the single-queue `(time, seq)` order.
-pub struct ShardedScheduler<E> {
-    shards: Vec<Scheduler<E>>,
-}
-
-impl<E> ShardedScheduler<E> {
-    /// `n` empty per-shard queues at time zero.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "a sharded scheduler needs at least one shard");
-        ShardedScheduler {
-            shards: (0..n).map(|_| Scheduler::new()).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Always false (`new` requires at least one shard); present so
-    /// `len` follows the container convention.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Mutable access to shard `i`'s queue, for seeding initial events
-    /// and for inspecting clocks after a run.
-    pub fn shard_mut(&mut self, i: usize) -> &mut Scheduler<E> {
-        &mut self.shards[i]
-    }
-
-    /// Pop the globally earliest event across all shards in
-    /// `(time, shard, seq)` order. Returns `(shard, time, event)`.
-    /// Each shard's queue sets its own horizon, so a
-    /// [`crate::Completions`] run in the popped event's handler orders
-    /// itself against that shard's events only.
-    pub fn pop_merged(&mut self) -> Option<(usize, Time, E)> {
-        let mut best: Option<(Time, usize)> = None;
-        for (i, s) in self.shards.iter().enumerate() {
-            if let Some((t, _)) = s.peek_key() {
-                // Strict `<` keeps the lowest shard index on time ties.
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, i));
-                }
-            }
-        }
-        let (_, i) = best?;
-        let (t, ev) = self.shards[i]
-            .pop_due(Time::MAX)
-            .expect("peeked shard non-empty");
-        Some((i, t, ev))
-    }
-}
 
 /// A model partitioned into shards that communicate exclusively via
 /// typed messages with a minimum cross-shard latency.
@@ -363,8 +306,8 @@ fn next_deadline(gvt: Option<Time>, lookahead: Time, until: Time) -> Time {
 /// synchronization with the given `lookahead`, on
 /// [`default_shard_threads`] OS threads.
 ///
-/// * `models[i]` runs against `scheds` shard `i`; seed initial events
-///   via [`ShardedScheduler::shard_mut`] before calling.
+/// * `models[i]` runs against `scheds[i]`; seed initial events there
+///   before calling.
 /// * `lookahead` is the minimum cross-shard latency `L >= 1`. Windows
 ///   are sized adaptively (see [the module docs](self)); every
 ///   emission is guaranteed to land beyond its own window. Pass
@@ -377,12 +320,12 @@ fn next_deadline(gvt: Option<Time>, lookahead: Time, until: Time) -> Time {
 /// fate a past-`until` event has in a sequential `run_until`.
 ///
 /// # Panics
-/// Panics if `models` and `scheds` disagree on the shard count, if
-/// `lookahead == 0`, or if a shard worker panics (the panic is
-/// propagated to the caller).
+/// Panics if there are no shards, if `models` and `scheds` disagree
+/// on the shard count, if `lookahead == 0`, or if a shard worker
+/// panics (the panic is propagated to the caller).
 pub fn run_sharded<M, F>(
     models: &mut [M],
-    scheds: &mut ShardedScheduler<M::Event>,
+    scheds: &mut [Scheduler<M::Event>],
     until: Time,
     lookahead: Time,
     dest_shard: F,
@@ -403,7 +346,7 @@ where
 /// sequence and every virtual-time result are identical either way.
 pub fn run_sharded_on<M, F>(
     models: &mut [M],
-    scheds: &mut ShardedScheduler<M::Event>,
+    scheds: &mut [Scheduler<M::Event>],
     until: Time,
     lookahead: Time,
     threads: usize,
@@ -416,13 +359,14 @@ where
     F: Fn(usize) -> usize + Sync,
 {
     let n = models.len();
+    assert!(n >= 1, "a sharded run needs at least one shard");
     assert_eq!(n, scheds.len(), "one model per shard");
     assert!(lookahead >= 1, "lookahead must be at least one tick");
     let threads = threads.clamp(1, n);
 
     let slots: Vec<Mutex<Slot<'_, M>>> = models
         .iter_mut()
-        .zip(scheds.shards.iter_mut())
+        .zip(scheds.iter_mut())
         .map(|(model, sched)| {
             Mutex::new(Slot {
                 model,
@@ -552,6 +496,10 @@ mod tests {
 
     type Log = Vec<(Time, u64)>;
 
+    fn queues<E>(n: usize) -> Vec<Scheduler<E>> {
+        (0..n).map(|_| Scheduler::new()).collect()
+    }
+
     /// Shard `id` logs every event and volleys `v+1` back to the other
     /// shard with `latency` ns of flight time.
     struct PingPong {
@@ -590,8 +538,8 @@ mod tests {
                 log: vec![],
             },
         ];
-        let mut scheds = ShardedScheduler::new(2);
-        scheds.shard_mut(0).at(0, 0);
+        let mut scheds = queues(2);
+        scheds[0].at(0, 0);
         run_sharded_on(
             &mut models,
             &mut scheds,
@@ -600,8 +548,8 @@ mod tests {
             threads,
             |node| node,
         );
-        assert_eq!(scheds.shard_mut(0).now(), until);
-        assert_eq!(scheds.shard_mut(1).now(), until);
+        assert_eq!(scheds[0].now(), until);
+        assert_eq!(scheds[1].now(), until);
         let mut it = models.into_iter();
         (it.next().unwrap().log, it.next().unwrap().log)
     }
@@ -653,8 +601,8 @@ mod tests {
                 log: vec![],
             },
         ];
-        let mut scheds = ShardedScheduler::new(2);
-        scheds.shard_mut(0).at(0, 0);
+        let mut scheds = queues(2);
+        scheds[0].at(0, 0);
         let stats = run_sharded_on(&mut models, &mut scheds, 1000, 1, 1, |node| node);
         assert!(
             stats.windows <= 12,
@@ -689,26 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_merged_orders_by_time_shard_seq() {
-        let mut s: ShardedScheduler<u32> = ShardedScheduler::new(3);
-        s.shard_mut(2).at(5, 20);
-        s.shard_mut(0).at(5, 0);
-        s.shard_mut(1).at(3, 10);
-        s.shard_mut(0).at(5, 1);
-        s.shard_mut(1).at(9, 11);
-        let mut order = vec![];
-        while let Some((shard, t, ev)) = s.pop_merged() {
-            order.push((t, shard, ev));
-        }
-        // Time first; shard index breaks the t=5 tie; within shard 0
-        // scheduling order holds.
-        assert_eq!(
-            order,
-            vec![(3, 1, 10), (5, 0, 0), (5, 0, 1), (5, 2, 20), (9, 1, 11)]
-        );
-    }
-
-    #[test]
     fn single_shard_run_matches_sequential_dispatch() {
         // One shard, no messages: run_sharded must be a plain
         // run_until in disguise, windows and all.
@@ -727,14 +655,14 @@ mod tests {
             }
         }
         let mut models = vec![Chain(vec![])];
-        let mut scheds = ShardedScheduler::new(1);
-        scheds.shard_mut(0).at(0, 0);
+        let mut scheds = queues(1);
+        scheds[0].at(0, 0);
         run_sharded(&mut models, &mut scheds, 100, 4, |_| 0);
         assert_eq!(
             models[0].0,
             vec![(0, 0), (7, 1), (14, 2), (21, 3), (28, 4), (35, 5)]
         );
-        assert_eq!(scheds.shard_mut(0).now(), 100);
+        assert_eq!(scheds[0].now(), 100);
     }
 
     #[test]
@@ -747,9 +675,9 @@ mod tests {
             fn deliver(&mut self, _: &mut Scheduler<u32>, _: Time, _: ()) {}
         }
         let mut models = vec![Quiet, Quiet];
-        let mut scheds = ShardedScheduler::new(2);
-        scheds.shard_mut(0).at(0, 1);
-        scheds.shard_mut(1).at(3, 2);
+        let mut scheds = queues(2);
+        scheds[0].at(0, 1);
+        scheds[1].at(3, 2);
         let stats = run_sharded_on(&mut models, &mut scheds, 1000, 1001, 1, |n| n);
         assert_eq!(stats.windows, 1, "lookahead > until means no barriers");
         assert_eq!(stats.max_in_flight, 0);

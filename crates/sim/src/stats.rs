@@ -222,37 +222,6 @@ impl Histogram {
     }
 }
 
-/// Samples a metric at fixed virtual-time intervals, producing the
-/// time series behind figures like the latency-vs-load plot.
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    interval: Time,
-    next: Time,
-    /// `(time, value)` samples.
-    pub samples: Vec<(Time, f64)>,
-}
-
-impl TimeSeries {
-    /// Sample every `interval` ns.
-    pub fn new(interval: Time) -> Self {
-        assert!(interval > 0);
-        TimeSeries {
-            interval,
-            next: 0,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Offer a sample; records only when the sampling interval has
-    /// elapsed since the last recorded sample.
-    pub fn offer(&mut self, now: Time, value: f64) {
-        if now >= self.next {
-            self.samples.push((now, value));
-            self.next = now + self.interval;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,16 +348,5 @@ mod tests {
         let truth = 99_000.0;
         let err = (p99 as f64 - truth).abs() / truth;
         assert!(err < 0.15, "p99={p99} err={err}");
-    }
-
-    #[test]
-    fn timeseries_sampling_interval() {
-        let mut ts = TimeSeries::new(100);
-        for t in 0..1000 {
-            ts.offer(t, t as f64);
-        }
-        assert_eq!(ts.samples.len(), 10);
-        assert_eq!(ts.samples[0], (0, 0.0));
-        assert_eq!(ts.samples[1].0, 100);
     }
 }

@@ -10,10 +10,6 @@ pub const MILLIS: Time = 1_000_000;
 /// One second in [`Time`] units.
 pub const SECONDS: Time = 1_000_000_000;
 
-/// 10^3, handy for rate conversions.
-pub const KILO: u64 = 1_000;
-/// 10^6, handy for rate conversions.
-pub const MEGA: u64 = 1_000_000;
 /// 10^9, handy for rate conversions.
 pub const GIGA: u64 = 1_000_000_000;
 

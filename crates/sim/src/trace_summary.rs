@@ -67,12 +67,12 @@ pub struct PcieStat {
 
 impl PcieStat {
     /// Host→device bytes per staged packet.
-    pub fn h2d_per_pkt(&self) -> f64 {
+    pub(crate) fn h2d_per_pkt(&self) -> f64 {
         self.h2d_bytes as f64 / self.pkts.max(1) as f64
     }
 
     /// Device→host bytes per staged packet.
-    pub fn d2h_per_pkt(&self) -> f64 {
+    pub(crate) fn d2h_per_pkt(&self) -> f64 {
         self.d2h_bytes as f64 / self.pkts.max(1) as f64
     }
 }

@@ -22,7 +22,7 @@
 //! | [`lookup`] | `ps-lookup` | DIR-24-8, Waldvogel LPM, synthetic tables |
 //! | [`crypto`] | `ps-crypto` | AES-128-CTR, SHA-1, HMAC, ESP transforms |
 //! | [`openflow`] | `ps-openflow` | exact + wildcard flow tables |
-//! | [`io`] | `ps-io` | huge packet buffer, batched I/O cost models |
+//! | [`io`] | `ps-io` | packet record, batched I/O cost models |
 //! | [`core`] | `ps-core` | the PacketShader framework + six applications |
 //! | [`flow`] | `ps-flow` | deterministic cuckoo flow cache for the stateful NFs |
 //! | [`pktgen`] | `ps-pktgen` | traffic generator / latency sink |

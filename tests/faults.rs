@@ -24,7 +24,7 @@ use packetshader::check::{check_with, ensure, ensure_eq, Config};
 use packetshader::core::apps::{IpsecApp, Ipv4App, Ipv6App, OpenFlowApp};
 use packetshader::core::{App, Router, RouterConfig, RouterReport};
 use packetshader::crypto::esp::{decrypt_tunnel, EspError};
-use packetshader::fault::{CorruptKind, FaultSpec};
+use packetshader::fault::{corrupt_in_place, CorruptKind, FaultSpec};
 use packetshader::gpu::{GpuDevice, GpuEngine};
 use packetshader::hw::ioh::Ioh;
 use packetshader::hw::pcie::PcieModel;
@@ -38,7 +38,6 @@ use packetshader::net::{FlowKey, PacketBuilder};
 use packetshader::nic::port::PortId;
 use packetshader::openflow::wildcard::wc;
 use packetshader::openflow::{Action, OpenFlowSwitch, WildcardEntry};
-use packetshader::pktgen::fault::corrupt_in_place;
 use packetshader::pktgen::{TrafficKind, TrafficSpec};
 use packetshader::rng::Rng;
 use packetshader::sim::MILLIS;

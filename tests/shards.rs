@@ -16,9 +16,6 @@
 //! * **Windowed** — cross-node traffic with a priced QPI hop runs in
 //!   conservative windows at every shard count; results must be
 //!   identical across counts.
-//!
-//! A `ps-check` property at the bottom pins the merge order of
-//! [`ShardedScheduler`] itself against a sort-based oracle.
 
 use packetshader::check::{check, ensure_eq, Gen};
 use packetshader::core::apps::{
@@ -29,7 +26,7 @@ use packetshader::fault::FaultSpec;
 use packetshader::lookup::route::Route4;
 use packetshader::lookup::synth;
 use packetshader::pktgen::{TrafficKind, TrafficSpec};
-use packetshader::sim::{ShardedScheduler, MILLIS};
+use packetshader::sim::MILLIS;
 use packetshader::trace::TraceConfig;
 use ps_bench::workloads;
 
@@ -391,45 +388,7 @@ fn trace_dumps_byte_identical_across_shard_counts() {
 }
 
 // ---------------------------------------------------------------------------
-// 6. The merge order itself, against a sort-based oracle.
-// ---------------------------------------------------------------------------
-
-/// [`ShardedScheduler::pop_merged`] must yield the documented
-/// `(time, shard, seq)` total order for any push sequence — which for
-/// a single shard is exactly the single-heap `(time, seq)` order.
-#[test]
-fn sharded_pop_order_matches_single_heap_order() {
-    check("sharded_pop_order", |g: &mut Gen| {
-        let shards = g.int_in(1usize..=4);
-        // Random (time, shard) pushes; the payload is the push index.
-        let pushes = g.vec_of(1, 200, |g| {
-            (g.int_in(0u64..=40), g.int_in(0usize..=shards - 1))
-        });
-        let mut sched = ShardedScheduler::new(shards);
-        for (i, &(t, s)) in pushes.iter().enumerate() {
-            sched.shard_mut(s).at(t, i);
-        }
-        // Oracle: stable sort by (time, shard). Stability preserves
-        // per-shard push order, i.e. the per-shard `seq` tiebreak.
-        let mut expect: Vec<(u64, usize, usize)> = pushes
-            .iter()
-            .enumerate()
-            .map(|(i, &(t, s))| (t, s, i))
-            .collect();
-        expect.sort_by_key(|&(t, s, _)| (t, s));
-        for &(t, s, i) in &expect {
-            let (shard, time, ev) = sched.pop_merged().expect("push count matches pop count");
-            ensure_eq!(shard, s, "shard order at push {}", i);
-            ensure_eq!(time, t, "time order at push {}", i);
-            ensure_eq!(ev, i, "event identity at push {}", i);
-        }
-        ensure_eq!(sched.pop_merged(), None, "drained");
-        Ok(())
-    });
-}
-
-// ---------------------------------------------------------------------------
-// 7. The batched runtime itself: random relay systems vs oracles.
+// 6. The batched runtime itself: random relay systems vs oracles.
 // ---------------------------------------------------------------------------
 
 use packetshader::check::ensure;
@@ -516,9 +475,9 @@ fn gen_relay(g: &mut Gen) -> (impl Fn(usize) -> Vec<Relay>, SimTime) {
                 log: Vec::new(),
             })
             .collect();
-        let mut scheds = ShardedScheduler::new(n);
+        let mut scheds: Vec<Scheduler<u32>> = (0..n).map(|_| Scheduler::new()).collect();
         for &(s, t) in &seeds {
-            scheds.shard_mut(s).at(t, 0u32);
+            scheds[s].at(t, 0u32);
         }
         run_sharded_on(&mut models, &mut scheds, until, lookahead, threads, |d| d);
         models

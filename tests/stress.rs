@@ -13,9 +13,7 @@ use packetshader::core::{Router, RouterConfig};
 use packetshader::fault::FaultSpec;
 use packetshader::pktgen::TrafficSpec;
 use packetshader::sim::Time as SimTime;
-use packetshader::sim::{
-    run_sharded_on, CrossQueue, Scheduler, ShardModel, ShardedScheduler, MILLIS,
-};
+use packetshader::sim::{run_sharded_on, CrossQueue, Scheduler, ShardModel, MILLIS};
 
 // ---------------------------------------------------------------------------
 // 1. ps-sim level: the runtime under synthetic cross-traffic floods.
@@ -62,13 +60,13 @@ fn storm(n: usize, latency: SimTime, period: SimTime, until: SimTime) -> (Vec<St
             delivered: 0,
         })
         .collect();
-    let mut scheds = ShardedScheduler::new(n);
-    for i in 0..n {
-        scheds.shard_mut(i).at(0, ());
+    let mut scheds: Vec<Scheduler<()>> = (0..n).map(|_| Scheduler::new()).collect();
+    for s in &mut scheds {
+        s.at(0, ());
     }
     let stats = run_sharded_on(&mut models, &mut scheds, until, latency, 2, |d| d);
-    for i in 0..n {
-        assert_eq!(scheds.shard_mut(i).now(), until, "shard {i} clock at until");
+    for (i, s) in scheds.iter().enumerate() {
+        assert_eq!(s.now(), until, "shard {i} clock at until");
     }
     let delivered = models.iter().map(|m| m.delivered).sum();
     (models, delivered, stats.max_in_flight)
@@ -129,9 +127,9 @@ fn far_future_flood_is_dropped_at_the_source() {
         }
     }
     let mut models = vec![FarFlood { id: 0 }, FarFlood { id: 1 }];
-    let mut scheds = ShardedScheduler::new(2);
-    scheds.shard_mut(0).at(0, ());
-    scheds.shard_mut(1).at(0, ());
+    let mut scheds: Vec<Scheduler<()>> = (0..2).map(|_| Scheduler::new()).collect();
+    scheds[0].at(0, ());
+    scheds[1].at(0, ());
     let stats = run_sharded_on(&mut models, &mut scheds, 1000, 20, 1, |d| d);
     assert_eq!(stats.max_in_flight, 0, "far-future messages never queue");
 }
