@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use ps_core::apps::{ForwardPattern, IpsecApp, LbApp, MinimalApp, NatApp};
-use ps_core::router::Ev;
+use ps_core::router::{shard_threads, Ev};
 use ps_core::{App, LatencyConfig, Router, RouterConfig, RouterReport, Staging};
 use ps_pktgen::{Generator, TrafficKind, TrafficSpec};
 use ps_sim::time::Time;
@@ -355,8 +355,8 @@ pub struct ScalingVerdict {
 /// fewer, shard threads share cores and the ratio measures the host,
 /// not the runtime (the serialized-host cost is `shard.x2_wall_ratio`
 /// in `benchmark/`). `threads_for` is injected so tests can exercise
-/// both outcomes anywhere; production passes
-/// [`ps_sim::default_shard_threads`].
+/// both outcomes anywhere; production passes [`shard_threads`], the
+/// replicated runner's own pool size, which reads only the host.
 pub fn scaling_verdicts(
     samples: &[Sample],
     min_speedup: f64,
@@ -391,9 +391,8 @@ pub fn scaling() -> usize {
     for s in &samples {
         println!("{:<22} {:>9.1} ms", s.id, s.wall_secs * 1e3);
     }
-    let threads_for = ps_sim::default_shard_threads;
-    println!("host_threads: {}", threads_for(usize::MAX));
-    let verdicts = scaling_verdicts(&samples, SCALING_MIN, &threads_for);
+    println!("host_threads: {}", shard_threads(usize::MAX));
+    let verdicts = scaling_verdicts(&samples, SCALING_MIN, &shard_threads);
     for v in &verdicts {
         let flag = v.ok.map_or("SKIP", |ok| if ok { "ok" } else { "FAIL" });
         println!("{:<22} {flag:<4} {}", v.id, v.detail);
@@ -508,6 +507,14 @@ mod tests {
         assert_eq!(scaling_count("ipv4/64B"), None);
         assert_eq!(scaling_count("sweep/ipsec-64B"), None);
         assert_eq!(scaling_count("shards/minimal-64B"), None);
+    }
+
+    #[test]
+    fn production_threads_for_is_the_host_clamped_to_the_shards() {
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for shards in [1, 2, 3, 4, 8, 16, 64, usize::MAX] {
+            assert_eq!(shard_threads(shards), hw.min(shards), "{shards} shards");
+        }
     }
 
     fn scaling_row(n: usize, ns: f64) -> Sample {

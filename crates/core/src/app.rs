@@ -23,16 +23,16 @@ pub struct PreShadeResult {
 }
 
 /// Where an application's output traffic goes, relative to the NUMA
-/// node a packet arrived on — the property that decides how the
-/// sharded runtime may parallelize a run (DESIGN.md §9).
+/// node a packet arrived on — the property that decides whether a
+/// run may split into per-node replicas (DESIGN.md §9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardAffinity {
     /// Every packet leaves through a port on its RX node: NUMA
-    /// domains never interact, so shards run barrier-free.
+    /// domains never interact, so each shard runs as an independent
+    /// replica.
     NodeLocal,
-    /// Packets may leave through a remote node's port: shards must
-    /// exchange them at conservative-window barriers, with the QPI
-    /// hop as lookahead.
+    /// Packets may leave through a remote node's port: the domains
+    /// interact, so the run is never replicated and stays sequential.
     CrossNode,
 }
 
@@ -105,8 +105,8 @@ pub trait App {
     /// keep the no-op default.
     fn on_gpu_fault(&mut self, _node: usize) {}
 
-    /// A fresh, equivalent copy of this (pre-run) app for one shard of
-    /// a parallel run, plus its traffic affinity. Return [`None`]
+    /// A fresh, equivalent copy of this (pre-run) app for one replica
+    /// of a parallel run, plus its traffic affinity. Return [`None`]
     /// (the default) to opt out of sharded execution entirely —
     /// correct for apps with global mutable state whose evolution
     /// depends on seeing *all* traffic.

@@ -16,7 +16,7 @@
 //! deterministic: each node's packet order is identical in sequential
 //! and sharded runs, so each node's table evolves identically
 //! (DESIGN.md §10.3). Translated packets leave through the node-local
-//! port pair, so both NFs shard barrier-free
+//! port pair, so both NFs replicate per node
 //! ([`ShardAffinity::NodeLocal`]).
 
 use std::ops::{Deref, DerefMut};

@@ -7,10 +7,9 @@
 //! the events carry; the [`super::Router`] accessors map those onto
 //! the per-NUMA-domain [`super::node::NodeShard`]s. The only
 //! cross-domain interactions are (a) a worker transmitting out a
-//! remote node's port and (b) NUMA-blind DMA mirroring — (a) is
-//! exactly what [`Ev::CrossArrive`] reifies so the parallel runtime
-//! can exchange it at window barriers. The admission side (generator,
-//! NIC RX, interrupts) lives in `rx`; the master's
+//! remote node's port, which [`Ev::CrossArrive`] reifies when the QPI
+//! hop is priced, and (b) NUMA-blind DMA mirroring. The admission
+//! side (generator, NIC RX, interrupts) lives in `rx`; the master's
 //! gather/shade/scatter in `master`.
 
 use ps_hw::ioh::Direction;
@@ -29,7 +28,6 @@ use crate::app::App;
 use crate::chunk::Chunk;
 use crate::config::Mode;
 
-use super::parallel::CrossTx;
 use super::Router;
 
 /// Chunks a CPU+GPU worker may have in flight at the master (§5.4
@@ -75,9 +73,7 @@ pub enum Ev {
     TxDone,
     /// A processed packet arrived at a *remote* node for TX: it
     /// crossed the QPI (paying `qpi_hop_ns`) and now starts its TX
-    /// DMA on the destination node's IOH. In a windowed parallel run
-    /// this event is scheduled by the barrier delivery; sequentially
-    /// it comes straight off the heap.
+    /// DMA on the destination node's IOH.
     CrossArrive {
         /// Destination NUMA node (owner of the out port).
         node: usize,
@@ -350,35 +346,19 @@ impl<A: App> Router<A> {
             let node = self.node_of_port(out);
             if qpi > 0 && node != src_node {
                 // The frame crosses the QPI to the remote IOH before
-                // its TX DMA; the hop is the parallel runtime's
-                // lookahead, so in a windowed run the packet leaves
-                // through the barrier (even when the destination node
-                // is hosted by this same shard — routing *all*
-                // crossings one way keeps delivery order independent
-                // of the hosting). Sequentially it takes the heap.
+                // its TX DMA.
                 let at = t2 + qpi;
                 if at > self.stop_at {
-                    // Past the run horizon: a sequential run would
-                    // never dispatch this arrival (`run_until` stops
-                    // at the deadline) and a windowed run discards it
-                    // at the barrier — ledger it at the source in
-                    // both, so the drop ledger is byte-identical at
-                    // every shard count.
+                    // Past the run horizon: `run_until` would never
+                    // dispatch this arrival, so the packet would sit
+                    // in the queue unaccounted. Ledger it at the
+                    // source instead.
                     self.stats.drops.far_future += 1;
                     self.reclaim_buf(p.data);
                     continue;
                 }
-                if self.cross_windowed {
-                    self.pending_cross.push(CrossTx {
-                        src: src_node,
-                        to: node,
-                        at,
-                        pkt: p,
-                    });
-                } else {
-                    let pkt = self.cross_box(p);
-                    sched.at(at, Ev::CrossArrive { node, pkt });
-                }
+                let pkt = self.cross_box(p);
+                sched.at(at, Ev::CrossArrive { node, pkt });
                 continue;
             }
             // TX DMA: the NIC reads the frame from host memory.

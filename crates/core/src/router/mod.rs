@@ -14,12 +14,12 @@
 //!   arrivals and RX/TX completions, and the event dispatch;
 //! * `master` — the master loop: gather, shade (GPU or CPU
 //!   fallback), scatter;
-//! * `stats` — per-run counters and the deterministic cross-shard
-//!   report merge;
+//! * `stats` — per-run counters and the report, built as the
+//!   deterministic merge of one or more replicas;
 //! * `report` — [`RouterReport`], the public result type;
 //! * `parallel` — the execution policy: when a run may split into
-//!   per-NUMA-domain shards on OS threads (`PS_SHARDS`, DESIGN.md §9)
-//!   and the conservative-window plumbing over [`ps_sim::shard`].
+//!   per-NUMA-domain replicas on OS threads (`PS_SHARDS`, DESIGN.md
+//!   §9), and the thread pool that runs them.
 //!
 //! This file holds the [`Router`] aggregate: construction, the
 //! resource pools, and the run entry points.
@@ -35,7 +35,7 @@ mod stats;
 mod tests;
 
 pub use dispatch::{rss_hash, Ev};
-pub use parallel::shards_from_env;
+pub use parallel::{shard_threads, shards_from_env};
 pub use report::RouterReport;
 
 use ps_fault::FaultPlan;
@@ -51,7 +51,6 @@ use crate::config::RouterConfig;
 
 use dispatch::Due;
 use node::{MasterState, NodeShard, WorkerState};
-use parallel::CrossTx;
 use stats::RunStats;
 
 /// Upper bound on each recycling pool (frame buffers, batch vectors);
@@ -100,13 +99,6 @@ pub struct Router<A: App> {
     /// parallel run: it then only admits packets whose RX node it
     /// hosts (`node % count == index`).
     shard: Option<(usize, usize)>,
-    /// True when the parallel run uses conservative windows (cross-IOH
-    /// traffic present): cross-node TX must leave through
-    /// [`parallel::CrossTx`] messages instead of being simulated
-    /// inline.
-    cross_windowed: bool,
-    /// Cross-IOH packets awaiting the next window barrier.
-    pending_cross: Vec<CrossTx>,
 }
 
 impl<A: App> Router<A> {
@@ -154,8 +146,6 @@ impl<A: App> Router<A> {
             free_batches: Vec::new(),
             plan: cfg.faults.enabled().then(|| FaultPlan::new(cfg.faults)),
             shard: None,
-            cross_windowed: false,
-            pending_cross: Vec::new(),
         }
     }
 
@@ -173,12 +163,12 @@ impl<A: App> Router<A> {
     ///
     /// The request is only that — a request. The execution policy
     /// decides whether the workload can execute as per-NUMA-domain
-    /// shards on OS threads (the app must be replicable, the run
-    /// untraced and fault-free, placement NUMA-aware); everything
-    /// else takes the sequential path below, byte-identical to the
-    /// pre-shard implementation. Virtual-time results are identical
-    /// at *every* shard count (pinned by `tests/shards.rs`); only
-    /// wall-clock time changes.
+    /// replicas on OS threads (the app must be replicable with
+    /// node-local traffic, the run untraced and fault-free, placement
+    /// NUMA-aware); everything else takes the sequential path below,
+    /// byte-identical to the pre-shard implementation. Virtual-time
+    /// results are identical at *every* shard count (pinned by
+    /// `tests/shards.rs`); only wall-clock time changes.
     pub fn run_with_shards(
         cfg: RouterConfig,
         app: A,
@@ -191,9 +181,7 @@ impl<A: App> Router<A> {
     {
         match parallel::plan(&cfg, app, shards) {
             parallel::ExecPlan::Sequential(app) => {
-                let router = Router::new(cfg, app, spec, duration);
-                let mut sim = Simulation::new(router);
-                sim.schedule(0, Ev::Gen);
+                let mut sim = Router::new(cfg, app, spec, duration).armed();
                 // Measure exactly [0, duration]: packets still in
                 // flight at the deadline do not count (steady-state
                 // occupancy is small relative to any measurement
@@ -202,10 +190,17 @@ impl<A: App> Router<A> {
                 let window = duration - sim.model.measure_from;
                 sim.model.report(window)
             }
-            parallel::ExecPlan::Parallel { apps, windowed } => {
-                parallel::run_parallel(cfg, apps, spec, duration, windowed)
+            parallel::ExecPlan::Replicated(apps) => {
+                parallel::run_replicated(cfg, apps, spec, duration)
             }
         }
+    }
+
+    /// This router in a simulation at time zero, its generator armed.
+    fn armed(self) -> Simulation<Router<A>> {
+        let mut sim = Simulation::new(self);
+        sim.schedule(0, Ev::Gen);
+        sim
     }
 
     /// Access the application (post-run inspection).

@@ -1,9 +1,10 @@
-//! Per-run counters and the deterministic cross-shard report merge.
+//! Per-run counters and the one report builder.
 //!
 //! All of the router's scalar statistics live in [`RunStats`] so that
-//! a parallel run can combine shards with plain commutative sums —
+//! a replicated run can combine replicas with plain commutative sums —
 //! the merged [`super::RouterReport`] is a pure function of the
-//! per-shard virtual-time results, independent of thread timing.
+//! per-replica virtual-time results, independent of thread timing. A
+//! single router's report is the merge of that one router.
 
 use ps_fault::FaultStats;
 use ps_pktgen::DropLedger;
@@ -16,7 +17,7 @@ use super::report::RouterReport;
 use super::Router;
 
 /// The counters the data plane accumulates during a run. Every field
-/// is a sum (or a counter of sums), so merging shards is field-wise
+/// is a sum (or a counter of sums), so merging replicas is field-wise
 /// addition.
 #[derive(Debug, Default)]
 pub(crate) struct RunStats {
@@ -56,82 +57,29 @@ fn mean(packets: u64, batches: u64) -> f64 {
 }
 
 impl<A: App> Router<A> {
-    /// Build the report over measurement window `window`.
+    /// Build the report over measurement window `window`: the merge of
+    /// this one router plus its fault ledger.
     pub fn report(&self, window: Time) -> RouterReport {
-        let ring_drops: u64 = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.rings.iter().chain(n.prio_rings.iter()))
-            .map(|r| r.drops)
-            .sum();
-        let peak_ring_depth = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.rings.iter().chain(n.prio_rings.iter()))
-            .map(|r| r.peak)
-            .max()
-            .unwrap_or(0);
-        debug_assert_eq!(
-            self.stats.drops.nic_fault + self.stats.drops.nic_admission,
-            self.stats.nic_drops,
-            "NIC ledger counters must decompose the NIC-drop total"
-        );
-        let drops = DropLedger {
-            ring_tail: ring_drops,
-            ..self.stats.drops
-        };
         RouterReport {
-            window,
-            offered: self.stats.offered,
-            delivered: self.sink.delivered,
-            latency: self.sink.latency.clone(),
-            prio_latency: self.sink.prio_latency.clone(),
-            sojourn: self.stats.sojourn.clone(),
-            prio_sojourn: self.stats.prio_sojourn.clone(),
-            drops,
-            peak_ring_depth,
-            rx_drops: self.stats.nic_drops + ring_drops,
-            app_drops: self.stats.app_drops,
-            slow_path: self.stats.slow_path,
-            gpu_kernels: self
-                .nodes
-                .iter()
-                .filter_map(|n| n.gpu.as_ref())
-                .map(|g| g.kernels_launched)
-                .sum(),
-            shade_batches: self.stats.shade_batches,
-            shade_packets: self.stats.shade_packets,
-            mean_shade_batch: mean(self.stats.shade_packets, self.stats.shade_batches),
-            mean_rx_batch: mean(self.stats.rx_packets, self.stats.rx_batches),
-            ioh_d2h_gbit: self
-                .nodes
-                .iter()
-                .map(|n| n.ioh.d2h_bytes() as f64 * 8.0 / window as f64)
-                .collect(),
-            ioh_h2d_gbit: self
-                .nodes
-                .iter()
-                .map(|n| n.ioh.h2d_bytes() as f64 * 8.0 / window as f64)
-                .collect(),
-            drop_split: (self.stats.nic_drops, ring_drops),
             faults: match &self.plan {
                 Some(p) => p.stats.clone(),
                 None => FaultStats::default(),
             },
-            staging: self.app.staging_totals(),
+            ..merged_report(std::slice::from_ref(self), window)
         }
     }
 }
 
-/// Deterministically merge the shards of a parallel run into one
-/// report. Every combined quantity is a commutative, associative fold
+/// Deterministically merge the replicas of a run into one report.
+/// Every combined quantity is a commutative, associative fold
 /// (counter sums, bucket-wise histogram addition, element-wise IOH
-/// byte sums), so the result does not depend on shard count or thread
-/// interleaving — `tests/shards.rs` pins reports at shards ∈
+/// byte sums), so the result does not depend on replica count or
+/// thread interleaving — `tests/shards.rs` pins reports at shards ∈
 /// {1,2,4,8} against each other.
 ///
-/// Parallel runs never arm a fault plan (faulted runs are planned
-/// sequential), so the merged ledger is all-zero by construction.
+/// The fault ledger stays all-zero: replicated runs never arm a fault
+/// plan (faulted runs are planned sequential), and
+/// [`Router::report`] fills in its own.
 pub(crate) fn merged_report<A: App>(shards: &[Router<A>], window: Time) -> RouterReport {
     let mut offered = PacketCounter::default();
     let mut delivered = PacketCounter::default();
@@ -159,6 +107,11 @@ pub(crate) fn merged_report<A: App>(shards: &[Router<A>], window: Time) -> Route
         prio_latency.merge(&s.sink.prio_latency);
         sojourn.merge(&s.stats.sojourn);
         prio_sojourn.merge(&s.stats.prio_sojourn);
+        debug_assert_eq!(
+            s.stats.drops.nic_fault + s.stats.drops.nic_admission,
+            s.stats.nic_drops,
+            "NIC ledger counters must decompose the NIC-drop total"
+        );
         nic_drops += s.stats.nic_drops;
         let shard_ring_drops = s
             .nodes
@@ -191,10 +144,9 @@ pub(crate) fn merged_report<A: App>(shards: &[Router<A>], window: Time) -> Route
         shade.1 += s.stats.shade_batches;
         rx.0 += s.stats.rx_packets;
         rx.1 += s.stats.rx_batches;
-        // A shard only moves bytes through the IOHs of nodes it
-        // hosts (plus cross-window deliveries *into* hosted nodes);
-        // non-hosted entries are zero, so element-wise sums recover
-        // the per-node totals.
+        // A replica only moves bytes through the IOHs of nodes it
+        // hosts; non-hosted entries are zero, so element-wise sums
+        // recover the per-node totals.
         for (i, n) in s.nodes.iter().enumerate() {
             d2h[i] += n.ioh.d2h_bytes() as f64 * 8.0 / window as f64;
             h2d[i] += n.ioh.h2d_bytes() as f64 * 8.0 / window as f64;

@@ -180,10 +180,15 @@ fn rss_hash_is_flow_stable() {
 /// Every hosted packet the generator has emitted, by where it is now:
 /// `generated` against delivered + every drop-ledger cause + in
 /// flight, with the parts named for the failure message. In flight
-/// are the pending RX and TX completions, the RX rings, and the chunks
-/// queued at workers and masters (the configurations below have no
-/// QPI hop, so no packet waits in a `CrossArrive` event).
-fn conservation<A: App>(r: &Router<A>) -> (u64, u64, String) {
+/// are the pending RX and TX completions, the RX rings, the chunks
+/// queued at workers and masters, and the packets crossing a priced
+/// QPI hop in `CrossArrive` events.
+fn conservation<A: App>(sim: &Simulation<Router<A>>) -> (u64, u64, String) {
+    let r = &sim.model;
+    let crossing = sim
+        .pending_events()
+        .filter(|ev| matches!(ev, Ev::CrossArrive { .. }))
+        .count() as u64;
     let (mut rx_done, mut tx_done) = (0u64, 0u64);
     for d in r.due.iter() {
         match d {
@@ -219,7 +224,7 @@ fn conservation<A: App>(r: &Router<A>) -> (u64, u64, String) {
     let parts = format!(
         "delivered {delivered}, ledger {ledger:?}, app drops {}, slow path {}, \
          RX completions {rx_done}, rings {queued}, at workers {at_workers}, \
-         at masters {at_masters}, TX completions {tx_done}",
+         at masters {at_masters}, crossing {crossing}, TX completions {tx_done}",
         r.stats.app_drops, r.stats.slow_path
     );
     let accounted = delivered
@@ -230,6 +235,7 @@ fn conservation<A: App>(r: &Router<A>) -> (u64, u64, String) {
         + queued
         + at_workers
         + at_masters
+        + crossing
         + tx_done;
     (r.stats.offered.packets, accounted, parts)
 }
@@ -244,9 +250,7 @@ fn started<A: App>(
 ) -> Simulation<Router<A>> {
     let mut r = Router::new(cfg, app, spec, duration);
     r.measure_from = 0;
-    let mut sim = Simulation::new(r);
-    sim.schedule(0, Ev::Gen);
-    sim
+    r.armed()
 }
 
 /// Run `start()` through `cuts` (ascending, the last one the window
@@ -263,7 +267,7 @@ fn conserves_at_cuts<A: App>(
     let mut sim = start();
     for &cut in cuts {
         sim.run_until(cut);
-        let (generated, accounted, parts) = conservation(&sim.model);
+        let (generated, accounted, parts) = conservation(&sim);
         ensure_eq!(accounted, generated, "at {} ns: {}", cut, parts);
     }
     ensure!(sim.model.stats.offered.packets > 0);
@@ -351,6 +355,39 @@ fn conservation_holds_at_every_slice_cut() {
         |seed| fixed(64, 30.0, seed),
         300 * MICROS,
     );
+    // Every packet crosses a priced QPI hop: crossings wait in
+    // `CrossArrive` events, and those due past the window end go to
+    // the far-future ledger entry. Under load and overloaded past the
+    // ~40 Gbps ceiling.
+    let mut qpi = RouterConfig::paper_cpu();
+    qpi.testbed.ioh = qpi.testbed.ioh.with_qpi_hop(300);
+    let crossing = || MinimalApp::new(ForwardPattern::NodeCrossing, 8);
+    for (name, gbps) in [
+        ("minimal-64B-qpi", 25.0),
+        ("minimal-64B-qpi-overload", 60.0),
+    ] {
+        check_conservation(
+            name,
+            qpi,
+            crossing,
+            |seed| fixed(64, gbps, seed),
+            300 * MICROS,
+        );
+    }
+    // A crossing due past the window end is ledgered at the source:
+    // find a window end, past warm-up, that falls within one hop of a
+    // worker's TX, and check that case conserves too.
+    let overloaded = |d| started(qpi, crossing(), fixed(64, 60.0, 7), d);
+    let far_future = |d| {
+        let mut sim = overloaded(d);
+        sim.run_until(d);
+        sim.model.stats.drops.far_future
+    };
+    let end = (0..40)
+        .map(|k| 400 * MICROS + k * 250)
+        .find(|&d| far_future(d) > 0)
+        .expect("some window end cuts a crossing short");
+    conserves_at_cuts(|| overloaded(end), &[end / 2, end]).unwrap();
 }
 
 fn layout(nodes: usize, workers_per_node: usize, ports: u16) -> RouterConfig {

@@ -159,11 +159,10 @@ pub struct IohSpec {
     /// framing), ns.
     pub per_dma_overhead_ns: Time,
     /// Added latency of one cross-IOH hop over the QPI interconnect
-    /// (§3.2, Figure 4), ns. This is also the *minimum* latency any
-    /// packet needs to move between NUMA domains, which makes it the
-    /// safe lookahead for per-domain parallel simulation
-    /// (`ps_sim::shard`, DESIGN.md §9): a domain can run `qpi_hop_ns`
-    /// of virtual time ahead without missing a cross-domain arrival.
+    /// (§3.2, Figure 4), ns: a packet a worker sends out a remote
+    /// node's port reaches that node's IOH this long after the worker
+    /// finishes it. Zero charges nothing extra and sends the packet
+    /// straight to the remote TX DMA.
     pub qpi_hop_ns: Time,
 }
 
@@ -173,7 +172,7 @@ impl IohSpec {
     /// `qpi_hop_ns` is zero here: the calibrated DMA times above
     /// already fold in the interconnect round trip the paper's
     /// figures measured, so the testbed model charges no *extra*
-    /// per-hop latency — and consequently offers no lookahead.
+    /// per-hop latency.
     pub const fn intel_5520_dual() -> IohSpec {
         IohSpec {
             d2h_bits: 28 * GIGA,
@@ -184,9 +183,8 @@ impl IohSpec {
         }
     }
 
-    /// The same IOH with an explicit QPI hop latency, for
-    /// what-if experiments that price cross-domain traffic (and for
-    /// the sharded runtime, which uses the hop as its lookahead).
+    /// The same IOH with an explicit QPI hop latency, for what-if
+    /// experiments and tests that price cross-domain traffic.
     pub const fn with_qpi_hop(mut self, ns: Time) -> IohSpec {
         self.qpi_hop_ns = ns;
         self

@@ -16,13 +16,13 @@
 //! with [`Completions::next`], each one moving the clock to its time,
 //! in key order across every lane, for as long as the next item comes
 //! before both every event still queued and the deadline of the
-//! `run_until` / `pop_due` call in progress (the scheduler's
+//! `run_until` call in progress (the scheduler's
 //! *horizon*). Then it queues one event at the first item it did not
 //! take, at that item's own place. Every other event therefore sees
 //! exactly the order one event per item gives, ties included
 //! (`tests/completions.rs` checks this against that reference), and a
-//! run cut into slices, or a shard into windows, takes the same items
-//! in each as the reference dispatches there.
+//! run cut into slices takes the same items in each as the reference
+//! dispatches there.
 //!
 //! Items pushed by another event may come before the queued one; such
 //! a push queues an event of its own, and the set keeps the keys of all
@@ -372,7 +372,7 @@ mod tests {
         seen: &mut Vec<(Time, u32)>,
     ) -> u32 {
         let mut events = 0;
-        while let Some((t, ev)) = s.pop_due(deadline) {
+        while let Some((t, ev)) = s.pop_at_or_before(deadline) {
             events += 1;
             match ev {
                 Ev::Foreign(id) => seen.push((t, id)),
@@ -443,7 +443,7 @@ mod tests {
         let mut c = Completions::new(1);
         s.at(3, Ev::Done);
         c.push(&mut s, 0, 3, 7, |_| Ev::Done);
-        let (t, _) = s.pop_due(Time::MAX).expect("queued");
+        let (t, _) = s.pop_at_or_before(Time::MAX).expect("queued");
         assert_eq!(t, 3);
         assert!(!c.fired(&s), "scheduled by hand, not by the set");
         assert_eq!(c.next(&mut s, |_| Ev::Done), Some(7));

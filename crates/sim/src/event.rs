@@ -60,8 +60,8 @@ pub struct Scheduler<E> {
     now: Time,
     /// Key of the event being dispatched (the last one popped).
     current: (Time, u64),
-    /// Deadline of the `run_until` / `pop_due` call in progress: no
-    /// event later than this may run in it, and neither may a
+    /// Deadline of the `run_until` call in progress: no event later
+    /// than this may run in it, and neither may a
     /// [`crate::Completions`] item.
     horizon: Time,
 }
@@ -159,9 +159,7 @@ impl<E> Scheduler<E> {
         self.at(self.now, ev);
     }
 
-    /// Key of the earliest pending event. Crate-visible so the shard
-    /// merge ([`crate::shard`]) can order heads across shards by
-    /// `(time, shard, seq)`.
+    /// Key of the earliest pending event.
     #[inline]
     pub(crate) fn peek_key(&self) -> Option<(Time, u64)> {
         match &self.next {
@@ -175,7 +173,7 @@ impl<E> Scheduler<E> {
         self.current
     }
 
-    /// Deadline of the `run_until` / `pop_due` call in progress.
+    /// Deadline of the `run_until` call in progress.
     #[inline]
     pub(crate) fn horizon(&self) -> Time {
         self.horizon
@@ -190,27 +188,13 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Time of the earliest pending event, if any.
-    #[inline]
-    pub(crate) fn peek_time(&self) -> Option<Time> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
     fn pop(&mut self) -> Option<(Time, E)> {
         self.pop_at_or_before(Time::MAX)
     }
 
-    /// Pop the earliest event with `time <= deadline` — the shard
-    /// worker's window-bounded drain (see [`crate::shard`]).
-    pub(crate) fn pop_due(&mut self, deadline: Time) -> Option<(Time, E)> {
-        self.pop_at_or_before(deadline)
-    }
-
     /// Advance the clock to `t` without dispatching anything (no-op if
-    /// the clock is already past `t`). Shard workers call this at every
-    /// window barrier so cross-shard deliveries for the next window are
-    /// never "in the past" of an idle shard; [`crate::Completions`]
-    /// moves it to each item it settles.
+    /// the clock is already past `t`): [`crate::Completions`] moves it
+    /// to each item it settles.
     pub(crate) fn advance_clock(&mut self, t: Time) {
         if self.now < t {
             self.now = t;
@@ -219,7 +203,7 @@ impl<E> Scheduler<E> {
 
     /// Pop the earliest event unless its time exceeds `deadline`,
     /// which becomes the horizon for the event popped.
-    fn pop_at_or_before(&mut self, deadline: Time) -> Option<(Time, E)> {
+    pub(crate) fn pop_at_or_before(&mut self, deadline: Time) -> Option<(Time, E)> {
         self.horizon = deadline;
         let k = self.peek_key()?;
         if k.0 > deadline {
@@ -262,6 +246,12 @@ impl<M: Model> Simulation<M> {
     /// Schedule an initial (or external) event.
     pub fn schedule(&mut self, t: Time, ev: M::Event) {
         self.sched.at(t, ev);
+    }
+
+    /// The events still queued, in no particular order.
+    pub fn pending_events(&self) -> impl Iterator<Item = &M::Event> {
+        let heap = self.sched.heap.iter().map(|Reverse(e)| e);
+        self.sched.next.iter().chain(heap).map(|e| &e.ev)
     }
 
     /// Dispatch a single event. Returns `false` when the queue is dry.

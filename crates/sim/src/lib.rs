@@ -22,18 +22,15 @@
 //!
 //! The design keeps all concurrency in *virtual* time: PacketShader's
 //! worker and master *threads* are simulated entities, which keeps
-//! every experiment exactly reproducible. For wall-clock speed the
-//! [`shard`] module additionally executes independent model shards on
-//! real OS threads under conservative (lookahead-based)
-//! synchronization — without giving up a single bit of that
-//! determinism (see `DESIGN.md` §9).
+//! every experiment exactly reproducible. A [`Simulation`] runs on one
+//! OS thread; running independent replicas side by side on several
+//! is the router's business (`ps-core`, `DESIGN.md` §9).
 
 #![deny(missing_docs)]
 
 pub mod completions;
 pub mod event;
 pub mod resource;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace_summary;
@@ -41,9 +38,6 @@ pub mod wake;
 
 pub use completions::Completions;
 pub use event::{Scheduler, Simulation};
-pub use shard::{
-    default_shard_threads, run_sharded, run_sharded_on, CrossQueue, ShardModel, ShardRunStats,
-};
 pub use time::{Time, GIGA, MICROS, MILLIS, SECONDS};
 pub use wake::FoldedWakes;
 

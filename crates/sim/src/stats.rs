@@ -174,8 +174,8 @@ impl Histogram {
     /// Fold another histogram into this one. Both sides share the same
     /// fixed bucket layout, so quantiles over the merged histogram are
     /// exactly the quantiles a single histogram fed both value streams
-    /// would report — the property the sharded data plane relies on
-    /// when it merges per-shard latency histograms.
+    /// would report — the property the replicated data plane relies
+    /// on when it merges per-replica latency histograms.
     pub fn merge(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;

@@ -197,7 +197,7 @@ mod tests {
         /// Dispatch every queued event; returns how many there were.
         fn drain(&mut self, sched: &mut Scheduler<()>) -> u32 {
             let mut n = 0;
-            while sched.pop_due(Time::MAX).is_some() {
+            while sched.pop_at_or_before(Time::MAX).is_some() {
                 self.on_wake(sched);
                 n += 1;
             }
@@ -227,7 +227,7 @@ mod tests {
         // firing clears the dedupe, so the next feed arms again.
         for t in [10, 20, 30] {
             p.feed(&mut s, t);
-            assert_eq!(s.pop_due(Time::MAX).map(|(t, ())| t), Some(t));
+            assert_eq!(s.pop_at_or_before(Time::MAX).map(|(t, ())| t), Some(t));
             p.on_wake(&mut s);
         }
         assert_eq!((p.wakes.pending(), s.pending()), (3, 1));
@@ -247,7 +247,7 @@ mod tests {
         p.busy_until = 100;
         for t in [10, 20] {
             p.feed(&mut s, t);
-            s.pop_due(Time::MAX);
+            s.pop_at_or_before(Time::MAX);
             p.on_wake(&mut s);
         }
         p.queue = 0; // someone else took the work
@@ -280,7 +280,7 @@ mod tests {
         assert_eq!((w.pending(), s.pending()), (2, 3));
 
         let mut order = Vec::new();
-        while let Some((_, ev)) = s.pop_due(Time::MAX) {
+        while let Some((_, ev)) = s.pop_at_or_before(Time::MAX) {
             if ev == Ev::Wake {
                 assert!(!w.fire(&mut s, 0, true, || Ev::Wake));
             }

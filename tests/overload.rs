@@ -270,10 +270,10 @@ fn governed_overload_identical_across_shard_counts() {
     }
 }
 
-/// The windowed regime (priced QPI hop, cross-node forwarding) with
-/// adaptive batching and priority lanes on: far-future discards are
-/// counted at the source in both sequential and windowed runs, so the
-/// ledger must not move with the shard count.
+/// Cross-node forwarding over a priced QPI hop with adaptive batching
+/// and priority lanes on: the run collapses to sequential at every
+/// shard count, so the ledger — far-future discards at the source
+/// included — must not move with the count.
 #[test]
 fn governed_windowed_run_identical_across_shard_counts() {
     let mut cfg = wide_cfg(4);
@@ -284,7 +284,7 @@ fn governed_windowed_run_identical_across_shard_counts() {
     let base = full_fp(&Router::run_with_shards(cfg, mk(), spec, DUR, 1));
     for shards in [2usize, 4, 8] {
         let fp = full_fp(&Router::run_with_shards(cfg, mk(), spec, DUR, shards));
-        assert_eq!(base, fp, "governed windowed: shards=1 vs shards={shards}");
+        assert_eq!(base, fp, "governed cross-node: shards=1 vs shards={shards}");
     }
 }
 

@@ -5,19 +5,16 @@
 //! Every test here compares *full* `RouterReport`s (the Debug
 //! rendering covers every counter, every histogram bucket, the
 //! per-node IOH gigabit vectors and the fault ledger) across
-//! `shards ∈ {1, 2, 4, 8}`, exercising all three execution regimes:
+//! `shards ∈ {1, 2, 4, 8}`, exercising both execution regimes:
 //!
 //! * **Sequential collapse** — the four real applications (no
-//!   `shard_replica`), faulted runs, and traced runs must all ignore
-//!   the shard request and reproduce the single-threaded result.
-//! * **Replicated** — node-local traffic actually runs one OS thread
-//!   per NUMA domain; the merged report must equal the sequential one
-//!   byte for byte.
-//! * **Windowed** — cross-node traffic with a priced QPI hop runs in
-//!   conservative windows at every shard count; results must be
-//!   identical across counts.
+//!   `shard_replica`), faulted runs, traced runs and cross-node
+//!   traffic must all ignore the shard request and reproduce the
+//!   single-threaded result.
+//! * **Replicated** — node-local traffic actually runs one replica per
+//!   NUMA domain on the shard threads; the merged report must equal
+//!   the sequential one byte for byte.
 
-use packetshader::check::{check, ensure_eq, Gen};
 use packetshader::core::apps::{
     Backend, ForwardPattern, IpsecApp, Ipv4App, LbApp, MinimalApp, NatApp, OpenFlowApp,
 };
@@ -282,14 +279,13 @@ fn replicated_parity_on_eight_nodes() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Windowed regime: a priced QPI hop buys real lookahead.
+// 4. Cross-node traffic collapses to sequential, hop priced or not.
 // ---------------------------------------------------------------------------
 
-/// Cross-node traffic with `qpi_hop_ns > 0` runs in conservative
-/// windows — at *every* shard count, shards=1 included — so the
-/// result is identical across counts by construction. This exercises
-/// the barrier merge, the typed cross-shard messages and the
-/// per-source emission ordering.
+/// Cross-node traffic with a priced QPI hop (`qpi_hop_ns > 0`) is
+/// never replicated: every shard count runs the one sequential loop,
+/// so the `CrossArrive` path and the far-future ledger entry must
+/// give identical reports at every count.
 #[test]
 fn windowed_shards_identical_across_counts() {
     let mut cfg = RouterConfig::paper_cpu();
@@ -302,10 +298,8 @@ fn windowed_shards_identical_across_counts() {
     );
 }
 
-/// Windowed execution on a four-node box: cross-node messages flow
-/// between four shards (and between the pairs the clamped eight-way
-/// request folds onto), so the batched barrier exchange and the
-/// per-source emission ordering are exercised with real fan-in.
+/// The same collapse on a four-node box, where shard requests 4 and
+/// 8 are not clamped to 2: crossings fan in from three remote nodes.
 #[test]
 fn windowed_parity_on_four_nodes() {
     let mut cfg = wide_cfg(4);
@@ -318,9 +312,9 @@ fn windowed_parity_on_four_nodes() {
     );
 }
 
-/// With the hop priced at zero (the calibrated paper testbed) there
-/// is no lookahead, so cross-node traffic must stay sequential — and
-/// therefore still be shard-count-independent.
+/// With the hop priced at zero (the calibrated paper testbed)
+/// crossings take the plain TX path; the run stays sequential and
+/// shard-count-independent.
 #[test]
 fn unpriced_cross_traffic_identical_across_counts() {
     assert_parity(
@@ -385,183 +379,4 @@ fn trace_dumps_byte_identical_across_shard_counts() {
             d.len()
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// 6. The batched runtime itself: random relay systems vs oracles.
-// ---------------------------------------------------------------------------
-
-use packetshader::check::ensure;
-use packetshader::sim::Time as SimTime;
-use packetshader::sim::{run_sharded_on, CrossQueue, Scheduler, ShardModel};
-
-/// A randomized relay shard for driving [`run_sharded_on`] directly:
-/// every handled tag below `limit` forwards `tag + 1` according to a
-/// generated rule table — either locally (rescheduled on the own
-/// queue) or across shards with at least `latency` ns of flight time.
-/// The shard records every emission (with its per-source index, which
-/// mirrors [`CrossQueue`]'s internal counter) and a combined
-/// handle/delivery log, so properties can compare the batched
-/// runtime's behavior against sort-based per-event oracles.
-#[derive(Clone)]
-struct Relay {
-    id: usize,
-    latency: SimTime,
-    limit: u32,
-    /// `(dest, extra_delay)`; `dest == usize::MAX` means a local hop.
-    rules: Vec<(usize, SimTime)>,
-    sent: u64,
-    /// Every cross emission: `(arrival, src, idx, to, tag)`.
-    sends: Vec<(SimTime, usize, u64, usize, u32)>,
-    /// Interleaved observations: `(time, kind, tag)` with kind 0 for a
-    /// handled event and 1 for a delivered message.
-    log: Vec<(SimTime, u8, u32)>,
-}
-
-impl ShardModel for Relay {
-    type Event = u32;
-    type Cross = u32;
-
-    fn handle(&mut self, sched: &mut Scheduler<u32>, tag: u32, cross: &mut CrossQueue<u32>) {
-        self.log.push((sched.now(), 0, tag));
-        if tag >= self.limit {
-            return;
-        }
-        let (dest, extra) = self.rules[tag as usize % self.rules.len()];
-        if dest == usize::MAX {
-            sched.after(extra + 1, tag + 1);
-        } else {
-            let arrival = sched.now() + self.latency + extra;
-            self.sends
-                .push((arrival, self.id, self.sent, dest, tag + 1));
-            self.sent += 1;
-            cross.send(self.id, dest, arrival, tag + 1);
-        }
-    }
-
-    fn deliver(&mut self, sched: &mut Scheduler<u32>, at: SimTime, tag: u32) {
-        self.log.push((at, 1, tag));
-        sched.at(at, tag);
-    }
-}
-
-/// One random relay system, drawn from `g`: shard count, true
-/// cross-shard latency, a rule table, seed events and a safe (<=
-/// latency) lookahead. Returned as a closure so a property can run
-/// the *identical* system at several thread counts.
-fn gen_relay(g: &mut Gen) -> (impl Fn(usize) -> Vec<Relay>, SimTime) {
-    let n = g.int_in(2usize..=4);
-    let latency = g.int_in(1u64..=20);
-    let limit = g.int_in(1u32..=30);
-    let rules = g.vec_of(1, 6, |g| {
-        if g.int_in(0u32..=3) == 0 {
-            (usize::MAX, g.int_in(0u64..=15))
-        } else {
-            (g.int_in(0usize..=n - 1), g.int_in(0u64..=15))
-        }
-    });
-    let seeds = g.vec_of(1, 5, |g| (g.int_in(0usize..=n - 1), g.int_in(0u64..=10)));
-    let until = g.int_in(50u64..=400);
-    let lookahead = g.int_in(1u64..=latency);
-    let run = move |threads: usize| {
-        let mut models: Vec<Relay> = (0..n)
-            .map(|id| Relay {
-                id,
-                latency,
-                limit,
-                rules: rules.clone(),
-                sent: 0,
-                sends: Vec::new(),
-                log: Vec::new(),
-            })
-            .collect();
-        let mut scheds: Vec<Scheduler<u32>> = (0..n).map(|_| Scheduler::new()).collect();
-        for &(s, t) in &seeds {
-            scheds[s].at(t, 0u32);
-        }
-        run_sharded_on(&mut models, &mut scheds, until, lookahead, threads, |d| d);
-        models
-    };
-    (run, until)
-}
-
-/// Property (ISSUE 6): the batched per-window `Vec` handoff delivers
-/// exactly the multiset and order a per-event send would — every
-/// shard's delivery log equals all emissions destined to it, sorted
-/// by `(arrival, src, idx)`, with post-`until` arrivals discarded.
-#[test]
-fn batched_handoff_matches_per_event_oracle() {
-    check("batched_handoff_oracle", |g: &mut Gen| {
-        let (run, until) = gen_relay(g);
-        let threads = g.int_in(1usize..=3);
-        let models = run(threads);
-        let all: Vec<_> = models
-            .iter()
-            .flat_map(|m| m.sends.iter().copied())
-            .collect();
-        for (d, m) in models.iter().enumerate() {
-            let mut expect: Vec<_> = all
-                .iter()
-                .filter(|&&(arrival, _, _, to, _)| to == d && arrival <= until)
-                .copied()
-                .collect();
-            expect.sort_by_key(|&(arrival, src, idx, _, _)| (arrival, src, idx));
-            let want: Vec<(SimTime, u32)> = expect
-                .iter()
-                .map(|&(arrival, _, _, _, tag)| (arrival, tag))
-                .collect();
-            let got: Vec<(SimTime, u32)> = m
-                .log
-                .iter()
-                .filter(|&&(_, kind, _)| kind == 1)
-                .map(|&(t, _, tag)| (t, tag))
-                .collect();
-            ensure_eq!(got, want, "shard {} deliveries vs per-event oracle", d);
-        }
-        Ok(())
-    });
-}
-
-/// Property (ISSUE 6): work-stealing never pops an event ahead of the
-/// deterministic merge order — a pooled run (threads 2 and 3, where
-/// shard-windows migrate between threads) produces byte-identical
-/// per-shard logs to the inline single-thread run, and no shard's log
-/// ever goes backwards in time.
-#[test]
-fn work_stealing_preserves_merged_order() {
-    check("stealing_preserves_order", |g: &mut Gen| {
-        let (run, _) = gen_relay(g);
-        let inline = run(1);
-        for (i, m) in inline.iter().enumerate() {
-            // Only handled events are *pops*; a delivery entry is an
-            // enqueue at the window boundary and may legitimately
-            // precede earlier-timed pending events in the log.
-            let handles: Vec<_> = m.log.iter().filter(|&&(_, kind, _)| kind == 0).collect();
-            ensure!(
-                handles.windows(2).all(|w| w[0].0 <= w[1].0),
-                "shard {} pops must be time-monotone",
-                i
-            );
-        }
-        for threads in [2usize, 3] {
-            let pooled = run(threads);
-            for (i, (a, b)) in inline.iter().zip(&pooled).enumerate() {
-                ensure_eq!(
-                    a.log,
-                    b.log,
-                    "shard {} log: threads=1 vs threads={}",
-                    i,
-                    threads
-                );
-                ensure_eq!(
-                    a.sends,
-                    b.sends,
-                    "shard {} emissions at threads={}",
-                    i,
-                    threads
-                );
-            }
-        }
-        Ok(())
-    });
 }
