@@ -87,32 +87,39 @@ fn main() {
 /// The five phases of `IpsecApp::shade` over one 64 x 1514 B gather,
 /// each timed on its own through the same public pieces `shade` is
 /// built from (EXPERIMENTS.md "Where an IPsec shade goes"). ns/iter is
-/// per gather: divide by 64 for ns per shaded packet.
+/// per gather: divide by 64 for ns per shaded packet. Staging frames
+/// the regions straight into device memory, so its row includes the
+/// payload copy; the h2d row is the params and block-map copies.
 fn ipsec_shade(r: &mut Runner) {
     const PKTS: usize = 64;
     let per_gather = Some(Throughput::Elements(PKTS as u64));
     let sa = SecurityAssociation::new(0x1001, &[0x42; 16], 0xD00D, b"ps-bench-hmac-key");
     let inners: Vec<Vec<u8>> = (0..PKTS).map(|i| vec![i as u8; 1500]).collect();
-    let mut st = EspStaging::default();
-    r.bench("ipsec-shade/stage_64x1514B", per_gather, || {
-        st.clear();
-        for (seq, inner) in inners.iter().enumerate() {
-            black_box(st.push(sa.spi, seq as u32, inner));
-        }
-    });
-
+    let bytes = PKTS * EspStaging::region_len(1500);
     let mut eng = GpuEngine::new(
         GpuDevice::gtx480_with_mem(4 << 20),
         PcieModel::new(PcieSpec::dual_ioh_x16()),
     );
     let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
-    let payload = eng.dev.mem.alloc(st.packed.len());
-    let params = eng.dev.mem.alloc(st.params.len());
-    let block_info = eng.dev.mem.alloc(st.block_info.len());
+    let payload = eng.dev.mem.alloc(bytes);
+    let params = eng.dev.mem.alloc(PKTS * 16);
+    let block_info = eng.dev.mem.alloc(bytes / 16 * 4);
+
+    let mut st = EspStaging::default();
+    r.bench("ipsec-shade/stage_64x1514B", per_gather, || {
+        st.clear();
+        eng.copy_h2d_with(0, &mut ioh, &payload, 0, bytes, |dst| {
+            for (seq, inner) in inners.iter().enumerate() {
+                black_box(st.push(dst, sa.spi, seq as u32, inner));
+            }
+        })
+    });
+    let map_len = st.n_blocks() as usize * 4;
     r.bench("ipsec-shade/h2d_64x1514B", per_gather, || {
-        eng.copy_h2d(0, &mut ioh, &payload, 0, &st.packed);
-        eng.copy_h2d(0, &mut ioh, &params, 0, &st.params);
-        eng.copy_h2d(0, &mut ioh, &block_info, 0, &st.block_info)
+        eng.copy_h2d(0, &mut ioh, &params, 0, st.params());
+        eng.copy_h2d_with(0, &mut ioh, &block_info, 0, map_len, |dst| {
+            st.block_map(dst)
+        })
     });
 
     let aes = IpsecAesKernel {
@@ -136,16 +143,16 @@ fn ipsec_shade(r: &mut Runner) {
         eng.launch(0, &hmac, hmac.n)
     });
 
-    let mut out = Vec::new();
     let mut frames = vec![Vec::new(); PKTS];
     let total = ps_net::esp::total_len(1500);
     let (src, dst) = (Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(198, 51, 100, 1));
     r.bench("ipsec-shade/out_64x1514B", per_gather, || {
-        out.resize(st.packed.len(), 0);
-        eng.copy_d2h(0, 0, &mut ioh, &payload, 0, &mut out);
-        for (frame, esp) in frames.iter_mut().zip(out.chunks(total.div_ceil(16) * 16)) {
-            let (s, d) = (MacAddr::local(0xE0), MacAddr::local(0xE1));
-            PacketBuilder::raw_v4_into(frame, s, d, src, dst, 50, &esp[..total]);
-        }
+        eng.copy_d2h_with(0, 0, &mut ioh, &payload, 0, bytes, |out| {
+            let regions = out.chunks(EspStaging::region_len(1500));
+            for (frame, esp) in frames.iter_mut().zip(regions) {
+                let (s, d) = (MacAddr::local(0xE0), MacAddr::local(0xE1));
+                PacketBuilder::raw_v4_into(frame, s, d, src, dst, 50, &esp[..total]);
+            }
+        })
     });
 }

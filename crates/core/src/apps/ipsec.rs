@@ -39,16 +39,15 @@ struct NodeGpu {
     block_info: DeviceBuffer,
 }
 
-/// Per-launch gather/scatter staging, reused across launches so the
-/// steady state allocates nothing: `clear()` keeps capacity, and the
-/// buffers grow only until the largest batch has been seen.
+/// Per-launch gather/scatter bookkeeping, reused across launches so
+/// the steady state allocates nothing: `clear()` keeps capacity. The
+/// ESP regions themselves live only in device memory.
 #[derive(Default)]
 struct Staging {
     esp: EspStaging,
-    /// Per gathered packet: its ESP packet within the packed buffer,
+    /// Per gathered packet: its ESP packet within the payload buffer,
     /// `None` for a malformed frame.
     slots: Vec<Option<Range<usize>>>,
-    out: Vec<u8>,
 }
 
 /// The IPsec tunnel gateway.
@@ -199,41 +198,51 @@ impl App for IpsecApp {
             pkts.len() <= MAX_GATHER_PKTS,
             "gather exceeds the params staging"
         );
+        // The payload is laid out before any of it is written, so an
+        // oversized gather panics before touching device memory.
+        let bytes: usize = pkts
+            .iter()
+            .filter_map(|p| inner_frame(&p.data))
+            .map(|inner| EspStaging::region_len(inner.len()))
+            .sum();
+        assert!(bytes <= MAX_GATHER_BYTES, "gather exceeds staging");
         let g = self.gpu[node].as_ref().expect("setup_gpu ran");
         let (payload_buf, params_buf, info_buf) = (g.payload, g.params, g.block_info);
 
-        // Build the packed plaintext regions + per-packet params +
-        // per-block map. The staging buffers are struct fields reused
-        // across launches.
+        // Copy-in (pipelined copies): the packed plaintext regions,
+        // framed straight into the device payload buffer, then the
+        // per-packet params and the per-block map. The staging
+        // bookkeeping is a struct field reused across launches.
         let mut st = std::mem::take(&mut self.stage);
         st.esp.clear();
         st.slots.clear();
-        for p in pkts.iter() {
-            // A malformed frame takes a sentinel slot, consumes no ESP
-            // sequence number (bit-parity with the CPU path, which
-            // also skips it) and stages nothing.
-            let Some(inner) = inner_frame(&p.data) else {
-                self.malformed += 1;
-                st.slots.push(None);
-                continue;
-            };
-            let seq = self.sa.seq;
-            self.sa.seq = self.sa.seq.wrapping_add(1);
-            st.slots.push(Some(st.esp.push(self.sa.spi, seq, inner)));
-        }
-        assert!(
-            st.esp.packed.len() <= MAX_GATHER_BYTES,
-            "gather exceeds staging"
-        );
+        let (sa, malformed) = (&mut self.sa, &mut self.malformed);
+        let c1 = eng.copy_h2d_with(ready, ioh, &payload_buf, 0, bytes, |dst| {
+            for p in pkts.iter() {
+                // A malformed frame takes a sentinel slot, consumes no
+                // ESP sequence number (bit-parity with the CPU path,
+                // which also skips it) and stages nothing.
+                let Some(inner) = inner_frame(&p.data) else {
+                    *malformed += 1;
+                    st.slots.push(None);
+                    continue;
+                };
+                let seq = sa.seq;
+                sa.seq = sa.seq.wrapping_add(1);
+                st.slots.push(Some(st.esp.push(dst, sa.spi, seq, inner)));
+            }
+        });
         let (n_pkts, n_blocks) = (st.esp.n_pkts(), st.esp.n_blocks());
         // The params copy is sized by the gather, not by how many of
         // its frames survived revalidation.
-        st.esp.params.resize(pkts.len() * 16, 0);
-
-        // Copy-in: payload, params, block map (pipelined copies).
-        let c1 = eng.copy_h2d(ready, ioh, &payload_buf, 0, &st.esp.packed);
-        let c2 = eng.copy_h2d(ready, ioh, &params_buf, 0, &st.esp.params);
-        let c3 = eng.copy_h2d(ready, ioh, &info_buf, 0, &st.esp.block_info);
+        let c2 = eng.copy_h2d_with(ready, ioh, &params_buf, 0, pkts.len() * 16, |dst| {
+            let (staged, rest) = dst.split_at_mut(st.esp.params().len());
+            staged.copy_from_slice(st.esp.params());
+            rest.fill(0);
+        });
+        let c3 = eng.copy_h2d_with(ready, ioh, &info_buf, 0, n_blocks as usize * 4, |dst| {
+            st.esp.block_map(dst)
+        });
         let inputs_ready = c1.max(c2).max(c3);
 
         // Encrypt-then-MAC: the engine serializes the two kernels.
@@ -256,20 +265,17 @@ impl App for IpsecApp {
         };
         let (hmac_done, _) = eng.launch(aes_done, &hmac, n_pkts);
 
-        // Copy-out the whole packed buffer (every byte of `out` is
-        // overwritten, so only its length is set here).
-        st.out.resize(st.esp.packed.len(), 0);
-        let done = eng.copy_d2h(ready, hmac_done, ioh, &payload_buf, 0, &mut st.out);
-
-        for (p, slot) in pkts.iter_mut().zip(&st.slots) {
-            let Some(region) = slot else {
-                p.out_port = None;
-                continue;
-            };
-            self.outer_frame_into(&mut p.data, &st.out[region.clone()]);
-            p.out_port = Some(Self::out_port(p.in_port));
-            self.encrypted += 1;
-        }
+        // Copy-out of the whole payload buffer: each outer frame is
+        // built straight from its region in device memory.
+        let done = eng.copy_d2h_with(ready, hmac_done, ioh, &payload_buf, 0, bytes, |out| {
+            for (p, slot) in pkts.iter_mut().zip(&st.slots) {
+                p.out_port = slot.as_ref().map(|region| {
+                    self.outer_frame_into(&mut p.data, &out[region.clone()]);
+                    Self::out_port(p.in_port)
+                });
+            }
+        });
+        self.encrypted += u64::from(n_pkts);
         self.stage = st;
         done
     }
@@ -325,8 +331,9 @@ mod tests {
         assert_eq!(inner, inner_before);
     }
 
-    #[test]
-    fn gpu_path_matches_cpu_path_bit_for_bit() {
+    /// Run frames of `lens` through both paths: same SA sequence
+    /// numbers, same framing, same keys -> identical wire bytes.
+    fn assert_gpu_matches_cpu(lens: &[usize]) {
         let mut cpu = app();
         let mut gpu = app();
         let dev = ps_gpu::GpuDevice::gtx480_with_mem(64 << 20);
@@ -335,8 +342,9 @@ mod tests {
         gpu.setup_gpu(0, &mut eng);
 
         let mk = || {
-            (0..5u64)
-                .map(|i| packet(i, 64 + (i as usize) * 37))
+            lens.iter()
+                .enumerate()
+                .map(|(i, &len)| packet(i as u64, len))
                 .collect::<Vec<_>>()
         };
         let mut a = mk();
@@ -344,15 +352,31 @@ mod tests {
         cpu.pre_shade(&mut a);
         cpu.process_cpu(&mut a);
         gpu.pre_shade(&mut b);
+        assert_eq!(b.len(), lens.len(), "every frame reaches shade");
         let done = gpu.shade(0, &mut eng, &mut ioh, 0, &mut b);
         assert!(done > 0);
 
-        // Same SA sequence numbers, same framing, same keys -> the
-        // two paths must emit identical wire bytes.
         for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.data, y.data, "packet {}", x.id);
+            assert!(
+                x.data == y.data,
+                "packet {} differs between CPU and GPU paths",
+                x.id
+            );
             assert_eq!(x.out_port, y.out_port);
         }
+    }
+
+    #[test]
+    fn gpu_path_matches_cpu_path_bit_for_bit() {
+        assert_gpu_matches_cpu(&[64, 101, 138, 175, 212]);
+    }
+
+    /// Past 256 AES blocks (an inner packet over 4,096 B) the block
+    /// index needs more than 8 bits of its map word.
+    #[test]
+    fn gpu_path_matches_cpu_path_on_jumbo_frames() {
+        assert_gpu_matches_cpu(&[4200, 64, 4200]);
+        assert_gpu_matches_cpu(&[9000, 1514, 9000, 9000]);
     }
 
     #[test]
@@ -387,6 +411,24 @@ mod tests {
         let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
         let mut pkts: Vec<Packet> = (0..=MAX_GATHER_PKTS as u64)
             .map(|id| Packet::new(id, Vec::new(), PortId(0), 0))
+            .collect();
+        gpu.shade(0, &mut eng, &mut ioh, 0, &mut pkts);
+    }
+
+    /// The payload bound is checked from the layout alone, before any
+    /// region is framed or written to device memory (here there is
+    /// none: `setup_gpu` never ran).
+    #[test]
+    #[should_panic(expected = "gather exceeds staging")]
+    fn oversized_payload_is_caught_before_staging() {
+        let mut gpu = app();
+        let dev = ps_gpu::GpuDevice::gtx480_with_mem(1 << 20);
+        let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
+        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
+        let frame = vec![0u8; 64 << 10];
+        let n = MAX_GATHER_BYTES / EspStaging::region_len(frame.len() - ETH_LEN) + 1;
+        let mut pkts: Vec<Packet> = (0..n as u64)
+            .map(|id| Packet::new(id, frame.clone(), PortId(0), 0))
             .collect();
         gpu.shade(0, &mut eng, &mut ioh, 0, &mut pkts);
     }

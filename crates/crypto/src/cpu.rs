@@ -16,6 +16,19 @@ pub(crate) fn aes_ni() -> bool {
     false
 }
 
+/// VAES + AVX-512 F + BW: the 16-blocks-in-flight `ctr_xor` of
+/// [`crate::aes`] (four 512-bit registers of four blocks each, byte
+/// masks for the tail).
+#[inline]
+pub(crate) fn vaes() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("vaes") && avx512()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 /// SHA-NI: the `sha1rnds4` compression of [`crate::sha1`].
 #[inline]
 pub(crate) fn sha_ni() -> bool {
@@ -43,14 +56,20 @@ pub(crate) fn avx512() -> bool {
 }
 
 /// Which code this host runs for each primitive, e.g.
-/// `aes=ni sha1=ni hmac-many=avx512x16`. For logs beside host-time
+/// `aes=vaes sha1=ni hmac-many=avx512x16`. For logs beside host-time
 /// numbers; no output that is compared byte for byte prints it.
 pub fn backends() -> &'static str {
     static LINE: OnceLock<String> = OnceLock::new();
     LINE.get_or_init(|| {
         format!(
             "aes={} sha1={} hmac-many={}",
-            if aes_ni() { "ni" } else { "ttable" },
+            if vaes() {
+                "vaes"
+            } else if aes_ni() {
+                "ni"
+            } else {
+                "ttable"
+            },
             if sha_ni() { "ni" } else { "scalar" },
             if avx512() { "avx512x16" } else { "single" },
         )

@@ -92,13 +92,8 @@ impl GpuEngine {
     }
 
     /// Copy `data` into device memory at `buf[off..]`, starting no
-    /// earlier than `ready`. Returns the completion time.
-    ///
-    /// The copy occupies the copy engine, the PCIe link (timing per
-    /// Table 1) and the node's IOH (host→device direction). IOH
-    /// capacity is charged at `ready` — the CPU-side submission time —
-    /// so fabric occupancy reflects when the transfer is queued, not
-    /// when a backlogged engine eventually starts it.
+    /// earlier than `ready`. Returns the completion time. A
+    /// [`GpuEngine::copy_h2d_with`] whose `fill` copies `data`.
     pub fn copy_h2d(
         &mut self,
         ready: Time,
@@ -107,8 +102,34 @@ impl GpuEngine {
         off: usize,
         data: &[u8],
     ) -> Time {
-        self.dev.mem.write(buf, off, data);
-        self.copy(ready, ready, ioh, CopyDir::HostToDevice, data.len() as u64)
+        self.copy_h2d_with(ready, ioh, buf, off, data.len(), |dst| {
+            dst.copy_from_slice(data)
+        })
+    }
+
+    /// A host→device copy of `len` bytes to `buf[off..]` whose bytes
+    /// `fill` writes straight into device memory, so a staging pass
+    /// needs no host buffer of its own. The one call both writes the
+    /// bytes and charges their transfer, so the charge is always for
+    /// exactly the bytes that arrived. Returns the completion time.
+    ///
+    /// The copy occupies the copy engine, the PCIe link (timing per
+    /// Table 1) and the node's IOH (host→device direction). IOH
+    /// capacity is charged at `ready` — the CPU-side submission time —
+    /// so fabric occupancy reflects when the transfer is queued, not
+    /// when a backlogged engine eventually starts it.
+    pub fn copy_h2d_with(
+        &mut self,
+        ready: Time,
+        ioh: &mut Ioh,
+        buf: &DeviceBuffer,
+        off: usize,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Time {
+        assert!(off + len <= buf.len(), "device write out of bounds");
+        fill(&mut self.dev.mem.slice_mut(buf)[off..off + len]);
+        self.copy(ready, ready, ioh, CopyDir::HostToDevice, len as u64)
     }
 
     /// Materialize `data` in device memory at `buf[off..]` with *no*
@@ -132,7 +153,8 @@ impl GpuEngine {
     /// Copy device memory at `buf[off..]` out to `dst`, starting no
     /// earlier than `ready` (typically the kernel completion);
     /// `submit_at` is when the CPU queued the asynchronous call and
-    /// is used for IOH capacity accounting.
+    /// is used for IOH capacity accounting. A
+    /// [`GpuEngine::copy_d2h_with`] whose `read` copies into `dst`.
     pub fn copy_d2h(
         &mut self,
         submit_at: Time,
@@ -142,14 +164,30 @@ impl GpuEngine {
         off: usize,
         dst: &mut [u8],
     ) -> Time {
-        self.dev.mem.read(buf, off, dst);
-        self.copy(
-            submit_at,
-            ready,
-            ioh,
-            CopyDir::DeviceToHost,
-            dst.len() as u64,
-        )
+        self.copy_d2h_with(submit_at, ready, ioh, buf, off, dst.len(), |src| {
+            dst.copy_from_slice(src)
+        })
+    }
+
+    /// The device→host twin of [`GpuEngine::copy_h2d_with`]: charges
+    /// a copy of `len` bytes from `buf[off..]` and hands those bytes,
+    /// in device memory, to `read`, which consumes them where they
+    /// lie instead of through a host copy. Returns the completion
+    /// time.
+    #[allow(clippy::too_many_arguments)]
+    pub fn copy_d2h_with(
+        &mut self,
+        submit_at: Time,
+        ready: Time,
+        ioh: &mut Ioh,
+        buf: &DeviceBuffer,
+        off: usize,
+        len: usize,
+        read: impl FnOnce(&[u8]),
+    ) -> Time {
+        assert!(off + len <= buf.len(), "device read out of bounds");
+        read(&self.dev.mem.slice(buf)[off..off + len]);
+        self.copy(submit_at, ready, ioh, CopyDir::DeviceToHost, len as u64)
     }
 
     fn copy(

@@ -427,6 +427,45 @@ impl FrameMeta {
     }
 }
 
+/// Exact rational pacing without a division per packet. A class's
+/// interval is `interval / offered` ns; it is split once into whole
+/// ns and a remainder, and the remainders accumulate in `acc`, which
+/// stays below `offered`: adding one carries at most one ns. Every
+/// step equals `(acc + interval) / offered` of the division form, and
+/// `acc` its `% offered`.
+struct Pacer {
+    /// Per length class: `(interval / offered, interval % offered)`.
+    steps: Vec<(u64, u64)>,
+    offered: u64,
+    acc: u64,
+}
+
+impl Pacer {
+    fn new(intervals: &[u64], offered: u64) -> Pacer {
+        assert!(offered > 0 && offered <= u64::MAX / 2);
+        Pacer {
+            steps: intervals
+                .iter()
+                .map(|&i| (i / offered, i % offered))
+                .collect(),
+            offered,
+            acc: 0,
+        }
+    }
+
+    /// Ns from a packet of `class` to the next packet. Branch-free:
+    /// whether a step carries follows the remainders' pattern, which a
+    /// branch predictor cannot learn.
+    #[inline]
+    fn advance(&mut self, class: usize) -> u64 {
+        let (whole, rem) = self.steps[class];
+        let acc = self.acc + rem;
+        let carry = u64::from(acc >= self.offered);
+        self.acc = acc - (self.offered & carry.wrapping_neg());
+        whole + carry
+    }
+}
+
 /// The open-loop packet source.
 ///
 /// Inter-arrival spacing is deterministic (`wire_bits /
@@ -435,15 +474,12 @@ impl FrameMeta {
 pub struct Generator {
     spec: TrafficSpec,
     rng: Rng,
-    /// Per-length-class pacing numerator (`wire_bits * 1e9`); one
-    /// entry for fixed-size traffic, one per IMIX length otherwise.
-    intervals: Vec<u64>,
-    /// Fixed-point remainder accumulation for exact pacing.
-    acc: u64,
+    /// Pacing per length class (numerator `wire_bits * 1e9`); one
+    /// class for fixed-size traffic, one per IMIX length otherwise.
+    pace: Pacer,
     next_time: Time,
     seq: u64,
-    /// One prebuilt template per length class, parallel to
-    /// `intervals`.
+    /// One prebuilt template per length class.
     tmpls: Vec<FrameTemplate>,
 }
 
@@ -458,7 +494,7 @@ impl Generator {
         };
         // ns per packet = wire_bits * 1e9 / offered_bits, kept as a
         // rational to avoid drift.
-        let intervals = lens
+        let intervals: Vec<u64> = lens
             .iter()
             .map(|&l| (ps_net::wire_len(l) * 8) as u64 * 1_000_000_000)
             .collect();
@@ -469,8 +505,7 @@ impl Generator {
         Generator {
             spec,
             rng: Rng::seed_from_u64(spec.seed),
-            intervals,
-            acc: 0,
+            pace: Pacer::new(&intervals, spec.offered_bits),
             next_time: 0,
             seq: 0,
             tmpls,
@@ -514,10 +549,7 @@ impl Generator {
     /// entirely. This is the fast path a shard replica takes for
     /// every packet it does not host.
     pub fn skip_meta(&mut self) {
-        self.acc += self.intervals[self.class_of(self.seq)];
-        let step = self.acc / self.spec.offered_bits;
-        self.acc %= self.spec.offered_bits;
-        self.next_time += step;
+        self.next_time += self.pace.advance(self.class_of(self.seq));
         if self.spec.flows.is_none() {
             // The tuple draw and the stream advance are the same
             // operation; discard the value, keep the alignment.
@@ -540,10 +572,7 @@ impl Generator {
     pub fn next_meta(&mut self) -> FrameMeta {
         let t = self.next_time;
         let class = self.class_of(self.seq);
-        self.acc += self.intervals[class];
-        let step = self.acc / self.spec.offered_bits;
-        self.acc %= self.spec.offered_bits;
-        self.next_time += step;
+        self.next_time += self.pace.advance(class);
 
         let meta = FrameMeta {
             t,
@@ -748,6 +777,41 @@ mod tests {
         // 10 Gbps of 88-wire-byte frames = 14.2 Mpps -> 14,204 per ms.
         let n = pkts.len() as f64;
         assert!((14_100.0..14_310.0).contains(&n), "{n} packets per ms");
+    }
+
+    /// The carry form of pacing is the division form, step for step:
+    /// random offered rates and intervals (up to a 9,000 B jumbo
+    /// frame's), fixed, IMIX or random class sequences, long runs.
+    #[test]
+    fn pacer_matches_division_form() {
+        ps_check::check("pacer_matches_division_form", |g| {
+            let offered = match g.int_in(0..3u32) {
+                0 => g.int_in(1..=1_000u64),
+                1 => g.int_in(1..=100_000_000_000u64),
+                _ => g.int_in(1..=4u64) * GIGA + g.int_in(0..GIGA),
+            };
+            let classes = g.int_in(1..=3usize);
+            let intervals: Vec<u64> = (0..classes)
+                .map(|_| g.int_in(1..=9_038 * 8 * GIGA))
+                .collect();
+            let imix = classes == 3 && g.int_in(0..2u32) == 0;
+            let mut pace = Pacer::new(&intervals, offered);
+            let mut acc = 0u64;
+            for seq in 0..g.len_in(1, 20_000) as u64 {
+                let class = if imix {
+                    IMIX_PATTERN[(seq % 12) as usize]
+                } else {
+                    g.int_in(0..classes)
+                };
+                acc += intervals[class];
+                let want = acc / offered;
+                acc %= offered;
+                let got = pace.advance(class);
+                ps_check::ensure_eq!(got, want, "step {seq}, class {class}");
+                ps_check::ensure_eq!(pace.acc, acc, "remainder after step {seq}");
+            }
+            Ok(())
+        });
     }
 
     #[test]
