@@ -133,11 +133,6 @@ pub fn exact_keys(spec: &TrafficSpec, n: u32) -> Vec<FlowKey> {
         .collect()
 }
 
-/// Single-flow-key convenience used by tests.
-pub fn exact_key_for_flow(spec: &TrafficSpec, id: u32) -> FlowKey {
-    exact_keys(spec, id + 1).pop().expect("non-empty")
-}
-
 /// An OpenFlow app (helper).
 pub fn openflow_app(spec: &TrafficSpec, exact_flows: u32, decoy_wildcards: usize) -> OpenFlowApp {
     OpenFlowApp::new(openflow_switch(spec, exact_flows, decoy_wildcards))
@@ -172,7 +167,7 @@ mod tests {
     fn exact_keys_match_generated_traffic() {
         let mut spec = TrafficSpec::ipv4_64b(1.0, 17);
         spec.flows = Some(16);
-        let keys: Vec<FlowKey> = (0..16).map(|id| exact_key_for_flow(&spec, id)).collect();
+        let keys = exact_keys(&spec, 16);
         // Re-generate traffic; every packet's key must be in the set.
         let mut g = Generator::new(spec);
         for _ in 0..64 {

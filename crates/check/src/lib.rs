@@ -19,12 +19,14 @@
 //! * Cases default to 64; override with `PS_CHECK_CASES`.
 //! * The base seed is derived from the property name (stable across
 //!   runs); override with `PS_CHECK_SEED=<decimal or 0x-hex>`.
+//! * A set variable that does not parse panics, naming it: a mistyped
+//!   replay never silently runs the defaults.
 //! * On failure the panic message prints the base seed, case seed and
 //!   shrink level, and the exact environment to replay the run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ps_rng::{splitmix64, Rng, Sample, SampleRange};
+use ps_rng::{env_u64, splitmix64, Rng, Sample, SampleRange};
 
 /// Outcome of one property case: `Err` carries the counterexample
 /// description.
@@ -46,25 +48,9 @@ pub struct Config {
 impl Config {
     /// The configuration for a named property.
     pub fn from_env(name: &str) -> Config {
-        let cases = std::env::var("PS_CHECK_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64)
-            .max(1);
-        let seed = std::env::var("PS_CHECK_SEED")
-            .ok()
-            .and_then(|v| parse_seed(&v))
-            .unwrap_or_else(|| fnv1a(name.as_bytes()));
+        let cases = env_u64("PS_CHECK_CASES").unwrap_or(64).max(1);
+        let seed = env_u64("PS_CHECK_SEED").unwrap_or_else(|| fnv1a(name.as_bytes()));
         Config { cases, seed }
-    }
-}
-
-fn parse_seed(s: &str) -> Option<u64> {
-    let s = s.trim();
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
     }
 }
 
@@ -350,13 +336,5 @@ mod tests {
                 assert!((3..10).contains(&n), "shrink {shrink} gave {n}");
             }
         }
-    }
-
-    #[test]
-    fn seed_parsing_accepts_hex_and_decimal() {
-        assert_eq!(parse_seed("123"), Some(123));
-        assert_eq!(parse_seed("0xFF"), Some(255));
-        assert_eq!(parse_seed("0Xff"), Some(255));
-        assert_eq!(parse_seed("bogus"), None);
     }
 }

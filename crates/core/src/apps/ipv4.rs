@@ -2,7 +2,6 @@
 //! the CPU.
 
 use ps_gpu::{DeviceBuffer, GpuEngine, Kernel};
-use ps_hw::ioh::Ioh;
 use ps_io::Packet;
 use ps_lookup::dir24::{self, Dir24Table};
 use ps_lookup::mem::{CountingMem, SliceMem};
@@ -10,7 +9,6 @@ use ps_lookup::route::Route4;
 use ps_net::ethernet::HEADER_LEN as ETH_LEN;
 use ps_net::ipv4::Ipv4Packet;
 use ps_net::{classify, Verdict};
-use ps_sim::time::Time;
 
 use crate::columns::{ColumnSet, IPV4_COLUMNS};
 use crate::kernels::{Ipv4Kernel, KernelIo};
@@ -23,21 +21,6 @@ pub type Ipv4App = ColumnApp<Ipv4Program>;
 /// a next-hop column out, over a DIR-24-8 table.
 pub struct Ipv4Program {
     table: Dir24Table,
-    /// Bumped by every FIB update; a node whose device image carries
-    /// an older version re-uploads before its next launch (the §7
-    /// double-buffering direction: the upload rides the normal copy
-    /// engine, so the data path keeps flowing).
-    version: u64,
-}
-
-/// Spare bytes a re-allocated device FIB keeps past the image: 256
-/// spill blocks of 256 two-byte entries.
-const SPILL_HEADROOM: usize = 256 * 512;
-
-/// One node's device copy of the FIB.
-pub struct DeviceFib {
-    image: DeviceBuffer,
-    version: u64,
 }
 
 impl Ipv4App {
@@ -45,20 +28,11 @@ impl Ipv4App {
     pub fn new(routes: &[Route4]) -> Ipv4App {
         ColumnApp::over(Ipv4Program {
             table: Dir24Table::build(routes),
-            version: 0,
         })
     }
 }
 
 impl Ipv4Program {
-    /// Install (or replace) one route at run time — the control-plane
-    /// FIB update of §7. The CPU table updates in place; each GPU's
-    /// copy is re-uploaded lazily before its next launch.
-    pub fn install_route(&mut self, r: Route4) {
-        self.table.insert(r);
-        self.version += 1;
-    }
-
     /// Host-side lookup (shared by the CPU path and tests).
     pub fn lookup_host(&self, addr: u32) -> u16 {
         self.table.lookup_host(addr)
@@ -68,7 +42,7 @@ impl Ipv4Program {
 impl ColumnProgram for Ipv4Program {
     type Key = ();
     type Row = u16;
-    type Tables = DeviceFib;
+    type Tables = DeviceBuffer;
 
     const NAME: &'static str = "ipv4";
     const COLUMNS: ColumnSet = IPV4_COLUMNS;
@@ -88,39 +62,15 @@ impl ColumnProgram for Ipv4Program {
         Some(())
     }
 
-    fn upload_tables(&self, eng: &mut GpuEngine) -> DeviceFib {
+    fn upload_tables(&self, eng: &mut GpuEngine) -> DeviceBuffer {
         let image = eng.dev.mem.alloc(self.table.image().len());
         eng.dev.mem.write(&image, 0, self.table.image());
-        DeviceFib {
-            image,
-            version: self.version,
-        }
+        image
     }
 
-    fn refresh(
-        &self,
-        fib: &mut DeviceFib,
-        eng: &mut GpuEngine,
-        ioh: &mut Ioh,
-        ready: Time,
-    ) -> Time {
-        if fib.version == self.version {
-            return ready;
-        }
-        fib.version = self.version;
-        let image = self.table.image();
-        if image.len() > fib.image.len() {
-            // A new spill block outgrew the device copy. Device memory
-            // is never freed, so the image moves to an allocation with
-            // room for more blocks, not one per update.
-            fib.image = eng.dev.mem.alloc(image.len() + SPILL_HEADROOM);
-        }
-        eng.copy_h2d(ready, ioh, &fib.image, 0, image)
-    }
-
-    fn kernel<'a>(&'a self, fib: &'a DeviceFib, io: KernelIo) -> impl Kernel + 'a {
+    fn kernel<'a>(&'a self, image: &'a DeviceBuffer, io: KernelIo) -> impl Kernel + 'a {
         Ipv4Kernel {
-            table: fib.image,
+            table: *image,
             layout: self.table.layout(),
             io,
         }
@@ -151,8 +101,6 @@ impl ColumnProgram for Ipv4Program {
 mod tests {
     use super::*;
     use crate::App;
-    use ps_hw::pcie::PcieModel;
-    use ps_hw::spec::{IohSpec, PcieSpec};
     use ps_net::ethernet::MacAddr;
     use ps_net::PacketBuilder;
     use ps_nic::port::PortId;
@@ -192,79 +140,6 @@ mod tests {
         let ip = Ipv4Packet::new_unchecked(&pkts[0].data[ETH_LEN..]);
         assert_eq!(ip.ttl(), 63);
         assert!(ip.verify_checksum());
-    }
-
-    #[test]
-    fn fib_update_propagates_to_the_gpu_table() {
-        let mut app = Ipv4App::new(&routes());
-        let dev = ps_gpu::GpuDevice::gtx480_with_mem(64 << 20);
-        let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
-        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
-        app.setup_gpu(0, &mut eng);
-
-        let dst = Ipv4Addr::new(10, 11, 200, 1);
-        let mut before = vec![packet(dst)];
-        app.pre_shade(&mut before);
-        app.shade(0, &mut eng, &mut ioh, 0, &mut before);
-        assert_eq!(before[0].out_port, Some(PortId(2)), "pre-update: /16");
-
-        // Control plane installs a more specific route at run time.
-        app.install_route(Route4::new(0x0A0BC800, 24, 5));
-        let mut after = vec![packet(dst)];
-        app.pre_shade(&mut after);
-        let t = app.shade(0, &mut eng, &mut ioh, 0, &mut after);
-        assert!(t > 0);
-        assert_eq!(after[0].out_port, Some(PortId(5)), "post-update: new /24");
-        assert_eq!(app.lookup_host(u32::from(dst)), 5, "CPU table agrees");
-    }
-
-    /// A run-time route longer than /24, in a /24 that has no spill
-    /// block yet, grows the image by a block. The next launch moves the
-    /// device copy to a larger allocation instead of writing past its
-    /// end, and charges the whole image as any refresh does.
-    #[test]
-    fn fib_update_that_adds_a_spill_block_reaches_the_gpu() {
-        let mut app = Ipv4App::new(&routes());
-        // Room for the image twice: the first copy is never freed.
-        let dev = ps_gpu::GpuDevice::gtx480_with_mem(80 << 20);
-        let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
-        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
-        app.setup_gpu(0, &mut eng);
-        let dsts = [
-            Ipv4Addr::new(10, 11, 200, 129),
-            Ipv4Addr::new(10, 11, 200, 1),
-            Ipv4Addr::new(10, 11, 201, 1),
-        ];
-        let mut shade = |app: &mut Ipv4App| {
-            let mut pkts: Vec<Packet> = dsts.iter().map(|&d| packet(d)).collect();
-            app.pre_shade(&mut pkts);
-            app.shade(0, &mut eng, &mut ioh, 0, &mut pkts);
-            let hops = pkts.iter().map(|p| p.out_port.expect("routed").0);
-            (
-                hops.collect::<Vec<_>>(),
-                ioh.h2d_bytes(),
-                eng.dev.mem.remaining(),
-            )
-        };
-        let (hops, h2d, _) = shade(&mut app);
-        assert_eq!(hops, [2, 2, 2]);
-
-        let image = app.table.image().len();
-        app.install_route(Route4::new(0x0A0BC880, 25, 5));
-        assert_eq!(app.table.image().len(), image + 512, "one new spill block");
-        let (hops, h2d_after, free) = shade(&mut app);
-        assert_eq!(hops, [5, 2, 2], "/25, then the /16 it spilled from");
-        assert_eq!(
-            h2d_after - h2d,
-            (image + 512 + 3 * 4) as u64,
-            "image + column"
-        );
-
-        // The next new block fits the headroom: no further allocation.
-        app.install_route(Route4::new(0x0A0BC901, 32, 3));
-        let (hops, _, free_after) = shade(&mut app);
-        assert_eq!(hops, [5, 2, 3]);
-        assert_eq!(free_after, free);
     }
 
     #[test]

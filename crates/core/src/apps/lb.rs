@@ -6,10 +6,9 @@
 //! backend with a deterministic mix of its cuckoo hash and the
 //! backend's index, and the highest score wins. The chosen backend is
 //! pinned in the RX node's [`FlowCache`], so a flow stays on its
-//! backend for its whole lifetime (*stickiness*) even while the
-//! backend set changes — only flows whose winner disappeared are
-//! remapped, the consistent-hashing property. The destination fields
-//! are DNAT-rewritten in place with incremental checksums.
+//! backend for its whole lifetime (*stickiness*), and a lost pin
+//! re-derives the same winner. The destination fields are
+//! DNAT-rewritten in place with incremental checksums.
 //!
 //! Parsing, the hash offload, state partitioning, fault-induced state
 //! loss and shard replication are the shared [`FlowNf`] program; this
@@ -45,23 +44,22 @@ pub type LbApp = ColumnApp<FlowNf<Lb>>;
 /// flow→backend pins.
 pub struct Lb {
     backends: Vec<Backend>,
-    /// Packets whose pinned backend had left the set (remapped via a
-    /// fresh rendezvous round).
-    pub remaps: u64,
 }
 
-/// Rendezvous winner for flow hash `h` among `candidates`: the index
+/// Rendezvous winner for flow hash `h` among `n` backends: the index
 /// with the highest per-(flow, backend) score (first wins ties).
-fn rendezvous(h: u64, candidates: impl Iterator<Item = usize>) -> Option<u16> {
+/// Removing any *other* backend cannot change a flow's winner — the
+/// consistent-hashing property.
+fn rendezvous(h: u64, n: usize) -> u16 {
     let mut best: Option<(u64, u16)> = None;
-    for i in candidates {
+    for i in 0..n {
         let mut s = h ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let score = splitmix64(&mut s);
         if best.is_none_or(|(b, _)| score > b) {
             best = Some((score, i as u16));
         }
     }
-    best.map(|(_, i)| i)
+    best.map_or(0, |(_, i)| i)
 }
 
 impl LbApp {
@@ -77,34 +75,8 @@ impl LbApp {
         idle_ns: Time,
     ) -> LbApp {
         assert!(!backends.is_empty());
-        let lb = Lb {
-            backends,
-            remaps: 0,
-        };
+        let lb = Lb { backends };
         ColumnApp::over(FlowNf::new(lb, total_ports, nodes, capacity, idle_ns))
-    }
-
-    /// Rendezvous winner for flow hash `h` over `n` backends.
-    /// Removing any *other* backend cannot change a flow's winner —
-    /// the consistent hashing property the stickiness test pins.
-    pub fn select(h: u64, n: usize) -> u16 {
-        rendezvous(h, 0..n).unwrap_or(0)
-    }
-}
-
-impl Lb {
-    /// Drain one backend (server taken out of rotation). Flows pinned
-    /// to it are remapped lazily on their next packet; everyone else
-    /// keeps their backend.
-    pub fn remove_backend(&mut self, idx: u16) {
-        // Tombstone rather than swap-remove: surviving indices — and
-        // therefore every other flow's rendezvous winner — keep their
-        // meaning.
-        self.backends[idx as usize] = Backend { ip: 0, port: 0 };
-    }
-
-    fn is_live(&self, idx: usize) -> bool {
-        self.backends.get(idx).is_some_and(|b| b.ip != 0)
     }
 }
 
@@ -124,18 +96,10 @@ impl FlowOp for Lb {
         let mut cycles = PROBE_CYCLES + REWRITE_CYCLES;
         let pinned = cache.lookup_prehash(hash, &pf.tuple, now).copied();
         let idx = match pinned {
-            Some(idx) if self.is_live(idx as usize) => idx,
-            stale => {
-                if stale.is_some() {
-                    self.remaps += 1;
-                }
+            Some(idx) => idx,
+            None => {
                 cycles += SCORE_CYCLES * self.backends.len() as u64;
-                let live = (0..self.backends.len()).filter(|&i| self.is_live(i));
-                let Some(idx) = rendezvous(hash, live) else {
-                    // No live backend: shed the connection.
-                    p.out_port = None;
-                    return cycles;
-                };
+                let idx = rendezvous(hash, self.backends.len());
                 let r = cache.insert_prehash(hash, pf.tuple, now, idx);
                 cycles += KICK_CYCLES * u64::from(r.displaced);
                 idx
@@ -150,7 +114,6 @@ impl FlowOp for Lb {
     fn replica(&self) -> Lb {
         Lb {
             backends: self.backends.clone(),
-            remaps: 0,
         }
     }
 }
@@ -216,32 +179,11 @@ mod tests {
     }
 
     #[test]
-    fn removing_a_backend_only_remaps_its_flows() {
-        let mut a = app(8);
-        let mut pkts: Vec<Packet> = (0..256u32).map(|i| udp(0x0A000000 + i, 5000, 0)).collect();
-        a.process_cpu(&mut pkts);
-        let before: Vec<(u32, u16)> = pkts.iter().map(dst).collect();
-        let victim = before[0].0;
-        let victim_idx = (victim - 0x0A63_0001) as u16;
-        a.remove_backend(victim_idx);
-        let mut again: Vec<Packet> = (0..256u32).map(|i| udp(0x0A000000 + i, 5000, 0)).collect();
-        a.process_cpu(&mut again);
-        for (b, p) in before.iter().zip(&again) {
-            if b.0 == victim {
-                assert_ne!(dst(p).0, victim, "drained backend gets nothing");
-            } else {
-                assert_eq!(dst(p), *b, "surviving flows keep their backend");
-            }
-        }
-        assert!(a.remaps > 0);
-    }
-
-    #[test]
     fn rendezvous_is_consistent() {
         // Dropping the *last* backend only remaps flows it owned.
         for h in [1u64, 99, 0xDEAD_BEEF, u64::MAX] {
-            let with8 = LbApp::select(h, 8);
-            let with7 = LbApp::select(h, 7);
+            let with8 = rendezvous(h, 8);
+            let with7 = rendezvous(h, 7);
             if with8 != 7 {
                 assert_eq!(with8, with7, "hash {h:#x}");
             }
@@ -256,7 +198,6 @@ mod tests {
         let before: Vec<(u32, u16)> = pkts.iter().map(dst).collect();
         a.on_gpu_fault(0);
         assert_eq!(a.occupancy(), 0);
-        assert_eq!(a.state_losses, 32);
         // The backend set is intact, so rendezvous re-derives the
         // same winners: state loss degrades nothing here.
         let mut again: Vec<Packet> = (0..32u32).map(|i| udp(0x0A000000 + i, 5000, 0)).collect();

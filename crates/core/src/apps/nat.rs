@@ -354,7 +354,6 @@ mod tests {
         assert_eq!(a.occupancy(), 2);
         a.on_gpu_fault(0);
         assert_eq!(a.occupancy(), 0);
-        assert_eq!(a.state_losses, 2);
         // Graceful re-sync: the same flow comes back through the miss
         // path with a fresh binding from the untouched high-water mark.
         let mut again = vec![udp(0x0A000001, 5000, 0)];
@@ -369,10 +368,16 @@ mod tests {
         let mut a = NatApp::new(8, 2, 1 << 10, 1_000);
         let mut p0 = vec![udp(0x0A000001, 5000, 0)];
         a.process_cpu(&mut p0); // arrival 0
-        let mut late = vec![udp(0x0A000002, 6000, 0)];
+
+        // The same flow's next packet, past the timeout, finds its
+        // binding expired and gets a fresh one.
+        let mut late = vec![udp(0x0A000001, 5000, 0)];
         late[0].arrival = 10_000;
         a.process_cpu(&mut late);
-        assert_eq!(a.per_node[0].expire_idle(10_000), 1, "first flow idled out");
+        assert_eq!(a.cache_stats().expiries, 1, "first flow idled out");
         assert_eq!(a.occupancy(), 1);
+        let port = |p: &Packet| UdpDatagram::new_unchecked(&p.data[ETH_LEN + 20..]).src_port();
+        assert_eq!(port(&p0[0]), PORT_MIN);
+        assert_eq!(port(&late[0]), PORT_MIN + 1, "fresh binding");
     }
 }

@@ -83,9 +83,6 @@ pub struct FlowNf<O: FlowOp> {
     op: O,
     pub(super) per_node: Vec<FlowCache<O::Entry>>,
     ports_per_node: u16,
-    /// Flow entries lost to GPU faults (state-loss events, summed
-    /// over nodes).
-    pub state_losses: u64,
 }
 
 impl<O: FlowOp> FlowNf<O> {
@@ -106,7 +103,6 @@ impl<O: FlowOp> FlowNf<O> {
                 .map(|_| FlowCache::new(capacity, idle_ns))
                 .collect(),
             ports_per_node: total_ports / nodes as u16,
-            state_losses: 0,
         }
     }
 
@@ -209,7 +205,7 @@ impl<O: FlowOp> ColumnProgram for FlowNf<O> {
         // state with it: every entry is lost, flows re-establish
         // through the miss path.
         if let Some(cache) = self.per_node.get_mut(node) {
-            self.state_losses += cache.flush();
+            cache.flush();
             self.op.state_lost(node);
         }
     }
@@ -220,7 +216,6 @@ impl<O: FlowOp> ColumnProgram for FlowNf<O> {
             op: self.op.replica(),
             per_node: self.per_node.iter().map(fresh).collect(),
             ports_per_node: self.ports_per_node,
-            state_losses: 0,
         };
         Some((replica, ShardAffinity::NodeLocal))
     }

@@ -1,7 +1,6 @@
 //! Chunks: the batch unit of the framework (§5.3).
 
 use ps_io::Packet;
-use ps_sim::time::Time;
 
 /// A chunk of packets fetched in one batched RX call. "The chunk size
 /// is not fixed but only capped; we do not intentionally wait for the
@@ -13,18 +12,12 @@ pub struct Chunk {
     pub packets: Vec<Packet>,
     /// Worker that fetched the chunk.
     pub worker: usize,
-    /// When the RX fetch finished (for queueing-delay accounting).
-    pub fetched_at: Time,
 }
 
 impl Chunk {
     /// A chunk fetched by `worker`.
-    pub fn new(worker: usize, packets: Vec<Packet>, fetched_at: Time) -> Chunk {
-        Chunk {
-            packets,
-            worker,
-            fetched_at,
-        }
+    pub fn new(worker: usize, packets: Vec<Packet>) -> Chunk {
+        Chunk { packets, worker }
     }
 
     /// Packets in the chunk.
@@ -54,7 +47,7 @@ mod tests {
             Packet::new(0, vec![0; 64], PortId(0), 0),
             Packet::new(1, vec![0; 128], PortId(1), 0),
         ];
-        let c = Chunk::new(2, pkts, 500);
+        let c = Chunk::new(2, pkts);
         assert_eq!(c.len(), 2);
         assert_eq!(c.bytes(), 192);
         assert_eq!(c.worker, 2);

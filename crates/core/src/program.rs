@@ -57,19 +57,6 @@ pub trait ColumnProgram: Sized {
     /// Upload persistent state to one node's GPU.
     fn upload_tables(&self, eng: &mut GpuEngine) -> Self::Tables;
 
-    /// Bring a node's tables up to date before a launch (a pending
-    /// FIB update, charged like any other copy); returns when the
-    /// kernel may start.
-    fn refresh(
-        &self,
-        _tables: &mut Self::Tables,
-        _eng: &mut GpuEngine,
-        _ioh: &mut Ioh,
-        ready: Time,
-    ) -> Time {
-        ready
-    }
-
     /// The kernel for one launch over `tables` and the staged columns.
     fn kernel<'a>(&'a self, tables: &'a Self::Tables, io: KernelIo) -> impl Kernel + 'a;
 
@@ -239,7 +226,6 @@ impl<P: ColumnProgram> App for ColumnApp<P> {
         let n = pkts.len().min(MAX_GATHER);
         let pkts = &mut pkts[..n];
         let g = self.gpu[node].as_mut().expect("setup_gpu ran");
-        let ready = self.program.refresh(&mut g.tables, eng, ioh, ready);
 
         // Gather: one parse per packet fills the input column; a
         // frame that no longer parses keeps its zeroed slot, so the

@@ -110,7 +110,7 @@ impl Due {
 
 impl<A: App> Router<A> {
     pub(super) fn cycles_ns(&self, cycles: u64) -> Time {
-        self.cpu.cycles_to_ns(cycles)
+        ps_sim::time::cycles_to_ns(cycles, self.cfg.testbed.cpu.hz)
     }
 
     pub(super) fn wake_worker(&mut self, sched: &mut Scheduler<Ev>, w: usize, t: Time) {
@@ -252,7 +252,7 @@ impl<A: App> Router<A> {
                     t2,
                     || vec![("pkts", n)],
                 );
-                let chunk = Chunk::new(w, pkts, now);
+                let chunk = Chunk::new(w, pkts);
                 // Transmit as soon as processing ends.
                 let ws = self.worker_mut(w);
                 ws.done_queue.push_back((t2, chunk));
@@ -260,7 +260,7 @@ impl<A: App> Router<A> {
                 self.wake_worker(sched, w, t2);
             } else {
                 let node = self.worker_node(w);
-                let chunk = Chunk::new(w, pkts, now);
+                let chunk = Chunk::new(w, pkts);
                 self.worker_mut(w).outstanding += 1;
                 self.master_mut(node).input.push_back(chunk);
                 self.wake_master(sched, node, t1);

@@ -69,7 +69,6 @@ pub struct Router<A: App> {
     /// ids used by events onto `(node, local)` pairs.
     nodes: Vec<NodeShard>,
     cost: ps_io::cost::CostModel,
-    cpu: ps_hw::cpu::CpuModel,
     stop_at: Time,
     /// Counters only accumulate from this instant (warm-up excluded).
     measure_from: Time,
@@ -135,7 +134,6 @@ impl<A: App> Router<A> {
             sink: Sink::new(),
             nodes,
             cost: ps_io::cost::CostModel::default(),
-            cpu: ps_hw::cpu::CpuModel::new(cfg.testbed.cpu),
             stop_at,
             measure_from: stop_at / 5,
             stats: RunStats::default(),

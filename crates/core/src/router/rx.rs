@@ -100,19 +100,14 @@ impl<A: App> Router<A> {
                 let port = &mut self.nodes[node].ports[local_port];
                 if !port.link_up(wire_done) {
                     plan.note_flap_drop(meta.port.0);
-                    port.fault_drops += 1;
                     true
                 } else {
                     match plan.nic_fault(meta.port.0, wire_done) {
                         Some(NicFault::LinkFlap { down_ns }) => {
                             port.set_link_down(wire_done + down_ns);
-                            port.fault_drops += 1;
                             true
                         }
-                        Some(NicFault::Starve) => {
-                            port.fault_drops += 1;
-                            true
-                        }
+                        Some(NicFault::Starve) => true,
                         None => false,
                     }
                 }

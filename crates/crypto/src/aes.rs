@@ -500,8 +500,9 @@ pub fn ctr_counter_block(nonce: u32, iv: &[u8; 8], counter: u32) -> [u8; 16] {
 /// Produce the keystream block for CTR block index `idx` (0-based;
 /// the wire counter is `idx + 1`, wrapping) and XOR it into `data`
 /// (up to 16 bytes). This is the independent unit of work the paper
-/// maps to one GPU thread.
-pub fn ctr_block(aes: &Aes128, nonce: u32, iv: &[u8; 8], idx: u32, data: &mut [u8]) {
+/// maps to one GPU thread; the tests' per-block oracle.
+#[cfg(test)]
+pub(crate) fn ctr_block(aes: &Aes128, nonce: u32, iv: &[u8; 8], idx: u32, data: &mut [u8]) {
     debug_assert!(data.len() <= 16);
     let ks = aes.encrypt(&ctr_counter_block(nonce, iv, idx.wrapping_add(1)));
     for (d, k) in data.iter_mut().zip(ks.iter()) {

@@ -149,12 +149,6 @@ pub fn decrypt_tunnel(sa: &SecurityAssociation, payload: &[u8]) -> Result<Vec<u8
     Ok(ct)
 }
 
-/// Size of the ESP packet produced for an inner packet of `len`
-/// bytes; re-exported for workload sizing.
-pub fn encapsulated_len(len: usize) -> usize {
-    esp::total_len(len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +163,7 @@ mod tests {
         for len in [20usize, 21, 46, 64, 100, 576, 1480] {
             let inner: Vec<u8> = (0..len).map(|i| i as u8).collect();
             let wire = encrypt_tunnel(&mut s, &inner);
-            assert_eq!(wire.len(), encapsulated_len(len));
+            assert_eq!(wire.len(), esp::total_len(len));
             let back = decrypt_tunnel(&s, &wire).expect("decrypts");
             assert_eq!(back, inner, "len={len}");
         }
@@ -237,6 +231,6 @@ mod tests {
     fn overhead_matches_paper_framing() {
         // 64B inner packet: 8 (hdr) + 8 (IV) + pad to 16 + 12 (ICV).
         // ciphertext = ceil((64+2)/16)*16 = 80; total = 8+8+80+12 = 108.
-        assert_eq!(encapsulated_len(64), 108);
+        assert_eq!(esp::total_len(64), 108);
     }
 }

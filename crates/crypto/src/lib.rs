@@ -14,8 +14,9 @@
 //! GPU kernels: AES-CTR keystream blocks are independent ("we chop
 //! packets into AES blocks (16B) and map each block to one GPU
 //! thread") while SHA-1 blocks chain ("SHA1 cannot be parallelized at
-//! the block level"; it parallelizes per packet). [`aes::ctr_block`]
-//! exposes the per-block operation the GPU kernel uses directly.
+//! the block level"; it parallelizes per packet). The GPU kernel's
+//! thread body encrypts one [`aes::ctr_counter_block`] per thread, and
+//! its warp XORs a whole run of blocks with one [`aes::ctr_xor`].
 
 pub mod aes;
 mod cpu;

@@ -39,7 +39,8 @@
 //!    never on wall-clock state.
 //!
 //! Scenario specs are replayable via `PS_FAULT_SEED` (decimal or
-//! `0x`-hex), mirroring `PS_CHECK_SEED`. Every fired fault emits a
+//! `0x`-hex; a value that does not parse panics), mirroring
+//! `PS_CHECK_SEED`. Every fired fault emits a
 //! [`ps_trace::Category::Fault`] instant, and [`FaultStats`] feeds
 //! the `fault_summary` table whose identity `injected == handled +
 //! dropped` the tests reconcile exactly.
@@ -199,7 +200,7 @@ impl FaultSpec {
     /// `pcie`, `gpu`, `all`.
     pub fn scenario(name: &str) -> Option<FaultSpec> {
         let base = FaultSpec {
-            seed: env_seed().unwrap_or(0xFA17),
+            seed: ps_rng::env_u64("PS_FAULT_SEED").unwrap_or(0xFA17),
             ..FaultSpec::none()
         };
         let rate = 0.01;
@@ -264,17 +265,6 @@ impl FaultSpec {
     pub fn with_seed(mut self, seed: u64) -> FaultSpec {
         self.seed = seed;
         self
-    }
-}
-
-/// `PS_FAULT_SEED` from the environment (decimal or `0x`-hex).
-pub(crate) fn env_seed() -> Option<u64> {
-    let v = std::env::var("PS_FAULT_SEED").ok()?;
-    let s = v.trim();
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
     }
 }
 

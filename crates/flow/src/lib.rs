@@ -14,8 +14,8 @@
 //!   (deterministic tie-break by bucket, then slot);
 //! * **idle expiry on the virtual clock** — every touch stamps the
 //!   entry with the packet's arrival time; entries idle longer than
-//!   the timeout are reclaimed lazily on access or by an explicit
-//!   sweep. No wall-clock time is ever consulted.
+//!   the timeout are reclaimed lazily on access. No wall-clock time
+//!   is ever consulted.
 //!
 //! Everything is a pure function of the operation sequence: the same
 //! inserts and lookups at the same virtual times produce the same
@@ -390,26 +390,6 @@ impl<V> FlowCache<V> {
         None
     }
 
-    /// Sweep the whole table, reclaiming every entry idle past the
-    /// timeout at virtual time `now`. Returns how many were expired.
-    /// O(capacity): callers run this at coarse intervals (or never —
-    /// the lazy reclamation above is sufficient for correctness).
-    pub fn expire_idle(&mut self, now: Time) -> u64 {
-        if self.idle_ns == 0 {
-            return 0;
-        }
-        let mut n = 0;
-        for idx in 0..self.slots.len() {
-            if matches!(&self.slots[idx], Some(e) if self.expired(e, now)) {
-                self.slots[idx] = None;
-                self.occupancy -= 1;
-                n += 1;
-            }
-        }
-        self.stats.expiries += n;
-        n
-    }
-
     /// Drop every resident entry — the fault model's flow-state loss
     /// (a faulted shard's table is gone; flows must re-establish).
     /// Returns how many entries were lost. Statistics survive: the
@@ -449,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_entries_expire_on_touch_and_on_sweep() {
+    fn idle_entries_expire_on_touch() {
         let mut c: FlowCache<u32> = FlowCache::new(64, 100);
         c.insert(key(1), 0, 1);
         c.insert(key(2), 0, 2);
@@ -460,8 +440,9 @@ mod tests {
         assert!(c.lookup(&key(1), 150).is_some());
         assert!(c.lookup(&key(2), 150).is_none());
         assert_eq!(c.stats().expiries, 1);
-        // Sweep reclaims the rest once everything is idle.
-        assert_eq!(c.expire_idle(1_000), 1);
+        // A touch past the timeout reclaims the last one.
+        assert!(c.lookup(&key(1), 1_000).is_none());
+        assert_eq!(c.stats().expiries, 2);
         assert_eq!(c.occupancy(), 0);
     }
 

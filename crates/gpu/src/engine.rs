@@ -47,8 +47,6 @@ pub struct GpuEngine {
     serial_free: Time,
     /// Totals for reports.
     pub kernels_launched: u64,
-    /// Total busy kernel time accumulated.
-    pub kernel_busy: Time,
     /// Trace lane for this device's `gpu`-category spans (set to the
     /// NUMA node index by the router; engine 0 by default).
     pub trace_lane: u32,
@@ -75,7 +73,6 @@ impl GpuEngine {
             exec_free: 0,
             serial_free: 0,
             kernels_launched: 0,
-            kernel_busy: 0,
             trace_lane: 0,
             h2d_inflight: VecDeque::new(),
             d2h_inflight: VecDeque::new(),
@@ -287,7 +284,6 @@ impl GpuEngine {
             self.serial_free = done;
         }
         self.kernels_launched += 1;
-        self.kernel_busy += duration;
         ps_trace::complete(
             ps_trace::Category::Gpu,
             "kernel",
@@ -306,7 +302,6 @@ impl GpuEngine {
     pub fn delay_engines(&mut self, extra: Time) {
         self.exec_free += extra;
         self.serial_free += extra;
-        self.kernel_busy += extra;
     }
 
     /// Earliest time a newly submitted chunk could start its copy-in
@@ -494,6 +489,5 @@ mod tests {
             512,
         );
         assert_eq!(e.kernels_launched, 1);
-        assert!(e.kernel_busy > 0);
     }
 }

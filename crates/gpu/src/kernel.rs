@@ -126,8 +126,8 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Read one byte from global memory.
-    #[inline]
-    pub fn read_u8(&mut self, buf: &DeviceBuffer, off: usize) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn read_u8(&mut self, buf: &DeviceBuffer, off: usize) -> u8 {
         self.read::<1>(buf, off)[0]
     }
 

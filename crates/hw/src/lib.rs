@@ -4,25 +4,19 @@
 //! each with a quad-core Xeon X5550, local DDR3 memory, and an Intel
 //! 5520 IOH hosting two dual-port 10 GbE NICs and one GTX480.
 //!
-//! Three things live here:
+//! Two things live here:
 //!
 //! * [`spec`] — every calibration constant in one place, each tied to
 //!   the paper measurement it reproduces;
-//! * [`cpu`] — an analytic CPU cost model turning operation profiles
-//!   (ALU cycles, dependent/independent memory accesses) into
-//!   nanoseconds, with the MSHR-limited miss overlap of §2.4;
 //! * [`pcie`]/[`ioh`] — the I/O fabric: per-direction PCIe transfer
 //!   timing calibrated against Table 1, and the dual-IOH contention
 //!   that produces the paper's ~40 Gbps forwarding ceiling (§3.2).
 
-pub mod cpu;
 pub mod ioh;
 pub mod numa;
 pub mod pcie;
 pub mod spec;
 
-pub use cpu::{CpuModel, OpProfile};
 pub use ioh::{Direction, Ioh};
-pub use numa::NodeId;
 pub use pcie::PcieModel;
 pub use spec::Testbed;

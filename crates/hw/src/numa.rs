@@ -1,14 +1,4 @@
-//! NUMA topology: node identifiers and placement helpers (§4.5).
-
-/// A NUMA node (0 or 1 on the paper's server).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub u32);
-
-impl std::fmt::Display for NodeId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "node{}", self.0)
-    }
-}
+//! NUMA placement policy for packet I/O data structures (§4.5).
 
 /// NUMA placement policy for packet I/O data structures (§4.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,33 +29,13 @@ impl Placement {
     }
 }
 
-/// Map an entity index (port, queue, core) to its NUMA node, given a
-/// symmetric two-node system with `per_node` entities per node.
-pub fn node_of(index: u32, per_node: u32) -> NodeId {
-    NodeId(index / per_node)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn node_mapping() {
-        // 8 ports, 4 per node.
-        assert_eq!(node_of(0, 4), NodeId(0));
-        assert_eq!(node_of(3, 4), NodeId(0));
-        assert_eq!(node_of(4, 4), NodeId(1));
-        assert_eq!(node_of(7, 4), NodeId(1));
-    }
-
-    #[test]
     fn placement_fractions() {
         assert_eq!(Placement::NumaAware.remote_fraction(), 0.0);
         assert!(Placement::NumaBlind.remote_fraction() > 0.5);
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(NodeId(1).to_string(), "node1");
     }
 }

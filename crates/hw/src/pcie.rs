@@ -44,20 +44,6 @@ impl PcieModel {
         let t = self.copy_time(dir, bytes) as f64 / 1e9;
         bytes as f64 / t / 1e6
     }
-
-    /// When pipelining many copies (the gather optimization of §5.4),
-    /// the fixed overhead is paid once and subsequent copies stream:
-    /// total time for `n` copies of `bytes` each.
-    pub fn pipelined_copies_time(&self, dir: CopyDir, n: u64, bytes: u64) -> Time {
-        if n == 0 {
-            return 0;
-        }
-        let (t0, bw) = match dir {
-            CopyDir::HostToDevice => (self.spec.h2d_overhead_ns, self.spec.h2d_bw_bits),
-            CopyDir::DeviceToHost => (self.spec.d2h_overhead_ns, self.spec.d2h_bw_bits),
-        };
-        t0 + ps_sim::time::transfer_ns(n * bytes, bw)
-    }
 }
 
 #[cfg(test)]
@@ -123,20 +109,6 @@ mod tests {
         let t1k = m.copy_time(CopyDir::HostToDevice, 1024);
         // Quadrupling the size must not quadruple the time.
         assert!(t1k < 2 * t256);
-    }
-
-    #[test]
-    fn pipelined_copies_amortize_overhead() {
-        let m = model();
-        let one_by_one: Time = (0..8)
-            .map(|_| m.copy_time(CopyDir::HostToDevice, 4096))
-            .sum();
-        let pipelined = m.pipelined_copies_time(CopyDir::HostToDevice, 8, 4096);
-        assert!(
-            pipelined < one_by_one / 2,
-            "pipelined={pipelined} serial={one_by_one}"
-        );
-        assert_eq!(m.pipelined_copies_time(CopyDir::HostToDevice, 0, 4096), 0);
     }
 
     #[test]

@@ -15,19 +15,6 @@ pub struct CpuSpec {
     pub hz: u64,
     /// Cores per socket.
     pub cores: u32,
-    /// Local DRAM access latency (ns). Nehalem + DDR3-1333.
-    pub mem_latency_local_ns: u64,
-    /// Remote-node DRAM access latency: paper §4.5 reports 40–50 %
-    /// higher than local; we use +45 %.
-    pub mem_latency_remote_ns: u64,
-    /// Outstanding misses one core can sustain in the best case
-    /// (§2.4 microbenchmark: "about 6 outstanding cache misses").
-    pub mshr_per_core: u32,
-    /// Outstanding misses per core when all four cores burst
-    /// references (§2.4: "only 4 misses").
-    pub mshr_contended: u32,
-    /// Per-socket memory bandwidth, bits/s (§2.4: 32 GB/s).
-    pub mem_bw_bits: u64,
 }
 
 impl CpuSpec {
@@ -36,11 +23,6 @@ impl CpuSpec {
         CpuSpec {
             hz: 2_660_000_000,
             cores: 4,
-            mem_latency_local_ns: 60,
-            mem_latency_remote_ns: 87,
-            mshr_per_core: 6,
-            mshr_contended: 4,
-            mem_bw_bits: 32 * 8 * GIGA,
         }
     }
 }
@@ -274,12 +256,5 @@ mod tests {
         let g = GpuSpec::gtx480();
         // 177.4 GB/s
         assert_eq!(g.mem_bw_bits, 1_419_200_000_000);
-    }
-
-    #[test]
-    fn remote_latency_is_40_to_50_percent_higher() {
-        let c = CpuSpec::x5550();
-        let ratio = c.mem_latency_remote_ns as f64 / c.mem_latency_local_ns as f64;
-        assert!((1.40..=1.50).contains(&ratio), "ratio={ratio}");
     }
 }

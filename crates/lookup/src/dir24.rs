@@ -49,18 +49,19 @@ impl Dir24Layout {
 
 /// A built DIR-24-8 table: flat image + layout.
 ///
-/// Supports incremental route insertion (the FIB-update direction the
-/// paper discusses in §7): a shadow array records the prefix length
+/// The tests also insert routes one at a time (`insert`), the oracle
+/// `build` is checked against: shadow arrays record the prefix length
 /// that painted each entry, so a new route only overwrites entries
-/// painted by equal-or-shorter prefixes. Withdrawals require a
-/// rebuild (as in the original DIR-24-8 proposal).
+/// painted by equal-or-shorter prefixes.
 pub struct Dir24Table {
     image: Vec<u8>,
     layout: Dir24Layout,
     long_blocks: usize,
     /// Painting prefix length per TBL24 entry (33 = spilled).
+    #[cfg(test)]
     len24: Vec<u8>,
     /// Painting prefix length per TBLlong entry.
+    #[cfg(test)]
     len_long: Vec<u8>,
 }
 
@@ -129,16 +130,20 @@ impl Dir24Table {
                 tbllong: TBL24_ENTRIES * 2,
             },
             long_blocks: len_long.len() / 256,
+            #[cfg(test)]
             len24,
+            #[cfg(test)]
             len_long,
         }
     }
 
+    #[cfg(test)]
     fn tbl24_entry(&self, idx: usize) -> u16 {
         let o = self.layout.tbl24 + idx * 2;
         u16::from_le_bytes([self.image[o], self.image[o + 1]])
     }
 
+    #[cfg(test)]
     fn set_tbl24_entry(&mut self, idx: usize, v: u16) {
         let o = self.layout.tbl24 + idx * 2;
         self.image[o..o + 2].copy_from_slice(&v.to_le_bytes());
@@ -150,15 +155,16 @@ impl Dir24Table {
         u16::from_le_bytes([self.image[o], self.image[o + 1]])
     }
 
+    #[cfg(test)]
     fn set_long_entry(&mut self, li: usize, v: u16) {
         let o = self.layout.tbllong + li * 2;
         self.image[o..o + 2].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Incrementally insert (or replace) a route without rebuilding —
-    /// the §7 FIB-update path. Entries painted by longer prefixes are
-    /// left untouched.
-    pub fn insert(&mut self, r: Route4) {
+    /// Incrementally insert (or replace) a route without rebuilding.
+    /// Entries painted by longer prefixes are left untouched.
+    #[cfg(test)]
+    pub(crate) fn insert(&mut self, r: Route4) {
         if r.len <= 24 {
             let start = (r.prefix >> 8) as usize;
             for idx in start..start + (1usize << (24 - r.len)) {

@@ -106,22 +106,8 @@ impl PacketBuilder {
     }
 
     /// A raw IPv4 frame (no transport header) with the given protocol
-    /// number around `payload`; used to wrap ESP packets.
-    pub fn raw_v4(
-        src_mac: MacAddr,
-        dst_mac: MacAddr,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        proto: u8,
-        payload: &[u8],
-    ) -> Vec<u8> {
-        let mut buf = Vec::new();
-        Self::raw_v4_into(&mut buf, src_mac, dst_mac, src, dst, proto, payload);
-        buf
-    }
-
-    /// [`PacketBuilder::raw_v4`] written into `buf`, replacing its
-    /// contents and reusing its allocation.
+    /// number around `payload`, written into `buf`, replacing its
+    /// contents and reusing its allocation; used to wrap ESP packets.
     pub fn raw_v4_into(
         buf: &mut Vec<u8>,
         src_mac: MacAddr,
@@ -206,7 +192,9 @@ mod tests {
     #[test]
     fn raw_v4_wraps_payload() {
         let payload = vec![0xAB; 100];
-        let f = PacketBuilder::raw_v4(
+        let mut f = Vec::new();
+        PacketBuilder::raw_v4_into(
+            &mut f,
             MacAddr::local(1),
             MacAddr::local(2),
             Ipv4Addr::new(1, 1, 1, 1),
@@ -233,7 +221,8 @@ mod tests {
                 Ipv4Addr::new(1, 1, 1, 1),
                 Ipv4Addr::new(2, 2, 2, 2),
             );
-            let fresh = PacketBuilder::raw_v4(args.0, args.1, args.2, args.3, 50, &payload);
+            let mut fresh = Vec::new();
+            PacketBuilder::raw_v4_into(&mut fresh, args.0, args.1, args.2, args.3, 50, &payload);
             let mut buf = vec![0xFF; 2048];
             let (ptr, cap) = (buf.as_ptr(), buf.capacity());
             PacketBuilder::raw_v4_into(&mut buf, args.0, args.1, args.2, args.3, 50, &payload);

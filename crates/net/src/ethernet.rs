@@ -7,18 +7,10 @@ use crate::{Error, Result};
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xFF; 6]);
-
     /// Locally-administered unicast address derived from a small id,
     /// in the style of smoltcp's examples (`02-00-00-00-00-xx`).
     pub fn local(id: u8) -> MacAddr {
         MacAddr([0x02, 0, 0, 0, 0, id])
-    }
-
-    /// True if the group (multicast/broadcast) bit is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
     }
 }
 
@@ -166,8 +158,9 @@ mod tests {
     #[test]
     fn parse_fields() {
         let f = EthernetFrame::new_checked(frame_bytes()).unwrap();
-        assert_eq!(f.dst(), MacAddr::BROADCAST);
+        assert_eq!(f.dst(), MacAddr([0xFF; 6]));
         assert_eq!(f.src(), MacAddr::local(7));
+        assert_eq!(f.src().to_string(), "02:00:00:00:00:07");
         assert_eq!(f.ethertype(), EtherType::Ipv4);
         assert_eq!(f.payload().len(), 46);
     }
@@ -202,12 +195,5 @@ mod tests {
             let raw: u16 = ty.into();
             assert_eq!(EtherType::from(raw), ty);
         }
-    }
-
-    #[test]
-    fn multicast_bit() {
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::local(3).is_multicast());
-        assert_eq!(MacAddr::local(3).to_string(), "02:00:00:00:00:03");
     }
 }

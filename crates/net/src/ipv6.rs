@@ -51,17 +51,6 @@ impl<T: AsRef<[u8]>> Ipv6Packet<T> {
         self.b()[0] >> 4
     }
 
-    /// Traffic class.
-    pub fn traffic_class(&self) -> u8 {
-        (self.b()[0] << 4) | (self.b()[1] >> 4)
-    }
-
-    /// Flow label (20 bits).
-    pub fn flow_label(&self) -> u32 {
-        let b = self.b();
-        (u32::from(b[1] & 0x0F) << 16) | (u32::from(b[2]) << 8) | u32::from(b[3])
-    }
-
     /// Payload length field.
     pub fn payload_len(&self) -> u16 {
         u16::from_be_bytes([self.b()[4], self.b()[5]])
@@ -207,18 +196,6 @@ mod tests {
         assert_eq!(p.decrement_hop_limit(), 63);
         p.set_hop_limit(0);
         assert_eq!(p.decrement_hop_limit(), 0);
-    }
-
-    #[test]
-    fn traffic_class_and_flow_label() {
-        let mut v = packet_bytes(0);
-        v[0] = 0x6A; // tc upper nibble = 0xA
-        v[1] = 0xB3; // tc lower = 0xB, flow label high nibble 0x3
-        v[2] = 0x45;
-        v[3] = 0x67;
-        let p = Ipv6Packet::new_unchecked(&v[..]);
-        assert_eq!(p.traffic_class(), 0xAB);
-        assert_eq!(p.flow_label(), 0x34567);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! interrupt state machine of §5.2.
 
 use ps_sim::resource::BandwidthServer;
-use ps_sim::stats::PacketCounter;
 use ps_sim::time::Time;
 
 /// Port index within the whole router (0..8 on the paper's server).
@@ -24,15 +23,6 @@ pub struct Port {
     pub id: PortId,
     rx_wire: BandwidthServer,
     tx_wire: BandwidthServer,
-    /// Frames received (arrived from the wire), including drops.
-    pub rx: PacketCounter,
-    /// Frames transmitted onto the wire.
-    pub tx: PacketCounter,
-    /// Frames dropped at RX (ring full).
-    pub rx_dropped: u64,
-    /// Frames killed at the MAC by injected faults (descriptor
-    /// starvation bursts, link-flap windows).
-    pub fault_drops: u64,
     /// Carrier-down horizon (fault injection): frames whose last bit
     /// lands before this instant are lost at the MAC.
     link_down_until: Time,
@@ -53,10 +43,6 @@ impl Port {
             id,
             rx_wire,
             tx_wire,
-            rx: PacketCounter::default(),
-            tx: PacketCounter::default(),
-            rx_dropped: 0,
-            fault_drops: 0,
             link_down_until: 0,
         }
     }
@@ -75,7 +61,6 @@ impl Port {
     /// Serialize an arriving frame of `len` bytes onto the RX wire;
     /// returns when its last bit lands in the NIC.
     pub fn rx_arrival(&mut self, now: Time, len: usize) -> Time {
-        self.rx.add(len as u64);
         self.rx_wire.submit(now, ps_net::wire_len(len) as u64)
     }
 
@@ -83,13 +68,7 @@ impl Port {
     /// The caller decides whether TX completion matters (it does for
     /// the round-trip latency measurements).
     pub fn tx_frame(&mut self, now: Time, len: usize) -> Time {
-        self.tx.add(len as u64);
         self.tx_wire.submit(now, ps_net::wire_len(len) as u64)
-    }
-
-    /// RX wire utilization over `[0, now]`.
-    pub fn rx_utilization(&self, now: Time) -> f64 {
-        self.rx_wire.utilization(now)
     }
 }
 
@@ -139,18 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate() {
-        let mut p = Port::new(PortId(3), 10 * GIGA);
-        p.rx_arrival(0, 64);
-        p.rx_arrival(0, 128);
-        p.tx_frame(0, 256);
-        assert_eq!(p.rx.packets, 2);
-        assert_eq!(p.rx.bytes, 192);
-        assert_eq!(p.tx.packets, 1);
-        assert_eq!(p.id, PortId(3));
-    }
-
-    #[test]
     fn link_flap_window_extends_not_shrinks() {
         let mut p = Port::new(PortId(0), 10 * GIGA);
         assert!(p.link_up(0));
@@ -160,13 +127,5 @@ mod tests {
         // A shorter flap cannot re-open the link early.
         p.set_link_down(2_000);
         assert!(!p.link_up(4_999));
-    }
-
-    #[test]
-    fn utilization_reflects_load() {
-        let mut p = Port::new(PortId(0), 10 * GIGA);
-        // one 1250-byte wire transfer = 1 us busy
-        p.rx_arrival(0, 1250 - 24);
-        assert!((p.rx_utilization(2_000) - 0.5).abs() < 0.01);
     }
 }

@@ -11,8 +11,6 @@ pub struct Ring<T> {
     capacity: usize,
     /// Packets dropped because the ring was full (tail drops).
     pub drops: u64,
-    /// Total packets ever accepted.
-    pub accepted: u64,
     /// Deepest occupancy ever reached — the queue-growth gauge the
     /// overload experiments report (a full ring at peak means the
     /// run was admission-limited, not service-limited).
@@ -27,7 +25,6 @@ impl<T> Ring<T> {
             items: VecDeque::with_capacity(capacity),
             capacity,
             drops: 0,
-            accepted: 0,
             peak: 0,
         }
     }
@@ -64,7 +61,6 @@ impl<T> Ring<T> {
             self.drops += 1;
             return Err(item);
         }
-        self.accepted += 1;
         self.items.push_back(item);
         self.peak = self.peak.max(self.items.len());
         Ok(())
@@ -118,7 +114,7 @@ mod tests {
         r.push('b').unwrap();
         assert_eq!(r.push('c'), Err('c'));
         assert_eq!(r.drops, 1);
-        assert_eq!(r.accepted, 2);
+        assert_eq!(r.len(), 2);
         assert!(r.is_full());
     }
 
@@ -190,7 +186,6 @@ mod tests {
             r.push(i).unwrap();
             assert_eq!(r.pop(), Some(i));
         }
-        assert_eq!(r.accepted, 1000);
         assert_eq!(r.drops, 0);
     }
 }

@@ -308,9 +308,10 @@ impl FrameTemplate {
         self.frame_v4_into(src, dst, sport, dport, Vec::new())
     }
 
-    /// [`Self::frame_v4`] writing into a recycled buffer: the steady
-    /// state reuses delivered/dropped frame buffers instead of
-    /// allocating one per packet.
+    /// The template's IPv4 frame for `(src, dst, sport, dport)`,
+    /// written into a recycled buffer: the steady state reuses
+    /// delivered/dropped frame buffers instead of allocating one per
+    /// packet.
     fn frame_v4_into(
         &self,
         src: Ipv4Addr,
@@ -344,7 +345,7 @@ impl FrameTemplate {
         self.frame_v6_into(src, dst, sport, dport, Vec::new())
     }
 
-    /// [`Self::frame_v6`] writing into a recycled buffer.
+    /// The IPv6 twin of [`Self::frame_v4_into`].
     fn frame_v6_into(
         &self,
         src: Ipv6Addr,
@@ -611,7 +612,8 @@ impl Generator {
     }
 
     /// All packets arriving in `[0, until)`.
-    pub fn packets_until(&mut self, until: Time) -> Vec<(Time, Packet)> {
+    #[cfg(test)]
+    pub(crate) fn packets_until(&mut self, until: Time) -> Vec<(Time, Packet)> {
         let mut out = Vec::new();
         while self.next_time < until {
             out.push(self.next_packet());
@@ -714,11 +716,6 @@ pub struct Sink {
     /// Round-trip latency of priority-lane packets only (ns); empty
     /// unless a priority classifier is configured.
     pub prio_latency: Histogram,
-    /// Packets that came back out of order within a flow probe.
-    pub last_id_seen: Option<u64>,
-    /// Count of id inversions observed (order violations across the
-    /// whole stream; cross-flow reordering is legitimate).
-    pub inversions: u64,
     /// When set to the generator's flow count, the sink additionally
     /// tracks *per-flow* order (flow id = packet id mod flows), the
     /// §5.3 FIFO guarantee.
@@ -741,12 +738,6 @@ impl Sink {
         if p.priority {
             self.prio_latency.record(now.saturating_sub(p.gen_ts));
         }
-        if let Some(last) = self.last_id_seen {
-            if p.id < last {
-                self.inversions += 1;
-            }
-        }
-        self.last_id_seen = Some(p.id);
         if let Some(flows) = self.track_flows {
             let flow = p.id % u64::from(flows);
             if let Some(&last) = self.flow_last.get(&flow) {
@@ -927,7 +918,6 @@ mod tests {
             sink.deliver(t + 100_000, &p); // 100 us RTT
         }
         assert_eq!(sink.delivered.packets, 1000);
-        assert_eq!(sink.inversions, 0);
         let p50 = sink.latency.p50();
         assert!((90_000..115_000).contains(&p50), "p50={p50}");
     }

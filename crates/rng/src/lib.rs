@@ -24,6 +24,42 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Parse a decimal or `0x`/`0X`-hex `u64`, ignoring surrounding
+/// whitespace. Signs, separators, suffixes and empty digit strings
+/// are rejected.
+fn parse_u64(s: &str) -> Option<u64> {
+    let s = s.trim();
+    let (digits, radix) = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => (hex, 16),
+        None => (s, 10),
+    };
+    if digits.is_empty() || !digits.chars().all(|c| c.is_digit(radix)) {
+        return None;
+    }
+    u64::from_str_radix(digits, radix).ok()
+}
+
+/// The environment variable `name` as a decimal or `0x`/`0X`-hex
+/// `u64`, surrounding whitespace ignored — the form every seed and
+/// count variable takes; `None` when it is unset.
+///
+/// # Panics
+///
+/// When the variable is set to anything else (a sign, a separator, a
+/// suffix, no digits), with a message naming the variable and the
+/// value: a mistyped replay seed must not silently run a different
+/// one.
+pub fn env_u64(name: &str) -> Option<u64> {
+    checked_u64(name, std::env::var_os(name)?)
+}
+
+fn checked_u64(name: &str, value: std::ffi::OsString) -> Option<u64> {
+    match value.to_str().and_then(parse_u64) {
+        Some(v) => Some(v),
+        None => panic!("{name}={value:?} is not a decimal or 0x-hex u64"),
+    }
+}
+
 /// The workspace RNG: xoshiro256** state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rng {
@@ -217,6 +253,54 @@ impl SampleRange for core::ops::RangeInclusive<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seed_parsing_accepts_hex_and_decimal() {
+        assert_eq!(parse_u64("123"), Some(123));
+        assert_eq!(parse_u64("0"), Some(0));
+        assert_eq!(parse_u64("0xFF"), Some(255));
+        assert_eq!(parse_u64("0Xff"), Some(255));
+        assert_eq!(parse_u64(" 0xFA17\n"), Some(0xFA17));
+        assert_eq!(parse_u64("\t42 "), Some(42));
+        assert_eq!(parse_u64("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(parse_u64("0xFFFFFFFFFFFFFFFF"), Some(u64::MAX));
+    }
+
+    #[test]
+    fn seed_parsing_rejects_malformed_values() {
+        for bad in [
+            "",
+            "  ",
+            "bogus",
+            "0x",
+            "0x12g4",
+            "2k",
+            "-1",
+            "+5",
+            "0x+5",
+            "1.5",
+            "1_000",
+            "0b101",
+            "18446744073709551616",
+            "0x1_0000_0000_0000_0000",
+        ] {
+            assert_eq!(parse_u64(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "PS_CHECK_SEED=\"0x12g4\" is not a decimal or 0x-hex u64")]
+    fn mistyped_env_value_panics_naming_it() {
+        checked_u64("PS_CHECK_SEED", "0x12g4".into());
+    }
+
+    #[test]
+    fn env_value_parses_like_parse_u64() {
+        assert_eq!(
+            checked_u64("PS_FAULT_SEED", " 0xFA17 ".into()),
+            Some(0xFA17)
+        );
+    }
 
     #[test]
     fn splitmix64_known_answers() {

@@ -29,10 +29,8 @@ pub struct BandwidthServer {
     overhead: Time,
     /// Earliest instant the server can start a new transaction.
     next_free: Time,
-    /// Total bytes served (for utilization accounting).
+    /// Total bytes served.
     bytes_served: u64,
-    /// Total busy time accumulated.
-    busy: Time,
     /// Trace span name; `None` keeps the server silent.
     trace_name: Option<&'static str>,
     /// Trace lane (instance index: IOH number, port number...).
@@ -49,7 +47,6 @@ impl BandwidthServer {
             overhead,
             next_free: 0,
             bytes_served: 0,
-            busy: 0,
             trace_name: None,
             trace_lane: 0,
         }
@@ -75,7 +72,6 @@ impl BandwidthServer {
         let done = start + service;
         self.next_free = done;
         self.bytes_served += bytes;
-        self.busy += service;
         if let Some(name) = self.trace_name {
             ps_trace::complete(
                 ps_trace::Category::Fabric,
@@ -97,7 +93,6 @@ impl BandwidthServer {
         let start = self.next_free.max(now);
         let done = start + ns;
         self.next_free = done;
-        self.busy += ns;
         if let Some(name) = self.trace_name {
             ps_trace::complete(
                 ps_trace::Category::Fabric,
@@ -120,14 +115,6 @@ impl BandwidthServer {
     /// Total bytes served so far.
     pub fn bytes_served(&self) -> u64 {
         self.bytes_served
-    }
-
-    /// Fraction of `[0, now]` this server spent busy.
-    pub fn utilization(&self, now: Time) -> f64 {
-        if now == 0 {
-            return 0.0;
-        }
-        (self.busy.min(now)) as f64 / now as f64
     }
 }
 
@@ -167,12 +154,5 @@ mod tests {
         // Submit long after the first completes: starts fresh.
         let t = s.submit(10 * MICROS, 1000);
         assert_eq!(t, 11 * MICROS);
-    }
-
-    #[test]
-    fn utilization_tracks_busy_fraction() {
-        let mut s = BandwidthServer::new(8 * GIGA, 0);
-        s.submit(0, 1000); // busy 1 us
-        assert!((s.utilization(2 * MICROS) - 0.5).abs() < 1e-9);
     }
 }

@@ -24,13 +24,6 @@ impl PacketCounter {
         self.bytes += bytes;
     }
 
-    /// Record `packets` packets totalling `bytes`.
-    #[inline]
-    pub fn add_many(&mut self, packets: u64, bytes: u64) {
-        self.packets += packets;
-        self.bytes += bytes;
-    }
-
     /// Merge another counter into this one.
     pub fn merge(&mut self, other: &PacketCounter) {
         self.packets += other.packets;
@@ -261,7 +254,9 @@ mod tests {
     #[test]
     fn counter_merge() {
         let mut a = PacketCounter::default();
-        a.add_many(10, 640);
+        for _ in 0..10 {
+            a.add(64);
+        }
         let mut b = PacketCounter::default();
         b.add(100);
         a.merge(&b);

@@ -94,7 +94,8 @@ impl CategoryMask {
     /// Every category enabled.
     pub const ALL: CategoryMask = CategoryMask(0b111111);
     /// No category enabled.
-    pub const NONE: CategoryMask = CategoryMask(0);
+    #[cfg(test)]
+    pub(crate) const NONE: CategoryMask = CategoryMask(0);
 
     /// Mask with exactly the given categories.
     pub fn of(cats: &[Category]) -> CategoryMask {
@@ -103,7 +104,7 @@ impl CategoryMask {
 
     /// Parse a `PS_TRACE`-style list: comma-separated category names,
     /// or `all`/`1` for everything. Unknown names are ignored; an
-    /// empty or unrecognized list yields [`CategoryMask::NONE`].
+    /// empty or unrecognized list yields the empty mask.
     pub fn parse(list: &str) -> CategoryMask {
         let list = list.trim();
         if list == "all" || list == "1" {

@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | [`sim`] | `ps-sim` | event queue, virtual time, statistics |
 //! | [`net`] | `ps-net` | Ethernet/IPv4/IPv6/UDP/TCP/ESP wire formats |
-//! | [`hw`] | `ps-hw` | CPU/NUMA/PCIe/IOH models + testbed constants |
+//! | [`hw`] | `ps-hw` | testbed constants, NUMA placement, PCIe/IOH timing |
 //! | [`gpu`] | `ps-gpu` | SIMT GPU simulator, kernels, streams |
 //! | [`nic`] | `ps-nic` | rings, RSS (Toeplitz), ports |
 //! | [`lookup`] | `ps-lookup` | DIR-24-8, Waldvogel LPM, synthetic tables |
@@ -26,7 +26,7 @@
 //! | [`core`] | `ps-core` | the PacketShader framework + six applications |
 //! | [`flow`] | `ps-flow` | deterministic cuckoo flow cache for the stateful NFs |
 //! | [`pktgen`] | `ps-pktgen` | traffic generator / latency sink |
-//! | [`rng`] | `ps-rng` | deterministic RNG (SplitMix64 + xoshiro256**) |
+//! | [`rng`] | `ps-rng` | deterministic RNG (SplitMix64 + xoshiro256**), seed parsing |
 //! | [`check`] | `ps-check` | seeded property-testing harness |
 //! | [`trace`] | `ps-trace` | virtual-time pipeline tracing (see OBSERVABILITY.md) |
 //! | [`fault`] | `ps-fault` | seeded fault injection + graceful degradation |
