@@ -185,7 +185,7 @@ fn main() {
         report.out_gbps(),
         report.delivery_ratio() * 100.0,
         report.latency.p50() / 1000,
-        report.rx_drops,
+        report.rx_drops(),
         report.gpu_kernels
     );
     println!();

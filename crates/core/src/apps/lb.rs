@@ -94,7 +94,7 @@ impl FlowOp for Lb {
     ) -> u64 {
         let now = p.arrival;
         let mut cycles = PROBE_CYCLES + REWRITE_CYCLES;
-        let pinned = cache.lookup_prehash(hash, &pf.tuple, now).copied();
+        let pinned = cache.lookup_prehash(hash, &pf.tuple, now).ok().copied();
         let idx = match pinned {
             Some(idx) => idx,
             None => {

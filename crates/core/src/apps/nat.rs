@@ -133,7 +133,7 @@ impl FlowOp for Nat {
         let mut cycles = PROBE_CYCLES + REWRITE_CYCLES;
 
         let binding = match cache.lookup_prehash(hash, &pf.tuple, now) {
-            Some(b) => {
+            Ok(b) => {
                 // Tracker transitions on the observed packet.
                 if flags.0 & TcpFlags::RST != 0 {
                     let b = *b;
@@ -156,16 +156,23 @@ impl FlowOp for Nat {
                     *b
                 }
             }
-            None => {
+            Err(expired) => {
+                // Bindings that leave the cache return their external
+                // address to the pool: the one this lookup found idle
+                // past the timeout (first, so the flow gets it back),
+                // and any resident the insert pushes out (the LRU
+                // victim, or an idle binding reclaimed for its slot).
+                // Bounded state, no leaks under churn.
+                if let Some(old) = expired {
+                    pool.free.push(old.ext_id);
+                }
                 let binding = NatBinding {
                     ext_id: pool.alloc(),
                     state: ConnState::New,
                 };
                 let r = cache.insert_prehash(hash, pf.tuple, now, binding);
                 cycles += KICK_CYCLES * u64::from(r.displaced);
-                if let Some((_, old)) = r.evicted {
-                    // The LRU victim's external address returns to the
-                    // pool — bounded state, no leaks under churn.
+                if let Some((_, old)) = r.freed {
                     pool.free.push(old.ext_id);
                 }
                 binding
@@ -370,7 +377,8 @@ mod tests {
         a.process_cpu(&mut p0); // arrival 0
 
         // The same flow's next packet, past the timeout, finds its
-        // binding expired and gets a fresh one.
+        // binding expired and gets a fresh one: the expired binding's
+        // port, which the expiry returned to the pool.
         let mut late = vec![udp(0x0A000001, 5000, 0)];
         late[0].arrival = 10_000;
         a.process_cpu(&mut late);
@@ -378,6 +386,39 @@ mod tests {
         assert_eq!(a.occupancy(), 1);
         let port = |p: &Packet| UdpDatagram::new_unchecked(&p.data[ETH_LEN + 20..]).src_port();
         assert_eq!(port(&p0[0]), PORT_MIN);
-        assert_eq!(port(&late[0]), PORT_MIN + 1, "fresh binding");
+        assert_eq!(port(&late[0]), PORT_MIN, "the idled-out port, reused");
+    }
+
+    #[test]
+    fn churn_through_idle_expiry_leaks_no_ports() {
+        // Every round is past the 1 µs timeout of the one before.
+        let round = |a: &mut NatApp, r: u64, flows: std::ops::Range<u32>| {
+            let mut pkts: Vec<Packet> = flows.map(|f| udp(0x0A00_0000 + f, 5000, 0)).collect();
+            for p in &mut pkts {
+                p.arrival = r * 2_000;
+            }
+            a.process_cpu(&mut pkts);
+        };
+        let high_water = |a: &NatApp| a.op.pools[0].next_id;
+
+        // Four flows that idle out between every two packets: each
+        // expiry found on touch returns the port its flow then re-binds.
+        let mut a = NatApp::new(8, 2, 1 << 10, 1_000);
+        for r in 0..100 {
+            round(&mut a, r, 0..4);
+        }
+        assert_eq!(a.cache_stats().expiries, 396);
+        assert_eq!(high_water(&a), 4, "bounded by the live flows");
+
+        // Fresh flows through an 8-slot table: each insert reclaims an
+        // idle binding's slot and its port. The pool stays within the
+        // table's slots plus the one port drawn before its insert.
+        let mut a = NatApp::new(8, 2, 8, 1_000);
+        for r in 0..100 {
+            round(&mut a, r, r as u32 * 4..r as u32 * 4 + 4);
+        }
+        assert_eq!(a.cache_stats().evictions, 0, "idle slots, not LRU");
+        assert!(a.cache_stats().expiries > 350);
+        assert!(high_water(&a) <= 9, "high water {}", high_water(&a));
     }
 }

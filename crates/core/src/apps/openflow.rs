@@ -134,27 +134,15 @@ impl ColumnProgram for OpenFlowProgram {
     }
 
     fn apply(&mut self, p: &mut Packet, key: FlowKey, row: OpenFlowRow) -> u64 {
-        let mut cycles = self.exact_probe_cycles();
-        let sw = &mut self.switch;
-        let action = sw
-            .exact
-            .lookup_with_hash(row.hash, &key, p.len() as u64)
-            .or_else(|| {
-                row.wildcard.unwrap_or_else(|| {
-                    let (action, scanned) = sw.wildcard.lookup(&key);
-                    cycles += WILDCARD_ENTRY_CYCLES * scanned as u64;
-                    action
-                })
-            })
-            .unwrap_or_else(|| {
-                sw.misses += 1;
-                Action::Controller
-            });
+        let cycles = self.exact_probe_cycles();
+        let (action, scanned) = self
+            .switch
+            .lookup(row.hash, &key, p.len() as u64, row.wildcard);
         p.out_port = match action {
             Action::Output(port) => Some(PortId(port)),
             Action::Drop | Action::Controller => None,
         };
-        cycles
+        cycles + WILDCARD_ENTRY_CYCLES * scanned as u64
     }
 
     fn post_shade_cycles(&self, n: usize) -> u64 {

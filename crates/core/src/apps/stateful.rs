@@ -80,7 +80,7 @@ pub trait FlowOp: Sized {
 /// the host against per-RX-node flow caches. Dereferences to the
 /// operation, so NF-specific counters and controls stay reachable.
 pub struct FlowNf<O: FlowOp> {
-    op: O,
+    pub(super) op: O,
     pub(super) per_node: Vec<FlowCache<O::Entry>>,
     ports_per_node: u16,
 }

@@ -3,14 +3,12 @@
 //! of arrivals and completions, the event dispatch [`Model`] impl, and
 //! the RSS hash.
 //!
-//! Handlers address workers, rings and ports by the same global ids
-//! the events carry; the [`super::Router`] accessors map those onto
-//! the per-NUMA-domain [`super::node::NodeShard`]s. The only
-//! cross-domain interactions are (a) a worker transmitting out a
-//! remote node's port, which [`Ev::CrossArrive`] reifies when the QPI
-//! hop is priced, and (b) NUMA-blind DMA mirroring. The admission
-//! side (generator, NIC RX, interrupts) lives in `rx`; the master's
-//! gather/shade/scatter in `master`.
+//! Handlers index workers, ports and nodes by the global ids the
+//! events carry. The only cross-domain interactions are (a) a worker
+//! transmitting out a remote node's port, which [`Ev::CrossArrive`]
+//! reifies when the QPI hop is priced, and (b) NUMA-blind DMA
+//! mirroring. The admission side (generator, NIC RX, interrupts)
+//! lives in `rx`; the master's gather/shade/scatter in `master`.
 
 use ps_hw::ioh::Direction;
 use ps_hw::numa::Placement;
@@ -23,6 +21,7 @@ use ps_net::udp::UdpDatagram;
 use ps_nic::rss::{toeplitz_hash, MSFT_KEY};
 use ps_sim::time::Time;
 use ps_sim::{Model, Scheduler};
+use ps_trace::Category;
 
 use crate::app::App;
 use crate::chunk::Chunk;
@@ -113,42 +112,48 @@ impl<A: App> Router<A> {
         ps_sim::time::cycles_to_ns(cycles, self.cfg.testbed.cpu.hz)
     }
 
+    /// Wake worker `w` at `t`, unless its latest wake-up request is
+    /// for `t` or earlier and no wake-up has run since.
     pub(super) fn wake_worker(&mut self, sched: &mut Scheduler<Ev>, w: usize, t: Time) {
-        let t = t.max(sched.now());
-        let ws = self.worker_mut(w);
-        if let Some(pending) = ws.next_wake {
-            if pending <= t {
-                return;
-            }
-        }
-        ws.next_wake = Some(t);
-        sched.at(t, Ev::WorkerLoop { worker: w });
+        self.workers[w]
+            .wakes
+            .arm(sched, t, || Ev::WorkerLoop { worker: w });
     }
 
     /// Wake node `node`'s master at `t`, unless its latest wake-up
     /// request is for `t` or earlier and no wake-up has run since.
     pub(super) fn wake_master(&mut self, sched: &mut Scheduler<Ev>, node: usize, t: Time) {
-        self.master_mut(node)
+        self.nodes[node]
+            .master
             .wakes
             .arm(sched, t, || Ev::MasterLoop { node });
     }
 
+    /// Every wake-up of worker `w` due now, in order: one that finds
+    /// the worker busy moves to `busy_until`, and any other runs the
+    /// worker's loop once — even with nothing to fetch, the loop arms
+    /// the RX interrupt, so no free wake-up is spent unrun.
     fn on_worker_loop(&mut self, sched: &mut Scheduler<Ev>, w: usize) {
-        let now = sched.now();
-        self.worker_mut(w).next_wake = None;
-        if self.worker(w).busy_until > now {
-            let t = self.worker(w).busy_until;
-            self.wake_worker(sched, w, t);
-            return;
+        let wake = || Ev::WorkerLoop { worker: w };
+        loop {
+            let ws = &mut self.workers[w];
+            if !ws.wakes.fire(sched, ws.busy_until, false, wake) {
+                return;
+            }
+            self.worker_step(sched, w);
         }
+    }
 
+    /// One pass of a free worker's loop (§5.2).
+    fn worker_step(&mut self, sched: &mut Scheduler<Ev>, w: usize) {
+        let now = sched.now();
         // 1. Completed shading output? Post-shade + transmit.
-        if let Some(&(ready, _)) = self.worker(w).done_queue.front() {
+        if let Some(&(ready, _)) = self.workers[w].done_queue.front() {
             if ready <= now {
-                let ws = self.worker_mut(w);
+                let ws = &mut self.workers[w];
                 let (_, chunk) = ws.done_queue.pop_front().expect("front exists");
                 ws.outstanding -= 1;
-                self.finish_chunk(sched, w, chunk, true);
+                self.finish_chunk(sched, w, chunk);
                 return;
             }
         }
@@ -158,23 +163,26 @@ impl<A: App> Router<A> {
         // so latency-critical packets never wait behind a bulk batch.
         let can_fetch = match self.cfg.mode {
             Mode::CpuOnly => true,
-            Mode::CpuGpu => self.worker(w).outstanding < PIPELINE_DEPTH,
+            Mode::CpuGpu => self.workers[w].outstanding < PIPELINE_DEPTH,
         };
-        let fetch_prio = can_fetch && !self.prio_ring(w).is_empty();
-        if fetch_prio || (can_fetch && !self.ring(w).is_empty()) {
+        let fetch_prio = can_fetch && !self.workers[w].prio_ring.is_empty();
+        if fetch_prio || (can_fetch && !self.workers[w].ring.is_empty()) {
             let mut pkts = self.free_batches.pop().unwrap_or_default();
-            if fetch_prio {
-                self.prio_ring_mut(w)
-                    .pop_batch_into(&mut pkts, PRIORITY_CAP);
-                ps_io::trace::trace_prio_ring_depth(w as u32, now, self.prio_ring(w).len() as u64);
+            let lane = w as u32;
+            let (counter, depth) = if fetch_prio {
+                let ring = &mut self.workers[w].prio_ring;
+                ring.pop_batch_into(&mut pkts, PRIORITY_CAP);
+                ("prio_ring_depth", ring.len())
             } else {
                 let cap = self.effective_batch_cap(w);
                 if self.cfg.latency.adaptive_batch {
-                    ps_io::trace::trace_batch_cap(w as u32, now, cap as u64);
+                    ps_trace::counter(Category::Io, "batch_cap", lane, now, cap as u64);
                 }
-                self.ring_mut(w).pop_batch_into(&mut pkts, cap);
-                ps_io::trace::trace_ring_depth(w as u32, now, self.ring(w).len() as u64);
-            }
+                let ring = &mut self.workers[w].ring;
+                ring.pop_batch_into(&mut pkts, cap);
+                ("ring_depth", ring.len())
+            };
+            ps_trace::counter(Category::Io, counter, lane, now, depth as u64);
             self.stats.rx_batches += 1;
             self.stats.rx_packets += pkts.len() as u64;
             let n = pkts.len() as u64;
@@ -195,26 +203,21 @@ impl<A: App> Router<A> {
             self.stats.app_drops += pre.dropped;
             self.stats.slow_path += pre.slow_path;
             let t1 = now + self.cycles_ns(rx_cycles + pre.cycles);
-            self.worker_mut(w).busy_until = t1;
+            self.workers[w].busy_until = t1;
             // One span for the fused RX-fetch + pre-shade interval:
             // the model charges them as a single cycle budget, and
             // splitting the ns conversion would round differently.
-            ps_io::trace::trace_rx_batch(w as u32, now, t1, n, bytes);
-            ps_trace::complete(
-                ps_trace::Category::Stage,
-                "pre_shade",
-                w as u32,
-                now,
-                t1,
-                || {
-                    vec![
-                        ("pkts", n),
-                        ("bytes", bytes),
-                        ("dropped", pre.dropped),
-                        ("slow_path", pre.slow_path),
-                    ]
-                },
-            );
+            ps_trace::complete(Category::Io, "rx_batch", lane, now, t1, || {
+                vec![("pkts", n), ("bytes", bytes)]
+            });
+            ps_trace::complete(Category::Stage, "pre_shade", lane, now, t1, || {
+                vec![
+                    ("pkts", n),
+                    ("bytes", bytes),
+                    ("dropped", pre.dropped),
+                    ("slow_path", pre.slow_path),
+                ]
+            });
 
             if pkts.is_empty() {
                 self.reclaim_batch(pkts);
@@ -242,27 +245,22 @@ impl<A: App> Router<A> {
                     plan.note_corrupt_dropped(corrupt_before - after);
                 }
                 let t2 = t1 + self.cycles_ns(cycles);
-                self.worker_mut(w).busy_until = t2;
+                self.workers[w].busy_until = t2;
                 let n = pkts.len() as u64;
-                ps_trace::complete(
-                    ps_trace::Category::Stage,
-                    "cpu_process",
-                    w as u32,
-                    t1,
-                    t2,
-                    || vec![("pkts", n)],
-                );
+                ps_trace::complete(Category::Stage, "cpu_process", lane, t1, t2, || {
+                    vec![("pkts", n)]
+                });
                 let chunk = Chunk::new(w, pkts);
                 // Transmit as soon as processing ends.
-                let ws = self.worker_mut(w);
+                let ws = &mut self.workers[w];
                 ws.done_queue.push_back((t2, chunk));
                 ws.outstanding += 1;
                 self.wake_worker(sched, w, t2);
             } else {
                 let node = self.worker_node(w);
                 let chunk = Chunk::new(w, pkts);
-                self.worker_mut(w).outstanding += 1;
-                self.master_mut(node).input.push_back(chunk);
+                self.workers[w].outstanding += 1;
+                self.nodes[node].master.input.push_back(chunk);
                 self.wake_master(sched, node, t1);
                 self.wake_worker(sched, w, t1);
             }
@@ -270,14 +268,15 @@ impl<A: App> Router<A> {
         }
 
         // 3. Output pending but not ready: sleep until it is.
-        if let Some(&(ready, _)) = self.worker(w).done_queue.front() {
+        let ws = &mut self.workers[w];
+        if let Some(&(ready, _)) = ws.done_queue.front() {
             self.wake_worker(sched, w, ready);
             return;
         }
 
         // 4. Nothing to do: arm the interrupt (§5.2).
-        if self.ring(w).is_empty() && self.prio_ring(w).is_empty() {
-            self.worker_mut(w).idle = true;
+        if ws.ring.is_empty() && ws.prio_ring.is_empty() {
+            ws.idle = true;
         } else {
             // Pipeline full; the master's scatter will wake us.
         }
@@ -294,11 +293,13 @@ impl<A: App> Router<A> {
             return self.cfg.io.batch_cap;
         }
         let cap = self.cfg.io.batch_cap;
-        (self.ring(w).len() / DEPTH_PER_CAP).clamp(MIN_BATCH.min(cap), cap)
+        (self.workers[w].ring.len() / DEPTH_PER_CAP).clamp(MIN_BATCH.min(cap), cap)
     }
 
-    /// Post-shade + TX a finished chunk on worker `w`.
-    fn finish_chunk(&mut self, sched: &mut Scheduler<Ev>, w: usize, chunk: Chunk, charge: bool) {
+    /// Post-shade + TX a finished chunk on worker `w`. A chunk whose
+    /// packets were all dropped costs no cycles, so the worker is free
+    /// again at once and wakes itself for the current instant.
+    fn finish_chunk(&mut self, sched: &mut Scheduler<Ev>, w: usize, chunk: Chunk) {
         let now = sched.now();
         let mut pkts = chunk.packets;
         // Application may have cleared out_port for drops.
@@ -315,29 +316,15 @@ impl<A: App> Router<A> {
         pkts.retain(|p| p.out_port.is_some());
         self.stats.app_drops += (before - pkts.len()) as u64;
 
+        let n = pkts.len() as u64;
         let bytes: u64 = pkts.iter().map(|p| p.len() as u64).sum();
-        let cycles = if charge {
-            self.app.post_shade_cycles(pkts.len())
-                + self
-                    .cost
-                    .tx_batch_cycles(pkts.len() as u64, bytes, self.cfg.io.placement)
-        } else {
-            0
-        };
+        let cycles = self.app.post_shade_cycles(pkts.len())
+            + self.cost.tx_batch_cycles(n, bytes, self.cfg.io.placement);
         let t2 = now + self.cycles_ns(cycles);
-        self.worker_mut(w).busy_until = t2;
-        if charge {
-            let n = pkts.len() as u64;
-            ps_io::trace::trace_tx_batch(w as u32, now, t2, n, bytes);
-            ps_trace::complete(
-                ps_trace::Category::Stage,
-                "post_shade",
-                w as u32,
-                now,
-                t2,
-                || vec![("pkts", n), ("bytes", bytes)],
-            );
-        }
+        self.workers[w].busy_until = t2;
+        let args = || vec![("pkts", n), ("bytes", bytes)];
+        ps_trace::complete(Category::Io, "tx_batch", w as u32, now, t2, args);
+        ps_trace::complete(Category::Stage, "post_shade", w as u32, now, t2, args);
 
         let src_node = self.worker_node(w);
         let qpi = self.cfg.testbed.ioh.qpi_hop_ns;
@@ -376,7 +363,7 @@ impl<A: App> Router<A> {
                         .dma(t2, Direction::HostToDevice, dma_bytes(p.len()));
                 dma_done = dma_done.max(mirrored);
             }
-            let wire_done = self.port_mut(out).tx_frame(dma_done, p.len());
+            let wire_done = self.ports[out.0 as usize].tx_frame(dma_done, p.len());
             let lane = self.tx_lane(out);
             self.due
                 .push(sched, lane, wire_done, Due::Tx(p), Due::event);
@@ -394,7 +381,7 @@ impl<A: App> Router<A> {
         let dma_done = self.nodes[node]
             .ioh
             .dma(now, Direction::HostToDevice, dma_bytes(len));
-        let wire_done = self.port_mut(out).tx_frame(dma_done, len);
+        let wire_done = self.ports[out.0 as usize].tx_frame(dma_done, len);
         // Cross completions interleave with the port's native TX lane
         // stream non-monotonically (two independent DMA horizons), so
         // they take the unordered lane.

@@ -9,7 +9,7 @@ use ps_sim::{Scheduler, MICROS};
 
 use crate::app::App;
 
-use super::node::NodeShard;
+use super::node::Node;
 use super::{Ev, Router};
 
 /// Master orchestration cycles per gathered chunk (it "transfers the
@@ -42,7 +42,7 @@ impl<A: App> Router<A> {
     pub(super) fn on_master_loop(&mut self, sched: &mut Scheduler<Ev>, node: usize) {
         let wake = || Ev::MasterLoop { node };
         loop {
-            let ms = self.master_mut(node);
+            let ms = &mut self.nodes[node].master;
             let (busy_until, idle) = (ms.busy_until, ms.input.is_empty());
             if !ms.wakes.fire(sched, busy_until, idle, wake) {
                 return;
@@ -59,7 +59,7 @@ impl<A: App> Router<A> {
         let take = if self.cfg.gather {
             self.cfg
                 .max_gather_chunks
-                .min(self.master_mut(node).input.len())
+                .min(self.nodes[node].master.input.len())
         } else {
             1
         };
@@ -67,7 +67,7 @@ impl<A: App> Router<A> {
         // empty) vector and its length, and takes its share back in
         // the scatter. `all` and `splits` are the master's own scratch,
         // reused from gather to gather.
-        let ms = self.master_mut(node);
+        let ms = &mut self.nodes[node].master;
         let mut all = std::mem::take(&mut ms.all);
         let mut splits = std::mem::take(&mut ms.splits);
         for mut c in ms.input.drain(..take) {
@@ -161,7 +161,7 @@ impl<A: App> Router<A> {
             // until the batch is done regardless of stream mode.
             (done, done)
         } else {
-            let NodeShard { ioh, gpu, .. } = &mut self.nodes[node];
+            let Node { ioh, gpu, .. } = &mut self.nodes[node];
             let gpu = gpu.as_mut().expect("CpuGpu mode has a GPU per node");
             let done = self.app.shade(node, gpu, ioh, start, &mut all);
             let done = if straggle_pct > 0 {
@@ -207,10 +207,10 @@ impl<A: App> Router<A> {
         // Hand each chunk to its worker's output queue.
         for (chunk, _) in splits.drain(..) {
             let worker = chunk.worker;
-            self.worker_mut(worker).done_queue.push_back((done, chunk));
+            self.workers[worker].done_queue.push_back((done, chunk));
             self.wake_worker(sched, worker, done);
         }
-        let ms = self.master_mut(node);
+        let ms = &mut self.nodes[node].master;
         ms.busy_until = busy_until;
         ms.all = all;
         ms.splits = splits;

@@ -1,12 +1,12 @@
 //! The event-driven router: workers, masters, NICs, IOHs and GPUs
 //! composed into one deterministic simulation (Figures 7 and 9).
 //!
-//! The module is split along the paper's own NUMA seam (§3.2):
+//! The [`Router`] holds its hardware flat, each kind in a vector
+//! indexed by the global id the events carry: worker cores (each with
+//! its RX rings), NIC ports, and per NUMA node the IOH, GPU and master
+//! core (§3.2). The handlers are split by side:
 //!
-//! * `node` — `NodeShard`: every hardware resource a NUMA domain
-//!   owns (NIC ports, IOH, GPU, worker cores, master, RX rings), held
-//!   *exclusively* so shard-parallel execution is an ownership fact,
-//!   not a convention;
+//! * `node` — the worker and node state;
 //! * `rx` — the admission side: generator arrivals, NIC RX, faults,
 //!   RX DMA and the interrupt into a worker;
 //! * `dispatch` — the event enum, the worker-side handlers
@@ -40,8 +40,7 @@ pub use report::RouterReport;
 
 use ps_fault::FaultPlan;
 use ps_io::Packet;
-use ps_nic::port::PortId;
-use ps_nic::ring::Ring;
+use ps_nic::port::{Port, PortId};
 use ps_pktgen::{Generator, Sink, TrafficSpec};
 use ps_sim::time::Time;
 use ps_sim::{Completions, Simulation};
@@ -50,7 +49,7 @@ use crate::app::App;
 use crate::config::RouterConfig;
 
 use dispatch::Due;
-use node::{MasterState, NodeShard, WorkerState};
+use node::{Node, Worker};
 use stats::RunStats;
 
 /// Upper bound on each recycling pool (frame buffers, batch vectors);
@@ -64,10 +63,12 @@ pub struct Router<A: App> {
     gen: Generator,
     /// The measurement sink.
     pub sink: Sink,
-    /// One shard of hardware per NUMA domain; all port/worker/ring
-    /// indexing goes through the accessors below, which map the global
-    /// ids used by events onto `(node, local)` pairs.
-    nodes: Vec<NodeShard>,
+    /// Worker cores with their RX rings, by global worker id.
+    workers: Vec<Worker>,
+    /// NIC ports, by global port id.
+    ports: Vec<Port>,
+    /// Per NUMA node: IOH, GPU and master core, by node id.
+    nodes: Vec<Node>,
     cost: ps_io::cost::CostModel,
     stop_at: Time,
     /// Counters only accumulate from this instant (warm-up excluded).
@@ -104,9 +105,9 @@ impl<A: App> Router<A> {
     /// Build a router; `stop_at` bounds packet generation.
     ///
     /// # Panics
-    /// Panics, naming the fields, on a layout the node shards cannot
-    /// hold: no nodes, no workers per node, or a port count that is
-    /// zero or does not split evenly over the nodes.
+    /// Panics, naming the fields, on a layout the nodes cannot hold:
+    /// no nodes, no workers per node, or a port count that is zero or
+    /// does not split evenly over the nodes.
     pub fn new(cfg: RouterConfig, mut app: A, spec: TrafficSpec, stop_at: Time) -> Router<A> {
         assert_eq!(
             spec.ports, cfg.ports,
@@ -124,14 +125,19 @@ impl<A: App> Router<A> {
             cfg.nodes
         );
         app.set_staging(cfg.staging);
+        // Nodes in order: `setup_gpu` places each node's tables at the
+        // same device addresses every run.
         let nodes = (0..cfg.nodes)
-            .map(|node| NodeShard::new(&cfg, node, &mut app))
+            .map(|node| Node::new(&cfg, node, &mut app))
             .collect();
+        let rate = cfg.testbed.nic.line_rate_bits;
         Router {
             cfg,
             app,
             gen: Generator::new(spec),
             sink: Sink::new(),
+            workers: (0..cfg.total_workers()).map(|_| Worker::new()).collect(),
+            ports: (0..cfg.ports).map(|p| Port::new(PortId(p), rate)).collect(),
             nodes,
             cost: ps_io::cost::CostModel::default(),
             stop_at,
@@ -242,39 +248,8 @@ impl<A: App> Router<A> {
         }
     }
 
-    // Global-id accessors: events address workers, rings and ports by
-    // the same flat ids the pre-shard router used; the node-sharded
-    // layout is `(id / per_node, id % per_node)`.
-
     fn worker_node(&self, w: usize) -> usize {
         w / self.cfg.workers_per_node
-    }
-
-    fn worker(&self, w: usize) -> &WorkerState {
-        &self.nodes[w / self.cfg.workers_per_node].workers[w % self.cfg.workers_per_node]
-    }
-
-    fn worker_mut(&mut self, w: usize) -> &mut WorkerState {
-        let per = self.cfg.workers_per_node;
-        &mut self.nodes[w / per].workers[w % per]
-    }
-
-    fn ring(&self, w: usize) -> &Ring<Packet> {
-        &self.nodes[w / self.cfg.workers_per_node].rings[w % self.cfg.workers_per_node]
-    }
-
-    fn ring_mut(&mut self, w: usize) -> &mut Ring<Packet> {
-        let per = self.cfg.workers_per_node;
-        &mut self.nodes[w / per].rings[w % per]
-    }
-
-    fn prio_ring(&self, w: usize) -> &Ring<Packet> {
-        &self.nodes[w / self.cfg.workers_per_node].prio_rings[w % self.cfg.workers_per_node]
-    }
-
-    fn prio_ring_mut(&mut self, w: usize) -> &mut Ring<Packet> {
-        let per = self.cfg.workers_per_node;
-        &mut self.nodes[w / per].prio_rings[w % per]
     }
 
     /// Completion lane of the generator's arrivals, which it paces in
@@ -294,15 +269,6 @@ impl<A: App> Router<A> {
     /// serialize onto the wire in nondecreasing order.
     fn tx_lane(&self, port: PortId) -> usize {
         Self::rx_lane(self.cfg.nodes, false) + port.0 as usize
-    }
-
-    fn master_mut(&mut self, node: usize) -> &mut MasterState {
-        &mut self.nodes[node].master
-    }
-
-    fn port_mut(&mut self, p: PortId) -> &mut ps_nic::port::Port {
-        let per = self.cfg.ports_per_node() as usize;
-        &mut self.nodes[p.0 as usize / per].ports[p.0 as usize % per]
     }
 
     fn node_of_port(&self, port: PortId) -> usize {

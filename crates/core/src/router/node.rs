@@ -1,11 +1,7 @@
-//! [`NodeShard`]: the hardware one NUMA domain owns.
-//!
-//! Every resource a packet touches between its RX wire and its TX wire
-//! lives in exactly one shard — NIC ports, the IOH, the GPU engine,
-//! the worker cores with their RX rings, and the master core. The
-//! struct owns them exclusively (no `Rc`/`RefCell`), which is what
-//! lets [`super::parallel`] hand whole shards to OS threads: the
-//! borrow checker proves the domains share nothing.
+//! The state of the router's threads and per-node devices: one
+//! [`Worker`] per worker core (with its RX rings), and one [`Node`]
+//! per NUMA domain (its IOH, GPU and master core). The router keeps
+//! each kind in a vector indexed by the global id events carry.
 
 use std::collections::VecDeque;
 
@@ -13,7 +9,6 @@ use ps_gpu::{GpuDevice, GpuEngine};
 use ps_hw::ioh::Ioh;
 use ps_hw::pcie::PcieModel;
 use ps_io::Packet;
-use ps_nic::port::{Port, PortId};
 use ps_nic::ring::Ring;
 use ps_sim::time::Time;
 use ps_sim::FoldedWakes;
@@ -22,22 +17,44 @@ use crate::app::App;
 use crate::chunk::Chunk;
 use crate::config::{Mode, RouterConfig};
 
-/// Per-worker-core state (§5.2 worker threads).
-pub(crate) struct WorkerState {
+/// Descriptors per RX ring, bulk and priority alike (the 82599's
+/// per-queue ring size in the paper's setup).
+const RING_ENTRIES: usize = 1024;
+
+/// One worker core (§5.2 worker threads) and its RX queues.
+pub(crate) struct Worker {
     pub busy_until: Time,
     /// Armed RX interrupt (worker parked).
     pub idle: bool,
-    /// The wake armed most recently, unless a `WorkerLoop` has run
-    /// since (each one clears it): dedupes back-to-back wake requests.
-    /// Not the earliest pending wake — a request for an earlier instant
-    /// replaces it and the later event stays queued.
-    pub next_wake: Option<Time>,
+    /// Pending `WorkerLoop` wake-ups (see [`FoldedWakes`]).
+    pub wakes: FoldedWakes,
     /// Interrupt moderation horizon.
     pub last_int: Time,
     /// Chunks in flight at the master.
     pub outstanding: usize,
     /// Shaded chunks ready for post-processing: `(ready_at, chunk)`.
     pub done_queue: VecDeque<(Time, Chunk)>,
+    /// The worker's RX ring (its RSS queue).
+    pub ring: Ring<Packet>,
+    /// Packets the priority classifier marks land here and are
+    /// fetched ahead of bulk traffic with a small cap; empty forever
+    /// when no classifier is configured.
+    pub prio_ring: Ring<Packet>,
+}
+
+impl Worker {
+    pub fn new() -> Worker {
+        Worker {
+            busy_until: 0,
+            idle: true,
+            wakes: FoldedWakes::new(),
+            last_int: 0,
+            outstanding: 0,
+            done_queue: VecDeque::new(),
+            ring: Ring::new(RING_ENTRIES),
+            prio_ring: Ring::new(RING_ENTRIES),
+        }
+    }
 }
 
 /// Per-node master-core state (§5.3 master threads).
@@ -57,41 +74,22 @@ pub(crate) struct MasterState {
     pub splits: Vec<(Chunk, usize)>,
 }
 
-/// Descriptors per RX ring, bulk and priority alike (the 82599's
-/// per-queue ring size in the paper's setup).
-const RING_ENTRIES: usize = 1024;
-
-/// All hardware owned by one NUMA domain.
-pub(crate) struct NodeShard {
-    /// This node's NIC ports (globally, ports
-    /// `node * ports_per_node ..` map here in order).
-    pub ports: Vec<Port>,
+/// The devices and master core of one NUMA domain.
+pub(crate) struct Node {
     /// The domain's I/O hub: every DMA this node's NICs and GPU issue
     /// is a reservation against these bandwidth servers.
     pub ioh: Ioh,
     /// The node's GPU engine; [`None`] in CPU-only mode.
     pub gpu: Option<GpuEngine>,
-    /// Worker cores, indexed by local id.
-    pub workers: Vec<WorkerState>,
     /// The node's master core.
     pub master: MasterState,
-    /// Per-worker RX rings (RSS queues), parallel to `workers`.
-    pub rings: Vec<Ring<Packet>>,
-    /// Per-worker priority RX rings, parallel to `rings`. Packets the
-    /// priority classifier marks land here and are fetched ahead of
-    /// bulk traffic with a small cap; empty forever when no
-    /// classifier is configured.
-    pub prio_rings: Vec<Ring<Packet>>,
 }
 
-impl NodeShard {
-    /// Build node `node`'s shard of the testbed described by `cfg`.
-    pub fn new<A: App>(cfg: &RouterConfig, node: usize, app: &mut A) -> NodeShard {
+impl Node {
+    /// Build node `node` of the testbed described by `cfg`, uploading
+    /// the app's GPU state to its device.
+    pub fn new<A: App>(cfg: &RouterConfig, node: usize, app: &mut A) -> Node {
         let tb = cfg.testbed;
-        let per_node = cfg.ports_per_node();
-        let ports = (0..per_node)
-            .map(|i| Port::new(PortId(node as u16 * per_node + i), tb.nic.line_rate_bits))
-            .collect();
         let mut ioh = Ioh::new(tb.ioh);
         ioh.set_trace_lane(node as u32);
         let gpu = (cfg.mode == Mode::CpuGpu).then(|| {
@@ -105,37 +103,16 @@ impl NodeShard {
             app.setup_gpu(node, &mut eng);
             eng
         });
-        let workers = (0..cfg.workers_per_node)
-            .map(|_| WorkerState {
-                busy_until: 0,
-                idle: true,
-                next_wake: None,
-                last_int: 0,
-                outstanding: 0,
-                done_queue: VecDeque::new(),
-            })
-            .collect();
-        let master = MasterState {
-            input: VecDeque::new(),
-            wakes: FoldedWakes::new(),
-            busy_until: 0,
-            all: Vec::new(),
-            splits: Vec::new(),
-        };
-        let rings = (0..cfg.workers_per_node)
-            .map(|_| Ring::new(RING_ENTRIES))
-            .collect();
-        let prio_rings = (0..cfg.workers_per_node)
-            .map(|_| Ring::new(RING_ENTRIES))
-            .collect();
-        NodeShard {
-            ports,
+        Node {
             ioh,
             gpu,
-            workers,
-            master,
-            rings,
-            prio_rings,
+            master: MasterState {
+                input: VecDeque::new(),
+                wakes: FoldedWakes::new(),
+                busy_until: 0,
+                all: Vec::new(),
+                splits: Vec::new(),
+            },
         }
     }
 }

@@ -28,15 +28,13 @@ pub struct RouterReport {
     pub prio_sojourn: Histogram,
     /// Every drop decomposed by cause (generator-side backpressure
     /// and far-future discards; NIC-side admission, fault and
-    /// ring-tail drops). `drops.nic_side() == rx_drops` always;
+    /// ring-tail drops). The NIC side is [`RouterReport::rx_drops`];
     /// gen-side causes are extra (those packets never hit the wire).
     pub drops: DropLedger,
     /// Deepest RX-ring occupancy any worker ring reached — the
     /// queue-growth gauge (a peak at ring capacity means the run was
     /// admission-limited).
     pub peak_ring_depth: usize,
-    /// RX-ring tail drops.
-    pub rx_drops: u64,
     /// Packets dropped by the application (no route, TTL, checksum).
     pub app_drops: u64,
     /// Packets diverted to the host stack.
@@ -56,8 +54,6 @@ pub struct RouterReport {
     pub ioh_d2h_gbit: Vec<f64>,
     /// Bytes served per IOH, host->device.
     pub ioh_h2d_gbit: Vec<f64>,
-    /// NIC-FIFO drops (IOH admission) vs RX-ring tail drops.
-    pub drop_split: (u64, u64),
     /// Fault-injection ledger (all zero when no plan was armed).
     pub faults: FaultStats,
     /// Cumulative column-staging PCIe traffic `(h2d_bytes, d2h_bytes,
@@ -68,6 +64,12 @@ pub struct RouterReport {
 }
 
 impl RouterReport {
+    /// Frames the receive side lost: NIC admission and fault drops
+    /// plus RX-ring tail drops ([`DropLedger::nic_side`]).
+    pub fn rx_drops(&self) -> u64 {
+        self.drops.nic_side()
+    }
+
     /// Delivered throughput in the paper's metric.
     pub fn out_gbps(&self) -> f64 {
         self.delivered

@@ -11,6 +11,7 @@ use ps_nic::port::PortId;
 use ps_pktgen::LoadMode;
 use ps_sim::time::Time;
 use ps_sim::{Scheduler, MICROS};
+use ps_trace::Category;
 
 use crate::app::App;
 
@@ -80,7 +81,7 @@ impl<A: App> Router<A> {
         // every shard count.
         if let LoadMode::ClosedLoop { high_watermark } = self.gen.spec().load {
             let w = self.worker_for_hash(meta.rss_hash(), meta.port);
-            if self.ring(w).len() >= high_watermark as usize {
+            if self.workers[w].ring.len() >= high_watermark as usize {
                 self.stats.drops.backpressure += 1;
                 return;
             }
@@ -89,15 +90,14 @@ impl<A: App> Router<A> {
         // Wire serialization into the NIC, then RX DMA through the
         // node's IOH into the huge packet buffer. The frame itself is
         // built only if the NIC admits it.
-        let wire_done = self.port_mut(meta.port).rx_arrival(meta.t, meta.len);
+        let port = &mut self.ports[meta.port.0 as usize];
+        let wire_done = port.rx_arrival(meta.t, meta.len);
         // Injected NIC faults (link-flap windows, starvation bursts)
         // kill the frame at the MAC before the admission check; they
         // consume RX wire time like any arrival but no fabric
         // bandwidth.
-        let local_port = meta.port.0 as usize % self.cfg.ports_per_node() as usize;
         let faulted = match self.plan.as_mut() {
             Some(plan) => {
-                let port = &mut self.nodes[node].ports[local_port];
                 if !port.link_up(wire_done) {
                     plan.note_flap_drop(meta.port.0);
                     true
@@ -123,11 +123,8 @@ impl<A: App> Router<A> {
                 .backlog(wire_done, Direction::DeviceToHost)
                 > RX_ADMIT_BACKLOG
         {
-            self.stats.nic_drops += 1;
-            // Ledger the cause separately — injected faults and
-            // descriptor starvation share the NIC-drop total (which
-            // keeps `rx_drops` pins intact) but not a ledger counter,
-            // so fault invariants stay decomposable per cause.
+            // Injected faults and descriptor starvation are separate
+            // ledger causes, so fault invariants stay decomposable.
             if faulted {
                 self.stats.drops.nic_fault += 1;
             } else {
@@ -197,10 +194,11 @@ impl<A: App> Router<A> {
     pub(super) fn on_rx_done(&mut self, sched: &mut Scheduler<Ev>, worker: usize, pkt: Packet) {
         let now = sched.now();
         let prio = pkt.priority;
+        let ws = &mut self.workers[worker];
         let ring = if prio {
-            self.prio_ring_mut(worker)
+            &mut ws.prio_ring
         } else {
-            self.ring_mut(worker)
+            &mut ws.ring
         };
         if let Err(p) = ring.push(pkt) {
             if p.corrupted {
@@ -211,16 +209,14 @@ impl<A: App> Router<A> {
             self.reclaim_buf(p.data);
             return; // tail drop, counted by the ring
         }
-        if prio {
-            ps_io::trace::trace_prio_ring_depth(
-                worker as u32,
-                now,
-                self.prio_ring(worker).len() as u64,
-            );
+        let name = if prio {
+            "prio_ring_depth"
         } else {
-            ps_io::trace::trace_ring_depth(worker as u32, now, self.ring(worker).len() as u64);
-        }
-        if self.worker(worker).idle {
+            "ring_depth"
+        };
+        let depth = ring.len();
+        ps_trace::counter(Category::Io, name, worker as u32, now, depth as u64);
+        if ws.idle {
             // Fire the RX interrupt. Moderation holds the wake back to
             // one interrupt per moderation window — the throughput
             // regime. Priority arrivals always fire eagerly; adaptive
@@ -229,17 +225,15 @@ impl<A: App> Router<A> {
             // reaches the bulk batch cap, where batching amortizes
             // the per-wake overhead anyway.
             let moderation = self.cfg.testbed.nic.interrupt_moderation_ns;
-            let eager = prio
-                || (self.cfg.latency.adaptive_batch
-                    && self.ring(worker).len() < self.cfg.io.batch_cap);
-            let w = self.worker_mut(worker);
-            w.idle = false;
+            let eager =
+                prio || (self.cfg.latency.adaptive_batch && ws.ring.len() < self.cfg.io.batch_cap);
+            ws.idle = false;
             let t = if eager {
                 now + INT_LATENCY
             } else {
-                (now + INT_LATENCY).max(w.last_int + moderation)
+                (now + INT_LATENCY).max(ws.last_int + moderation)
             };
-            w.last_int = t;
+            ws.last_int = t;
             self.wake_worker(sched, worker, t);
         }
     }

@@ -23,8 +23,6 @@ use super::Router;
 pub(crate) struct RunStats {
     /// Packets offered by the generator inside the measurement window.
     pub offered: PacketCounter,
-    /// Drops in the NIC FIFO (descriptor starvation under overload).
-    pub nic_drops: u64,
     /// Packets dropped by the application.
     pub app_drops: u64,
     /// Packets diverted to the host slow path.
@@ -38,9 +36,7 @@ pub(crate) struct RunStats {
     /// Packets across all RX fetches.
     pub rx_packets: u64,
     /// Decomposed drop causes. `ring_tail` stays zero here (rings
-    /// count their own tail drops); the report fills it in. The
-    /// NIC-side counters satisfy `nic_fault + nic_admission ==
-    /// nic_drops` by construction.
+    /// count their own tail drops); the report fills it in.
     pub drops: DropLedger,
     /// Per-packet RX→TX sojourn (RX DMA completion to last TX bit).
     pub sojourn: Histogram,
@@ -89,8 +85,6 @@ pub(crate) fn merged_report<A: App>(shards: &[Router<A>], window: Time) -> Route
     let mut prio_sojourn = Histogram::new();
     let mut drops = DropLedger::default();
     let mut peak_ring_depth = 0usize;
-    let mut nic_drops = 0u64;
-    let mut ring_drops = 0u64;
     let mut app_drops = 0u64;
     let mut slow_path = 0u64;
     let mut gpu_kernels = 0u64;
@@ -107,31 +101,12 @@ pub(crate) fn merged_report<A: App>(shards: &[Router<A>], window: Time) -> Route
         prio_latency.merge(&s.sink.prio_latency);
         sojourn.merge(&s.stats.sojourn);
         prio_sojourn.merge(&s.stats.prio_sojourn);
-        debug_assert_eq!(
-            s.stats.drops.nic_fault + s.stats.drops.nic_admission,
-            s.stats.nic_drops,
-            "NIC ledger counters must decompose the NIC-drop total"
-        );
-        nic_drops += s.stats.nic_drops;
-        let shard_ring_drops = s
-            .nodes
-            .iter()
-            .flat_map(|n| n.rings.iter().chain(n.prio_rings.iter()))
-            .map(|r| r.drops)
-            .sum::<u64>();
-        ring_drops += shard_ring_drops;
+        let rings = || s.workers.iter().flat_map(|w| [&w.ring, &w.prio_ring]);
         drops.merge(&DropLedger {
-            ring_tail: shard_ring_drops,
+            ring_tail: rings().map(|r| r.drops).sum(),
             ..s.stats.drops
         });
-        peak_ring_depth = peak_ring_depth.max(
-            s.nodes
-                .iter()
-                .flat_map(|n| n.rings.iter().chain(n.prio_rings.iter()))
-                .map(|r| r.peak)
-                .max()
-                .unwrap_or(0),
-        );
+        peak_ring_depth = rings().map(|r| r.peak).fold(peak_ring_depth, usize::max);
         app_drops += s.stats.app_drops;
         slow_path += s.stats.slow_path;
         gpu_kernels += s
@@ -166,7 +141,6 @@ pub(crate) fn merged_report<A: App>(shards: &[Router<A>], window: Time) -> Route
         prio_sojourn,
         drops,
         peak_ring_depth,
-        rx_drops: nic_drops + ring_drops,
         app_drops,
         slow_path,
         gpu_kernels,
@@ -176,7 +150,6 @@ pub(crate) fn merged_report<A: App>(shards: &[Router<A>], window: Time) -> Route
         mean_rx_batch: mean(rx.0, rx.1),
         ioh_d2h_gbit: d2h,
         ioh_h2d_gbit: h2d,
-        drop_split: (nic_drops, ring_drops),
         faults: FaultStats::default(),
         staging,
     }

@@ -26,7 +26,7 @@ fn light_load_is_delivered_losslessly() {
         "ratio {}",
         report.delivery_ratio()
     );
-    assert_eq!(report.rx_drops, 0);
+    assert_eq!(report.rx_drops(), 0);
     let out = report.out_gbps();
     assert!((3.8..4.2).contains(&out), "out {out} Gbps");
 }
@@ -40,7 +40,7 @@ fn forwarding_saturates_near_40_gbps() {
     let report = Router::run(cfg, app, spec(80.0, 8), 4 * MILLIS);
     let out = report.out_gbps();
     assert!((38.0..46.0).contains(&out), "saturated at {out} Gbps");
-    assert!(report.rx_drops > 0, "overload must shed load");
+    assert!(report.rx_drops() > 0, "overload must shed load");
 }
 
 #[test]
@@ -97,7 +97,7 @@ fn deterministic_across_runs() {
         let cfg = RouterConfig::paper_cpu();
         let app = MinimalApp::new(ForwardPattern::SameNode, 8);
         let r = Router::run(cfg, app, spec(30.0, 8), 2 * MILLIS);
-        (r.delivered.packets, r.latency.p50(), r.rx_drops)
+        (r.delivered.packets, r.latency.p50(), r.rx_drops())
     };
     assert_eq!(run(), run());
 }
@@ -197,16 +197,12 @@ fn conservation<A: App>(sim: &Simulation<Router<A>>) -> (u64, u64, String) {
             Due::Tx(_) => tx_done += 1,
         }
     }
-    let rings = r
-        .nodes
-        .iter()
-        .flat_map(|n| n.rings.iter().chain(&n.prio_rings));
+    let rings = r.workers.iter().flat_map(|w| [&w.ring, &w.prio_ring]);
     let queued: u64 = rings.clone().map(|ring| ring.len() as u64).sum();
     let tail: u64 = rings.map(|ring| ring.drops).sum();
     let at_workers: u64 = r
-        .nodes
+        .workers
         .iter()
-        .flat_map(|n| &n.workers)
         .flat_map(|w| &w.done_queue)
         .map(|(_, c)| c.len() as u64)
         .sum();

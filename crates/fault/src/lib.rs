@@ -362,7 +362,7 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Grow the per-port ledger to cover `port`.
-    fn port_mut(&mut self, port: u16) -> &mut PortFaults {
+    fn port_entry(&mut self, port: u16) -> &mut PortFaults {
         let idx = port as usize;
         if self.per_port.len() <= idx {
             self.per_port.resize(idx + 1, PortFaults::default());
@@ -596,7 +596,7 @@ impl FaultPlan {
 
     fn note_starve(&mut self, port: u16, now: Time) {
         self.stats.nic_starved += 1;
-        self.stats.port_mut(port).nic_drops += 1;
+        self.stats.port_entry(port).nic_drops += 1;
         ps_trace::instant(
             Category::Fault,
             "nic_starve",
@@ -610,7 +610,7 @@ impl FaultPlan {
     /// itself was opened by an earlier [`NicFault::LinkFlap`]).
     pub fn note_flap_drop(&mut self, port: u16) {
         self.stats.flap_drops += 1;
-        self.stats.port_mut(port).nic_drops += 1;
+        self.stats.port_entry(port).nic_drops += 1;
     }
 
     /// Maybe corrupt a freshly materialized frame arriving on `port`.
@@ -634,7 +634,7 @@ impl FaultPlan {
             .position(|&k| k == kind)
             .expect("kind in ALL");
         self.stats.corrupt_by_kind[ki] += 1;
-        self.stats.port_mut(port).corrupted += 1;
+        self.stats.port_entry(port).corrupted += 1;
         ps_trace::instant(
             Category::Fault,
             "wire_corrupt",
@@ -862,7 +862,7 @@ mod tests {
             corrupt_dropped: 2,
             ..FaultStats::default()
         };
-        stats.port_mut(1).nic_drops = 3;
+        stats.port_entry(1).nic_drops = 3;
         let t = stats.summary_table();
         assert!(t.contains("nic_starve"), "{t}");
         assert!(t.contains("p1:3+0c"), "{t}");

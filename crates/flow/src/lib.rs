@@ -14,8 +14,9 @@
 //!   (deterministic tie-break by bucket, then slot);
 //! * **idle expiry on the virtual clock** — every touch stamps the
 //!   entry with the packet's arrival time; entries idle longer than
-//!   the timeout are reclaimed lazily on access. No wall-clock time
-//!   is ever consulted.
+//!   the timeout are reclaimed lazily on access, and handed back to
+//!   the caller like evicted ones. No wall-clock time is ever
+//!   consulted.
 //!
 //! Everything is a pure function of the operation sequence: the same
 //! inserts and lookups at the same virtual times produce the same
@@ -122,10 +123,11 @@ struct Entry<V> {
 }
 
 /// What an insertion did (observability for callers that recycle
-/// evicted state, e.g. the NAT port allocator).
+/// the state of entries it pushed out, e.g. the NAT port allocator).
 pub struct Inserted<V> {
-    /// The entry LRU-evicted to make room, if any.
-    pub evicted: Option<(FlowTuple, V)>,
+    /// The resident this insert pushed out of its slot, if any: the
+    /// LRU victim, or an entry past the idle timeout it reclaimed.
+    pub freed: Option<(FlowTuple, V)>,
     /// Cuckoo relocations this insert performed.
     pub displaced: u32,
 }
@@ -208,14 +210,21 @@ impl<V> FlowCache<V> {
 
     /// Look up `key` at virtual time `now`. A hit refreshes the
     /// entry's last-seen stamp; an entry past the idle timeout is
-    /// reclaimed and reported as a miss.
+    /// reclaimed, its value dropped, and reported as a miss.
     pub fn lookup(&mut self, key: &FlowTuple, now: Time) -> Option<&mut V> {
-        self.lookup_prehash(flow_hash(key), key, now)
+        self.lookup_prehash(flow_hash(key), key, now).ok()
     }
 
     /// [`Self::lookup`] with the hash already computed (the GPU
-    /// offload path: the kernel hashes, the host probes).
-    pub fn lookup_prehash(&mut self, h: u64, key: &FlowTuple, now: Time) -> Option<&mut V> {
+    /// offload path: the kernel hashes, the host probes). A miss
+    /// hands back the value of the entry it found past the idle
+    /// timeout, if any.
+    pub fn lookup_prehash(
+        &mut self,
+        h: u64,
+        key: &FlowTuple,
+        now: Time,
+    ) -> Result<&mut V, Option<V>> {
         self.stats.lookups += 1;
         for b in [self.bucket1(h), self.bucket2(h)] {
             for s in 0..WAYS {
@@ -224,21 +233,18 @@ impl<V> FlowCache<V> {
                     Some(e) if e.hash == h && e.key == *key);
                 if hit {
                     if self.expired(self.slots[idx].as_ref().expect("hit"), now) {
-                        self.slots[idx] = None;
-                        self.occupancy -= 1;
-                        self.stats.expiries += 1;
                         self.stats.misses += 1;
-                        return None;
+                        return Err(self.take_expired(idx).map(|(_, v)| v));
                     }
                     self.stats.hits += 1;
                     let e = self.slots[idx].as_mut().expect("hit");
                     e.last_seen = now;
-                    return Some(&mut e.value);
+                    return Ok(&mut e.value);
                 }
             }
         }
         self.stats.misses += 1;
-        None
+        Err(None)
     }
 
     /// Insert (or refresh) `key` at virtual time `now`. Returns what
@@ -260,7 +266,7 @@ impl<V> FlowCache<V> {
                     e.value = value;
                     self.stats.updates += 1;
                     return Inserted {
-                        evicted: None,
+                        freed: None,
                         displaced: 0,
                     };
                 }
@@ -275,11 +281,12 @@ impl<V> FlowCache<V> {
         // Direct placement into an empty (or expired) slot.
         for b in [b1, b2] {
             if let Some(s) = self.free_slot(b, now) {
+                let freed = self.take_expired(b * WAYS + s);
                 self.slots[b * WAYS + s] = Some(entry);
                 self.occupancy += 1;
                 self.stats.inserts += 1;
                 return Inserted {
-                    evicted: None,
+                    freed,
                     displaced: 0,
                 };
             }
@@ -290,6 +297,7 @@ impl<V> FlowCache<V> {
         // no entry is ever homeless mid-insert.
         for start in [b1, b2] {
             if let Some((path, free)) = self.find_chain(start, now) {
+                let freed = self.take_expired(free);
                 let depth = path.len() as u64;
                 self.stats.displacements += depth;
                 self.stats.max_depth = self.stats.max_depth.max(depth);
@@ -303,7 +311,7 @@ impl<V> FlowCache<V> {
                 self.occupancy += 1;
                 self.stats.inserts += 1;
                 return Inserted {
-                    evicted: None,
+                    freed,
                     displaced: depth as u32,
                 };
             }
@@ -328,35 +336,34 @@ impl<V> FlowCache<V> {
         self.stats.evictions += 1;
         self.stats.inserts += 1;
         Inserted {
-            evicted: Some((old.key, old.value)),
+            freed: Some((old.key, old.value)),
             displaced: 0,
         }
     }
 
-    /// First free slot in bucket `b`, reclaiming an expired resident
-    /// if that is what frees it.
-    fn free_slot(&mut self, b: usize, now: Time) -> Option<usize> {
-        for s in 0..WAYS {
-            let idx = b * WAYS + s;
-            match &self.slots[idx] {
-                None => return Some(s),
-                Some(e) if self.expired(e, now) => {
-                    self.slots[idx] = None;
-                    self.occupancy -= 1;
-                    self.stats.expiries += 1;
-                    return Some(s);
-                }
-                Some(_) => {}
-            }
-        }
-        None
+    /// First slot in bucket `b` that is empty or holds an entry past
+    /// the idle timeout.
+    fn free_slot(&self, b: usize, now: Time) -> Option<usize> {
+        (0..WAYS).find(|&s| match &self.slots[b * WAYS + s] {
+            None => true,
+            Some(e) => self.expired(e, now),
+        })
+    }
+
+    /// Empty slot `idx`, which is empty or expired, handing back the
+    /// expired resident.
+    fn take_expired(&mut self, idx: usize) -> Option<(FlowTuple, V)> {
+        let e = self.slots[idx].take()?;
+        self.occupancy -= 1;
+        self.stats.expiries += 1;
+        Some((e.key, e.value))
     }
 
     /// Search a kick chain from bucket `start`: follow victims (slot
     /// `depth % WAYS` at each level) through their alternate buckets
     /// until one has a free slot, up to [`MAX_KICKS`] levels. Returns
     /// the chain and the terminal free slot index.
-    fn find_chain(&mut self, start: usize, now: Time) -> Option<(Vec<(usize, usize)>, usize)> {
+    fn find_chain(&self, start: usize, now: Time) -> Option<(Vec<(usize, usize)>, usize)> {
         let mut path: Vec<(usize, usize)> = Vec::new();
         let mut b = start;
         for depth in 0..MAX_KICKS {
@@ -438,12 +445,27 @@ mod tests {
         // key(1) refreshed at 90 survives t=150; key(2) (idle since 0)
         // does not.
         assert!(c.lookup(&key(1), 150).is_some());
-        assert!(c.lookup(&key(2), 150).is_none());
+        let h = flow_hash(&key(2));
+        assert_eq!(c.lookup_prehash(h, &key(2), 150).err(), Some(Some(2)));
         assert_eq!(c.stats().expiries, 1);
         // A touch past the timeout reclaims the last one.
         assert!(c.lookup(&key(1), 1_000).is_none());
         assert_eq!(c.stats().expiries, 2);
         assert_eq!(c.occupancy(), 0);
+    }
+
+    #[test]
+    fn insert_hands_back_the_idle_entry_it_reclaims() {
+        // Tiny table: 2 buckets * 4 ways = 8 slots, all idle by t=500.
+        let mut c: FlowCache<u32> = FlowCache::new(8, 100);
+        for i in 0..8 {
+            c.insert(key(i), 0, i);
+        }
+        let r = c.insert(key(8), 500, 8);
+        let (k, v) = r.freed.expect("an idle resident gives up its slot");
+        assert_eq!(k, key(v));
+        assert_eq!((c.stats().expiries, c.stats().evictions), (1, 0));
+        assert_eq!(c.occupancy(), 8);
     }
 
     #[test]
@@ -520,7 +542,7 @@ mod tests {
                 let t = i * 13;
                 if i % 3 == 0 {
                     let r = c.insert(k, t, i);
-                    log.push((r.evicted.map(|(k, _)| k), r.displaced));
+                    log.push((r.freed.map(|(k, _)| k), r.displaced));
                 } else {
                     log.push((c.lookup(&k, t).map(|_| k), 0));
                 }

@@ -10,14 +10,11 @@
 //! * [`cost`] — the calibrated CPU-cycle model: the legacy Linux skb
 //!   path with Table 3's bins, and the batched engine path whose
 //!   per-packet + per-batch split reproduces Figure 5;
-//! * [`config`] — engine knobs: batch cap and NUMA placement policy;
-//! * [`trace`] — `io`-category trace events for batch assembly (see
-//!   OBSERVABILITY.md).
+//! * [`config`] — engine knobs: batch cap and NUMA placement policy.
 
 pub mod config;
 pub mod cost;
 pub mod packet;
-pub mod trace;
 
 pub use config::IoConfig;
 pub use cost::{CostModel, LinuxBaseline};

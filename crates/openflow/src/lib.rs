@@ -25,5 +25,5 @@ pub mod wildcard;
 
 pub use action::Action;
 pub use exact::{flow_hash, flow_hash_bytes, ExactTable};
-pub use switch::{LookupResult, OpenFlowSwitch};
+pub use switch::OpenFlowSwitch;
 pub use wildcard::{WildcardEntry, WildcardTable, ENTRY_SIZE};

@@ -4,19 +4,8 @@
 use ps_net::FlowKey;
 
 use crate::action::Action;
-use crate::exact::{flow_hash, ExactTable};
+use crate::exact::ExactTable;
 use crate::wildcard::{WildcardEntry, WildcardTable};
-
-/// Outcome of a switch lookup, with the costs the timing model needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LookupResult {
-    /// The action to apply (Controller on total miss).
-    pub action: Action,
-    /// Whether the exact table hit.
-    pub exact_hit: bool,
-    /// Wildcard entries scanned (0 when the exact table hit).
-    pub wildcard_scanned: usize,
-}
 
 /// The switch: both tables plus miss accounting.
 #[derive(Debug, Default)]
@@ -45,35 +34,29 @@ impl OpenFlowSwitch {
         self.wildcard.insert(entry);
     }
 
-    /// Full lookup for a packet of `bytes` length.
-    pub fn lookup(&mut self, key: &FlowKey, bytes: u64) -> LookupResult {
-        self.lookup_with_hash(flow_hash(key), key, bytes)
-    }
-
-    /// Lookup when the flow-key hash was computed elsewhere (the
-    /// GPU-assisted path).
-    pub fn lookup_with_hash(&mut self, hash: u32, key: &FlowKey, bytes: u64) -> LookupResult {
+    /// The switch's one walk, for a packet of `bytes` length whose
+    /// flow-key hash is `hash`: the exact entry, else the wildcard
+    /// match, else the controller (counted in `misses`). `wildcard`
+    /// is the wildcard scan's result when it already ran (the GPU
+    /// scans every packet); otherwise the walk scans on an exact
+    /// miss. Returns the action and the wildcard entries this call
+    /// scanned.
+    pub fn lookup(
+        &mut self,
+        hash: u32,
+        key: &FlowKey,
+        bytes: u64,
+        wildcard: Option<Option<Action>>,
+    ) -> (Action, usize) {
         if let Some(action) = self.exact.lookup_with_hash(hash, key, bytes) {
-            return LookupResult {
-                action,
-                exact_hit: true,
-                wildcard_scanned: 0,
-            };
+            return (action, 0);
         }
-        let (action, scanned) = self.wildcard.lookup(key);
+        let (action, scanned) = wildcard.map_or_else(|| self.wildcard.lookup(key), |a| (a, 0));
         match action {
-            Some(action) => LookupResult {
-                action,
-                exact_hit: false,
-                wildcard_scanned: scanned,
-            },
+            Some(action) => (action, scanned),
             None => {
                 self.misses += 1;
-                LookupResult {
-                    action: Action::Controller,
-                    exact_hit: false,
-                    wildcard_scanned: scanned,
-                }
+                (Action::Controller, scanned)
             }
         }
     }
@@ -82,7 +65,12 @@ impl OpenFlowSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::flow_hash;
     use crate::wildcard::wc;
+
+    fn lookup(sw: &mut OpenFlowSwitch, k: &FlowKey) -> (Action, usize) {
+        sw.lookup(flow_hash(k), k, 64, None)
+    }
 
     fn key(n: u16) -> FlowKey {
         FlowKey {
@@ -113,21 +101,24 @@ mod tests {
         let mut sw = OpenFlowSwitch::new();
         sw.add_wildcard(wild(100, Action::Drop));
         sw.add_exact(key(1), Action::Output(5));
-        let r = sw.lookup(&key(1), 64);
-        assert!(r.exact_hit);
-        assert_eq!(r.action, Action::Output(5));
-        assert_eq!(r.wildcard_scanned, 0);
+        assert_eq!(lookup(&mut sw, &key(1)), (Action::Output(5), 0));
+        assert_eq!(sw.exact.stats(&key(1)).map(|s| s.packets), Some(1));
+        // A precomputed wildcard result does not outrank the entry.
+        let h = flow_hash(&key(1));
+        let r = sw.lookup(h, &key(1), 64, Some(Some(Action::Drop)));
+        assert_eq!(r, (Action::Output(5), 0));
     }
 
     #[test]
     fn wildcard_fallback() {
         let mut sw = OpenFlowSwitch::new();
         sw.add_wildcard(wild(100, Action::Output(2)));
-        let r = sw.lookup(&key(9), 64);
-        assert!(!r.exact_hit);
-        assert_eq!(r.action, Action::Output(2));
-        assert_eq!(r.wildcard_scanned, 1);
+        assert_eq!(lookup(&mut sw, &key(9)), (Action::Output(2), 1));
         assert_eq!(sw.misses, 0);
+        // The GPU's scan result stands in for the walk's own scan.
+        let h = flow_hash(&key(9));
+        let r = sw.lookup(h, &key(9), 64, Some(Some(Action::Output(2))));
+        assert_eq!(r, (Action::Output(2), 0));
     }
 
     #[test]
@@ -136,16 +127,19 @@ mod tests {
         let mut k = key(9);
         k.nw_dst = 0x0C000000; // outside the wildcard's /8
         sw.add_wildcard(wild(100, Action::Output(2)));
-        let r = sw.lookup(&k, 64);
-        assert_eq!(r.action, Action::Controller);
+        assert_eq!(lookup(&mut sw, &k).0, Action::Controller);
         assert_eq!(sw.misses, 1);
+        // A precomputed miss goes to the controller the same way.
+        assert_eq!(
+            sw.lookup(flow_hash(&k), &k, 64, Some(None)).0,
+            Action::Controller
+        );
+        assert_eq!(sw.misses, 2);
     }
 
     #[test]
     fn empty_switch_misses_everything() {
         let mut sw = OpenFlowSwitch::new();
-        let r = sw.lookup(&key(0), 64);
-        assert_eq!(r.action, Action::Controller);
-        assert_eq!(r.wildcard_scanned, 0);
+        assert_eq!(lookup(&mut sw, &key(0)), (Action::Controller, 0));
     }
 }

@@ -5,12 +5,14 @@
 //! one of three things: the thread is still *busy* (blocked in
 //! earlier work), so the wake-up moves to the instant the work ends;
 //! or it is free and its queue is *empty*, so the wake-up is spent;
-//! or it *works* once, which makes it busy again. Wake-ups are armed
-//! by whoever feeds the queue and, as the first rule says, by each
-//! other — so while the thread stays busy or fed they only ever pile
-//! up at the end of the current work, and a model that keeps one
-//! scheduler event per wake-up spends most of its dispatches moving
-//! that pile from one instant to the next.
+//! or it *works* once. Work usually leaves the thread busy, but it
+//! may take no time at all and may arm the thread's next wake-up,
+//! for now or later. Wake-ups are armed by whoever feeds the queue,
+//! by the work itself and, as the first rule says, by each other —
+//! so while the thread stays busy or fed they pile up at the end of
+//! the current work, and a model that keeps one scheduler event per
+//! wake-up spends most of its dispatches moving that pile from one
+//! instant to the next.
 //!
 //! [`FoldedWakes`] keeps the pile as counts. Wake-ups that would hold
 //! consecutive places in the scheduler's same-instant order are one
@@ -20,10 +22,13 @@
 //! between — nothing *can* come between consecutive places — and
 //! before going on to the instant's next run the replay checks that
 //! no other event is queued ahead of that run's place; if one is, the
-//! run gets its own event at its own place and the replay stops. The
-//! dispatch order every other event sees is therefore exactly the
-//! order one event per wake-up gives (`tests/wakes.rs` checks this
-//! against that reference, ties included).
+//! run gets its own event at its own place and the replay stops. A
+//! wake-up that the work arms for the instant being replayed joins
+//! that replay the same way, with no event of its own. The dispatch
+//! order every other event sees is therefore exactly the order one
+//! event per wake-up gives (`tests/wakes.rs` checks this against
+//! that reference, ties included, for master- and worker-shaped
+//! threads).
 
 use crate::event::Scheduler;
 use crate::time::Time;
@@ -51,8 +56,11 @@ pub struct FoldedWakes {
     latest: Option<Time>,
     /// Pending runs in arming order, which is place order.
     runs: Vec<Run>,
-    /// Copies of the run being replayed that have not run yet.
-    replaying: u64,
+    /// Copies of the run being replayed that have not run yet; `Some`
+    /// from the first copy [`FoldedWakes::fire`] replays until it
+    /// returns `false`. A wake-up armed for the current instant in
+    /// between is one this replay reaches, so it gets no event.
+    replaying: Option<u64>,
 }
 
 impl FoldedWakes {
@@ -63,7 +71,7 @@ impl FoldedWakes {
 
     /// Wake-ups pending, over all instants.
     pub fn pending(&self) -> u64 {
-        self.replaying + self.runs.iter().map(|r| r.copies).sum::<u64>()
+        self.replaying.unwrap_or(0) + self.runs.iter().map(|r| r.copies).sum::<u64>()
     }
 
     /// Wake the thread at `t` (or now, if `t` has passed) unless the
@@ -89,7 +97,8 @@ impl FoldedWakes {
                 return;
             }
         }
-        if !self.runs.iter().any(|r| r.at == t) {
+        let replayed = self.replaying.is_some() && t == sched.now();
+        if !replayed && !self.runs.iter().any(|r| r.at == t) {
             sched.at_reserved(t, seq, ev());
         }
         self.runs.push(Run {
@@ -104,14 +113,15 @@ impl FoldedWakes {
     ///
     /// ```ignore
     /// while wakes.fire(sched, busy_until, queue.is_empty(), ev) {
-    ///     /* work once; this must leave `busy_until` in the future */
+    ///     /* work once; this may arm the next wake-up, even for now */
     /// }
     /// ```
     ///
     /// `busy_until` and `idle` are the thread's state *at this call*.
     /// Returns `true` when the next wake-up finds the thread free with
-    /// work queued: the caller does that work and calls again. Returns
-    /// `false` when nothing more can run in this dispatch.
+    /// work queued: the caller does that work and calls again, until
+    /// `false` says nothing more can run in this dispatch. A thread
+    /// whose free wake-ups always run its loop passes `idle = false`.
     pub fn fire<E>(
         &mut self,
         sched: &mut Scheduler<E>,
@@ -121,31 +131,36 @@ impl FoldedWakes {
     ) -> bool {
         let now = sched.now();
         loop {
-            if self.replaying == 0 {
-                let Some(i) = self.runs.iter().position(|r| r.at == now) else {
-                    return false;
-                };
-                // The dispatched event held the first run's place, so
-                // nothing precedes that one. A later run waits behind
-                // any event queued ahead of its place.
-                let key = (now, self.runs[i].first);
-                if sched.peek_key().is_some_and(|head| head < key) {
-                    sched.at_reserved(now, key.1, ev());
-                    return false;
+            let copies = match self.replaying {
+                Some(left) if left > 0 => left,
+                _ => {
+                    let Some(i) = self.runs.iter().position(|r| r.at == now) else {
+                        self.replaying = None;
+                        return false;
+                    };
+                    // The dispatched event held the first run's place,
+                    // so nothing precedes that one. A later run waits
+                    // behind any event queued ahead of its place.
+                    let key = (now, self.runs[i].first);
+                    if sched.peek_key().is_some_and(|head| head < key) {
+                        sched.at_reserved(now, key.1, ev());
+                        self.replaying = None;
+                        return false;
+                    }
+                    self.runs.remove(i).copies
                 }
-                self.replaying = self.runs.remove(i).copies;
-            }
+            };
             if busy_until > now {
                 // Each remaining copy re-arms at `busy_until`.
-                let copies = std::mem::take(&mut self.replaying);
+                self.replaying = Some(0);
                 self.add(sched, busy_until, copies, &ev);
                 self.latest = Some(busy_until);
             } else if idle {
                 // Each remaining copy finds nothing to do.
-                self.replaying = 0;
+                self.replaying = Some(0);
                 self.latest = None;
             } else {
-                self.replaying -= 1;
+                self.replaying = Some(copies - 1);
                 self.latest = None;
                 return true;
             }

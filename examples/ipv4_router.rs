@@ -40,7 +40,7 @@ fn main() {
              slow path {}, p50 {} us, p99 {} us",
             report.out_gbps(),
             report.in_gbps(),
-            report.rx_drops,
+            report.rx_drops(),
             report.app_drops,
             report.slow_path,
             report.latency.p50() / 1000,

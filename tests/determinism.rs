@@ -22,7 +22,7 @@ fn run_fingerprint<A: App + Send>(cfg: RouterConfig, app: A, spec: TrafficSpec) 
     (
         report.offered.packets,
         report.delivered.packets,
-        report.rx_drops,
+        report.rx_drops(),
         report.slow_path,
         report.latency.p50(),
         report.latency.max(),
@@ -160,7 +160,7 @@ fn minimal_app_deterministic_under_overload() {
             TrafficSpec::ipv4_64b(80.0, 9),
             MILLIS,
         );
-        (r.delivered.packets, r.rx_drops)
+        (r.delivered.packets, r.rx_drops())
     };
     assert_eq!(run(), run());
 }

@@ -27,7 +27,7 @@ fn run_fingerprint<A: App + Send>(cfg: RouterConfig, app: A, spec: TrafficSpec) 
     (
         report.offered.packets,
         report.delivered.packets,
-        report.rx_drops,
+        report.rx_drops(),
         report.slow_path,
         report.latency.p50(),
         report.latency.max(),
@@ -130,7 +130,7 @@ fn long_pin<A: App + Send>(
     (
         r.offered.packets,
         r.delivered.packets,
-        r.rx_drops,
+        r.rx_drops(),
         r.shade_batches,
         r.shade_packets,
         [

@@ -310,7 +310,7 @@ fn report_fp(r: &RouterReport) -> Fp {
     (
         r.offered.packets,
         r.delivered.packets,
-        r.rx_drops,
+        r.rx_drops(),
         r.slow_path,
         r.latency.p50(),
         r.latency.max(),
