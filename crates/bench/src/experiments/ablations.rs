@@ -19,10 +19,11 @@ pub(crate) fn gather_scatter() -> (f64, f64) {
 /// Scaled variant.
 pub(crate) fn gather_scatter_with(prefixes: usize) -> (f64, f64) {
     header("Ablation — gather/scatter (§5.4), IPv6 64 B");
-    let mut on_cfg = RouterConfig::paper_gpu();
-    on_cfg.gather = true;
-    let mut off_cfg = RouterConfig::paper_gpu();
-    off_cfg.gather = false;
+    let on_cfg = RouterConfig::paper_gpu();
+    let off_cfg = RouterConfig {
+        max_gather_chunks: 1,
+        ..RouterConfig::paper_gpu()
+    };
     let run = |cfg| {
         Router::run(
             cfg,

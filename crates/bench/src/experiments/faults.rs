@@ -69,7 +69,7 @@ pub fn run(scenario: &str) -> Vec<Row> {
     });
     header(&format!(
         "Degradation sweep — scenario '{scenario}', seed {:#x} (throughput vs fault rate)",
-        base.seed
+        base.seed()
     ));
     println!(
         "{:>8} | {:>6} | {:>8} | {:>9} | {:>9} | {:>9} | ledger",
@@ -90,7 +90,7 @@ pub fn run(scenario: &str) -> Vec<Row> {
             // would correlate which classes appear.
             let cell = (ai as u64) << 8 | ri as u64;
             cfg.faults = base
-                .with_seed(base.seed ^ cell.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .with_seed(base.seed() ^ cell.wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 .with_rate(rate);
             let s;
             let report = match app {
@@ -174,7 +174,7 @@ pub(crate) fn to_json(scenario: &str, seed: u64, rows: &[Row]) -> String {
 /// `ps-bench --faults <scenario>`: run the sweep and write the JSON
 /// artifact next to the working directory.
 pub fn run_and_write(scenario: &str) -> std::io::Result<()> {
-    let seed = FaultSpec::scenario(scenario).map(|s| s.seed).unwrap_or(0);
+    let seed = FaultSpec::scenario(scenario).map(|s| s.seed()).unwrap_or(0);
     let rows = run(scenario);
     let path = format!("degradation_{scenario}.json");
     std::fs::write(&path, to_json(scenario, seed, &rows))?;

@@ -5,8 +5,9 @@
 use ps_core::apps::{ForwardPattern, MinimalApp};
 use ps_core::{Router, RouterConfig};
 use ps_hw::ioh::Direction;
+use ps_hw::numa::Placement;
 use ps_hw::spec::Testbed;
-use ps_io::cost::{CostModel, LinuxBaseline, TABLE3_BINS};
+use ps_io::cost::{self, TABLE3_BINS};
 use ps_io::dma_bytes;
 use ps_io::IoConfig;
 use ps_pktgen::{TrafficKind, TrafficSpec};
@@ -17,7 +18,6 @@ use crate::{header, window_ms};
 /// Table 3: the legacy skb-path breakdown.
 pub(crate) fn table3_breakdown() -> Vec<(String, f64, u64)> {
     header("Table 3 — CPU cycle breakdown in packet RX (legacy skb path)");
-    let l = LinuxBaseline::default();
     println!(
         "{:<26} {:>7} {:>8}  solution",
         "functional bin", "%", "cycles"
@@ -28,18 +28,15 @@ pub(crate) fn table3_breakdown() -> Vec<(String, f64, u64)> {
             "{:<26} {:>6.1}% {:>8}  {}",
             bin.name,
             bin.percent,
-            l.bin_cycles(i),
+            cost::bin_cycles(i),
             bin.solution.unwrap_or("-")
         );
-        rows.push((bin.name.to_string(), bin.percent, l.bin_cycles(i)));
+        rows.push((bin.name.to_string(), bin.percent, cost::bin_cycles(i)));
     }
     println!(
         "total {} cycles/packet; engine path: {} cycles/packet at batch 64",
-        l.total_cycles,
-        {
-            let m = CostModel::default();
-            m.forward_batch_cycles(64, 64 * 64, ps_hw::numa::Placement::NumaAware) / 64
-        }
+        cost::LINUX_RX_CYCLES,
+        cost::forward_batch_cycles(64, 64 * 64, Placement::NumaAware) / 64
     );
     rows
 }
@@ -118,9 +115,7 @@ pub fn rx_only_ceiling(size: usize) -> f64 {
     }
     let per_ioh = pkts as f64 * ps_net::wire_len(size) as f64 * 8.0 / 1e9;
     // CPU ceiling: 8 cores of batched RX.
-    let m = CostModel::default();
-    let cyc =
-        m.rx_batch_cycles(64, 64 * size as u64, ps_hw::numa::Placement::NumaAware) as f64 / 64.0;
+    let cyc = cost::rx_batch_cycles(64, 64 * size as u64, Placement::NumaAware) as f64 / 64.0;
     let cpu_pps = 8.0 * tb.cpu.hz as f64 / cyc;
     let cpu = cpu_pps * ps_net::wire_len(size) as f64 * 8.0 / 1e9;
     // Wire ceiling: 8 ports.
@@ -141,9 +136,7 @@ pub fn tx_only_ceiling(size: usize) -> f64 {
         pkts += 1;
     }
     let per_ioh = pkts as f64 * ps_net::wire_len(size) as f64 * 8.0 / 1e9;
-    let m = CostModel::default();
-    let cyc =
-        m.tx_batch_cycles(64, 64 * size as u64, ps_hw::numa::Placement::NumaAware) as f64 / 64.0;
+    let cyc = cost::tx_batch_cycles(64, 64 * size as u64, Placement::NumaAware) as f64 / 64.0;
     let cpu_pps = 8.0 * tb.cpu.hz as f64 / cyc;
     let cpu = cpu_pps * ps_net::wire_len(size) as f64 * 8.0 / 1e9;
     (2.0 * per_ioh).min(cpu).min(80.0)

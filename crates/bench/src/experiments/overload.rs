@@ -114,7 +114,7 @@ fn profiles() -> Vec<Profile> {
         },
         Profile {
             name: "adaptive+prio",
-            latency: LatencyConfig::adaptive().with_priority(16),
+            latency: LatencyConfig::adaptive().with_priority(),
             closed: false,
             opportunistic: true,
         },

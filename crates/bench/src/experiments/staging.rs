@@ -52,17 +52,11 @@ pub struct Row {
     pub staged_pkts: u64,
 }
 
-fn cell(
-    app: &'static str,
-    mode: Staging,
-    gather: usize,
-    cfg: RouterConfig,
-    report: ps_core::RouterReport,
-) -> Row {
+fn cell(app: &'static str, mode: Staging, cfg: RouterConfig, report: ps_core::RouterReport) -> Row {
     Row {
         app,
         mode: mode.label(),
-        gather: if cfg.gather { gather } else { 1 },
+        gather: cfg.max_gather_chunks,
         out_gbps: report.out_gbps(),
         p50_us: report.latency.p50() as f64 / 1e3,
         h2d_bpp: report.h2d_bytes_per_pkt().unwrap_or(0.0),
@@ -96,7 +90,7 @@ pub(crate) fn run_with(prefixes: usize) -> Vec<Row> {
                 spec(TrafficKind::Ipv4Udp, 64, 80.0),
                 window,
             );
-            let r = cell("ipv4-64B", mode, gather, cfg, report);
+            let r = cell("ipv4-64B", mode, cfg, report);
             print_row(&r);
             rows.push(r);
         }
@@ -114,7 +108,7 @@ pub(crate) fn run_with(prefixes: usize) -> Vec<Row> {
             of_spec,
             window,
         );
-        let r = cell("openflow-64B", mode, cfg.max_gather_chunks, cfg, report);
+        let r = cell("openflow-64B", mode, cfg, report);
         print_row(&r);
         rows.push(r);
     }

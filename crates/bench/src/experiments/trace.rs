@@ -4,12 +4,10 @@
 //! of the pipeline, computed entirely from the trace rather than from
 //! dedicated counters.
 
-use std::collections::BTreeMap;
-
 use ps_core::{Router, RouterConfig};
 use ps_pktgen::{TrafficKind, TrafficSpec};
+use ps_sim::trace_summary::summarize_collector;
 use ps_sim::MILLIS;
-use ps_trace::Phase;
 
 use crate::{header, window_ms, workloads};
 
@@ -100,30 +98,14 @@ pub(crate) fn breakdown_from_collector(
     batch: usize,
     collector: &ps_trace::Collector,
 ) -> StageBreakdownRow {
-    let (events, _) = collector.resolved();
-    let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut packets = 0u64;
-    for ev in &events {
-        let Phase::Complete { dur } = ev.phase else {
-            continue;
-        };
-        if !BREAKDOWN_STAGES.contains(&ev.name) {
-            continue;
-        }
-        *totals.entry(ev.name).or_insert(0) += dur;
-        if ev.name == "pre_shade" {
-            packets += ev
-                .args
-                .iter()
-                .find(|(k, _)| *k == "pkts")
-                .map_or(0, |&(_, v)| v);
-        }
-    }
+    // The window only scales resource utilization, which is unused here.
+    let summary = summarize_collector(collector, 0);
+    let packets = summary.stage("pre_shade").map_or(0, |s| s.pkts);
     let denom = packets.max(1) as f64;
     let stages = BREAKDOWN_STAGES
         .iter()
         .map(|&name| {
-            let total = totals.get(name).copied().unwrap_or(0);
+            let total = summary.stage(name).map_or(0, |s| s.total_ns);
             (name, total, total as f64 / denom)
         })
         .collect();

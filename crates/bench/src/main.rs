@@ -17,7 +17,7 @@
 //! ps-bench --baseline [out.json]     # record exact counts
 //! ps-bench --compare [base.json]     # fail on any drift
 //! ps-bench --scaling                 # shard matrix 1/2/4/8 + speedup gate
-//! ps-bench --shards 2 fig11a         # eligible runs on 2 OS threads
+//! PS_SHARDS=2 ps-bench fig11a       # eligible runs on 2 OS threads
 //! ```
 //!
 //! `PS_BENCH_MS` sets the virtual milliseconds per throughput run
@@ -31,21 +31,6 @@ use ps_bench::timed;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--shards N` is sugar for PS_SHARDS=N: every Router::run in
-    // every mode below resolves its shard count from that variable,
-    // and the JSON artifact headers record it. Parsed first so it
-    // composes with the exclusive modes.
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        if i + 1 >= args.len() {
-            fail(2, "--shards needs a count (>= 1)");
-        }
-        let n = args.remove(i + 1);
-        args.remove(i);
-        if n.parse::<usize>().map_or(true, |n| n < 1) {
-            fail(2, &format!("--shards needs a numeric count >= 1, got {n}"));
-        }
-        std::env::set_var("PS_SHARDS", &n);
-    }
     // The exact-count gate (EXPERIMENTS.md "Exact-count baseline"):
     // exclusive modes, no tracing. `--compare` exits 1 when any row
     // differs and 2 when the file cannot be compared at all.
@@ -131,7 +116,7 @@ fn main() {
         args.remove(i);
     }
     if args.is_empty() {
-        eprintln!("usage: ps-bench [--shards n] [--trace-out t.json] <experiment>...");
+        eprintln!("usage: ps-bench [--trace-out t.json] <experiment>...");
         eprintln!("       ps-bench --baseline [out.json]  (record exact counts)");
         eprintln!("       ps-bench --compare [base.json]  (fail on any drift)");
         eprintln!("       ps-bench --scaling              (shard matrix + speedup gate)");
@@ -140,7 +125,7 @@ fn main() {
         eprintln!(
             "       ps-bench --ablation direct-dma [out.json]      (staging sweep + artifact)"
         );
-        eprintln!("       (--shards n, or PS_SHARDS=n, runs eligible workloads on n threads)");
+        eprintln!("       (PS_SHARDS=n runs eligible workloads on n threads)");
         eprintln!("experiments: spec table1 launch fig2 table3 fig5 fig6 numa");
         eprintln!("             fig11a fig11b fig11c fig11d fig12");
         eprintln!("             ablate-gather ablate-streams ablate-opportunistic ablate-staging");

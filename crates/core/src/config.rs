@@ -14,36 +14,6 @@ pub enum Mode {
     CpuGpu,
 }
 
-/// Classifies latency-critical flows by their RSS hash: a packet is
-/// priority when `hash & mask == value`. A pure per-packet function
-/// of the flow tuple, so the classification is identical at every
-/// shard count (the parity the sharded scheduler needs) and on every
-/// replica of the generator stream.
-#[derive(Debug, Clone, Copy)]
-pub struct PriorityClass {
-    /// Hash bits examined.
-    pub mask: u32,
-    /// Required value of the examined bits.
-    pub value: u32,
-}
-
-impl PriorityClass {
-    /// Mark roughly one flow in `n` (a power of two) as priority.
-    pub(crate) fn one_in(n: u32) -> PriorityClass {
-        assert!(n.is_power_of_two(), "priority fraction must be 2^k");
-        PriorityClass {
-            mask: n - 1,
-            value: 0,
-        }
-    }
-
-    /// Does `hash` fall in the priority class?
-    #[inline]
-    pub fn matches(&self, hash: u32) -> bool {
-        hash & self.mask == self.value
-    }
-}
-
 /// Latency-governance knobs (DESIGN.md §12).
 ///
 /// The default ([`LatencyConfig::off`]) disables every mechanism and
@@ -60,16 +30,21 @@ pub struct LatencyConfig {
     /// overload grows the queues, which grows the batches back to the
     /// paper's operating point.
     pub adaptive_batch: bool,
-    /// Priority-lane classifier; [`None`] means no priority lane.
-    pub priority: Option<PriorityClass>,
+    /// Priority lane for one flow in 16: those whose RSS hash has its
+    /// low four bits clear.
+    pub priority: bool,
 }
+
+/// RSS-hash bits that must all be zero for a flow to take the
+/// priority lane: one flow in 16.
+const PRIORITY_HASH_MASK: u32 = 15;
 
 impl LatencyConfig {
     /// Everything off: the paper's fixed-cap, moderated pipeline.
     pub fn off() -> LatencyConfig {
         LatencyConfig {
             adaptive_batch: false,
-            priority: None,
+            priority: false,
         }
     }
 
@@ -81,10 +56,20 @@ impl LatencyConfig {
         }
     }
 
-    /// This config with a priority lane for ~one flow in `n`.
-    pub fn with_priority(mut self, n: u32) -> LatencyConfig {
-        self.priority = Some(PriorityClass::one_in(n));
+    /// This config with the priority lane on.
+    pub fn with_priority(mut self) -> LatencyConfig {
+        self.priority = true;
         self
+    }
+
+    /// Does a packet with RSS hash `hash` take the priority lane? A
+    /// pure per-packet function of the flow tuple, so the
+    /// classification is identical at every shard count (the parity
+    /// the sharded scheduler needs) and on every replica of the
+    /// generator stream.
+    #[inline]
+    pub(crate) fn is_priority(&self, hash: u32) -> bool {
+        self.priority && hash & PRIORITY_HASH_MASK == 0
     }
 }
 
@@ -112,9 +97,8 @@ pub struct RouterConfig {
     pub ports: u16,
     /// Concurrent copy & execution (§5.4; on for IPsec only).
     pub concurrent_copy: bool,
-    /// Gather/scatter at the master (§5.4).
-    pub gather: bool,
-    /// Maximum chunks gathered into one shading step.
+    /// Maximum chunks gathered into one shading step (gather/scatter,
+    /// §5.4); 1 turns gathering off.
     pub max_gather_chunks: usize,
     /// Opportunistic offloading (§7): small chunks take the CPU path.
     pub opportunistic: bool,
@@ -125,8 +109,8 @@ pub struct RouterConfig {
     /// default; `Frames`/`DirectDma` are ablation modes, §4.3.1 and
     /// the NaNet-style direct path).
     pub staging: Staging,
-    /// Fault injection: all-zero chances (the default) arm no plan
-    /// and leave the pipeline byte-identical to the fault-free seed.
+    /// Fault injection: [`FaultSpec::none`] (the default) arms no plan
+    /// and leaves the pipeline byte-identical to the fault-free seed.
     pub faults: FaultSpec,
     /// Latency governance (adaptive batching, priority lanes);
     /// [`LatencyConfig::off`] by default.
@@ -144,7 +128,6 @@ impl RouterConfig {
             workers_per_node: 3,
             ports: 8,
             concurrent_copy: false,
-            gather: true,
             max_gather_chunks: 24,
             opportunistic: false,
             gpu_mem_bytes: 128 << 20,
@@ -195,21 +178,22 @@ mod tests {
 
     #[test]
     fn priority_class_selects_the_expected_fraction() {
-        let c = PriorityClass::one_in(16);
-        let hits = (0u32..4096).filter(|&h| c.matches(h)).count();
+        let c = LatencyConfig::off().with_priority();
+        let hits = (0u32..4096).filter(|&h| c.is_priority(h)).count();
         assert_eq!(hits, 256);
-        assert!(c.matches(0));
-        assert!(!c.matches(1));
+        assert!(c.is_priority(0));
+        assert!(!c.is_priority(1));
+        assert!(!LatencyConfig::off().is_priority(0));
     }
 
     #[test]
     fn latency_defaults_are_off() {
         let l = LatencyConfig::default();
         assert!(!l.adaptive_batch);
-        assert!(l.priority.is_none());
-        let a = LatencyConfig::adaptive().with_priority(8);
+        assert!(!l.priority);
+        let a = LatencyConfig::adaptive().with_priority();
         assert!(a.adaptive_batch);
-        assert_eq!(a.priority.unwrap().mask, 7);
+        assert!(a.priority);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod router;
 pub use app::{App, PreShadeResult, ShardAffinity};
 pub use chunk::Chunk;
 pub use columns::{ColumnSet, ColumnSpec, ColumnStage};
-pub use config::{LatencyConfig, Mode, PriorityClass, RouterConfig};
+pub use config::{LatencyConfig, Mode, RouterConfig};
 pub use program::{ColumnApp, ColumnProgram};
 pub use ps_gpu::Staging;
 pub use router::{Router, RouterReport};

@@ -12,7 +12,7 @@
 
 use ps_hw::ioh::Direction;
 use ps_hw::numa::Placement;
-use ps_io::{dma_bytes, Packet};
+use ps_io::{cost, dma_bytes, Packet};
 use ps_net::ethernet::{EtherType, EthernetFrame};
 use ps_net::ipv4::Ipv4Packet;
 use ps_net::ipv6::Ipv6Packet;
@@ -187,7 +187,7 @@ impl<A: App> Router<A> {
             self.stats.rx_packets += pkts.len() as u64;
             let n = pkts.len() as u64;
             let bytes: u64 = pkts.iter().map(|p| p.len() as u64).sum();
-            let rx_cycles = self.cost.rx_batch_cycles(n, bytes, self.cfg.io.placement);
+            let rx_cycles = cost::rx_batch_cycles(n, bytes, self.cfg.io.placement);
             let corrupt_before = match &self.plan {
                 Some(_) => pkts.iter().filter(|p| p.corrupted).count() as u64,
                 None => 0,
@@ -319,7 +319,7 @@ impl<A: App> Router<A> {
         let n = pkts.len() as u64;
         let bytes: u64 = pkts.iter().map(|p| p.len() as u64).sum();
         let cycles = self.app.post_shade_cycles(pkts.len())
-            + self.cost.tx_batch_cycles(n, bytes, self.cfg.io.placement);
+            + cost::tx_batch_cycles(n, bytes, self.cfg.io.placement);
         let t2 = now + self.cycles_ns(cycles);
         self.workers[w].busy_until = t2;
         let args = || vec![("pkts", n), ("bytes", bytes)];
@@ -339,8 +339,13 @@ impl<A: App> Router<A> {
                     // Past the run horizon: `run_until` would never
                     // dispatch this arrival, so the packet would sit
                     // in the queue unaccounted. Ledger it at the
-                    // source instead.
+                    // source instead, and settle its corruption too.
                     self.stats.drops.far_future += 1;
+                    if p.corrupted {
+                        if let Some(plan) = self.plan.as_mut() {
+                            plan.note_corrupt_dropped(1);
+                        }
+                    }
                     self.reclaim_buf(p.data);
                     continue;
                 }

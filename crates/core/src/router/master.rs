@@ -54,15 +54,12 @@ impl<A: App> Router<A> {
     /// Gather what is queued, shade it, scatter the results.
     fn shade_once(&mut self, sched: &mut Scheduler<Ev>, node: usize) {
         let now = sched.now();
-        // Gather pending chunks (Figure 10(b)); without gather, take
-        // exactly one.
-        let take = if self.cfg.gather {
-            self.cfg
-                .max_gather_chunks
-                .min(self.nodes[node].master.input.len())
-        } else {
-            1
-        };
+        // Gather pending chunks (Figure 10(b)); a cap of 1 turns
+        // gathering off.
+        let take = self
+            .cfg
+            .max_gather_chunks
+            .min(self.nodes[node].master.input.len());
         // The packets move into one batch; each chunk keeps its (now
         // empty) vector and its length, and takes its share back in
         // the scatter. `all` and `splits` are the master's own scratch,

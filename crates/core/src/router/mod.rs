@@ -69,7 +69,6 @@ pub struct Router<A: App> {
     ports: Vec<Port>,
     /// Per NUMA node: IOH, GPU and master core, by node id.
     nodes: Vec<Node>,
-    cost: ps_io::cost::CostModel,
     stop_at: Time,
     /// Counters only accumulate from this instant (warm-up excluded).
     measure_from: Time,
@@ -91,9 +90,9 @@ pub struct Router<A: App> {
     /// its chunk (through the master and back, when shaded), and the
     /// TX path returns it here empty.
     free_batches: Vec<Vec<Packet>>,
-    /// Armed fault plan; [`None`] whenever the config's spec is
-    /// all-zero, so fault-free runs draw no randomness and emit no
-    /// trace events from this layer.
+    /// Armed fault plan; [`None`] whenever the config's spec is not
+    /// [`enabled`](ps_fault::FaultSpec::enabled), so fault-free runs
+    /// draw no randomness and emit no trace events from this layer.
     plan: Option<FaultPlan>,
     /// `Some((index, count))` when this router is one shard of a
     /// parallel run: it then only admits packets whose RX node it
@@ -106,8 +105,9 @@ impl<A: App> Router<A> {
     ///
     /// # Panics
     /// Panics, naming the fields, on a layout the nodes cannot hold:
-    /// no nodes, no workers per node, or a port count that is zero or
-    /// does not split evenly over the nodes.
+    /// no nodes, no workers per node, a port count that is zero or
+    /// does not split evenly over the nodes, or a gather cap of 0 (the
+    /// master would shade nothing and the run deliver nothing).
     pub fn new(cfg: RouterConfig, mut app: A, spec: TrafficSpec, stop_at: Time) -> Router<A> {
         assert_eq!(
             spec.ports, cfg.ports,
@@ -124,6 +124,10 @@ impl<A: App> Router<A> {
             cfg.ports,
             cfg.nodes
         );
+        assert!(
+            cfg.max_gather_chunks >= 1,
+            "RouterConfig: max_gather_chunks must be >= 1, got 0"
+        );
         app.set_staging(cfg.staging);
         // Nodes in order: `setup_gpu` places each node's tables at the
         // same device addresses every run.
@@ -139,7 +143,6 @@ impl<A: App> Router<A> {
             workers: (0..cfg.total_workers()).map(|_| Worker::new()).collect(),
             ports: (0..cfg.ports).map(|p| Port::new(PortId(p), rate)).collect(),
             nodes,
-            cost: ps_io::cost::CostModel::default(),
             stop_at,
             measure_from: stop_at / 5,
             stats: RunStats::default(),

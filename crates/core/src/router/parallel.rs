@@ -36,12 +36,23 @@ use super::Router;
 /// what [`Router::run`] passes to [`Router::run_with_shards`]; it is
 /// public so artifact writers (ps-bench JSON headers) can record the
 /// setting a run was produced under.
+///
+/// # Panics
+///
+/// When `PS_SHARDS` is set to anything but a decimal or `0x`-hex count
+/// of at least 1, naming the variable: a mistyped value must not
+/// silently run unsharded.
 pub fn shards_from_env() -> usize {
-    std::env::var("PS_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+    shard_count(ps_rng::env_u64("PS_SHARDS"))
+}
+
+/// The shard count a parsed `PS_SHARDS` value requests.
+fn shard_count(value: Option<u64>) -> usize {
+    match value {
+        None => 1,
+        Some(0) => panic!("PS_SHARDS=0: the shard count must be at least 1"),
+        Some(n) => usize::try_from(n).unwrap_or(usize::MAX),
+    }
 }
 
 /// OS threads a replicated run of `shards` replicas uses:
@@ -119,4 +130,22 @@ pub(crate) fn run_replicated<A: App + Send>(
         .map(|sim| sim.into_inner().expect("no replica panicked").model)
         .collect();
     merged_report(&routers, duration - routers[0].measure_from)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::shard_count;
+
+    #[test]
+    fn unset_shards_mean_one_and_counts_pass_through() {
+        assert_eq!(shard_count(None), 1);
+        assert_eq!(shard_count(Some(1)), 1);
+        assert_eq!(shard_count(Some(2)), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "PS_SHARDS=0")]
+    fn zero_shards_panic_naming_the_variable() {
+        shard_count(Some(0));
+    }
 }

@@ -164,7 +164,7 @@ impl<A: App> Router<A> {
         p.arrival = dma_done;
         // Priority classification: a pure function of the RSS hash,
         // so the lane a flow takes is identical on every shard.
-        let prio = self.cfg.latency.priority.is_some_and(|c| c.matches(hash));
+        let prio = self.cfg.latency.is_priority(hash);
         p.priority = prio;
         // On-the-wire corruption: the frame was admitted and DMA'd,
         // but its bytes arrive damaged. The flag lets every later

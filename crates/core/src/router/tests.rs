@@ -386,6 +386,48 @@ fn conservation_holds_at_every_slice_cut() {
     conserves_at_cuts(|| overloaded(end), &[end / 2, end]).unwrap();
 }
 
+/// A run drained to completion leaves no corrupted packet in flight:
+/// every frame the plan corrupted settles as a counted drop or a
+/// delivery. `FaultStats::reconciles` holds by construction, so this
+/// is the check that sees a settling site the router misses. Same-node
+/// forwarding, and node-crossing forwarding over a priced QPI hop,
+/// whose crossings due past the horizon are ledgered at the source;
+/// under load and overloaded past the ~40 Gbps ceiling (ring tail
+/// drops).
+#[test]
+fn drained_runs_settle_every_corrupted_packet() {
+    let mut qpi = RouterConfig::paper_cpu();
+    qpi.testbed.ioh = qpi.testbed.ioh.with_qpi_hop(300);
+    for (name, cfg, pattern) in [
+        (
+            "same-node",
+            RouterConfig::paper_cpu(),
+            ForwardPattern::SameNode,
+        ),
+        ("node-crossing qpi", qpi, ForwardPattern::NodeCrossing),
+    ] {
+        for gbps in [25.0, 60.0] {
+            let faults = ps_fault::FaultSpec::scenario("corrupt")
+                .expect("known scenario")
+                .with_seed(3)
+                .with_rate(0.05);
+            let cfg = RouterConfig { faults, ..cfg };
+            let app = MinimalApp::new(pattern, 8);
+            let mut sim = started(cfg, app, fixed(64, gbps, 3), 300 * MICROS);
+            sim.run_to_completion();
+            let f = &sim.model.plan.as_ref().expect("plan armed").stats;
+            let at = format!("{name} at {gbps} Gbps:\n{}", f.summary_table());
+            assert!(f.corrupt_injected > 0, "{at}");
+            assert_eq!(f.corrupt_in_flight, 0, "{at}");
+            assert_eq!(
+                f.corrupt_injected,
+                f.corrupt_dropped + f.corrupt_delivered,
+                "{at}"
+            );
+        }
+    }
+}
+
 fn layout(nodes: usize, workers_per_node: usize, ports: u16) -> RouterConfig {
     RouterConfig {
         nodes,
@@ -416,6 +458,15 @@ fn zero_workers_rejected() {
 #[should_panic(expected = "RouterConfig: ports (6) must be a nonzero multiple of nodes (4)")]
 fn ports_not_split_over_nodes_rejected() {
     build(layout(4, 1, 6));
+}
+
+#[test]
+#[should_panic(expected = "RouterConfig: max_gather_chunks must be >= 1")]
+fn zero_gather_cap_rejected() {
+    build(RouterConfig {
+        max_gather_chunks: 0,
+        ..layout(2, 3, 8)
+    });
 }
 
 #[test]

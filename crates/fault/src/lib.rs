@@ -2,10 +2,11 @@
 //!
 //! The paper's numbers assume the hardware behaves: DMA completes,
 //! kernels return, rings drain. This crate is the adversary. A
-//! [`FaultSpec`] names per-class injection probabilities; when any is
-//! nonzero the router arms a [`FaultPlan`] — per-class RNG streams
-//! split from one seed — that decides, packet by packet and batch by
-//! batch, which fault fires next:
+//! [`FaultSpec`] names the fault classes a scenario arms, their
+//! injection rate and a seed; when the rate is nonzero the router
+//! arms a [`FaultPlan`] — per-class RNG streams split from one seed —
+//! that decides, packet by packet and batch by batch, which fault
+//! fires next:
 //!
 //! * **NIC** (owned by `ps-nic`): RX descriptor-starvation bursts and
 //!   link flaps. Both kill frames at the MAC, before any DMA.
@@ -14,9 +15,8 @@
 //!   ([`CorruptKind`]). Corrupted frames enter the pipeline and must
 //!   come out as *counted drops*, never panics.
 //! * **PCIe** (owned by `ps-sim`'s resource model via the IOH): copy
-//!   stalls retried with exponential backoff, bounded by
-//!   [`FaultSpec::pcie_max_retries`]; exhaustion escalates to the
-//!   CPU fallback.
+//!   stalls retried with exponential backoff, bounded by a retry
+//!   budget of three; exhaustion escalates to the CPU fallback.
 //! * **GPU** (owned by `ps-gpu`): kernel aborts (the whole batch
 //!   re-runs functionally on the host CPU at calibrated cost) and
 //!   slow-warp stragglers that stretch a launch and occupy the
@@ -31,7 +31,7 @@
 //! 1. Each fault class draws from its **own** RNG stream
 //!    (SplitMix64-derived from the spec seed), so enabling one class
 //!    never perturbs another's decisions.
-//! 2. Every draw is gated on its chance being nonzero — an all-zero
+//! 2. Every draw is gated on its chance being nonzero — a rate-0
 //!    spec consumes **no** randomness, no virtual time and emits no
 //!    trace events, so fault-free runs reproduce the pinned seed
 //!    fingerprints byte for byte.
@@ -42,10 +42,13 @@
 //! `0x`-hex; a value that does not parse panics), mirroring
 //! `PS_CHECK_SEED`. Every fired fault emits a
 //! [`ps_trace::Category::Fault`] instant, and [`FaultStats`] feeds
-//! the `fault_summary` table whose identity `injected == handled +
-//! dropped` the tests reconcile exactly.
+//! the `fault_summary` table. Its identity `injected == handled +
+//! dropped` holds by construction; the tests check the router's
+//! settling by draining a run until no corrupted packet is in flight.
 
 #![deny(missing_docs)]
+
+use std::ops::RangeInclusive;
 
 use ps_rng::{splitmix64, Rng};
 use ps_sim::time::Time;
@@ -134,36 +137,44 @@ pub fn corrupt_in_place(rng: &mut Rng, kind: CorruptKind, data: &mut Vec<u8>) {
     }
 }
 
-/// Per-class fault probabilities and shape parameters. All-zero
-/// chances mean "no plan": the router then skips the fault layer
-/// entirely (zero RNG draws, zero trace events).
+/// Frames killed by one starvation burst, inclusive.
+const NIC_BURST: RangeInclusive<u32> = 2..=8;
+/// Link-down window per flap in ns, inclusive.
+const LINK_FLAP_NS: RangeInclusive<u64> = 50_000..=200_000;
+/// Base PCIe stall before the first retry (doubles per retry).
+const PCIE_STALL_NS: u64 = 5_000;
+/// PCIe retry budget; a stall that exhausts it escalates to the CPU
+/// fallback path.
+const PCIE_MAX_RETRIES: u32 = 3;
+/// Straggler cost: percentage added to the batch's shading time.
+const STRAGGLE_EXTRA_PCT: u32 = 30;
+
+/// The fault classes a scenario arms.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Classes {
+    /// RX descriptor-starvation bursts and link flaps.
+    nic: bool,
+    /// On-the-wire frame corruption.
+    corrupt: bool,
+    /// PCIe copy stalls.
+    pcie: bool,
+    /// GPU kernel aborts and slow-warp stragglers.
+    gpu: bool,
+}
+
+/// Which fault classes fire, how often, and from which seed. A spec
+/// that arms no class or has rate 0 means "no plan": the router then
+/// skips the fault layer entirely (zero RNG draws, zero trace events).
+///
+/// Every armed class fires with probability `rate` per frame or per
+/// batch, except link flaps: they kill tens of microseconds of traffic
+/// each, so they fire at `rate / 10` to keep a sweep's x-axis "per-event
+/// rate".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
-    /// Seed for the plan's RNG streams (`PS_FAULT_SEED` replays it).
-    pub seed: u64,
-    /// Per-frame probability an RX descriptor-starvation burst begins.
-    pub nic_starve_chance: f64,
-    /// Frames killed by one starvation burst, `[lo, hi]` inclusive.
-    pub nic_burst: (u32, u32),
-    /// Per-frame probability the ingress link flaps down.
-    pub link_flap_chance: f64,
-    /// Link-down window per flap in ns, `[lo, hi]` inclusive.
-    pub link_flap_ns: (u64, u64),
-    /// Per-frame probability of on-the-wire corruption.
-    pub corrupt_chance: f64,
-    /// Per-batch probability a shading copy stalls on PCIe.
-    pub pcie_stall_chance: f64,
-    /// Base stall before the first retry (doubles per retry).
-    pub pcie_stall_ns: u64,
-    /// Retry budget; a stall that exhausts it escalates to the CPU
-    /// fallback path.
-    pub pcie_max_retries: u32,
-    /// Per-batch probability the kernel aborts (CPU fallback).
-    pub gpu_abort_chance: f64,
-    /// Per-batch probability of a slow-warp straggler.
-    pub gpu_straggle_chance: f64,
-    /// Straggler cost: percentage added to the batch's shading time.
-    pub straggle_extra_pct: u32,
+    seed: u64,
+    rate: f64,
+    classes: Classes,
 }
 
 impl FaultSpec {
@@ -171,93 +182,57 @@ impl FaultSpec {
     pub fn none() -> FaultSpec {
         FaultSpec {
             seed: 0,
-            nic_starve_chance: 0.0,
-            nic_burst: (2, 8),
-            link_flap_chance: 0.0,
-            link_flap_ns: (50_000, 200_000),
-            corrupt_chance: 0.0,
-            pcie_stall_chance: 0.0,
-            pcie_stall_ns: 5_000,
-            pcie_max_retries: 3,
-            gpu_abort_chance: 0.0,
-            gpu_straggle_chance: 0.0,
-            straggle_extra_pct: 30,
+            rate: 0.0,
+            classes: Classes::default(),
         }
     }
 
     /// Whether any fault class can fire.
     pub fn enabled(&self) -> bool {
-        self.nic_starve_chance > 0.0
-            || self.link_flap_chance > 0.0
-            || self.corrupt_chance > 0.0
-            || self.pcie_stall_chance > 0.0
-            || self.gpu_abort_chance > 0.0
-            || self.gpu_straggle_chance > 0.0
+        self.rate > 0.0 && self.classes != Classes::default()
     }
 
     /// A named scenario at a 1% default injection rate, honoring
     /// `PS_FAULT_SEED` when set. Known names: `nic`, `corrupt`,
     /// `pcie`, `gpu`, `all`.
     pub fn scenario(name: &str) -> Option<FaultSpec> {
-        let base = FaultSpec {
-            seed: ps_rng::env_u64("PS_FAULT_SEED").unwrap_or(0xFA17),
-            ..FaultSpec::none()
-        };
-        let rate = 0.01;
-        let spec = match name {
-            "nic" => FaultSpec {
-                nic_starve_chance: rate,
-                link_flap_chance: rate / 10.0,
-                ..base
+        let classes = match name {
+            "nic" => Classes {
+                nic: true,
+                ..Classes::default()
             },
-            "corrupt" => FaultSpec {
-                corrupt_chance: rate,
-                ..base
+            "corrupt" => Classes {
+                corrupt: true,
+                ..Classes::default()
             },
-            "pcie" => FaultSpec {
-                pcie_stall_chance: rate,
-                ..base
+            "pcie" => Classes {
+                pcie: true,
+                ..Classes::default()
             },
-            "gpu" => FaultSpec {
-                gpu_abort_chance: rate,
-                gpu_straggle_chance: rate,
-                ..base
+            "gpu" => Classes {
+                gpu: true,
+                ..Classes::default()
             },
-            "all" => FaultSpec {
-                nic_starve_chance: rate,
-                link_flap_chance: rate / 10.0,
-                corrupt_chance: rate,
-                pcie_stall_chance: rate,
-                gpu_abort_chance: rate,
-                gpu_straggle_chance: rate,
-                ..base
+            "all" => Classes {
+                nic: true,
+                corrupt: true,
+                pcie: true,
+                gpu: true,
             },
             _ => return None,
         };
-        Some(spec)
+        Some(FaultSpec {
+            seed: ps_rng::env_u64("PS_FAULT_SEED").unwrap_or(0xFA17),
+            rate: 0.01,
+            classes,
+        })
     }
 
-    /// The same scenario with every *enabled* chance rescaled so the
-    /// dominant classes fire with probability `rate` (degradation
-    /// sweeps sweep this). A rate of 0 disables the plan entirely.
+    /// The same scenario at injection rate `rate` (degradation sweeps
+    /// sweep this). A rate of 0 disables the plan entirely.
     pub fn with_rate(mut self, rate: f64) -> FaultSpec {
         assert!((0.0..=1.0).contains(&rate), "rate {rate} out of range");
-        let scale = |c: &mut f64, r: f64| {
-            if *c > 0.0 {
-                *c = r;
-            } else {
-                *c = 0.0;
-            }
-        };
-        scale(&mut self.nic_starve_chance, rate);
-        // Flaps kill tens of microseconds of traffic each; keep them
-        // an order of magnitude rarer than per-frame faults so the
-        // sweep's x-axis stays "per-event rate".
-        scale(&mut self.link_flap_chance, rate / 10.0);
-        scale(&mut self.corrupt_chance, rate);
-        scale(&mut self.pcie_stall_chance, rate);
-        scale(&mut self.gpu_abort_chance, rate);
-        scale(&mut self.gpu_straggle_chance, rate);
+        self.rate = rate;
         self
     }
 
@@ -266,6 +241,17 @@ impl FaultSpec {
         self.seed = seed;
         self
     }
+
+    /// Seed for the plan's RNG streams (`PS_FAULT_SEED` replays it).
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+}
+
+/// Draw an event of probability `chance` from `rng` for a class the
+/// spec arms; an unarmed class or a zero chance consumes no draw.
+fn fires(rng: &mut Rng, armed: bool, chance: f64) -> bool {
+    armed && chance > 0.0 && rng.gen_bool(chance)
 }
 
 /// A NIC-layer fault verdict for one arriving frame.
@@ -318,7 +304,10 @@ pub struct PortFaults {
 /// Every fault counter the plan and router maintain. The ledger
 /// closes: `injected() == handled() + dropped()` at any instant —
 /// packets corrupted but still in the pipeline are carried by the
-/// live `corrupt_in_flight` gauge.
+/// live `corrupt_in_flight` gauge. That gauge is kept as injected −
+/// dropped − delivered, so the identity holds by construction; what
+/// checks the router's settling is a run drained to completion, which
+/// must leave `corrupt_in_flight` at 0.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Frames killed by descriptor-starvation bursts.
@@ -397,7 +386,7 @@ impl FaultStats {
     }
 
     /// Whether the ledger closes: every injected fault is accounted
-    /// as handled or dropped, with nothing lost or double-counted.
+    /// as handled or dropped. True by construction (see the type docs).
     pub fn reconciles(&self) -> bool {
         self.injected() == self.handled() + self.dropped()
     }
@@ -523,18 +512,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Arm a plan for `spec`. Panics if any chance is outside [0, 1].
+    /// Arm a plan for `spec`.
     pub fn new(spec: FaultSpec) -> FaultPlan {
-        for c in [
-            spec.nic_starve_chance,
-            spec.link_flap_chance,
-            spec.corrupt_chance,
-            spec.pcie_stall_chance,
-            spec.gpu_abort_chance,
-            spec.gpu_straggle_chance,
-        ] {
-            assert!((0.0..=1.0).contains(&c), "chance {c} out of range");
-        }
         let mut s = spec.seed;
         let mut stream = || Rng::seed_from_u64(splitmix64(&mut s));
         FaultPlan {
@@ -545,11 +524,6 @@ impl FaultPlan {
             burst_left: Vec::new(),
             stats: FaultStats::default(),
         }
-    }
-
-    /// The spec this plan was armed with.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
     }
 
     /// Decide the NIC's fate for a frame arriving on `port` at `now`.
@@ -566,13 +540,9 @@ impl FaultPlan {
             self.note_starve(port, now);
             return Some(NicFault::Starve);
         }
-        if self.spec.link_flap_chance > 0.0 && self.rng_nic.gen_bool(self.spec.link_flap_chance) {
-            let (lo, hi) = self.spec.link_flap_ns;
-            let down_ns = if hi > lo {
-                self.rng_nic.gen_range(lo..=hi)
-            } else {
-                lo
-            };
+        let (nic, rate) = (self.spec.classes.nic, self.spec.rate);
+        if fires(&mut self.rng_nic, nic, rate / 10.0) {
+            let down_ns = self.rng_nic.gen_range(LINK_FLAP_NS);
             self.stats.flaps += 1;
             ps_trace::instant(Category::Fault, "link_flap", u32::from(port), now, || {
                 vec![("down_ns", down_ns)]
@@ -580,14 +550,8 @@ impl FaultPlan {
             self.note_flap_drop(port);
             return Some(NicFault::LinkFlap { down_ns });
         }
-        if self.spec.nic_starve_chance > 0.0 && self.rng_nic.gen_bool(self.spec.nic_starve_chance) {
-            let (lo, hi) = self.spec.nic_burst;
-            let burst = if hi > lo {
-                self.rng_nic.gen_range(lo..=hi)
-            } else {
-                lo.max(1)
-            };
-            self.burst_left[idx] = burst.saturating_sub(1);
+        if fires(&mut self.rng_nic, nic, rate) {
+            self.burst_left[idx] = self.rng_nic.gen_range(NIC_BURST) - 1;
             self.note_starve(port, now);
             return Some(NicFault::Starve);
         }
@@ -622,7 +586,11 @@ impl FaultPlan {
         now: Time,
         data: &mut Vec<u8>,
     ) -> Option<CorruptKind> {
-        if self.spec.corrupt_chance <= 0.0 || !self.rng_wire.gen_bool(self.spec.corrupt_chance) {
+        if !fires(
+            &mut self.rng_wire,
+            self.spec.classes.corrupt,
+            self.spec.rate,
+        ) {
             return None;
         }
         let kind = CorruptKind::pick(&mut self.rng_wire);
@@ -669,15 +637,15 @@ impl FaultPlan {
     /// one class fires per batch (stall, then abort, then straggler),
     /// keeping the ledger one-event-per-batch.
     pub fn shade_fault(&mut self, node: usize, now: Time) -> ShadeFault {
-        if self.spec.pcie_stall_chance > 0.0 && self.rng_gpu.gen_bool(self.spec.pcie_stall_chance) {
+        let (classes, rate) = (self.spec.classes, self.spec.rate);
+        if fires(&mut self.rng_gpu, classes.pcie, rate) {
             // Attempts needed for the copy to go through: uniform over
             // [1, budget + 1]; needing more than the budget escalates.
-            let budget = self.spec.pcie_max_retries.max(1);
-            let attempts = self.rng_gpu.gen_range(1..=budget + 1);
-            let escalate = attempts > budget;
-            let retries = attempts.min(budget);
+            let attempts = self.rng_gpu.gen_range(1..=PCIE_MAX_RETRIES + 1);
+            let escalate = attempts > PCIE_MAX_RETRIES;
+            let retries = attempts.min(PCIE_MAX_RETRIES);
             // Exponential backoff: base, 2*base, 4*base, ...
-            let stall_ns = self.spec.pcie_stall_ns * ((1u64 << retries) - 1);
+            let stall_ns = PCIE_STALL_NS * ((1u64 << retries) - 1);
             self.stats.pcie_stalls += 1;
             self.stats.pcie_retries += u64::from(retries);
             self.stats.pcie_stall_ns += stall_ns;
@@ -693,20 +661,18 @@ impl FaultPlan {
             });
             return ShadeFault::PcieStall { stall_ns, escalate };
         }
-        if self.spec.gpu_abort_chance > 0.0 && self.rng_gpu.gen_bool(self.spec.gpu_abort_chance) {
+        if fires(&mut self.rng_gpu, classes.gpu, rate) {
             self.stats.gpu_aborts += 1;
             ps_trace::instant(Category::Fault, "gpu_abort", node as u32, now, Vec::new);
             return ShadeFault::GpuAbort;
         }
-        if self.spec.gpu_straggle_chance > 0.0
-            && self.rng_gpu.gen_bool(self.spec.gpu_straggle_chance)
-        {
+        if fires(&mut self.rng_gpu, classes.gpu, rate) {
             self.stats.gpu_stragglers += 1;
             ps_trace::instant(Category::Fault, "gpu_straggle", node as u32, now, || {
-                vec![("extra_pct", u64::from(self.spec.straggle_extra_pct))]
+                vec![("extra_pct", u64::from(STRAGGLE_EXTRA_PCT))]
             });
             return ShadeFault::Straggle {
-                extra_pct: self.spec.straggle_extra_pct,
+                extra_pct: STRAGGLE_EXTRA_PCT,
             };
         }
         ShadeFault::None
@@ -742,10 +708,12 @@ mod tests {
     #[test]
     fn scenarios_cover_their_classes() {
         let nic = FaultSpec::scenario("nic").expect("nic");
-        assert!(nic.nic_starve_chance > 0.0 && nic.link_flap_chance > 0.0);
-        assert_eq!(nic.corrupt_chance, 0.0);
+        assert!(nic.classes.nic && !nic.classes.corrupt);
+        assert_eq!(nic.rate, 0.01);
         let gpu = FaultSpec::scenario("gpu").expect("gpu");
-        assert!(gpu.gpu_abort_chance > 0.0 && gpu.gpu_straggle_chance > 0.0);
+        assert!(gpu.classes.gpu && !gpu.classes.pcie);
+        let all = FaultSpec::scenario("all").expect("all");
+        assert!(all.classes.nic && all.classes.corrupt && all.classes.pcie && all.classes.gpu);
         assert!(FaultSpec::scenario("bogus").is_none());
     }
 
@@ -781,7 +749,10 @@ mod tests {
         };
         let with = busy_spec().with_rate(0.2);
         let without = FaultSpec {
-            corrupt_chance: 0.0,
+            classes: Classes {
+                corrupt: false,
+                ..with.classes
+            },
             ..with
         };
         assert_eq!(decisions(with), decisions(without));
@@ -789,27 +760,36 @@ mod tests {
 
     #[test]
     fn starvation_bursts_run_their_length() {
-        let spec = FaultSpec {
-            nic_starve_chance: 1.0,
-            nic_burst: (3, 3),
-            ..FaultSpec::none()
-        };
+        // At rate 1 every frame dies: a flap, or a starvation burst
+        // whose drawn length in NIC_BURST kills exactly that many.
+        let spec = FaultSpec::scenario("nic").expect("nic").with_rate(1.0);
         let mut plan = FaultPlan::new(spec);
-        for i in 0..9 {
-            assert_eq!(plan.nic_fault(0, i), Some(NicFault::Starve));
+        let (mut t, mut starved) = (0u64, 0u64);
+        while t < 500 {
+            match plan.nic_fault(0, t) {
+                Some(NicFault::Starve) => {
+                    let len = plan.burst_left[0] + 1;
+                    assert!(NIC_BURST.contains(&len), "burst of {len}");
+                    for k in 1..u64::from(len) {
+                        assert_eq!(plan.nic_fault(0, t + k), Some(NicFault::Starve));
+                    }
+                    assert_eq!(plan.burst_left[0], 0);
+                    t += u64::from(len);
+                    starved += u64::from(len);
+                }
+                Some(NicFault::LinkFlap { .. }) => t += 1,
+                None => panic!("a frame survived at rate 1"),
+            }
         }
-        // Every frame died: 3 bursts of 3.
-        assert_eq!(plan.stats.nic_starved, 9);
+        assert!(starved > 0);
+        assert_eq!(plan.stats.nic_starved, starved);
     }
 
     #[test]
     fn stall_backoff_is_bounded() {
-        let spec = FaultSpec {
-            pcie_stall_chance: 1.0,
-            ..FaultSpec::none()
-        };
+        let spec = FaultSpec::scenario("pcie").expect("pcie").with_rate(1.0);
         let mut plan = FaultPlan::new(spec);
-        let worst = spec.pcie_stall_ns * ((1u64 << spec.pcie_max_retries) - 1);
+        let worst = PCIE_STALL_NS * ((1u64 << PCIE_MAX_RETRIES) - 1);
         for i in 0..200 {
             match plan.shade_fault(0, i) {
                 ShadeFault::PcieStall { stall_ns, .. } => {

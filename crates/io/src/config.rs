@@ -27,14 +27,6 @@ impl IoConfig {
         IoConfig::default()
     }
 
-    /// Packet-by-packet processing (Figure 5's batch size 1).
-    pub fn unbatched() -> IoConfig {
-        IoConfig {
-            batch_cap: 1,
-            ..IoConfig::default()
-        }
-    }
-
     /// The NUMA-blind baseline of §4.5.
     pub fn numa_blind() -> IoConfig {
         IoConfig {
@@ -51,7 +43,6 @@ mod tests {
     #[test]
     fn presets() {
         assert_eq!(IoConfig::paper().batch_cap, 64);
-        assert_eq!(IoConfig::unbatched().batch_cap, 1);
         assert_eq!(IoConfig::numa_blind().placement, Placement::NumaBlind);
     }
 }

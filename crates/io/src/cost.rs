@@ -2,25 +2,21 @@
 //!
 //! Two paths:
 //!
-//! * [`LinuxBaseline`] — the unmodified skb path, with the functional
-//!   bins measured in Table 3. Total per-packet RX cost is ~2,400
-//!   cycles on the X5550 (consistent with the paper's Figure 5
-//!   batch-size-1 forwarding rate of 0.78 Gbps on one core).
-//! * [`CostModel`] — the optimized engine: a small per-packet cost
-//!   plus a per-batch cost (system call, descriptor doorbell,
-//!   interrupt handling) amortized over the batch. Calibrated so one
-//!   core forwards 64 B packets at 0.78 Gbps with batch 1 and
-//!   ~10.5 Gbps with batch 64 — Figure 5's endpoints — with the
-//!   13.5× speedup emerging from the amortization.
+//! * the legacy Linux skb path ([`LINUX_RX_CYCLES`]), with the
+//!   functional bins measured in Table 3. Total per-packet RX cost is
+//!   ~2,400 cycles on the X5550 (consistent with the paper's Figure 5
+//!   batch-size-1 forwarding rate of 0.78 Gbps on one core);
+//! * the optimized engine ([`rx_batch_cycles`], [`tx_batch_cycles`]):
+//!   a small per-packet cost plus a per-batch cost (system call,
+//!   descriptor doorbell, interrupt handling) amortized over the
+//!   batch. Calibrated so one core forwards 64 B packets at 0.78 Gbps
+//!   with batch 1 and ~10.5 Gbps with batch 64 — Figure 5's endpoints
+//!   — with the 13.5× speedup emerging from the amortization.
 
 use ps_hw::numa::Placement;
 
-/// Table 3: CPU cycle breakdown in packet RX, legacy skb path.
-#[derive(Debug, Clone, Copy)]
-pub struct LinuxBaseline {
-    /// Total per-packet RX cycles.
-    pub total_cycles: u64,
-}
+/// Table 3: total per-packet RX cycles of the legacy skb path.
+pub const LINUX_RX_CYCLES: u64 = 2400;
 
 /// One functional bin of the Table 3 breakdown.
 #[derive(Debug, Clone, Copy)]
@@ -68,100 +64,64 @@ pub const TABLE3_BINS: &[Bin] = &[
     },
 ];
 
-impl Default for LinuxBaseline {
-    fn default() -> Self {
-        LinuxBaseline { total_cycles: 2400 }
-    }
+/// Legacy-path cycles spent in Table 3 bin `i` per packet.
+pub fn bin_cycles(i: usize) -> u64 {
+    (LINUX_RX_CYCLES as f64 * TABLE3_BINS[i].percent / 100.0).round() as u64
 }
 
-impl LinuxBaseline {
-    /// Cycles spent in bin `i` per packet.
-    pub fn bin_cycles(&self, i: usize) -> u64 {
-        (self.total_cycles as f64 * TABLE3_BINS[i].percent / 100.0).round() as u64
-    }
+// The optimized engine's calibrated constants, fit to Figure 5's
+// endpoints (see module docs). The per-batch costs bundle the
+// user↔kernel crossing, descriptor-ring doorbell writes and interrupt
+// handling paid once per batched system call; the per-packet costs
+// are the residual descriptor + prefetch + copy work.
 
-    /// Per-packet RX cycles of the legacy path.
-    pub fn rx_cycles(&self) -> u64 {
-        self.total_cycles
-    }
-}
+/// Per-packet RX cycles.
+const RX_PER_PACKET: u64 = 80;
+/// Per-batch RX cycles.
+const RX_PER_BATCH: u64 = 1300;
+/// Per-packet TX cycles.
+const TX_PER_PACKET: u64 = 55;
+/// Per-batch TX cycles.
+const TX_PER_BATCH: u64 = 955;
+/// Copy-to-user cost in cycles per 16 bytes (SSE-wide copy; the paper
+/// measures the copy at <20 % of I/O cycles, §4.3).
+const COPY_CYCLES_PER_16B: u64 = 1;
+/// Multiplier applied under NUMA-blind placement (§4.5 reports 40–50 %
+/// higher memory access time; I/O-path cycles are memory-dominated).
+const NUMA_BLIND_FACTOR: f64 = 1.45;
 
-/// The optimized engine's calibrated constants.
-///
-/// `per_batch` bundles the user↔kernel crossing, descriptor-ring
-/// doorbell writes and interrupt handling paid once per batched
-/// system call; `per_packet` is the residual descriptor + prefetch +
-/// copy work. Fit to Figure 5's endpoints (see module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// Per-packet RX cycles.
-    pub rx_per_packet: u64,
-    /// Per-batch RX cycles.
-    pub rx_per_batch: u64,
-    /// Per-packet TX cycles.
-    pub tx_per_packet: u64,
-    /// Per-batch TX cycles.
-    pub tx_per_batch: u64,
-    /// Copy-to-user cost in cycles per 16 bytes (SSE-wide copy; the
-    /// paper measures the copy at <20 % of I/O cycles, §4.3).
-    pub copy_cycles_per_16b: u64,
-    /// Multiplier applied under NUMA-blind placement (§4.5 reports
-    /// 40–50 % higher memory access time; I/O-path cycles are
-    /// memory-dominated).
-    pub numa_blind_factor: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            rx_per_packet: 80,
-            rx_per_batch: 1300,
-            tx_per_packet: 55,
-            tx_per_batch: 955,
-            copy_cycles_per_16b: 1,
-            numa_blind_factor: 1.45,
+fn placement_factor(placement: Placement) -> f64 {
+    match placement {
+        Placement::NumaAware => 1.0,
+        Placement::NumaBlind => {
+            1.0 + (NUMA_BLIND_FACTOR - 1.0) * Placement::NumaBlind.remote_fraction()
         }
     }
 }
 
-impl CostModel {
-    fn placement_factor(&self, placement: Placement, frac_remote: f64) -> f64 {
-        match placement {
-            Placement::NumaAware => 1.0,
-            Placement::NumaBlind => 1.0 + (self.numa_blind_factor - 1.0) * frac_remote,
-        }
+/// Cycles one core spends receiving a batch of `n` packets of `bytes`
+/// total length (includes the copy into the user buffer).
+pub fn rx_batch_cycles(n: u64, bytes: u64, placement: Placement) -> u64 {
+    if n == 0 {
+        // An empty poll still pays the syscall.
+        return RX_PER_BATCH / 2;
     }
+    let raw = RX_PER_BATCH + n * RX_PER_PACKET + bytes.div_ceil(16) * COPY_CYCLES_PER_16B;
+    (raw as f64 * placement_factor(placement)) as u64
+}
 
-    /// Cycles one core spends receiving a batch of `n` packets of
-    /// `bytes` total length (includes the copy into the user buffer).
-    pub fn rx_batch_cycles(&self, n: u64, bytes: u64, placement: Placement) -> u64 {
-        if n == 0 {
-            // An empty poll still pays the syscall.
-            return self.rx_per_batch / 2;
-        }
-        let raw = self.rx_per_batch
-            + n * self.rx_per_packet
-            + bytes.div_ceil(16) * self.copy_cycles_per_16b;
-        (raw as f64 * self.placement_factor(placement, Placement::NumaBlind.remote_fraction()))
-            as u64
+/// Cycles one core spends transmitting a batch of `n` packets.
+pub fn tx_batch_cycles(n: u64, bytes: u64, placement: Placement) -> u64 {
+    if n == 0 {
+        return 0;
     }
+    let raw = TX_PER_BATCH + n * TX_PER_PACKET + bytes.div_ceil(16) * COPY_CYCLES_PER_16B;
+    (raw as f64 * placement_factor(placement)) as u64
+}
 
-    /// Cycles one core spends transmitting a batch of `n` packets.
-    pub fn tx_batch_cycles(&self, n: u64, bytes: u64, placement: Placement) -> u64 {
-        if n == 0 {
-            return 0;
-        }
-        let raw = self.tx_per_batch
-            + n * self.tx_per_packet
-            + bytes.div_ceil(16) * self.copy_cycles_per_16b;
-        (raw as f64 * self.placement_factor(placement, Placement::NumaBlind.remote_fraction()))
-            as u64
-    }
-
-    /// Forwarding cycles for a batch (RX + TX), the Figure 5 quantity.
-    pub fn forward_batch_cycles(&self, n: u64, bytes: u64, placement: Placement) -> u64 {
-        self.rx_batch_cycles(n, bytes, placement) + self.tx_batch_cycles(n, bytes, placement)
-    }
+/// Forwarding cycles for a batch (RX + TX), the Figure 5 quantity.
+pub fn forward_batch_cycles(n: u64, bytes: u64, placement: Placement) -> u64 {
+    rx_batch_cycles(n, bytes, placement) + tx_batch_cycles(n, bytes, placement)
 }
 
 #[cfg(test)]
@@ -172,17 +132,16 @@ mod tests {
 
     /// Forwarding throughput of one core at batch size `b`, 64 B
     /// packets, in Gbps with the 24 B-overhead metric.
-    fn fwd_gbps(m: &CostModel, b: u64) -> f64 {
-        let cycles = m.forward_batch_cycles(b, b * 64, Placement::NumaAware);
+    fn fwd_gbps(b: u64) -> f64 {
+        let cycles = forward_batch_cycles(b, b * 64, Placement::NumaAware);
         let pps = HZ / (cycles as f64 / b as f64);
         pps * 88.0 * 8.0 / 1e9
     }
 
     #[test]
     fn figure5_endpoints() {
-        let m = CostModel::default();
-        let b1 = fwd_gbps(&m, 1);
-        let b64 = fwd_gbps(&m, 64);
+        let b1 = fwd_gbps(1);
+        let b64 = fwd_gbps(64);
         assert!(
             (0.70..0.90).contains(&b1),
             "batch=1: {b1:.2} Gbps (paper: 0.78)"
@@ -200,10 +159,9 @@ mod tests {
 
     #[test]
     fn figure5_gain_stalls_after_32() {
-        let m = CostModel::default();
-        let b32 = fwd_gbps(&m, 32);
-        let b64 = fwd_gbps(&m, 64);
-        let b128 = fwd_gbps(&m, 128);
+        let b32 = fwd_gbps(32);
+        let b64 = fwd_gbps(64);
+        let b128 = fwd_gbps(128);
         assert!(
             b64 / b32 < 1.25,
             "32->64 gain should be small, got {}",
@@ -218,7 +176,6 @@ mod tests {
 
     #[test]
     fn legacy_path_matches_table3() {
-        let l = LinuxBaseline::default();
         let total: f64 = TABLE3_BINS.iter().map(|b| b.percent).sum();
         assert!((total - 100.0).abs() < 0.01, "bins sum to {total}%");
         // skb-related share (init + alloc + memory subsystem) = 63.1%.
@@ -232,53 +189,47 @@ mod tests {
                 .map(|b| b.name),
             Some("memory subsystem")
         );
-        assert!(l.bin_cycles(2) > 1000);
+        assert!(bin_cycles(2) > 1000);
     }
 
     #[test]
     fn legacy_vs_engine_at_batch_one() {
         // Even unbatched, the huge-buffer path beats the skb path;
         // batching then provides the rest of the 13.5x.
-        let l = LinuxBaseline::default();
-        let m = CostModel::default();
-        let engine_rx = m.rx_batch_cycles(1, 64, Placement::NumaAware);
+        let engine_rx = rx_batch_cycles(1, 64, Placement::NumaAware);
         assert!(
-            engine_rx < l.rx_cycles(),
-            "engine {engine_rx} vs legacy {}",
-            l.rx_cycles()
+            engine_rx < LINUX_RX_CYCLES,
+            "engine {engine_rx} vs legacy {LINUX_RX_CYCLES}"
         );
     }
 
     #[test]
     fn numa_blind_costs_more() {
-        let m = CostModel::default();
-        let aware = m.forward_batch_cycles(64, 64 * 64, Placement::NumaAware);
-        let blind = m.forward_batch_cycles(64, 64 * 64, Placement::NumaBlind);
+        let aware = forward_batch_cycles(64, 64 * 64, Placement::NumaAware);
+        let blind = forward_batch_cycles(64, 64 * 64, Placement::NumaBlind);
         let ratio = blind as f64 / aware as f64;
         assert!((1.2..1.5).contains(&ratio), "ratio={ratio}");
     }
 
     #[test]
     fn empty_rx_poll_costs_half_a_syscall() {
-        let m = CostModel::default();
-        assert!(m.rx_batch_cycles(0, 0, Placement::NumaAware) > 0);
-        assert_eq!(m.tx_batch_cycles(0, 0, Placement::NumaAware), 0);
+        assert!(rx_batch_cycles(0, 0, Placement::NumaAware) > 0);
+        assert_eq!(tx_batch_cycles(0, 0, Placement::NumaAware), 0);
     }
 
     #[test]
     fn copy_cost_stays_under_20_percent() {
         // §4.3: the user copy takes <20% of total I/O cycles, even for
         // large packets at large batches.
-        let m = CostModel::default();
         let n = 64u64;
         let bytes = n * 1514;
-        let total = m.forward_batch_cycles(n, bytes, Placement::NumaAware);
-        let copy = 2 * bytes.div_ceil(16) * m.copy_cycles_per_16b;
+        let total = forward_batch_cycles(n, bytes, Placement::NumaAware);
+        let copy = 2 * bytes.div_ceil(16) * COPY_CYCLES_PER_16B;
         let share = copy as f64 / total as f64;
         assert!(share < 0.55, "copy share {share:.2}");
         // At 64B packets it is well under 20%.
-        let total64 = m.forward_batch_cycles(n, n * 64, Placement::NumaAware);
-        let copy64 = 2 * (n * 64u64).div_ceil(16) * m.copy_cycles_per_16b;
+        let total64 = forward_batch_cycles(n, n * 64, Placement::NumaAware);
+        let copy64 = 2 * (n * 64u64).div_ceil(16) * COPY_CYCLES_PER_16B;
         assert!((copy64 as f64 / total64 as f64) < 0.2);
     }
 }

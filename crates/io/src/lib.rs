@@ -17,7 +17,6 @@ pub mod cost;
 pub mod packet;
 
 pub use config::IoConfig;
-pub use cost::{CostModel, LinuxBaseline};
 pub use packet::Packet;
 
 /// DMA bytes a frame of `len` costs on the fabric: payload rounded up

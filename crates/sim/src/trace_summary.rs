@@ -27,6 +27,8 @@ pub struct StageStat {
     /// Summed span duration (ns). Lanes may overlap, so this can
     /// exceed the run window.
     pub total_ns: u64,
+    /// Summed `pkts` argument of the spans (0 for spans without one).
+    pub pkts: u64,
     /// Span-duration distribution.
     pub hist: Histogram,
 }
@@ -132,10 +134,12 @@ pub fn summarize(events: &[Event], window: Time) -> TraceSummary {
                         name: ev.name,
                         count: 0,
                         total_ns: 0,
+                        pkts: 0,
                         hist: Histogram::new(),
                     });
                 s.count += 1;
                 s.total_ns += dur;
+                s.pkts += arg(ev, "pkts");
                 s.hist.record(dur);
                 if ev.cat == Category::Fabric {
                     let r = resources
@@ -150,11 +154,7 @@ pub fn summarize(events: &[Event], window: Time) -> TraceSummary {
                         });
                     r.count += 1;
                     r.busy_ns += dur;
-                    r.bytes += ev
-                        .args
-                        .iter()
-                        .find(|(k, _)| *k == "bytes")
-                        .map_or(0, |&(_, v)| v);
+                    r.bytes += arg(ev, "bytes");
                 }
             }
             Phase::Counter { value } => {
@@ -220,6 +220,14 @@ pub fn summarize(events: &[Event], window: Time) -> TraceSummary {
             })
             .collect(),
     }
+}
+
+/// The value of `ev`'s argument `key`, 0 when absent.
+fn arg(ev: &Event, key: &str) -> u64 {
+    ev.args
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map_or(0, |&(_, v)| v)
 }
 
 /// Convenience: resolve a collector's buffer and summarize it.

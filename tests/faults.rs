@@ -571,7 +571,7 @@ fn every_app_degrades_gracefully_under_all_faults() {
             // Per-cell derived seeds, like the ps-bench sweep: short
             // windows sample only a prefix of each class's stream, and
             // identical prefixes would correlate what fires where.
-            cfg.faults = base.with_seed(base.seed ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            cfg.faults = base.with_seed(base.seed() ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             *c += 1;
             cfg
         };

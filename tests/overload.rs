@@ -143,7 +143,7 @@ fn closed_loop_source_absorbs_overload() {
 #[test]
 fn priority_lane_undercuts_bulk_sojourn() {
     let mut cfg = adaptive_cfg();
-    cfg.latency = cfg.latency.with_priority(16);
+    cfg.latency = cfg.latency.with_priority();
     let r = Router::run(cfg, workloads::ipv4_app(2_000, 1), ipv4_spec(20.0, 1), DUR);
     assert!(r.prio_sojourn.count() > 0, "some flows must classify");
     assert!(
@@ -254,7 +254,7 @@ fn assert_parity(label: &str, cfg: RouterConfig, spec: TrafficSpec) {
 #[test]
 fn governed_overload_identical_across_shard_counts() {
     let mut cfg = wide_cfg(8);
-    cfg.latency = LatencyConfig::adaptive().with_priority(16);
+    cfg.latency = LatencyConfig::adaptive().with_priority();
     for factor in [0.5f64, 2.0] {
         let spec = wide_spec(8, 40.0, 7).scaled(factor).closed_loop(64);
         assert_parity(&format!("governed {factor}x"), cfg, spec);
@@ -269,7 +269,7 @@ fn governed_overload_identical_across_shard_counts() {
 fn governed_windowed_run_identical_across_shard_counts() {
     let mut cfg = wide_cfg(4);
     cfg.testbed.ioh = cfg.testbed.ioh.with_qpi_hop(300);
-    cfg.latency = LatencyConfig::adaptive().with_priority(16);
+    cfg.latency = LatencyConfig::adaptive().with_priority();
     let mk = || MinimalApp::new(ForwardPattern::NodeCrossing, 8);
     let spec = wide_spec(4, 20.0, 11);
     let base = full_fp(&Router::run_with_shards(cfg, mk(), spec, DUR, 1));
