@@ -13,11 +13,15 @@
 //! `--gbps <f>`, `--frame <bytes>`, `--ms <virtual ms>`,
 //! `--trace-out <path>`. The trace honours `PS_TRACE` (category list)
 //! and `PS_TRACE_CAP` (ring size); without `PS_TRACE` every category
-//! is recorded. After writing the dump the binary re-parses it and
-//! verifies the per-lane stage accounting: on every lane,
-//! busy + idle == the virtual run time. See OBSERVABILITY.md.
+//! is recorded. The per-lane stage accounting fails the run when two
+//! stage spans on one lane overlap; after writing the dump the binary
+//! re-parses it and requires the dump's accounting to equal the
+//! run's. See OBSERVABILITY.md.
 
-use ps_bench::trace::{config_from_env_or_all, stage_lane_accounting, traced, write_chrome};
+use ps_bench::trace::{
+    config_from_env_or_all, parsed_stage_spans, stage_lane_accounting, stage_spans, traced,
+    write_chrome,
+};
 use ps_bench::workloads;
 use ps_core::apps::{Backend, ForwardPattern, IpsecApp, LbApp, MinimalApp, NatApp};
 use ps_core::{Mode, Router, RouterConfig, RouterReport};
@@ -201,15 +205,18 @@ fn main() {
         );
     }
 
-    // Per-lane busy/idle: on every stage lane the span durations plus
-    // idle time sum exactly to the virtual run time.
+    // Per-lane busy/idle: the stage spans on a lane are disjoint, so
+    // busy plus idle time is the virtual run time.
     println!();
     println!(
         "{:>5} {:>12} {:>12} {:>8}   (stage lanes; busy+idle = {} ns)",
         "lane", "busy_us", "idle_us", "busy%", duration
     );
-    for acc in stage_lane_accounting(&events, duration) {
-        assert_eq!(acc.busy + acc.idle, duration);
+    let accounts = stage_lane_accounting(stage_spans(&events), duration).unwrap_or_else(|e| {
+        eprintln!("reproduce: {e}");
+        std::process::exit(1);
+    });
+    for acc in &accounts {
         println!(
             "{:>5} {:>12.1} {:>12.1} {:>7.1}%",
             acc.lane,
@@ -224,21 +231,18 @@ fn main() {
             eprintln!("reproduce: cannot write {path}: {e}");
             std::process::exit(1);
         });
-        // Validate the dump by re-parsing it and re-running the lane
-        // accounting on the parsed events.
+        // Validate the dump: it re-parses, and its stage spans account
+        // for every lane exactly as the run's own events do.
         let json = std::fs::read_to_string(path).expect("just written");
         let parsed = ps_trace::chrome::parse(&json).unwrap_or_else(|| {
             eprintln!("reproduce: {path} failed to re-parse as trace JSON");
             std::process::exit(1);
         });
         let spans = parsed.iter().filter(|e| e.ph == 'X').count();
-        for acc in stage_lane_accounting(&events, duration) {
-            assert_eq!(
-                acc.busy + acc.idle,
-                duration,
-                "lane {} stage time does not account for the run",
-                acc.lane
-            );
+        let from_dump = stage_lane_accounting(parsed_stage_spans(&parsed), duration);
+        if from_dump.as_ref() != Ok(&accounts) {
+            eprintln!("reproduce: {path}: stage accounting of the dump differs from the run's");
+            std::process::exit(1);
         }
         println!();
         println!(

@@ -40,8 +40,6 @@ pub struct Row {
     pub handled: u64,
     /// Packets lost to faults.
     pub dropped: u64,
-    /// Whether the ledger reconciled (injected == handled + dropped).
-    pub reconciled: bool,
 }
 
 fn spec(kind: TrafficKind, frame_len: usize) -> TrafficSpec {
@@ -56,7 +54,6 @@ fn row(app: &'static str, rate: f64, gbps: f64, r: &RouterReport) -> Row {
         injected: r.faults.injected(),
         handled: r.faults.handled(),
         dropped: r.faults.dropped(),
-        reconciled: r.faults.reconciles(),
     }
 }
 
@@ -72,7 +69,7 @@ pub fn run(scenario: &str) -> Vec<Row> {
         base.seed()
     ));
     println!(
-        "{:>8} | {:>6} | {:>8} | {:>9} | {:>9} | {:>9} | ledger",
+        "{:>8} | {:>6} | {:>8} | {:>9} | {:>9} | {:>9}",
         "app", "rate", "out Gbps", "injected", "handled", "dropped"
     );
     let window = window_ms() * MILLIS;
@@ -126,14 +123,8 @@ pub fn run(scenario: &str) -> Vec<Row> {
             };
             let r = row(app, rate, gbps, &report);
             println!(
-                "{:>8} | {:>6.3} | {:>8.1} | {:>9} | {:>9} | {:>9} | {}",
-                r.app,
-                r.rate,
-                r.out_gbps,
-                r.injected,
-                r.handled,
-                r.dropped,
-                if r.reconciled { "ok" } else { "MISMATCH" }
+                "{:>8} | {:>6.3} | {:>8.1} | {:>9} | {:>9} | {:>9}",
+                r.app, r.rate, r.out_gbps, r.injected, r.handled, r.dropped,
             );
             if rate == 0.01 {
                 let _ = writeln!(summaries, "\n[{app} @ rate 0.01]");
@@ -146,7 +137,7 @@ pub fn run(scenario: &str) -> Vec<Row> {
     rows
 }
 
-/// Serialize sweep rows to the `ps-bench-degradation/v1` JSON schema
+/// Serialize sweep rows to the `ps-bench-degradation/v2` JSON schema
 /// (bytes pinned by a test).
 pub(crate) fn to_json(scenario: &str, seed: u64, rows: &[Row]) -> String {
     let rows: Vec<report::Fields> = rows
@@ -159,11 +150,10 @@ pub(crate) fn to_json(scenario: &str, seed: u64, rows: &[Row]) -> String {
                 ("injected", Val::Int(r.injected)),
                 ("handled", Val::Int(r.handled)),
                 ("dropped", Val::Int(r.dropped)),
-                ("reconciled", Val::Bool(r.reconciled)),
             ]
         })
         .collect();
-    let mut head = report::run_header("ps-bench-degradation/v1");
+    let mut head = report::run_header("ps-bench-degradation/v2");
     head.splice(
         1..1,
         [("scenario", Val::Str(scenario)), ("seed", Val::Int(seed))],
@@ -198,7 +188,6 @@ mod tests {
                 injected: 10,
                 handled: 4,
                 dropped: 6,
-                reconciled: true,
             },
             Row {
                 app: "ipsec",
@@ -207,21 +196,20 @@ mod tests {
                 injected: 3,
                 handled: 1,
                 dropped: 1,
-                reconciled: false,
             },
         ];
         let want = [
             "{",
-            "  \"schema\": \"ps-bench-degradation/v1\",",
+            "  \"schema\": \"ps-bench-degradation/v2\",",
             "  \"scenario\": \"all\",",
             "  \"seed\": 64023,",
             &format!("  \"window_ms\": {},", window_ms()),
             &format!("  \"shards\": {},", ps_core::router::shards_from_env()),
             "  \"rows\": [",
             "    {\"app\": \"ipv4\", \"rate\": 0.010, \"out_gbps\": 12.500, \
-             \"injected\": 10, \"handled\": 4, \"dropped\": 6, \"reconciled\": true},",
+             \"injected\": 10, \"handled\": 4, \"dropped\": 6},",
             "    {\"app\": \"ipsec\", \"rate\": 0.050, \"out_gbps\": 0.000, \
-             \"injected\": 3, \"handled\": 1, \"dropped\": 1, \"reconciled\": false}",
+             \"injected\": 3, \"handled\": 1, \"dropped\": 1}",
             "  ]",
             "}",
             "",

@@ -27,8 +27,8 @@
 //! is judged on: adaptive batching cuts p99 sojourn well below fixed
 //! at 0.5x load while delivering the same throughput at 1.0x.
 
-use ps_core::{LatencyConfig, Router, RouterConfig};
-use ps_pktgen::{DropLedger, TrafficKind, TrafficSpec};
+use ps_core::{DropLedger, LatencyConfig, Router, RouterConfig};
+use ps_pktgen::{TrafficKind, TrafficSpec};
 use ps_sim::MILLIS;
 
 use crate::report::{self, Val};

@@ -15,8 +15,6 @@ pub enum Val<'a> {
     Int(u64),
     /// A float at three decimals; non-finite values read `0.000`.
     F3(f64),
-    /// `true` / `false`.
-    Bool(bool),
 }
 
 impl fmt::Display for Val<'_> {
@@ -27,7 +25,6 @@ impl fmt::Display for Val<'_> {
             Val::Int(n) => write!(f, "{n}"),
             Val::F3(v) if v.is_finite() => write!(f, "{v:.3}"),
             Val::F3(_) => f.write_str("0.000"),
-            Val::Bool(b) => write!(f, "{b}"),
         }
     }
 }
@@ -132,10 +129,9 @@ mod tests {
             Val::F3(0.5),
             Val::F3(f64::NAN),
             Val::F3(f64::NEG_INFINITY),
-            Val::Bool(false),
         ];
         let text: Vec<String> = cells.iter().map(Val::to_string).collect();
-        assert_eq!(text, ["\"a/b\"", "7", "0.500", "0.000", "0.000", "false"]);
+        assert_eq!(text, ["\"a/b\"", "7", "0.500", "0.000", "0.000"]);
     }
 
     #[test]
@@ -144,7 +140,7 @@ mod tests {
             &[("schema", Val::Str("t/v1")), ("window_ms", Val::Int(2))],
             &[
                 vec![("id", Val::Str("x/64B")), ("value", Val::F3(4.0))],
-                vec![("id", Val::Str("y")), ("ok", Val::Bool(true))],
+                vec![("id", Val::Str("y")), ("n", Val::Int(3))],
             ],
         );
         let (header, rows) = parse(&json).unwrap();
@@ -156,7 +152,7 @@ mod tests {
             rows,
             [
                 vec![pair("id", "x/64B"), pair("value", "4.000")],
-                vec![pair("id", "y"), pair("ok", "true")],
+                vec![pair("id", "y"), pair("n", "3")],
             ]
         );
         assert_eq!(parse(&to_json(&[], &[])).unwrap().1.len(), 0);

@@ -2,6 +2,9 @@
 //! collector, export the timeline, and do the busy/idle accounting
 //! the `reproduce` binary prints.
 
+use std::collections::BTreeMap;
+
+use ps_trace::chrome::ParsedEvent;
 use ps_trace::{Category, Collector, Event, Phase, TraceConfig};
 
 /// Run `f` with a fresh collector installed on this thread; returns
@@ -42,31 +45,54 @@ pub struct LaneAccount {
     pub idle: u64,
 }
 
-/// Per-lane accounting over the `stage` category: stage spans on one
-/// lane are disjoint by construction (each simulated thread works one
-/// interval at a time), so clamped busy + idle always sums exactly to
-/// `window`. This is the "durations sum to the virtual run time"
-/// invariant the reproduce binary checks after re-parsing its own
-/// dump.
-pub fn stage_lane_accounting(events: &[Event], window: u64) -> Vec<LaneAccount> {
-    let mut lanes: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-    for ev in events {
-        if ev.cat != Category::Stage {
-            continue;
-        }
-        let Phase::Complete { dur } = ev.phase else {
-            continue;
-        };
-        let start = ev.ts.min(window);
-        let end = (ev.ts + dur).min(window);
-        *lanes.entry(ev.lane).or_insert(0) += end - start;
+/// The `stage` spans of a run's own events, as `(lane, start, dur)`.
+pub fn stage_spans(events: &[Event]) -> impl Iterator<Item = (u32, u64, u64)> + '_ {
+    events.iter().filter_map(|ev| match ev.phase {
+        Phase::Complete { dur } if ev.cat == Category::Stage => Some((ev.lane, ev.ts, dur)),
+        _ => None,
+    })
+}
+
+/// The `stage` spans of a re-parsed Chrome dump, as `(lane, start,
+/// dur)`: the dump writes the lane as `tid`.
+pub fn parsed_stage_spans(events: &[ParsedEvent]) -> impl Iterator<Item = (u32, u64, u64)> + '_ {
+    let stage = Category::Stage.name();
+    events
+        .iter()
+        .filter(move |e| e.ph == 'X' && e.cat == stage)
+        .map(|e| (e.tid, e.ts_ns, e.dur_ns))
+}
+
+/// Per-lane accounting over `(lane, start, dur)` stage spans, clamped
+/// to `[0, window]`. Each simulated thread works one interval at a
+/// time, so the spans on one lane must be disjoint; spans that
+/// overlap are an error naming the lane. The reproduce binary checks
+/// that its dump, re-parsed, accounts exactly like the run itself.
+pub fn stage_lane_accounting(
+    spans: impl IntoIterator<Item = (u32, u64, u64)>,
+    window: u64,
+) -> Result<Vec<LaneAccount>, String> {
+    let mut lanes: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
+    for (lane, ts, dur) in spans {
+        let span = (ts.min(window), (ts + dur).min(window));
+        lanes.entry(lane).or_default().push(span);
     }
     lanes
         .into_iter()
-        .map(|(lane, busy)| LaneAccount {
-            lane,
-            busy,
-            idle: window - busy,
+        .map(|(lane, mut spans)| {
+            spans.sort_unstable();
+            let (mut busy, mut free_at) = (0, 0);
+            for (start, end) in spans {
+                if start < free_at {
+                    return Err(format!(
+                        "lane {lane}: stage spans overlap at {start} ns (the previous one ends at {free_at} ns)"
+                    ));
+                }
+                busy += end - start;
+                free_at = end;
+            }
+            let idle = window - busy;
+            Ok(LaneAccount { lane, busy, idle })
         })
         .collect()
 }
@@ -99,7 +125,7 @@ mod tests {
         // Non-stage spans are ignored even when overlapping.
         c.complete(Category::Gpu, "kernel", 0, 0, 1_000, vec![]);
         let (events, _) = c.resolved();
-        let acc = stage_lane_accounting(&events, 1_000);
+        let acc = stage_lane_accounting(stage_spans(&events), 1_000).unwrap();
         assert_eq!(
             acc,
             vec![
@@ -115,8 +141,23 @@ mod tests {
                 },
             ]
         );
-        for a in &acc {
-            assert_eq!(a.busy + a.idle, 1_000);
-        }
+        // The dump, re-parsed, accounts the same.
+        let parsed = ps_trace::chrome::parse(&ps_trace::chrome::export(&c)).unwrap();
+        let from_dump = stage_lane_accounting(parsed_stage_spans(&parsed), 1_000);
+        assert_eq!(from_dump, Ok(acc));
+    }
+
+    #[test]
+    fn overlapping_stage_spans_are_an_error_naming_the_lane() {
+        let mut c = Collector::new(TraceConfig::all());
+        c.complete(Category::Stage, "a", 0, 0, 300, vec![]);
+        c.complete(Category::Stage, "b", 2, 0, 600, vec![]);
+        c.complete(Category::Stage, "c", 2, 400, 1_000, vec![]);
+        let (events, _) = c.resolved();
+        let err = stage_lane_accounting(stage_spans(&events), 1_000).unwrap_err();
+        assert!(
+            err.starts_with("lane 2: stage spans overlap at 400 ns"),
+            "{err}"
+        );
     }
 }

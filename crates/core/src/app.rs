@@ -71,9 +71,12 @@ pub trait App {
     /// inputs. Must retain only fast-path packets in `pkts`.
     fn pre_shade(&mut self, pkts: &mut Vec<Packet>) -> PreShadeResult;
 
-    /// The whole application on the CPU (CPU-only mode), *after*
+    /// The whole application on the CPU (CPU-only mode, and the
+    /// master's fallback when a GPU batch is lost), *after*
     /// [`App::pre_shade`] has run. Returns cycles spent. Must set
-    /// `out_port` on every packet (or drop by removing it).
+    /// `out_port` on every packet and mark a drop by clearing it, as
+    /// [`App::shade`] does — mark, never remove — so the router
+    /// retires every drop through one path into its drop ledger.
     fn process_cpu(&mut self, pkts: &mut Vec<Packet>) -> u64;
 
     /// Shading (master): move inputs to the GPU, launch kernels, move

@@ -206,7 +206,7 @@ mod tests {
         app.pre_shade(&mut pkts);
         app.process_cpu(&mut pkts);
         let ports: Vec<_> = pkts.iter().map(|p| p.out_port).collect();
-        assert_eq!(ports, vec![Some(PortId(5)), Some(PortId(2))]);
+        assert_eq!(ports, vec![Some(PortId(5)), Some(PortId(2)), None]);
         assert_eq!(app.switch.misses, 1);
     }
 

@@ -42,4 +42,4 @@ pub use columns::{ColumnSet, ColumnSpec, ColumnStage};
 pub use config::{LatencyConfig, Mode, RouterConfig};
 pub use program::{ColumnApp, ColumnProgram};
 pub use ps_gpu::Staging;
-pub use router::{Router, RouterReport};
+pub use router::{DropLedger, Router, RouterReport};

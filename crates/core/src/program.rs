@@ -211,8 +211,8 @@ impl<P: ColumnProgram> App for ColumnApp<P> {
                 }
             }
         }
-        pkts.retain(|p| p.out_port.is_some());
-        self.program.cpu_cycles(cost, pkts.len())
+        let survivors = pkts.iter().filter(|p| p.out_port.is_some()).count();
+        self.program.cpu_cycles(cost, survivors)
     }
 
     fn shade(

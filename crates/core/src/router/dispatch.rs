@@ -200,8 +200,8 @@ impl<A: App> Router<A> {
                 let after = pkts.iter().filter(|p| p.corrupted).count() as u64;
                 plan.note_corrupt_dropped(corrupt_before - after);
             }
-            self.stats.app_drops += pre.dropped;
-            self.stats.slow_path += pre.slow_path;
+            self.stats.drops.app += pre.dropped;
+            self.stats.drops.slow_path += pre.slow_path;
             let t1 = now + self.cycles_ns(rx_cycles + pre.cycles);
             self.workers[w].busy_until = t1;
             // One span for the fused RX-fetch + pre-shade interval:
@@ -235,15 +235,9 @@ impl<A: App> Router<A> {
                 }
             };
             if use_cpu {
-                let corrupt_before = match &self.plan {
-                    Some(_) => pkts.iter().filter(|p| p.corrupted).count() as u64,
-                    None => 0,
-                };
+                let len = pkts.len();
                 let cycles = self.app.process_cpu(&mut pkts);
-                if let Some(plan) = self.plan.as_mut() {
-                    let after = pkts.iter().filter(|p| p.corrupted).count() as u64;
-                    plan.note_corrupt_dropped(corrupt_before - after);
-                }
+                debug_assert_eq!(pkts.len(), len, "process_cpu removed packets");
                 let t2 = t1 + self.cycles_ns(cycles);
                 self.workers[w].busy_until = t2;
                 let n = pkts.len() as u64;
@@ -296,29 +290,20 @@ impl<A: App> Router<A> {
         (self.workers[w].ring.len() / DEPTH_PER_CAP).clamp(MIN_BATCH.min(cap), cap)
     }
 
-    /// Post-shade + TX a finished chunk on worker `w`. A chunk whose
-    /// packets were all dropped costs no cycles, so the worker is free
-    /// again at once and wakes itself for the current instant.
+    /// Post-shade + TX a finished chunk on worker `w`; the packets the
+    /// application marked as drops (no `out_port`) retire here. A
+    /// chunk whose packets were all dropped costs no cycles, so the
+    /// worker is free again at once and wakes itself for the current
+    /// instant.
     fn finish_chunk(&mut self, sched: &mut Scheduler<Ev>, w: usize, chunk: Chunk) {
         let now = sched.now();
         let mut pkts = chunk.packets;
-        // Application may have cleared out_port for drops.
-        let before = pkts.len();
-        if self.plan.is_some() {
-            let dead = pkts
-                .iter()
-                .filter(|p| p.corrupted && p.out_port.is_none())
-                .count() as u64;
-            if let Some(plan) = self.plan.as_mut() {
-                plan.note_corrupt_dropped(dead);
-            }
+        let (mut n, mut bytes) = (0u64, 0u64);
+        for p in pkts.iter().filter(|p| p.out_port.is_some()) {
+            n += 1;
+            bytes += p.len() as u64;
         }
-        pkts.retain(|p| p.out_port.is_some());
-        self.stats.app_drops += (before - pkts.len()) as u64;
-
-        let n = pkts.len() as u64;
-        let bytes: u64 = pkts.iter().map(|p| p.len() as u64).sum();
-        let cycles = self.app.post_shade_cycles(pkts.len())
+        let cycles = self.app.post_shade_cycles(n as usize)
             + cost::tx_batch_cycles(n, bytes, self.cfg.io.placement);
         let t2 = now + self.cycles_ns(cycles);
         self.workers[w].busy_until = t2;
@@ -329,7 +314,11 @@ impl<A: App> Router<A> {
         let src_node = self.worker_node(w);
         let qpi = self.cfg.testbed.ioh.qpi_hop_ns;
         for p in pkts.drain(..) {
-            let out = p.out_port.expect("retained");
+            let Some(out) = p.out_port else {
+                self.stats.drops.app += 1;
+                self.retire(p);
+                continue;
+            };
             let node = self.node_of_port(out);
             if qpi > 0 && node != src_node {
                 // The frame crosses the QPI to the remote IOH before
@@ -339,14 +328,9 @@ impl<A: App> Router<A> {
                     // Past the run horizon: `run_until` would never
                     // dispatch this arrival, so the packet would sit
                     // in the queue unaccounted. Ledger it at the
-                    // source instead, and settle its corruption too.
+                    // source instead.
                     self.stats.drops.far_future += 1;
-                    if p.corrupted {
-                        if let Some(plan) = self.plan.as_mut() {
-                            plan.note_corrupt_dropped(1);
-                        }
-                    }
-                    self.reclaim_buf(p.data);
+                    self.retire(p);
                     continue;
                 }
                 let pkt = self.cross_box(p);

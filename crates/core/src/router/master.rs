@@ -106,7 +106,7 @@ impl<A: App> Router<A> {
                     fallback = true;
                     // A device context reset loses any state the app
                     // keeps synchronized on this node's GPU (a
-                    // stateful NF's flow table); let it reconcile
+                    // stateful NF's flow table); let it flush that
                     // before the CPU fallback re-runs the batch.
                     self.app.on_gpu_fault(node);
                 }
@@ -118,20 +118,14 @@ impl<A: App> Router<A> {
         let (done, busy_until) = if fallback {
             // The GPU batch is lost: after the driver timeout the
             // master re-runs the kernel functionally on the host at
-            // the calibrated CPU cost. `process_cpu` may *remove*
-            // packets the shader would only have unmarked, so the
-            // scatter walks survivors against each split's original
-            // id range (order is preserved).
-            let ids: Vec<u64> = all.iter().map(|p| p.id).collect();
-            let corrupt_before = all.iter().filter(|p| p.corrupted).count() as u64;
+            // the calibrated CPU cost. Like the shader, `process_cpu`
+            // only marks drops, so the batch keeps its layout.
             let cycles = self.app.process_cpu(&mut all);
+            debug_assert_eq!(all.len() as u64, n, "process_cpu removed packets");
             let done = start + FAULT_DETECT_NS + self.cycles_ns(cycles);
             if let Some(plan) = self.plan.as_mut() {
-                plan.note_cpu_fallback(ids.len() as u64);
-                let after = all.iter().filter(|p| p.corrupted).count() as u64;
-                plan.note_corrupt_dropped(corrupt_before - after);
+                plan.note_cpu_fallback(n);
             }
-            self.stats.app_drops += (ids.len() - all.len()) as u64;
             ps_trace::complete(
                 ps_trace::Category::Stage,
                 "cpu_fallback",
@@ -140,20 +134,6 @@ impl<A: App> Router<A> {
                 done,
                 || vec![("pkts", n)],
             );
-            let mut j = 0usize; // cursor into the original id sequence
-            let mut s = 0usize; // current split
-            let mut bound = splits[0].1;
-            for p in all.drain(..) {
-                while ids[j] != p.id {
-                    j += 1;
-                }
-                while j >= bound {
-                    s += 1;
-                    bound += splits[s].1;
-                }
-                splits[s].0.packets.push(p);
-                j += 1;
-            }
             // The master itself did the fallback work: it blocks
             // until the batch is done regardless of stream mode.
             (done, done)
@@ -181,16 +161,6 @@ impl<A: App> Router<A> {
                 done,
                 || vec![("pkts", n)],
             );
-
-            // Scatter the results back, moving the packets out of the
-            // gathered batch into the vectors they came in — no
-            // per-packet clones of the frame data, no new vectors.
-            let mut rest = all.drain(..);
-            for (chunk, len) in &mut splits {
-                chunk.packets.extend(rest.by_ref().take(*len));
-            }
-            drop(rest);
-
             // With streams the master pipelines the next gather behind
             // this one as soon as this gather's uploads are queued;
             // without streams it blocks until the results are back.
@@ -201,6 +171,14 @@ impl<A: App> Router<A> {
             };
             (done, busy_until)
         };
+        // Scatter the results back, moving the packets out of the
+        // gathered batch into the vectors they came in — no per-packet
+        // clones of the frame data, no new vectors.
+        let mut rest = all.drain(..);
+        for (chunk, len) in &mut splits {
+            chunk.packets.extend(rest.by_ref().take(*len));
+        }
+        drop(rest);
         // Hand each chunk to its worker's output queue.
         for (chunk, _) in splits.drain(..) {
             let worker = chunk.worker;

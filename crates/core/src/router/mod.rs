@@ -36,7 +36,7 @@ mod tests;
 
 pub use dispatch::{rss_hash, Ev};
 pub use parallel::{shard_threads, shards_from_env};
-pub use report::RouterReport;
+pub use report::{DropLedger, RouterReport};
 
 use ps_fault::FaultPlan;
 use ps_io::Packet;
@@ -73,10 +73,10 @@ pub struct Router<A: App> {
     /// Counters only accumulate from this instant (warm-up excluded).
     measure_from: Time,
     stats: RunStats,
-    /// Recycled frame buffers: delivered and tail-dropped packets
-    /// return their `data` allocation here, and the generator
-    /// materializes new frames into them — the steady state allocates
-    /// no per-packet buffers.
+    /// Recycled frame buffers: delivered and retired packets return
+    /// their `data` allocation here, and the generator materializes
+    /// new frames into them — the steady state allocates no
+    /// per-packet buffers.
     free_bufs: Vec<Vec<u8>>,
     /// Recycled boxes of [`Ev::CrossArrive`] packets: the `Box`
     /// allocations themselves are the pooled resource.
@@ -220,6 +220,18 @@ impl<A: App> Router<A> {
         if self.free_bufs.len() < POOL_CAP {
             self.free_bufs.push(buf);
         }
+    }
+
+    /// The one way out for a packet the router will not deliver:
+    /// settle its corruption with the fault plan and recycle its
+    /// buffer. The caller ledgers the cause where the drop happens.
+    fn retire(&mut self, p: Packet) {
+        if p.corrupted {
+            if let Some(plan) = self.plan.as_mut() {
+                plan.note_corrupt_dropped(1);
+            }
+        }
+        self.reclaim_buf(p.data);
     }
 
     /// Box a QPI-crossing packet for its [`Ev::CrossArrive`], reusing a

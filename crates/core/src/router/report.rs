@@ -1,7 +1,7 @@
-//! [`RouterReport`]: the public result of one router run.
+//! [`RouterReport`]: the public result of one router run, and the
+//! [`DropLedger`] every undelivered packet is counted in.
 
 use ps_fault::FaultStats;
-use ps_pktgen::DropLedger;
 use ps_sim::stats::{Histogram, PacketCounter, ETHERNET_OVERHEAD_BYTES};
 use ps_sim::time::Time;
 
@@ -26,19 +26,16 @@ pub struct RouterReport {
     pub sojourn: Histogram,
     /// Sojourn of priority-lane packets only (ns).
     pub prio_sojourn: Histogram,
-    /// Every drop decomposed by cause (generator-side backpressure
-    /// and far-future discards; NIC-side admission, fault and
-    /// ring-tail drops). The NIC side is [`RouterReport::rx_drops`];
-    /// gen-side causes are extra (those packets never hit the wire).
+    /// Every packet that was offered and not delivered, by cause:
+    /// generator-side backpressure and far-future discards; NIC-side
+    /// admission, fault and ring-tail drops; application drops and
+    /// slow-path diversions. The NIC side is
+    /// [`RouterReport::rx_drops`].
     pub drops: DropLedger,
     /// Deepest RX-ring occupancy any worker ring reached — the
     /// queue-growth gauge (a peak at ring capacity means the run was
     /// admission-limited).
     pub peak_ring_depth: usize,
-    /// Packets dropped by the application (no route, TTL, checksum).
-    pub app_drops: u64,
-    /// Packets diverted to the host stack.
-    pub slow_path: u64,
     /// GPU kernels launched (both devices).
     pub gpu_kernels: u64,
     /// Shading launches (master gathers that reached `App::shade` or
@@ -61,6 +58,68 @@ pub struct RouterReport {
     /// [`None`] for apps without a column stage (IPsec, CPU-only runs
     /// still report the gather bytes they *would* have moved as 0).
     pub staging: Option<(u64, u64, u64)>,
+}
+
+/// Where every non-delivered packet went, decomposed by cause into
+/// three disjoint families: the generator side (the frame never
+/// touched the wire), the NIC side (the frame was lost on receive)
+/// and the application side (the app dropped or diverted it). Every
+/// cause is counted where the packet leaves the router, so offered =
+/// delivered + [`DropLedger::total`] + in flight.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct DropLedger {
+    /// Dropped at the source by closed-loop backpressure
+    /// ([`ps_pktgen::LoadMode::ClosedLoop`]); the frame was never built.
+    pub backpressure: u64,
+    /// Dropped at the source because the packet could only complete
+    /// past the run horizon (the far-future flood guard; only
+    /// QPI-crossing traffic can land here).
+    pub far_future: u64,
+    /// Dropped in the NIC FIFO: descriptor starvation (the inbound
+    /// DMA backlog exceeded the posted-descriptor horizon).
+    pub nic_admission: u64,
+    /// Dropped at the MAC by an injected NIC fault (link-flap window
+    /// or starvation burst); equals the fault plan's `flap_drops +
+    /// nic_starved`, which it keeps on its own.
+    pub nic_fault: u64,
+    /// Tail-dropped from a full RX descriptor ring.
+    pub ring_tail: u64,
+    /// Dropped by the application: rejected by the pre-shader
+    /// (malformed, TTL expired, bad checksum) or marked by the shader
+    /// or its CPU path (no route, unparseable key).
+    pub app: u64,
+    /// Diverted by the pre-shader to the host stack (local
+    /// destination, IP options, non-IP).
+    pub slow_path: u64,
+}
+
+impl DropLedger {
+    /// Drops charged to the generator side of the seam.
+    pub fn gen_side(&self) -> u64 {
+        self.backpressure + self.far_future
+    }
+
+    /// Drops charged to the NIC side of the seam.
+    pub fn nic_side(&self) -> u64 {
+        self.nic_admission + self.nic_fault + self.ring_tail
+    }
+
+    /// All drops, every cause.
+    pub fn total(&self) -> u64 {
+        self.gen_side() + self.nic_side() + self.app + self.slow_path
+    }
+
+    /// Fold another ledger into this one (commutative sums, so the
+    /// sharded data plane can merge per-shard ledgers exactly).
+    pub fn merge(&mut self, other: &DropLedger) {
+        self.backpressure += other.backpressure;
+        self.far_future += other.far_future;
+        self.nic_admission += other.nic_admission;
+        self.nic_fault += other.nic_fault;
+        self.ring_tail += other.ring_tail;
+        self.app += other.app;
+        self.slow_path += other.slow_path;
+    }
 }
 
 impl RouterReport {

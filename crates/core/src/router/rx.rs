@@ -201,13 +201,9 @@ impl<A: App> Router<A> {
             &mut ws.ring
         };
         if let Err(p) = ring.push(pkt) {
-            if p.corrupted {
-                if let Some(plan) = self.plan.as_mut() {
-                    plan.note_corrupt_dropped(1);
-                }
-            }
-            self.reclaim_buf(p.data);
-            return; // tail drop, counted by the ring
+            self.stats.drops.ring_tail += 1;
+            self.retire(p);
+            return;
         }
         let name = if prio {
             "prio_ring_depth"

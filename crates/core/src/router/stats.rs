@@ -7,13 +7,12 @@
 //! single router's report is the merge of that one router.
 
 use ps_fault::FaultStats;
-use ps_pktgen::DropLedger;
 use ps_sim::stats::{Histogram, PacketCounter};
 use ps_sim::time::Time;
 
 use crate::app::App;
 
-use super::report::RouterReport;
+use super::report::{DropLedger, RouterReport};
 use super::Router;
 
 /// The counters the data plane accumulates during a run. Every field
@@ -23,10 +22,6 @@ use super::Router;
 pub(crate) struct RunStats {
     /// Packets offered by the generator inside the measurement window.
     pub offered: PacketCounter,
-    /// Packets dropped by the application.
-    pub app_drops: u64,
-    /// Packets diverted to the host slow path.
-    pub slow_path: u64,
     /// Shading launches and the packets they carried.
     pub shade_batches: u64,
     /// Packets across all shading launches.
@@ -35,8 +30,7 @@ pub(crate) struct RunStats {
     pub rx_batches: u64,
     /// Packets across all RX fetches.
     pub rx_packets: u64,
-    /// Decomposed drop causes. `ring_tail` stays zero here (rings
-    /// count their own tail drops); the report fills it in.
+    /// Every undelivered packet, by cause, counted where it left.
     pub drops: DropLedger,
     /// Per-packet RX→TX sojourn (RX DMA completion to last TX bit).
     pub sojourn: Histogram,
@@ -85,8 +79,6 @@ pub(crate) fn merged_report<A: App>(shards: &[Router<A>], window: Time) -> Route
     let mut prio_sojourn = Histogram::new();
     let mut drops = DropLedger::default();
     let mut peak_ring_depth = 0usize;
-    let mut app_drops = 0u64;
-    let mut slow_path = 0u64;
     let mut gpu_kernels = 0u64;
     let mut shade = (0u64, 0u64); // (packets, batches)
     let mut rx = (0u64, 0u64);
@@ -101,14 +93,12 @@ pub(crate) fn merged_report<A: App>(shards: &[Router<A>], window: Time) -> Route
         prio_latency.merge(&s.sink.prio_latency);
         sojourn.merge(&s.stats.sojourn);
         prio_sojourn.merge(&s.stats.prio_sojourn);
-        let rings = || s.workers.iter().flat_map(|w| [&w.ring, &w.prio_ring]);
-        drops.merge(&DropLedger {
-            ring_tail: rings().map(|r| r.drops).sum(),
-            ..s.stats.drops
-        });
-        peak_ring_depth = rings().map(|r| r.peak).fold(peak_ring_depth, usize::max);
-        app_drops += s.stats.app_drops;
-        slow_path += s.stats.slow_path;
+        drops.merge(&s.stats.drops);
+        peak_ring_depth = s
+            .workers
+            .iter()
+            .flat_map(|w| [w.ring.peak, w.prio_ring.peak])
+            .fold(peak_ring_depth, usize::max);
         gpu_kernels += s
             .nodes
             .iter()
@@ -141,8 +131,6 @@ pub(crate) fn merged_report<A: App>(shards: &[Router<A>], window: Time) -> Route
         prio_sojourn,
         drops,
         peak_ring_depth,
-        app_drops,
-        slow_path,
         gpu_kernels,
         shade_batches: shade.1,
         shade_packets: shade.0,

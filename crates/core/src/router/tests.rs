@@ -197,9 +197,11 @@ fn conservation<A: App>(sim: &Simulation<Router<A>>) -> (u64, u64, String) {
             Due::Tx(_) => tx_done += 1,
         }
     }
-    let rings = r.workers.iter().flat_map(|w| [&w.ring, &w.prio_ring]);
-    let queued: u64 = rings.clone().map(|ring| ring.len() as u64).sum();
-    let tail: u64 = rings.map(|ring| ring.drops).sum();
+    let queued: u64 = r
+        .workers
+        .iter()
+        .map(|w| (w.ring.len() + w.prio_ring.len()) as u64)
+        .sum();
     let at_workers: u64 = r
         .workers
         .iter()
@@ -212,27 +214,15 @@ fn conservation<A: App>(sim: &Simulation<Router<A>>) -> (u64, u64, String) {
         .flat_map(|n| &n.master.input)
         .map(|c| c.len() as u64)
         .sum();
-    let ledger = ps_pktgen::DropLedger {
-        ring_tail: tail,
-        ..r.stats.drops
-    };
+    let drops = r.stats.drops;
     let delivered = r.sink.delivered.packets;
     let parts = format!(
-        "delivered {delivered}, ledger {ledger:?}, app drops {}, slow path {}, \
-         RX completions {rx_done}, rings {queued}, at workers {at_workers}, \
-         at masters {at_masters}, crossing {crossing}, TX completions {tx_done}",
-        r.stats.app_drops, r.stats.slow_path
+        "delivered {delivered}, drops {drops:?}, RX completions {rx_done}, rings {queued}, \
+         at workers {at_workers}, at masters {at_masters}, crossing {crossing}, \
+         TX completions {tx_done}"
     );
-    let accounted = delivered
-        + ledger.total()
-        + r.stats.app_drops
-        + r.stats.slow_path
-        + rx_done
-        + queued
-        + at_workers
-        + at_masters
-        + crossing
-        + tx_done;
+    let accounted =
+        delivered + drops.total() + rx_done + queued + at_workers + at_masters + crossing + tx_done;
     (r.stats.offered.packets, accounted, parts)
 }
 
@@ -351,6 +341,43 @@ fn conservation_holds_at_every_slice_cut() {
         |seed| fixed(64, 30.0, seed),
         300 * MICROS,
     );
+    // App drops: IPv4 over a table with no default route drops most
+    // of its traffic, marked by `process_cpu` in CPU-only mode, by the
+    // shader in CPU+GPU mode, and by the master's CPU fallback when
+    // the `gpu` fault scenario aborts a batch.
+    let no_default = ps_lookup::synth::routeviews_like(2000, 8, 1);
+    let faulted = RouterConfig {
+        faults: ps_fault::FaultSpec::scenario("gpu")
+            .expect("known scenario")
+            .with_seed(3)
+            .with_rate(0.05),
+        ..RouterConfig::paper_gpu()
+    };
+    for (name, cfg) in [
+        ("ipv4-no-default-cpu", RouterConfig::paper_cpu()),
+        ("ipv4-no-default-gpu", RouterConfig::paper_gpu()),
+        ("ipv4-no-default-gpu-faults", faulted),
+    ] {
+        check_conservation(
+            name,
+            cfg,
+            || Ipv4App::new(&no_default),
+            |seed| fixed(64, 20.0, seed),
+            300 * MICROS,
+        );
+    }
+    // The faulted case exercises what it claims: batches fell back to
+    // the CPU, and the app dropped packets.
+    let mut sim = started(
+        faulted,
+        Ipv4App::new(&no_default),
+        fixed(64, 20.0, 3),
+        300 * MICROS,
+    );
+    sim.run_until(300 * MICROS);
+    let faults = &sim.model.plan.as_ref().expect("plan armed").stats;
+    assert!(faults.cpu_fallbacks > 0, "{}", faults.summary_table());
+    assert!(sim.model.stats.drops.app > 0);
     // Every packet crosses a priced QPI hop: crossings wait in
     // `CrossArrive` events, and those due past the window end go to
     // the far-future ledger entry. Under load and overloaded past the
@@ -386,10 +413,34 @@ fn conservation_holds_at_every_slice_cut() {
     conserves_at_cuts(|| overloaded(end), &[end / 2, end]).unwrap();
 }
 
+#[test]
+fn drop_ledger_sides_are_disjoint_and_sum() {
+    let mut a = DropLedger {
+        backpressure: 5,
+        far_future: 2,
+        nic_admission: 11,
+        nic_fault: 3,
+        ring_tail: 1,
+        app: 4,
+        slow_path: 6,
+    };
+    assert_eq!(a.gen_side(), 7);
+    assert_eq!(a.nic_side(), 15);
+    assert_eq!(a.total(), 32);
+    let b = DropLedger {
+        backpressure: 1,
+        slow_path: 2,
+        ..DropLedger::default()
+    };
+    a.merge(&b);
+    assert_eq!((a.backpressure, a.slow_path), (6, 8));
+    assert_eq!(a.total(), 35);
+}
+
 /// A run drained to completion leaves no corrupted packet in flight:
 /// every frame the plan corrupted settles as a counted drop or a
-/// delivery. `FaultStats::reconciles` holds by construction, so this
-/// is the check that sees a settling site the router misses. Same-node
+/// delivery. This is the check that sees a settling site the router
+/// misses. Same-node
 /// forwarding, and node-crossing forwarding over a priced QPI hop,
 /// whose crossings due past the horizon are ledgered at the source;
 /// under load and overloaded past the ~40 Gbps ceiling (ring tail

@@ -9,8 +9,6 @@ use std::collections::VecDeque;
 pub struct Ring<T> {
     items: VecDeque<T>,
     capacity: usize,
-    /// Packets dropped because the ring was full (tail drops).
-    pub drops: u64,
     /// Deepest occupancy ever reached — the queue-growth gauge the
     /// overload experiments report (a full ring at peak means the
     /// run was admission-limited, not service-limited).
@@ -24,7 +22,6 @@ impl<T> Ring<T> {
         Ring {
             items: VecDeque::with_capacity(capacity),
             capacity,
-            drops: 0,
             peak: 0,
         }
     }
@@ -55,10 +52,9 @@ impl<T> Ring<T> {
     }
 
     /// Enqueue; on a full ring the item is dropped (tail drop) and
-    /// `Err` returns it to the caller.
+    /// `Err` returns it to the caller, which accounts for it.
     pub fn push(&mut self, item: T) -> Result<(), T> {
         if self.is_full() {
-            self.drops += 1;
             return Err(item);
         }
         self.items.push_back(item);
@@ -113,7 +109,6 @@ mod tests {
         r.push('a').unwrap();
         r.push('b').unwrap();
         assert_eq!(r.push('c'), Err('c'));
-        assert_eq!(r.drops, 1);
         assert_eq!(r.len(), 2);
         assert!(r.is_full());
     }
@@ -186,6 +181,5 @@ mod tests {
             r.push(i).unwrap();
             assert_eq!(r.pop(), Some(i));
         }
-        assert_eq!(r.drops, 0);
     }
 }

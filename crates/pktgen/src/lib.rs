@@ -75,64 +75,12 @@ pub enum LoadMode {
     /// NIC rings report occupancy upward: when a packet's target RX
     /// ring sits at or above the watermark, the source consumes the
     /// paced slot but drops the frame at the generator (ledgered as
-    /// `backpressure` in [`DropLedger`]) — it never touches the wire,
-    /// so queues stay bounded near the watermark.
+    /// `backpressure` in the router's drop ledger) — it never touches
+    /// the wire, so queues stay bounded near the watermark.
     ClosedLoop {
         /// Ring-occupancy high watermark, in descriptors.
         high_watermark: u32,
     },
-}
-
-/// Where every non-delivered packet went, decomposed by cause. The
-/// seam this fixes: generator-side drops (source throttling, arrivals
-/// past the run horizon) and NIC-side drops (descriptor starvation,
-/// injected faults, RX-ring tail drops) used to share counters, which
-/// made `injected == handled + dropped`-style invariants impossible
-/// to check per cause. Counters are disjoint; sums are exact.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DropLedger {
-    /// Dropped at the source by closed-loop backpressure
-    /// ([`LoadMode::ClosedLoop`]); the frame was never built.
-    pub backpressure: u64,
-    /// Dropped at the source because the packet could only complete
-    /// past the run horizon (the far-future flood guard; only
-    /// QPI-crossing traffic can land here).
-    pub far_future: u64,
-    /// Dropped in the NIC FIFO: descriptor starvation (the inbound
-    /// DMA backlog exceeded the posted-descriptor horizon).
-    pub nic_admission: u64,
-    /// Dropped at the MAC by an injected NIC fault (link-flap window
-    /// or starvation burst) — reconciles against the fault ledger.
-    pub nic_fault: u64,
-    /// Tail-dropped from a full RX descriptor ring.
-    pub ring_tail: u64,
-}
-
-impl DropLedger {
-    /// Drops charged to the generator side of the seam.
-    pub fn gen_side(&self) -> u64 {
-        self.backpressure + self.far_future
-    }
-
-    /// Drops charged to the NIC side of the seam.
-    pub fn nic_side(&self) -> u64 {
-        self.nic_admission + self.nic_fault + self.ring_tail
-    }
-
-    /// All drops, every cause.
-    pub fn total(&self) -> u64 {
-        self.gen_side() + self.nic_side()
-    }
-
-    /// Fold another ledger into this one (commutative sums, so the
-    /// sharded data plane can merge per-shard ledgers exactly).
-    pub fn merge(&mut self, other: &DropLedger) {
-        self.backpressure += other.backpressure;
-        self.far_future += other.far_future;
-        self.nic_admission += other.nic_admission;
-        self.nic_fault += other.nic_fault;
-        self.ring_tail += other.ring_tail;
-    }
 }
 
 /// The Simple IMIX frame lengths (bytes, no FCS).
@@ -1006,27 +954,6 @@ mod tests {
             assert_eq!(a, b);
             assert!(a < 1 << 20);
         }
-    }
-
-    #[test]
-    fn drop_ledger_sides_are_disjoint_and_sum() {
-        let mut a = DropLedger {
-            backpressure: 5,
-            far_future: 2,
-            nic_admission: 11,
-            nic_fault: 3,
-            ring_tail: 1,
-        };
-        assert_eq!(a.gen_side(), 7);
-        assert_eq!(a.nic_side(), 15);
-        assert_eq!(a.total(), 22);
-        let b = DropLedger {
-            backpressure: 1,
-            ..DropLedger::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.backpressure, 6);
-        assert_eq!(a.total(), 23);
     }
 
     #[test]

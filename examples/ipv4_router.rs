@@ -41,8 +41,8 @@ fn main() {
             report.out_gbps(),
             report.in_gbps(),
             report.rx_drops(),
-            report.app_drops,
-            report.slow_path,
+            report.drops.app,
+            report.drops.slow_path,
             report.latency.p50() / 1000,
             report.p99_us(),
         );

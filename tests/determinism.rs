@@ -23,7 +23,7 @@ fn run_fingerprint<A: App + Send>(cfg: RouterConfig, app: A, spec: TrafficSpec) 
         report.offered.packets,
         report.delivered.packets,
         report.rx_drops(),
-        report.slow_path,
+        report.drops.slow_path,
         report.latency.p50(),
         report.latency.max(),
     )

@@ -49,7 +49,7 @@ fn minimal_forwarding_is_lossless_at_light_load() {
         report.delivery_ratio()
     );
     assert_eq!(report.rx_drops(), 0);
-    assert_eq!(report.app_drops, 0);
+    assert_eq!(report.drops.app, 0);
 }
 
 #[test]
@@ -124,7 +124,7 @@ fn overload_sheds_at_the_nic_not_the_app() {
         MILLIS,
     );
     assert!(report.rx_drops() > 0);
-    assert_eq!(report.app_drops, 0);
+    assert_eq!(report.drops.app, 0);
     // Still forwards at the fabric ceiling.
     assert!(report.out_gbps() > 35.0, "{}", report.out_gbps());
 }

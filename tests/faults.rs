@@ -311,7 +311,7 @@ fn report_fp(r: &RouterReport) -> Fp {
         r.offered.packets,
         r.delivered.packets,
         r.rx_drops(),
-        r.slow_path,
+        r.drops.slow_path,
         r.latency.p50(),
         r.latency.max(),
     )
@@ -538,16 +538,25 @@ fn assert_degrades(name: &str, r: &RouterReport) {
         "{name}: zero throughput under 1% faults"
     );
     assert!(r.faults.injected() > 0, "{name}: armed plan never fired");
-    assert!(
-        r.faults.reconciles(),
-        "{name}: ledger does not reconcile\n{}",
-        r.faults.summary_table()
+    let f = &r.faults;
+    assert_eq!(
+        r.drops.nic_fault,
+        f.flap_drops + f.nic_starved,
+        "{name}: router and fault plan disagree on NIC-fault drops\n{}",
+        f.summary_table()
+    );
+    assert_eq!(
+        f.cpu_fallbacks,
+        f.gpu_aborts + f.pcie_escalated,
+        "{name}: a lost GPU batch did not fall back\n{}",
+        f.summary_table()
     );
 }
 
 /// The acceptance run: every application, both modes, the `all`
 /// scenario at its headline 1% rate — nonzero throughput, zero
-/// panics, and `injected == handled + dropped` holds exactly.
+/// panics, the router's NIC-fault drops equal the fault plan's, and
+/// every lost GPU batch fell back to the CPU.
 #[test]
 fn every_app_degrades_gracefully_under_all_faults() {
     let base = FaultSpec::scenario("all").expect("known scenario");

@@ -141,10 +141,17 @@ fn column_parity<P: ColumnProgram>(
     let mut via_cpu = batch.clone();
     cpu.process_cpu(&mut via_cpu);
     assert_eq!(cpu.malformed, 1, "{name}: CPU path counts the damage once");
-    assert!(
-        via_cpu.iter().all(|p| p.id != damaged),
-        "{name}: damaged frame removed as a drop"
+    let dropped: Vec<u64> = via_cpu
+        .iter()
+        .filter(|p| p.out_port.is_none())
+        .map(|p| p.id)
+        .collect();
+    assert_eq!(
+        via_cpu.len(),
+        4,
+        "{name}: the CPU path marks, never removes"
     );
+    assert_eq!(dropped, [damaged], "{name}: damaged frame marked as a drop");
     for (mode, app, eng, ioh) in &mut gpus {
         let mut via_gpu = batch.clone();
         app.shade(0, eng, ioh, 0, &mut via_gpu);

@@ -164,23 +164,20 @@ fn chrome_json_round_trips_through_parser() {
     }
 }
 
-/// Acceptance shape from the issue: per-lane Stage spans tile the run
-/// exactly — on every lane, busy + idle equals the virtual run time,
-/// so the per-stage durations sum (with idle) to the window.
+/// Per-lane Stage spans tile the run: on every lane they are
+/// disjoint (one simulated thread works one interval at a time), so
+/// busy + idle is the virtual run time, and the Chrome dump, re-parsed,
+/// accounts every lane exactly as the run's own events do.
 #[test]
 fn stage_spans_tile_the_virtual_window() {
+    use ps_bench::trace::{parsed_stage_spans, stage_lane_accounting, stage_spans};
     let (collector, window) = traced_ipv4_run(20.0, 3);
     let (events, _) = collector.resolved();
-    let accounts = ps_bench::trace::stage_lane_accounting(&events, window);
+    let accounts = stage_lane_accounting(stage_spans(&events), window).unwrap();
     assert!(!accounts.is_empty());
-    for acc in &accounts {
-        assert_eq!(
-            acc.busy + acc.idle,
-            window,
-            "lane {} does not tile the window",
-            acc.lane
-        );
-    }
+    let parsed = chrome::parse(&chrome::export(&collector)).unwrap();
+    let from_dump = stage_lane_accounting(parsed_stage_spans(&parsed), window);
+    assert_eq!(from_dump.as_ref(), Ok(&accounts));
     // At 20 Gbps the workers are genuinely loaded: some lane spends
     // a nontrivial share of the window busy.
     assert!(accounts.iter().any(|a| a.busy > window / 10));
