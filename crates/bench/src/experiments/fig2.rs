@@ -44,8 +44,7 @@ pub(crate) fn gpu_rate(table: &V6Table, addrs: &[u128], batch: usize) -> f64 {
     let image_len = table.image().len();
     let staging = batch * 16 + batch * 2;
     let mut dev = GpuDevice::gtx480_with_mem(image_len + staging + (4 << 20));
-    let tbuf = dev.mem.alloc(image_len);
-    dev.mem.write(&tbuf, 0, table.image());
+    let tbuf = dev.mem.map(table.shared_image(), 0);
     let input = dev.mem.alloc(batch * 16);
     let output = dev.mem.alloc(batch * 2);
     let mut eng = GpuEngine::new(dev, PcieModel::new(Testbed::paper().pcie));

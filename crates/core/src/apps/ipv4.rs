@@ -20,7 +20,7 @@ pub type Ipv4App = ColumnApp<Ipv4Program>;
 /// The IPv4 packet program: a 4-byte destination-address column in,
 /// a next-hop column out, over a DIR-24-8 table.
 pub struct Ipv4Program {
-    table: Dir24Table,
+    pub(crate) table: Dir24Table,
 }
 
 impl Ipv4App {
@@ -63,9 +63,7 @@ impl ColumnProgram for Ipv4Program {
     }
 
     fn upload_tables(&self, eng: &mut GpuEngine) -> DeviceBuffer {
-        let image = eng.dev.mem.alloc(self.table.image().len());
-        eng.dev.mem.write(&image, 0, self.table.image());
-        image
+        eng.dev.mem.map(self.table.shared_image(), 0)
     }
 
     fn kernel<'a>(&'a self, image: &'a DeviceBuffer, io: KernelIo) -> impl Kernel + 'a {

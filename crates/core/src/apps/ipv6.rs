@@ -65,9 +65,7 @@ impl ColumnProgram for Ipv6Program {
     }
 
     fn upload_tables(&self, eng: &mut GpuEngine) -> DeviceBuffer {
-        let table = eng.dev.mem.alloc(self.table.image().len().max(64));
-        eng.dev.mem.write(&table, 0, self.table.image());
-        table
+        eng.dev.mem.map(self.table.shared_image(), 64)
     }
 
     fn kernel<'a>(&'a self, table: &'a DeviceBuffer, io: KernelIo) -> impl Kernel + 'a {

@@ -2,6 +2,8 @@
 //! exact matching on the CPU; hash computation and wildcard matching
 //! offloaded to the GPU.
 
+use std::sync::Arc;
+
 use ps_gpu::{DeviceBuffer, GpuEngine, Kernel};
 use ps_io::Packet;
 use ps_net::verdict::{DropReason, Verdict};
@@ -40,12 +42,13 @@ pub struct OpenFlowProgram {
     pub switch: OpenFlowSwitch,
 }
 
-/// One node's device copy of the wildcard table.
+/// One node's wildcard table: the image, mapped into its device.
 pub struct DeviceWildcards {
     image: DeviceBuffer,
     entries: usize,
-    /// Host copy of the image when it fits in shared memory.
-    shared: Option<Vec<u8>>,
+    /// The mapped image's bytes; a kernel stages them in shared memory
+    /// when they fit.
+    host: Arc<Vec<u8>>,
 }
 
 /// One result row: the flow-key hash, and the wildcard match if the
@@ -98,13 +101,11 @@ impl ColumnProgram for OpenFlowProgram {
     }
 
     fn upload_tables(&self, eng: &mut GpuEngine) -> DeviceWildcards {
-        let host = self.switch.wildcard.to_image();
-        let image = eng.dev.mem.alloc(host.len().max(ENTRY_SIZE));
-        eng.dev.mem.write(&image, 0, &host);
+        let host = Arc::new(self.switch.wildcard.to_image());
         DeviceWildcards {
-            image,
+            image: eng.dev.mem.map(Arc::clone(&host), ENTRY_SIZE),
             entries: self.switch.wildcard.len(),
-            shared: (host.len() <= OF_SHARED_LIMIT).then_some(host),
+            host,
         }
     }
 
@@ -112,7 +113,7 @@ impl ColumnProgram for OpenFlowProgram {
         OpenFlowKernel {
             wildcard: t.image,
             n_wildcard: t.entries,
-            shared_image: t.shared.as_deref(),
+            shared_image: (t.host.len() <= OF_SHARED_LIMIT).then_some(&t.host[..]),
             io,
         }
     }

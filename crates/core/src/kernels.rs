@@ -679,8 +679,7 @@ mod tests {
         ];
         let table = Dir24Table::build(&routes);
         let mut dev = GpuDevice::gtx480_with_mem(64 << 20);
-        let tbuf = dev.mem.alloc(table.image().len());
-        dev.mem.write(&tbuf, 0, table.image());
+        let tbuf = dev.mem.map(table.shared_image(), 0);
         let input = dev.mem.alloc(4 * 4);
         let output = dev.mem.alloc(4 * 2);
         let addrs: [u32; 4] = [0x0A0B0101, 0x0A111111, 0x01020304, 0xFFFFFFFF];
@@ -756,11 +755,9 @@ mod tests {
     /// after checking every row against the host lookup.
     fn run_ipv4(table: &Dir24Table, addrs: &[u32], slots: Slots) -> (LaunchStats, Vec<u8>) {
         let n = addrs.len();
-        let image = table.image();
         let in_len = slots.at(n as u32);
-        let mut mem = DeviceMemory::new(image.len() + in_len + 2 * n + 3 * 256);
-        let tbuf = mem.alloc(image.len());
-        mem.write(&tbuf, 0, image);
+        let mut mem = DeviceMemory::new(table.image().len() + in_len + 2 * n + 3 * 256);
+        let tbuf = mem.map(table.shared_image(), 0);
         let input = mem.alloc(in_len);
         let output = mem.alloc(2 * n);
         for (tid, a) in (0u32..).zip(addrs) {
@@ -873,12 +870,10 @@ mod tests {
             let mode = [Staging::Frames, Staging::Soa, Staging::DirectDma][g.int_in(0..3usize)];
 
             let table = Dir24Table::build(&routes);
-            let image = table.image();
             // Room for the frame-mode input (16 MiB) and the output.
-            let dev = GpuDevice::gtx480_with_mem(image.len() + (17 << 20));
+            let dev = GpuDevice::gtx480_with_mem(table.image().len() + (17 << 20));
             let mut eng = GpuEngine::new(dev, PcieModel::new(PcieSpec::dual_ioh_x16()));
-            let tbuf = eng.dev.mem.alloc(image.len());
-            eng.dev.mem.write(&tbuf, 0, image);
+            let tbuf = eng.dev.mem.map(table.shared_image(), 0);
             let mut stage = ColumnStage::new(IPV4_COLUMNS);
             stage.set_mode(mode);
             let io = stage.alloc(&mut eng, addrs.len());

@@ -99,8 +99,8 @@ pub trait ColumnProgram: Sized {
     }
 }
 
-struct NodeGpu<T> {
-    tables: T,
+pub(crate) struct NodeGpu<T> {
+    pub(crate) tables: T,
     io: KernelIo,
 }
 
@@ -112,7 +112,8 @@ struct NodeGpu<T> {
 pub struct ColumnApp<P: ColumnProgram> {
     program: P,
     stage: ColumnStage,
-    gpu: Vec<Option<NodeGpu<P::Tables>>>,
+    /// Per node: its device tables and columns, once `setup_gpu` ran.
+    pub(crate) gpu: Vec<Option<NodeGpu<P::Tables>>>,
     /// Keys of the batch being shaded (reused across launches).
     keys: Vec<Option<P::Key>>,
     /// Result rows applied — one table lookup each — on either path.

@@ -528,6 +528,30 @@ fn zero_ports_rejected() {
     Router::new(cfg, app, spec(10.0, 0), MILLIS);
 }
 
+/// A CPU+GPU IPv4 router holds one DIR-24-8 image: both nodes' GPUs
+/// map the table the host lookup reads instead of copying it.
+#[test]
+fn both_gpus_map_the_hosts_ipv4_image() {
+    let routes = [
+        ps_lookup::route::Route4::new(0, 1, 0),
+        ps_lookup::route::Route4::new(0x8000_0000, 1, 4),
+    ];
+    let router = Router::new(
+        RouterConfig::paper_gpu(),
+        crate::apps::Ipv4App::new(&routes),
+        spec(10.0, 8),
+        MILLIS,
+    );
+    let host = router.app.table.image();
+    assert_eq!(router.nodes.len(), 2);
+    for (node, gpu) in router.nodes.iter().enumerate() {
+        let eng = gpu.gpu.as_ref().expect("CPU+GPU mode");
+        let tables = &router.app.gpu[node].as_ref().expect("setup_gpu ran").tables;
+        let device = eng.dev.mem.slice(tables);
+        assert!(std::ptr::eq(device, host), "node {node} copied the table");
+    }
+}
+
 /// Small random layouts either fail at construction with the message
 /// that names the first offending field, or run to the window end and
 /// conserve packets at every slice cut. Nothing panics mid-run. The

@@ -1,5 +1,7 @@
 //! Simulated device (GPU) memory and the device descriptor.
 
+use std::sync::Arc;
+
 use ps_hw::spec::GpuSpec;
 
 /// A handle to an allocation in device memory. Plain offsets — device
@@ -8,6 +10,10 @@ use ps_hw::spec::GpuSpec;
 pub struct DeviceBuffer {
     offset: usize,
     len: usize,
+    /// Index into [`DeviceMemory`]'s mapped images when the buffer is
+    /// a read-only mapping ([`DeviceMemory::map`]); [`None`] when its
+    /// bytes live in the device's own memory.
+    image: Option<u32>,
 }
 
 impl DeviceBuffer {
@@ -35,9 +41,18 @@ impl DeviceBuffer {
 /// reuses fixed I/O staging buffers per chunk slot, so a bump
 /// allocator plus whole-buffer reuse is a faithful (and simple)
 /// model; there is no free-list because the real system never frees.
+///
+/// Table images are immutable once uploaded, so they are mapped
+/// ([`DeviceMemory::map`]) rather than copied: the range is reserved
+/// at the address a copy would get and reads are served from the
+/// shared host image, so every device that maps one table reads one
+/// copy of it. Writes into a mapped range panic.
 #[derive(Debug, Clone)]
 pub struct DeviceMemory {
     data: Vec<u8>,
+    /// The images backing mapped ranges, each exactly its buffer's
+    /// length.
+    images: Vec<Arc<Vec<u8>>>,
     next: usize,
 }
 
@@ -56,6 +71,7 @@ impl DeviceMemory {
         );
         DeviceMemory {
             data: vec![0; capacity],
+            images: Vec::new(),
             next: 0,
         }
     }
@@ -81,38 +97,78 @@ impl DeviceMemory {
             self.data.len()
         );
         self.next = offset + len;
-        DeviceBuffer { offset, len }
+        DeviceBuffer {
+            offset,
+            len,
+            image: None,
+        }
+    }
+
+    /// Map `image` read-only into `image.len().max(min_len)` bytes of
+    /// device memory: the range `alloc` would return for that length,
+    /// backed by `image` itself instead of a copy, so every device
+    /// that maps it shares its bytes. An image shorter than `min_len`
+    /// is zero-padded into a copy of its own.
+    ///
+    /// # Panics
+    /// Panics on device-memory exhaustion, as `alloc` does.
+    pub fn map(&mut self, image: Arc<Vec<u8>>, min_len: usize) -> DeviceBuffer {
+        let mut buf = self.alloc(image.len().max(min_len));
+        let image = if image.len() < buf.len {
+            let mut padded = image.to_vec();
+            padded.resize(buf.len, 0);
+            Arc::new(padded)
+        } else {
+            image
+        };
+        buf.image = Some(u32::try_from(self.images.len()).expect("mapped images fit u32"));
+        self.images.push(image);
+        buf
     }
 
     /// Host-side write into device memory (the payload action of a
     /// host→device DMA copy).
+    ///
+    /// # Panics
+    /// Panics out of bounds, and on a read-only mapped buffer.
     pub fn write(&mut self, buf: &DeviceBuffer, off: usize, src: &[u8]) {
         assert!(off + src.len() <= buf.len, "device write out of bounds");
-        self.data[buf.offset + off..buf.offset + off + src.len()].copy_from_slice(src);
+        self.slice_mut(buf)[off..off + src.len()].copy_from_slice(src);
     }
 
     /// Host-side read out of device memory (device→host DMA).
     pub fn read(&self, buf: &DeviceBuffer, off: usize, dst: &mut [u8]) {
         assert!(off + dst.len() <= buf.len, "device read out of bounds");
-        dst.copy_from_slice(&self.data[buf.offset + off..buf.offset + off + dst.len()]);
+        dst.copy_from_slice(&self.slice(buf)[off..off + dst.len()]);
     }
 
     /// Borrow an allocation's bytes.
+    #[inline]
     pub fn slice(&self, buf: &DeviceBuffer) -> &[u8] {
-        &self.data[buf.offset..buf.offset + buf.len]
+        match buf.image {
+            None => &self.data[buf.offset..buf.offset + buf.len],
+            Some(i) => &self.images[i as usize],
+        }
     }
 
     /// Borrow an allocation's bytes mutably.
+    ///
+    /// # Panics
+    /// Panics on a read-only mapped buffer.
+    #[inline]
     pub(crate) fn slice_mut(&mut self, buf: &DeviceBuffer) -> &mut [u8] {
+        assert!(
+            buf.image.is_none(),
+            "device write into the read-only mapped image at {:#x}",
+            buf.offset
+        );
         &mut self.data[buf.offset..buf.offset + buf.len]
     }
 
+    /// The device's own (unmapped) bytes: mapped images never change,
+    /// so these are everything a launch can write.
     pub(crate) fn raw(&self) -> &[u8] {
         &self.data
-    }
-
-    pub(crate) fn raw_mut(&mut self) -> &mut [u8] {
-        &mut self.data
     }
 }
 
@@ -189,6 +245,60 @@ mod tests {
         let before = m.remaining();
         m.alloc(256);
         assert!(m.remaining() < before);
+    }
+
+    fn image(len: usize) -> Arc<Vec<u8>> {
+        Arc::new((0..len).map(|i| (i * 7 + 3) as u8).collect())
+    }
+
+    /// A mapped image takes the range `alloc` would give a copy of
+    /// it, floor included, and the next `alloc` lands where it would
+    /// after the copy.
+    #[test]
+    fn map_takes_the_range_alloc_would() {
+        for (len, min_len) in [(1000, 0), (300, 64), (10, 64), (0, 46)] {
+            let (mut copied, mut mapped) = (DeviceMemory::new(1 << 14), DeviceMemory::new(1 << 14));
+            copied.alloc(100);
+            mapped.alloc(100);
+            let want = copied.alloc(len.max(min_len));
+            let got = mapped.map(image(len), min_len);
+            assert_eq!((got.addr(0), got.len()), (want.addr(0), want.len()));
+            assert_eq!(got.addr(0) % 256, 0);
+            assert_eq!(mapped.alloc(64).addr(0), copied.alloc(64).addr(0));
+            assert_eq!(mapped.remaining(), copied.remaining());
+        }
+    }
+
+    #[test]
+    fn mapped_reads_return_the_image_itself() {
+        let img = image(1000);
+        let mut m = DeviceMemory::new(4096);
+        let buf = m.map(Arc::clone(&img), 0);
+        assert!(std::ptr::eq(m.slice(&buf), &img[..]), "mapped, not copied");
+        let mut out = [0u8; 4];
+        m.read(&buf, 996, &mut out);
+        assert_eq!(out, img[996..]);
+        // Below the floor, the image reads back zero-padded.
+        let short = m.map(image(10), 64);
+        assert_eq!(&m.slice(&short)[..10], &img[..10]);
+        assert!(m.slice(&short)[10..].iter().all(|&b| b == 0));
+        assert_eq!(m.slice(&short).len(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only")]
+    fn write_into_mapped_image_panics() {
+        let mut m = DeviceMemory::new(4096);
+        let buf = m.map(image(16), 0);
+        m.write(&buf, 0, &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only")]
+    fn slice_mut_of_mapped_image_panics() {
+        let mut m = DeviceMemory::new(4096);
+        let buf = m.map(image(16), 0);
+        m.slice_mut(&buf)[0] = 1;
     }
 
     #[test]

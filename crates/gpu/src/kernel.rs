@@ -108,8 +108,7 @@ impl<'a> ThreadCtx<'a> {
     pub fn read<const N: usize>(&mut self, buf: &DeviceBuffer, off: usize) -> [u8; N] {
         self.record_access(buf.addr(off), N);
         let mut out = [0u8; N];
-        let base = buf.addr(0);
-        out.copy_from_slice(&self.mem.raw()[base + off..base + off + N]);
+        out.copy_from_slice(&self.mem.slice(buf)[off..off + N]);
         out
     }
 
@@ -132,11 +131,13 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Write bytes to global memory at `buf[off..]`.
+    ///
+    /// # Panics
+    /// Panics on a read-only mapped buffer ([`DeviceMemory::map`]).
     #[inline]
     pub fn write(&mut self, buf: &DeviceBuffer, off: usize, data: &[u8]) {
         self.record_access(buf.addr(off), data.len());
-        let base = buf.addr(0);
-        self.mem.raw_mut()[base + off..base + off + data.len()].copy_from_slice(data);
+        self.mem.slice_mut(buf)[off..off + data.len()].copy_from_slice(data);
     }
 
     /// Write a little-endian u32.
@@ -235,6 +236,9 @@ impl WarpCtx<'_> {
     }
 
     /// Mutable device memory at `buf[off..off + len]`, unrecorded.
+    ///
+    /// # Panics
+    /// Panics on a read-only mapped buffer ([`DeviceMemory::map`]).
     #[inline]
     pub fn bytes_mut(&mut self, buf: &DeviceBuffer, off: usize, len: usize) -> &mut [u8] {
         &mut self.mem.slice_mut(buf)[off..off + len]
@@ -924,6 +928,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Copies `src` into `dst` lane by lane through [`ThreadCtx`], or
+    /// a warp at a time through [`WarpCtx::bytes`] and
+    /// [`WarpCtx::bytes_mut`]; `into_src` writes back into `src`.
+    struct Copy4 {
+        src: DeviceBuffer,
+        dst: DeviceBuffer,
+        by_warp: bool,
+        into_src: bool,
+    }
+
+    impl Kernel for Copy4 {
+        fn name(&self) -> &str {
+            "copy4"
+        }
+        fn thread(&self, tid: u32, ctx: &mut ThreadCtx<'_>) {
+            let off = tid as usize * 4;
+            let v = ctx.read::<4>(&self.src, off);
+            let to = if self.into_src { &self.src } else { &self.dst };
+            ctx.write(to, off, &v);
+        }
+        fn warp(&self, first_tid: u32, lanes: u32, ctx: &mut WarpCtx<'_>) {
+            if !self.by_warp {
+                for tid in first_tid..first_tid + lanes {
+                    ctx.lane(|t| self.thread(tid, t));
+                }
+                return;
+            }
+            let (off, len) = (first_tid as usize * 4, lanes as usize * 4);
+            let v = ctx.bytes(&self.src, off, len).to_vec();
+            let to = if self.into_src { &self.src } else { &self.dst };
+            ctx.bytes_mut(to, off, len).copy_from_slice(&v);
+        }
+    }
+
+    fn mapped_copy(by_warp: bool, into_src: bool) -> (DeviceMemory, DeviceBuffer, Vec<u8>) {
+        let image: Vec<u8> = (0..256u32).map(|i| (i * 13 + 5) as u8).collect();
+        let mut mem = DeviceMemory::new(1 << 12);
+        let src = mem.map(std::sync::Arc::new(image.clone()), 0);
+        let dst = mem.alloc(256);
+        let k = Copy4 {
+            src,
+            dst,
+            by_warp,
+            into_src,
+        };
+        execute(&k, &mut mem, 64);
+        (mem, dst, image)
+    }
+
+    /// Kernels read a mapped image through `ThreadCtx::read` and
+    /// `WarpCtx::bytes` like any buffer.
+    #[test]
+    fn kernels_read_mapped_images() {
+        for by_warp in [false, true] {
+            let (mem, dst, image) = mapped_copy(by_warp, false);
+            assert_eq!(mem.slice(&dst), &image[..], "by_warp {by_warp}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only")]
+    fn thread_write_into_mapped_image_panics() {
+        mapped_copy(false, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only")]
+    fn warp_bytes_mut_of_mapped_image_panics() {
+        mapped_copy(true, true);
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! One memory access resolves any route of length ≤ 24 (97 % of the
 //! RouteViews table, §6.2.1); a second access resolves the rest.
 
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
+
 use crate::mem::{SliceMem, TableMem};
 use crate::route::{lpm4, Route4};
 use crate::NO_ROUTE;
@@ -49,12 +53,15 @@ impl Dir24Layout {
 
 /// A built DIR-24-8 table: flat image + layout.
 ///
+/// The image is immutable once built and sits behind an [`Arc`], so
+/// the host lookup and every device that maps it read one copy.
+///
 /// The tests also insert routes one at a time (`insert`), the oracle
-/// `build` is checked against: shadow arrays record the prefix length
-/// that painted each entry, so a new route only overwrites entries
-/// painted by equal-or-shorter prefixes.
+/// `build` is checked against: shadow arrays, kept only in test
+/// builds, record the prefix length that painted each entry, so a new
+/// route only overwrites entries painted by equal-or-shorter prefixes.
 pub struct Dir24Table {
-    image: Vec<u8>,
+    image: Arc<Vec<u8>>,
     layout: Dir24Layout,
     long_blocks: usize,
     /// Painting prefix length per TBL24 entry (33 = spilled).
@@ -65,75 +72,163 @@ pub struct Dir24Table {
     len_long: Vec<u8>,
 }
 
+/// Writes a table's entries in one pass: TBL24 in index order, each
+/// entry once, then the TBLlong blocks.
+struct Painter<'a> {
+    image: Vec<u8>,
+    /// Next TBL24 entry to write.
+    pos: usize,
+    /// The spilled TBL24 indices with their blocks, by index.
+    spills: &'a [(usize, u16)],
+    /// Spills at or past `pos`, in `spills`.
+    next_spill: usize,
+    /// Per block: the hop and painting length its entries inherit.
+    inherit: Vec<(u16, u8)>,
+    /// The TBL24 ranges open at `pos` as `(end, hop, len)`, innermost
+    /// last.
+    open: Vec<(usize, u16, u8)>,
+    #[cfg(test)]
+    len24: Vec<u8>,
+    #[cfg(test)]
+    len_long: Vec<u8>,
+}
+
+impl Painter<'_> {
+    /// Paint TBL24 up to `at`, closing the ranges that end by then.
+    fn sweep_to(&mut self, at: usize) {
+        while let Some(&(end, hop, len)) = self.open.last().filter(|o| o.0 <= at) {
+            self.paint(end, hop, len);
+            self.open.pop();
+        }
+        let (_, hop, len) = self.open.last().copied().unwrap_or((0, NO_ROUTE, 0));
+        self.paint(at, hop, len);
+    }
+
+    /// Image entries `entries` (TBLlong entry `i` is image entry
+    /// 2²⁴ + `i`) hold `hop`.
+    fn fill(&mut self, entries: Range<usize>, hop: u16) {
+        let bytes = hop.to_le_bytes();
+        for e in self.image[2 * entries.start..2 * entries.end].chunks_exact_mut(2) {
+            e.copy_from_slice(&bytes);
+        }
+    }
+
+    /// Paint TBL24 from `pos` up to `end` with a route of length `len`
+    /// (0 and [`NO_ROUTE`] where no route covers it); a spilled entry
+    /// instead points at its block, which inherits the route.
+    fn paint(&mut self, end: usize, hop: u16, len: u8) {
+        while let Some(&(idx, block)) = self.spills.get(self.next_spill).filter(|s| s.0 < end) {
+            self.paint_direct(idx, hop, len);
+            self.fill(idx..idx + 1, LONG_FLAG | block);
+            #[cfg(test)]
+            {
+                self.len24[idx] = 33;
+            }
+            self.inherit[usize::from(block)] = (hop, len);
+            self.pos = idx + 1;
+            self.next_spill += 1;
+        }
+        self.paint_direct(end, hop, len);
+    }
+
+    fn paint_direct(&mut self, end: usize, hop: u16, _len: u8) {
+        self.fill(self.pos..end, hop);
+        #[cfg(test)]
+        self.len24[self.pos..end].fill(_len);
+        self.pos = end;
+    }
+
+    /// Paint TBLlong entries `entries` with a route of length `len`.
+    fn paint_long(&mut self, entries: Range<usize>, hop: u16, _len: u8) {
+        #[cfg(test)]
+        self.len_long[entries.clone()].fill(_len);
+        self.fill(
+            TBL24_ENTRIES + entries.start..TBL24_ENTRIES + entries.end,
+            hop,
+        );
+    }
+}
+
 impl Dir24Table {
-    /// Build from a route list. Routes are painted shortest-first so
-    /// longer prefixes override; duplicate (prefix, len) pairs resolve
-    /// to the later route.
+    /// Build from a route list: each entry gets the longest prefix
+    /// covering it; duplicate (prefix, len) pairs resolve to the later
+    /// route.
     ///
     /// # Panics
     /// Panics if more than 2¹⁵ distinct /24 ranges need spill blocks
     /// (the algorithm's architectural limit).
     pub fn build(routes: &[Route4]) -> Dir24Table {
-        // Hop and painting length are written together, TBL24 then
-        // TBLlong as in the image. There is at most one spill block per
-        // route longer than /24, so the arrays are sized once and never
-        // move while they grow side by side. They are allocated before
-        // the short-lived sort order, so that it is not left between
-        // them and the rest of the heap.
-        let spills = 256 * routes.iter().filter(|r| r.len > 24).count();
-        let mut len24 = vec![0u8; TBL24_ENTRIES];
-        let mut len_long: Vec<u8> = Vec::with_capacity(spills);
-        let mut hops: Vec<u16> = Vec::with_capacity(TBL24_ENTRIES + spills);
-        hops.resize(TBL24_ENTRIES, NO_ROUTE);
-        // Painting shortest-first makes every write the longest prefix
-        // so far, which is exactly what `insert` would decide entry by
-        // entry (`tests::build_equals_inserting_in_length_order`).
-        let mut order: Vec<&Route4> = routes.iter().collect();
-        order.sort_by_key(|r| r.len);
-        for r in &order {
-            if r.len <= 24 {
-                // No spill block exists yet: blocks are only created
-                // for len > 24, which are painted after all shorter
-                // routes.
-                let start = (r.prefix >> 8) as usize;
-                let range = start..start + (1 << (24 - r.len));
-                hops[range.clone()].fill(r.hop);
-                len24[range].fill(r.len);
-            } else {
-                let idx24 = (r.prefix >> 8) as usize;
-                let block = if hops[idx24] & LONG_FLAG != 0 {
-                    (hops[idx24] & !LONG_FLAG) as usize
-                } else {
-                    // Spill: the block inherits the direct entry and
-                    // the length that painted it.
-                    let id = len_long.len() / 256;
-                    assert!(id < (LONG_FLAG as usize), "TBLlong exhausted");
-                    hops.extend(std::iter::repeat_n(hops[idx24], 256));
-                    len_long.extend(std::iter::repeat_n(len24[idx24], 256));
-                    hops[idx24] = LONG_FLAG | id as u16;
-                    len24[idx24] = 33;
-                    id
-                };
-                let lo = block * 256 + (r.prefix & 0xFF) as usize;
-                let range = lo..lo + (1 << (32 - r.len));
-                hops[TBL24_ENTRIES..][range.clone()].fill(r.hop);
-                len_long[range].fill(r.len);
-            }
+        // Spill blocks are numbered by first use in length order, as
+        // painting shortest-first numbers them (`insert`): device
+        // addresses of TBLlong entries feed the coalescing model.
+        let mut long: Vec<&Route4> = routes.iter().filter(|r| r.len > 24).collect();
+        long.sort_by_key(|r| r.len);
+        let mut block_of: HashMap<usize, u16> = HashMap::new();
+        for r in &long {
+            let next = block_of.len();
+            block_of.entry((r.prefix >> 8) as usize).or_insert_with(|| {
+                assert!(next < LONG_FLAG as usize, "TBLlong exhausted");
+                next as u16
+            });
+        }
+        let mut spills: Vec<(usize, u16)> = block_of.iter().map(|(&i, &b)| (i, b)).collect();
+        spills.sort_unstable();
+        let entries = TBL24_ENTRIES + 256 * spills.len();
+        let mut p = Painter {
+            image: vec![0; 2 * entries],
+            pos: 0,
+            spills: &spills,
+            next_spill: 0,
+            inherit: vec![(NO_ROUTE, 0); spills.len()],
+            open: Vec::new(),
+            #[cfg(test)]
+            len24: vec![0; TBL24_ENTRIES],
+            #[cfg(test)]
+            len_long: vec![0; 256 * spills.len()],
+        };
+
+        // The routes of /24 or shorter cover nested or disjoint TBL24
+        // ranges. Sorted by (start, length), stably, a sweep keeps the
+        // ranges open at `pos` on a stack, innermost on top: each
+        // entry is painted once, by the longest prefix covering it,
+        // and of equal (prefix, length) by the later route. Each route
+        // is packed as (start, length, hop) so the sweep reads them in
+        // order rather than chasing indices back into `routes`.
+        let mut order: Vec<u64> = routes
+            .iter()
+            .filter(|r| r.len <= 24)
+            .map(|r| u64::from(r.prefix >> 8) << 21 | u64::from(r.len) << 16 | u64::from(r.hop))
+            .collect();
+        order.sort_by_key(|e| e >> 16);
+        for e in order {
+            let (start, len, hop) = ((e >> 21) as usize, (e >> 16) as u8 & 0x1F, e as u16);
+            p.sweep_to(start);
+            p.open.push((start + (1 << (24 - len)), hop, len));
+        }
+        p.sweep_to(TBL24_ENTRIES);
+
+        // TBLlong: each block starts as the entry it replaced, then
+        // takes the longer routes shortest-first.
+        for (block, (hop, len)) in std::mem::take(&mut p.inherit).into_iter().enumerate() {
+            p.paint_long(block * 256..(block + 1) * 256, hop, len);
+        }
+        for r in long {
+            let lo = usize::from(block_of[&((r.prefix >> 8) as usize)]) * 256
+                + (r.prefix & 0xFF) as usize;
+            p.paint_long(lo..lo + (1 << (32 - r.len)), r.hop, r.len);
         }
 
-        let mut image = Vec::with_capacity(2 * hops.len());
-        image.extend(hops.iter().flat_map(|v| v.to_le_bytes()));
         Dir24Table {
-            image,
+            image: Arc::new(p.image),
             layout: Dir24Layout {
                 tbl24: 0,
                 tbllong: TBL24_ENTRIES * 2,
             },
-            long_blocks: len_long.len() / 256,
+            long_blocks: spills.len(),
             #[cfg(test)]
-            len24,
+            len24: p.len24,
             #[cfg(test)]
-            len_long,
+            len_long: p.len_long,
         }
     }
 
@@ -146,7 +241,7 @@ impl Dir24Table {
     #[cfg(test)]
     fn set_tbl24_entry(&mut self, idx: usize, v: u16) {
         let o = self.layout.tbl24 + idx * 2;
-        self.image[o..o + 2].copy_from_slice(&v.to_le_bytes());
+        Arc::make_mut(&mut self.image)[o..o + 2].copy_from_slice(&v.to_le_bytes());
     }
 
     #[cfg(test)]
@@ -158,7 +253,7 @@ impl Dir24Table {
     #[cfg(test)]
     fn set_long_entry(&mut self, li: usize, v: u16) {
         let o = self.layout.tbllong + li * 2;
-        self.image[o..o + 2].copy_from_slice(&v.to_le_bytes());
+        Arc::make_mut(&mut self.image)[o..o + 2].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Incrementally insert (or replace) a route without rebuilding.
@@ -195,7 +290,7 @@ impl Dir24Table {
                 assert!(id < LONG_FLAG as usize, "TBLlong exhausted");
                 let fill = e;
                 let fill_len = self.len24[idx];
-                self.image
+                Arc::make_mut(&mut self.image)
                     .extend(std::iter::repeat_n(fill.to_le_bytes(), 256).flatten());
                 self.len_long.extend(std::iter::repeat_n(fill_len, 256));
                 self.long_blocks += 1;
@@ -214,9 +309,15 @@ impl Dir24Table {
         }
     }
 
-    /// The serialized image (uploaded to GPU device memory verbatim).
+    /// The serialized image.
     pub fn image(&self) -> &[u8] {
         &self.image
+    }
+
+    /// The image as a shared handle: what a GPU maps into device
+    /// memory, uncopied.
+    pub fn shared_image(&self) -> Arc<Vec<u8>> {
+        Arc::clone(&self.image)
     }
 
     /// The image layout (passed to kernels as launch parameters).
@@ -507,6 +608,109 @@ mod tests {
             );
             Ok(())
         });
+    }
+
+    /// Build `routes`, check it against inserting them one by one and
+    /// against the oracle at each probe and its neighbours, and return
+    /// the table.
+    fn built_as_inserted(routes: &[Route4], probes: &[u32]) -> Dir24Table {
+        let t = Dir24Table::build(routes);
+        assert_same_table(&t, &inserted_one_by_one(routes));
+        for &p in probes {
+            for addr in [p.wrapping_sub(1), p, p.wrapping_add(1)] {
+                assert!(matches_oracle(&t, routes, addr), "mismatch at {addr:#010x}");
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn duplicate_prefix_resolves_to_the_later_route() {
+        let routes = [
+            Route4::new(0x0A00_0000, 8, 1),
+            Route4::new(0x0A0B_0000, 16, 2),
+            Route4::new(0x0A00_0000, 8, 3),
+            Route4::new(0x0A0B_0C80, 25, 4),
+            Route4::new(0x0A0B_0C80, 25, 5),
+        ];
+        let t = built_as_inserted(&routes, &[0x0A00_0000, 0x0A0C_0000, 0x0A0B_0C80]);
+        assert_eq!(t.lookup_host(0x0A0C_0001), 3);
+        assert_eq!(t.lookup_host(0x0A0B_0D01), 2);
+        assert_eq!(t.lookup_host(0x0A0B_0C81), 5);
+        assert_eq!(t.long_blocks(), 1);
+    }
+
+    #[test]
+    fn default_route_covers_every_gap() {
+        let routes = [
+            Route4::new(0x0A00_0000, 8, 1),
+            Route4::new(0, 0, 6),
+            Route4::new(0xFFFF_FF00, 24, 2),
+            Route4::new(0xC000_0040, 26, 3),
+        ];
+        let t = built_as_inserted(&routes, &[0, 0x0A00_0000, 0x0B00_0000, 0xFFFF_FF00]);
+        assert_eq!(t.lookup_host(0), 6);
+        assert_eq!(t.lookup_host(0x0B00_0000), 6);
+        assert_eq!(t.lookup_host(0xFFFF_FEFF), 6);
+        assert_eq!(t.lookup_host(0xFFFF_FFFF), 2);
+        // The spill block inherits the default, painting length 0.
+        assert_eq!(t.lookup_host(0xC000_0001), 6);
+        assert_eq!(t.lookup_host(0xC000_0041), 3);
+        assert_eq!(t.len_long[1], 0, "entry 1 of block 0");
+    }
+
+    #[test]
+    fn nested_prefixes_ending_at_one_index() {
+        // 10/8, 10.255/16 and 10.255.255/24 all end where 11/8 starts;
+        // 10.255.255.128/25 spills the last /24 of all three.
+        let routes = [
+            Route4::new(0x0AFF_FF00, 24, 3),
+            Route4::new(0x0A00_0000, 8, 1),
+            Route4::new(0x0AFF_0000, 16, 2),
+            Route4::new(0x0B00_0000, 8, 4),
+            Route4::new(0x0AFF_FF80, 25, 5),
+        ];
+        let t = built_as_inserted(
+            &routes,
+            &[0x0AFF_0000, 0x0AFF_FF00, 0x0AFF_FF80, 0x0B00_0000],
+        );
+        assert_eq!(t.lookup_host(0x0AFE_FFFF), 1);
+        assert_eq!(t.lookup_host(0x0AFF_FEFF), 2);
+        assert_eq!(t.lookup_host(0x0AFF_FF7F), 3);
+        assert_eq!(t.lookup_host(0x0AFF_FFFF), 5);
+        assert_eq!(t.lookup_host(0x0B00_0000), 4);
+        assert_eq!(t.lookup_host(0x0C00_0000), NO_ROUTE);
+    }
+
+    #[test]
+    fn adjacent_siblings_split_their_parent() {
+        let routes = [
+            Route4::new(0x0A80_0000, 9, 2),
+            Route4::new(0x0A00_0000, 8, 1),
+            Route4::new(0x0A00_0000, 9, 3),
+            Route4::new(0x0A7F_FF00, 24, 4),
+            Route4::new(0x0A80_0000, 24, 5),
+        ];
+        let t = built_as_inserted(&routes, &[0x0A00_0000, 0x0A80_0000, 0x0B00_0000]);
+        assert_eq!(t.lookup_host(0x0A7F_FEFF), 3);
+        assert_eq!(t.lookup_host(0x0A7F_FFFF), 4);
+        assert_eq!(t.lookup_host(0x0A80_0000), 5);
+        assert_eq!(t.lookup_host(0x0A80_0100), 2);
+        assert_eq!(t.lookup_host(0x0AFF_FFFF), 2);
+    }
+
+    #[test]
+    fn uncovered_spill_block_inherits_no_route() {
+        let routes = [
+            Route4::new(0x0A00_0000, 8, 1),
+            Route4::new(0x0102_0380, 25, 7),
+        ];
+        let t = built_as_inserted(&routes, &[0x0102_0380, 0x0102_0300]);
+        assert_eq!(t.long_blocks(), 1);
+        assert_eq!(t.lookup_host(0x0102_0381), 7);
+        assert_eq!(t.lookup_host(0x0102_0301), NO_ROUTE);
+        assert_eq!(t.long_entry(0), NO_ROUTE);
+        assert_eq!(t.len_long[0], 0);
     }
 
     #[test]

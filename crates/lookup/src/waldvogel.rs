@@ -10,6 +10,7 @@
 //! paper's "seven memory accesses" per IPv6 lookup (§6.2.2).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::mem::{SliceMem, TableMem};
 use crate::route::{mask6, Route6};
@@ -42,9 +43,11 @@ pub struct V6Layout {
     pub default_hop: u16,
 }
 
-/// A built IPv6 table: image + layout.
+/// A built IPv6 table: image + layout. The image is immutable once
+/// built and shared ([`V6Table::shared_image`]) with the GPUs that map
+/// it.
 pub struct V6Table {
-    image: Vec<u8>,
+    image: Arc<Vec<u8>>,
     layout: V6Layout,
     markers: usize,
 }
@@ -184,7 +187,7 @@ impl V6Table {
         }
 
         V6Table {
-            image,
+            image: Arc::new(image),
             layout,
             markers: marker_count,
         }
@@ -193,6 +196,12 @@ impl V6Table {
     /// The serialized image.
     pub fn image(&self) -> &[u8] {
         &self.image
+    }
+
+    /// The image as a shared handle: what a GPU maps into device
+    /// memory, uncopied.
+    pub fn shared_image(&self) -> Arc<Vec<u8>> {
+        Arc::clone(&self.image)
     }
 
     /// The level directory + default route.

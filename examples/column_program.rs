@@ -6,6 +6,8 @@
 //! cargo run --release --example column_program
 //! ```
 
+use std::sync::Arc;
+
 use packetshader::core::columns::{ColumnSet, IPV4_COLUMNS};
 use packetshader::core::kernels::KernelIo;
 use packetshader::core::{ColumnApp, ColumnProgram, Router, RouterConfig};
@@ -59,10 +61,9 @@ impl ColumnProgram for ByteRoute {
     }
 
     fn upload_tables(&self, eng: &mut GpuEngine) -> DeviceBuffer {
+        // Tables are immutable: map the image rather than copy it.
         let image: Vec<u8> = self.ports.iter().flat_map(|p| p.to_le_bytes()).collect();
-        let table = eng.dev.mem.alloc(image.len());
-        eng.dev.mem.write(&table, 0, &image);
-        table
+        eng.dev.mem.map(Arc::new(image), 0)
     }
 
     fn kernel<'a>(&'a self, table: &'a DeviceBuffer, io: KernelIo) -> impl Kernel + 'a {
