@@ -1,9 +1,12 @@
 //! Workload builders shared by the harness, the wall-clock benches
 //! and the integration tests.
 
+use std::sync::Mutex;
+
 use ps_core::apps::{Ipv4App, Ipv6App, OpenFlowApp};
 use ps_lookup::route::{Route4, Route6};
 use ps_lookup::synth;
+use ps_lookup::Dir24Table;
 use ps_net::FlowKey;
 use ps_openflow::wildcard::wc;
 use ps_openflow::{Action, OpenFlowSwitch, WildcardEntry};
@@ -51,10 +54,23 @@ pub fn ipv6_routes(prefixes: usize, seed: u64) -> Vec<Route6> {
     routes
 }
 
+/// The DIR-24-8 table over [`ipv4_routes`], built once per process:
+/// every router point of every experiment shares its image.
+pub fn ipv4_table(prefixes: usize, seed: u64) -> Dir24Table {
+    static BUILT: Mutex<Vec<((usize, u64), Dir24Table)>> = Mutex::new(Vec::new());
+    let mut built = BUILT.lock().expect("no builder panicked");
+    if let Some((_, table)) = built.iter().find(|(k, _)| *k == (prefixes, seed)) {
+        return table.clone();
+    }
+    let table = Dir24Table::build(&ipv4_routes(prefixes, seed));
+    built.push(((prefixes, seed), table.clone()));
+    table
+}
+
 /// An IPv4 app over a scaled table (full size is used by `ps-bench`,
-/// smaller sizes by tests).
+/// smaller sizes by tests), sharing [`ipv4_table`]'s image.
 pub fn ipv4_app(prefixes: usize, seed: u64) -> Ipv4App {
-    Ipv4App::new(&ipv4_routes(prefixes, seed))
+    Ipv4App::from_table(ipv4_table(prefixes, seed))
 }
 
 /// An IPv6 app over a scaled table.

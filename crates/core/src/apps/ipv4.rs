@@ -26,9 +26,13 @@ pub struct Ipv4Program {
 impl Ipv4App {
     /// Build over a route list whose hops are output-port indices.
     pub fn new(routes: &[Route4]) -> Ipv4App {
-        ColumnApp::over(Ipv4Program {
-            table: Dir24Table::build(routes),
-        })
+        Ipv4App::from_table(Dir24Table::build(routes))
+    }
+
+    /// Route over an already built table; clones of one table share
+    /// its image.
+    pub fn from_table(table: Dir24Table) -> Ipv4App {
+        ColumnApp::over(Ipv4Program { table })
     }
 }
 

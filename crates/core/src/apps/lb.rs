@@ -14,7 +14,7 @@
 //! loss and shard replication are the shared [`FlowNf`] program; this
 //! file is the balancer's table operation.
 
-use ps_flow::FlowCache;
+use ps_flow::{FlowCache, Probe};
 use ps_io::Packet;
 use ps_nic::port::PortId;
 use ps_rng::splitmix64;
@@ -94,13 +94,12 @@ impl FlowOp for Lb {
     ) -> u64 {
         let now = p.arrival;
         let mut cycles = PROBE_CYCLES + REWRITE_CYCLES;
-        let pinned = cache.lookup_prehash(hash, &pf.tuple, now).ok().copied();
-        let idx = match pinned {
-            Some(idx) => idx,
-            None => {
+        let idx = match cache.probe(hash, &pf.tuple, now) {
+            Probe::Hit(hit) => *hit.into_mut(),
+            Probe::Miss { vacant, .. } => {
                 cycles += SCORE_CYCLES * self.backends.len() as u64;
                 let idx = rendezvous(hash, self.backends.len());
-                let r = cache.insert_prehash(hash, pf.tuple, now, idx);
+                let r = vacant.insert(idx);
                 cycles += KICK_CYCLES * u64::from(r.displaced);
                 idx
             }

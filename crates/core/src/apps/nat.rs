@@ -10,7 +10,7 @@
 //! partitioning are the shared [`FlowNf`] program; this file is the
 //! translator's table operation.
 
-use ps_flow::FlowCache;
+use ps_flow::{FlowCache, Probe};
 use ps_io::Packet;
 use ps_net::tcp::TcpFlags;
 use ps_nic::port::PortId;
@@ -132,12 +132,12 @@ impl FlowOp for Nat {
         let flags = TcpFlags(pf.tcp_flags);
         let mut cycles = PROBE_CYCLES + REWRITE_CYCLES;
 
-        let binding = match cache.lookup_prehash(hash, &pf.tuple, now) {
-            Ok(b) => {
+        let binding = match cache.probe(hash, &pf.tuple, now) {
+            Probe::Hit(mut hit) => {
                 // Tracker transitions on the observed packet.
+                let b = hit.get_mut();
                 if flags.0 & TcpFlags::RST != 0 {
-                    let b = *b;
-                    cache.remove(&pf.tuple);
+                    let b = hit.remove();
                     pool.free.push(b.ext_id);
                     b
                 } else if flags.0 & TcpFlags::FIN != 0 {
@@ -145,8 +145,7 @@ impl FlowOp for Nat {
                     *b
                 } else if b.state == ConnState::FinWait && flags.ack() {
                     // The closing ACK: translate it, then release.
-                    let b = *b;
-                    cache.remove(&pf.tuple);
+                    let b = hit.remove();
                     pool.free.push(b.ext_id);
                     b
                 } else {
@@ -156,9 +155,9 @@ impl FlowOp for Nat {
                     *b
                 }
             }
-            Err(expired) => {
+            Probe::Miss { expired, vacant } => {
                 // Bindings that leave the cache return their external
-                // address to the pool: the one this lookup found idle
+                // address to the pool: the one this probe found idle
                 // past the timeout (first, so the flow gets it back),
                 // and any resident the insert pushes out (the LRU
                 // victim, or an idle binding reclaimed for its slot).
@@ -170,7 +169,7 @@ impl FlowOp for Nat {
                     ext_id: pool.alloc(),
                     state: ConnState::New,
                 };
-                let r = cache.insert_prehash(hash, pf.tuple, now, binding);
+                let r = vacant.insert(binding);
                 cycles += KICK_CYCLES * u64::from(r.displaced);
                 if let Some((_, old)) = r.freed {
                     pool.free.push(old.ext_id);
@@ -204,6 +203,11 @@ mod tests {
     use ps_net::ethernet::HEADER_LEN as ETH_LEN;
     use ps_net::{Ipv4Packet, PacketBuilder, UdpDatagram};
     use std::net::Ipv4Addr;
+
+    #[test]
+    fn bindings_fill_32_byte_slots() {
+        assert_eq!(FlowCache::<NatBinding>::SLOT_BYTES, 32);
+    }
 
     fn udp(src: u32, sport: u16, in_port: u16) -> Packet {
         let f = PacketBuilder::udp_v4(

@@ -44,7 +44,7 @@ pub struct OpenFlowProgram {
 
 /// One node's wildcard table: the image, mapped into its device.
 pub struct DeviceWildcards {
-    image: DeviceBuffer,
+    pub(crate) image: DeviceBuffer,
     entries: usize,
     /// The mapped image's bytes; a kernel stages them in shared memory
     /// when they fit.
@@ -101,7 +101,7 @@ impl ColumnProgram for OpenFlowProgram {
     }
 
     fn upload_tables(&self, eng: &mut GpuEngine) -> DeviceWildcards {
-        let host = Arc::new(self.switch.wildcard.to_image());
+        let host = self.switch.wildcard.shared_image();
         DeviceWildcards {
             image: eng.dev.mem.map(Arc::clone(&host), ENTRY_SIZE),
             entries: self.switch.wildcard.len(),

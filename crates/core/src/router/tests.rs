@@ -552,6 +552,38 @@ fn both_gpus_map_the_hosts_ipv4_image() {
     }
 }
 
+#[test]
+fn both_gpus_map_one_wildcard_image() {
+    use ps_openflow::{Action, OpenFlowSwitch, WildcardEntry};
+    let mut switch = OpenFlowSwitch::new();
+    switch.add_wildcard(WildcardEntry {
+        fields: 0,
+        priority: 0,
+        key: ps_net::FlowKey::default(),
+        nw_src_mask: 0,
+        nw_dst_mask: 0,
+        action: Action::Output(0),
+    });
+    let router = Router::new(
+        RouterConfig::paper_gpu(),
+        crate::apps::OpenFlowApp::new(switch),
+        spec(10.0, 8),
+        MILLIS,
+    );
+    let bytes: Vec<&[u8]> = (0..2)
+        .map(|node| {
+            let eng = router.nodes[node].gpu.as_ref().expect("CPU+GPU mode");
+            let tables = &router.app.gpu[node].as_ref().expect("setup_gpu ran").tables;
+            eng.dev.mem.slice(&tables.image)
+        })
+        .collect();
+    assert_eq!(router.nodes.len(), 2);
+    assert!(
+        std::ptr::eq(bytes[0], bytes[1]),
+        "each node serialized its own wildcard image"
+    );
+}
+
 /// Small random layouts either fail at construction with the message
 /// that names the first offending field, or run to the window end and
 /// conserve packets at every slice cut. Nothing panics mid-run. The

@@ -9,6 +9,11 @@
 //! * **two-choice cuckoo placement** — every key hashes to two
 //!   4-way buckets; insertion relocates residents along a bounded,
 //!   precomputed kick chain so no entry is ever left homeless;
+//! * **32-byte slots, one probe per packet** — a slot holds the key,
+//!   its last-seen stamp and the value, but no hash (a kick recomputes
+//!   it from the key); [`FlowCache::probe`] walks a key's buckets once
+//!   and hands back either the live entry, to read, write or remove
+//!   in place, or a vacant handle that inserts without a second walk;
 //! * **LRU eviction** — when both buckets are full and no chain
 //!   frees a slot, the least-recently-seen candidate is evicted
 //!   (deterministic tie-break by bucket, then slot);
@@ -29,13 +34,15 @@
 use ps_rng::splitmix64;
 use ps_sim::time::Time;
 
+#[cfg(test)]
+mod reference;
+
 /// The RSS-style 5-tuple `(src addr, dst addr, src port, dst port,
 /// protocol)` — the shape `ps_net::FlowKey::five_tuple` returns.
 pub type FlowTuple = (u32, u32, u16, u16, u8);
 
-/// Slots per bucket (set associativity). Four 5-tuple entries keep a
-/// bucket within one or two cache lines, the layout hardware cuckoo
-/// tables use.
+/// Slots per bucket (set associativity). Four 32-byte entries fill
+/// two cache lines, the layout hardware cuckoo tables use.
 pub(crate) const WAYS: usize = 4;
 
 /// Bound on the cuckoo kick chain explored per insertion. Chains this
@@ -78,7 +85,7 @@ pub fn flow_hash_bytes(b: &[u8; 13]) -> u64 {
 /// surfaces (occupancy is read off the cache itself).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FlowCacheStats {
-    /// Lookup calls.
+    /// Lookups and probes.
     pub lookups: u64,
     /// Lookups that found a live entry.
     pub hits: u64,
@@ -114,13 +121,53 @@ impl FlowCacheStats {
     }
 }
 
-/// One resident flow.
+/// One resident flow: the key's five fields laid out flat beside the
+/// last-seen stamp and the value. No copy of the hash: the key
+/// determines it, and a kick recomputes it. Flat fields let the
+/// occupied mark sit in the tuple's padding, so `Option<Entry<V>>`
+/// needs no tag of its own: at most 32 bytes for any `V` of up to 8.
 struct Entry<V> {
-    hash: u64,
-    key: FlowTuple,
+    src: u32,
+    dst: u32,
+    sport: u16,
+    dport: u16,
+    proto: u8,
+    _live: Live,
     last_seen: Time,
     value: V,
 }
+
+/// The occupied mark: a byte with one valid value, whose other values
+/// encode `None` for `Option<Entry<V>>`.
+#[repr(u8)]
+enum Live {
+    Yes = 1,
+}
+
+impl<V> Entry<V> {
+    fn new(key: FlowTuple, last_seen: Time, value: V) -> Entry<V> {
+        let (src, dst, sport, dport, proto) = key;
+        Entry {
+            src,
+            dst,
+            sport,
+            dport,
+            proto,
+            _live: Live::Yes,
+            last_seen,
+            value,
+        }
+    }
+
+    fn key(&self) -> FlowTuple {
+        (self.src, self.dst, self.sport, self.dport, self.proto)
+    }
+}
+
+/// One bucket: [`WAYS`] slots (4 × 32 B), 64-byte aligned so a probe
+/// of it touches at most two cache lines.
+#[repr(align(64))]
+struct Bucket<V>([Option<Entry<V>>; WAYS]);
 
 /// What an insertion did (observability for callers that recycle
 /// the state of entries it pushed out, e.g. the NAT port allocator).
@@ -132,10 +179,66 @@ pub struct Inserted<V> {
     pub displaced: u32,
 }
 
+/// The outcome of [`FlowCache::probe`]: the one table walk a packet
+/// makes, whatever it then does with its flow.
+pub enum Probe<'a, V> {
+    /// The key is resident and live; its stamp is refreshed.
+    Hit(Hit<'a, V>),
+    /// The key is not resident (any more).
+    Miss {
+        /// The key's own entry, found past the idle timeout and
+        /// reclaimed by this probe.
+        expired: Option<V>,
+        /// Where the key can be inserted.
+        vacant: Vacant<'a, V>,
+    },
+}
+
+/// A live resident found by [`FlowCache::probe`].
+pub struct Hit<'a, V> {
+    cache: &'a mut FlowCache<V>,
+    idx: usize,
+}
+
+impl<'a, V> Hit<'a, V> {
+    /// The resident's value.
+    pub fn get_mut(&mut self) -> &mut V {
+        &mut self.cache.entry_mut(self.idx).value
+    }
+
+    /// The resident's value, for as long as the cache is borrowed.
+    pub fn into_mut(self) -> &'a mut V {
+        &mut self.cache.entry_mut(self.idx).value
+    }
+
+    /// Remove the resident, returning its value: [`FlowCache::remove`]
+    /// without a second walk.
+    pub fn remove(self) -> V {
+        self.cache.occupancy -= 1;
+        self.cache.slot_mut(self.idx).take().expect("hit").value
+    }
+}
+
+/// An absent key, ready to be placed by [`Vacant::insert`].
+pub struct Vacant<'a, V> {
+    cache: &'a mut FlowCache<V>,
+    h: u64,
+    key: FlowTuple,
+    now: Time,
+}
+
+impl<V> Vacant<'_, V> {
+    /// Insert the probed key at the probe's time: [`FlowCache::insert`]
+    /// without its refresh scan (the probe just missed).
+    pub fn insert(self, value: V) -> Inserted<V> {
+        self.cache.place(self.h, self.key, self.now, value)
+    }
+}
+
 /// The deterministic cuckoo flow cache. See the crate docs for the
 /// placement, eviction and expiry rules.
 pub struct FlowCache<V> {
-    slots: Vec<Option<Entry<V>>>,
+    buckets: Vec<Bucket<V>>,
     /// Bucket-index mask (`buckets - 1`, buckets a power of two).
     mask: usize,
     /// Idle timeout in virtual ns; `0` disables expiry.
@@ -145,15 +248,18 @@ pub struct FlowCache<V> {
 }
 
 impl<V> FlowCache<V> {
+    /// Bytes one slot takes.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Option<Entry<V>>>();
+
     /// A cache with room for at least `capacity` entries (rounded up
     /// to a power-of-two bucket count) whose entries expire after
     /// `idle_ns` of virtual-clock inactivity (`0` = never).
     pub fn new(capacity: usize, idle_ns: Time) -> FlowCache<V> {
         let buckets = (capacity.div_ceil(WAYS)).next_power_of_two().max(2);
-        let mut slots = Vec::new();
-        slots.resize_with(buckets * WAYS, || None);
+        let mut table = Vec::with_capacity(buckets);
+        table.resize_with(buckets, || Bucket([const { None }; WAYS]));
         FlowCache {
-            slots,
+            buckets: table,
             mask: buckets - 1,
             idle_ns,
             occupancy: 0,
@@ -168,7 +274,7 @@ impl<V> FlowCache<V> {
 
     /// Total slots (entries the table can hold at 100% load).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.buckets.len() * WAYS
     }
 
     /// The counters accumulated so far.
@@ -208,81 +314,103 @@ impl<V> FlowCache<V> {
         self.idle_ns != 0 && now.saturating_sub(e.last_seen) > self.idle_ns
     }
 
+    /// Slot `idx` (bucket `idx / WAYS`, way `idx % WAYS`).
+    fn slot(&self, idx: usize) -> &Option<Entry<V>> {
+        &self.buckets[idx / WAYS].0[idx % WAYS]
+    }
+
+    fn slot_mut(&mut self, idx: usize) -> &mut Option<Entry<V>> {
+        &mut self.buckets[idx / WAYS].0[idx % WAYS]
+    }
+
+    fn entry(&self, idx: usize) -> &Entry<V> {
+        self.slot(idx).as_ref().expect("resident")
+    }
+
+    fn entry_mut(&mut self, idx: usize) -> &mut Entry<V> {
+        self.slot_mut(idx).as_mut().expect("resident")
+    }
+
+    /// The slot holding `key` (whose hash is `h`), live or expired.
+    fn find(&self, h: u64, key: &FlowTuple) -> Option<usize> {
+        for b in [self.bucket1(h), self.bucket2(h)] {
+            for (s, slot) in self.buckets[b].0.iter().enumerate() {
+                if matches!(slot, Some(e) if e.key() == *key) {
+                    return Some(b * WAYS + s);
+                }
+            }
+        }
+        None
+    }
+
     /// Look up `key` at virtual time `now`. A hit refreshes the
     /// entry's last-seen stamp; an entry past the idle timeout is
     /// reclaimed, its value dropped, and reported as a miss.
     pub fn lookup(&mut self, key: &FlowTuple, now: Time) -> Option<&mut V> {
-        self.lookup_prehash(flow_hash(key), key, now).ok()
+        match self.probe(flow_hash(key), key, now) {
+            Probe::Hit(hit) => Some(hit.into_mut()),
+            Probe::Miss { .. } => None,
+        }
     }
 
-    /// [`Self::lookup`] with the hash already computed (the GPU
-    /// offload path: the kernel hashes, the host probes). A miss
-    /// hands back the value of the entry it found past the idle
-    /// timeout, if any.
-    pub fn lookup_prehash(
-        &mut self,
-        h: u64,
-        key: &FlowTuple,
-        now: Time,
-    ) -> Result<&mut V, Option<V>> {
+    /// Walk `key`'s two buckets once at virtual time `now`, `h` being
+    /// `flow_hash(key)` (the GPU offload path: the kernel hashes, the
+    /// host probes). Counted as a lookup. A live hit refreshes its
+    /// stamp and can be read, written or removed in place; an entry
+    /// past the idle timeout is reclaimed and handed back with the
+    /// miss, whose [`Vacant::insert`] places the key without walking
+    /// its buckets for it again.
+    pub fn probe(&mut self, h: u64, key: &FlowTuple, now: Time) -> Probe<'_, V> {
+        debug_assert_eq!(h, flow_hash(key), "probe hash is not the key's flow_hash");
         self.stats.lookups += 1;
-        for b in [self.bucket1(h), self.bucket2(h)] {
-            for s in 0..WAYS {
-                let idx = b * WAYS + s;
-                let hit = matches!(&self.slots[idx],
-                    Some(e) if e.hash == h && e.key == *key);
-                if hit {
-                    if self.expired(self.slots[idx].as_ref().expect("hit"), now) {
-                        self.stats.misses += 1;
-                        return Err(self.take_expired(idx).map(|(_, v)| v));
-                    }
-                    self.stats.hits += 1;
-                    let e = self.slots[idx].as_mut().expect("hit");
-                    e.last_seen = now;
-                    return Ok(&mut e.value);
-                }
+        let expired = match self.find(h, key) {
+            Some(idx) if !self.expired(self.entry(idx), now) => {
+                self.stats.hits += 1;
+                self.entry_mut(idx).last_seen = now;
+                return Probe::Hit(Hit { cache: self, idx });
             }
-        }
+            Some(idx) => self.take_expired(idx).map(|(_, v)| v),
+            None => None,
+        };
         self.stats.misses += 1;
-        Err(None)
+        Probe::Miss {
+            expired,
+            vacant: Vacant {
+                cache: self,
+                h,
+                key: *key,
+                now,
+            },
+        }
     }
 
     /// Insert (or refresh) `key` at virtual time `now`. Returns what
     /// happened: any LRU-evicted entry and the kick-chain depth used.
     pub fn insert(&mut self, key: FlowTuple, now: Time, value: V) -> Inserted<V> {
-        self.insert_prehash(flow_hash(&key), key, now, value)
+        let h = flow_hash(&key);
+        // Refresh an existing binding in place.
+        if let Some(idx) = self.find(h, &key) {
+            let e = self.entry_mut(idx);
+            e.last_seen = now;
+            e.value = value;
+            self.stats.updates += 1;
+            return Inserted {
+                freed: None,
+                displaced: 0,
+            };
+        }
+        self.place(h, key, now, value)
     }
 
-    /// [`Self::insert`] with the hash already computed.
-    pub fn insert_prehash(&mut self, h: u64, key: FlowTuple, now: Time, value: V) -> Inserted<V> {
+    /// Place `key`, known absent, into one of its buckets.
+    fn place(&mut self, h: u64, key: FlowTuple, now: Time, value: V) -> Inserted<V> {
         let (b1, b2) = (self.bucket1(h), self.bucket2(h));
-        // Refresh an existing binding in place.
-        for b in [b1, b2] {
-            for s in 0..WAYS {
-                let idx = b * WAYS + s;
-                if matches!(&self.slots[idx], Some(e) if e.hash == h && e.key == key) {
-                    let e = self.slots[idx].as_mut().expect("hit");
-                    e.last_seen = now;
-                    e.value = value;
-                    self.stats.updates += 1;
-                    return Inserted {
-                        freed: None,
-                        displaced: 0,
-                    };
-                }
-            }
-        }
-        let entry = Entry {
-            hash: h,
-            key,
-            last_seen: now,
-            value,
-        };
+        let entry = Entry::new(key, now, value);
         // Direct placement into an empty (or expired) slot.
         for b in [b1, b2] {
             if let Some(s) = self.free_slot(b, now) {
                 let freed = self.take_expired(b * WAYS + s);
-                self.slots[b * WAYS + s] = Some(entry);
+                *self.slot_mut(b * WAYS + s) = Some(entry);
                 self.occupancy += 1;
                 self.stats.inserts += 1;
                 return Inserted {
@@ -302,12 +430,12 @@ impl<V> FlowCache<V> {
                 self.stats.displacements += depth;
                 self.stats.max_depth = self.stats.max_depth.max(depth);
                 let mut dst = free;
-                for &(b, s) in path.iter().rev() {
-                    let moved = self.slots[b * WAYS + s].take().expect("chain resident");
-                    self.slots[dst] = Some(moved);
-                    dst = b * WAYS + s;
+                for &src in path.iter().rev() {
+                    let moved = self.slot_mut(src).take().expect("chain resident");
+                    *self.slot_mut(dst) = Some(moved);
+                    dst = src;
                 }
-                self.slots[dst] = Some(entry);
+                *self.slot_mut(dst) = Some(entry);
                 self.occupancy += 1;
                 self.stats.inserts += 1;
                 return Inserted {
@@ -324,7 +452,7 @@ impl<V> FlowCache<V> {
         for b in [b1, b2] {
             for s in 0..WAYS {
                 let idx = b * WAYS + s;
-                if let Some(e) = &self.slots[idx] {
+                if let Some(e) = self.slot(idx) {
                     if e.last_seen < oldest {
                         oldest = e.last_seen;
                         victim = idx;
@@ -332,11 +460,11 @@ impl<V> FlowCache<V> {
                 }
             }
         }
-        let old = self.slots[victim].replace(entry).expect("bucket full");
+        let old = self.slot_mut(victim).replace(entry).expect("bucket full");
         self.stats.evictions += 1;
         self.stats.inserts += 1;
         Inserted {
-            freed: Some((old.key, old.value)),
+            freed: Some((old.key(), old.value)),
             displaced: 0,
         }
     }
@@ -344,7 +472,7 @@ impl<V> FlowCache<V> {
     /// First slot in bucket `b` that is empty or holds an entry past
     /// the idle timeout.
     fn free_slot(&self, b: usize, now: Time) -> Option<usize> {
-        (0..WAYS).find(|&s| match &self.slots[b * WAYS + s] {
+        self.buckets[b].0.iter().position(|slot| match slot {
             None => true,
             Some(e) => self.expired(e, now),
         })
@@ -353,24 +481,25 @@ impl<V> FlowCache<V> {
     /// Empty slot `idx`, which is empty or expired, handing back the
     /// expired resident.
     fn take_expired(&mut self, idx: usize) -> Option<(FlowTuple, V)> {
-        let e = self.slots[idx].take()?;
+        let e = self.slot_mut(idx).take()?;
         self.occupancy -= 1;
         self.stats.expiries += 1;
-        Some((e.key, e.value))
+        Some((e.key(), e.value))
     }
 
     /// Search a kick chain from bucket `start`: follow victims (slot
-    /// `depth % WAYS` at each level) through their alternate buckets
-    /// until one has a free slot, up to [`MAX_KICKS`] levels. Returns
-    /// the chain and the terminal free slot index.
-    fn find_chain(&self, start: usize, now: Time) -> Option<(Vec<(usize, usize)>, usize)> {
-        let mut path: Vec<(usize, usize)> = Vec::new();
+    /// `depth % WAYS` at each level) through their alternate buckets,
+    /// recomputed from their keys, until one has a free slot, up to
+    /// [`MAX_KICKS`] levels. Returns the chain's slot indices and the
+    /// terminal free slot index.
+    fn find_chain(&self, start: usize, now: Time) -> Option<(Vec<usize>, usize)> {
+        let mut path = Vec::new();
         let mut b = start;
         for depth in 0..MAX_KICKS {
-            let s = depth % WAYS;
-            let e = self.slots[b * WAYS + s].as_ref()?;
-            let alt = self.alt_bucket(e.hash, b);
-            path.push((b, s));
+            let idx = b * WAYS + depth % WAYS;
+            let e = self.slot(idx).as_ref()?;
+            let alt = self.alt_bucket(flow_hash(&e.key()), b);
+            path.push(idx);
             if let Some(free) = self.free_slot(alt, now) {
                 return Some((path, alt * WAYS + free));
             }
@@ -384,17 +513,9 @@ impl<V> FlowCache<V> {
     /// neither an eviction nor an expiry: the flow ended, it was not
     /// displaced.
     pub fn remove(&mut self, key: &FlowTuple) -> Option<V> {
-        let h = flow_hash(key);
-        for b in [self.bucket1(h), self.bucket2(h)] {
-            for s in 0..WAYS {
-                let idx = b * WAYS + s;
-                if matches!(&self.slots[idx], Some(e) if e.hash == h && e.key == *key) {
-                    self.occupancy -= 1;
-                    return self.slots[idx].take().map(|e| e.value);
-                }
-            }
-        }
-        None
+        let idx = self.find(flow_hash(key), key)?;
+        self.occupancy -= 1;
+        self.slot_mut(idx).take().map(|e| e.value)
     }
 
     /// Drop every resident entry — the fault model's flow-state loss
@@ -403,7 +524,7 @@ impl<V> FlowCache<V> {
     /// ledger of what happened is not part of the lost state.
     pub fn flush(&mut self) -> u64 {
         let mut n = 0;
-        for slot in &mut self.slots {
+        for slot in self.buckets.iter_mut().flat_map(|b| &mut b.0) {
             if slot.take().is_some() {
                 n += 1;
             }
@@ -416,6 +537,8 @@ impl<V> FlowCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ps_check::{check, ensure_eq, Gen};
+    use reference::RefCache;
 
     fn key(i: u32) -> FlowTuple {
         (i, !i, (i % 50_000) as u16, 80, 17)
@@ -446,7 +569,13 @@ mod tests {
         // does not.
         assert!(c.lookup(&key(1), 150).is_some());
         let h = flow_hash(&key(2));
-        assert_eq!(c.lookup_prehash(h, &key(2), 150).err(), Some(Some(2)));
+        assert!(matches!(
+            c.probe(h, &key(2), 150),
+            Probe::Miss {
+                expired: Some(2),
+                ..
+            }
+        ));
         assert_eq!(c.stats().expiries, 1);
         // A touch past the timeout reclaims the last one.
         assert!(c.lookup(&key(1), 1_000).is_none());
@@ -550,5 +679,166 @@ mod tests {
             (log, *c.stats(), c.occupancy())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn slots_are_32_bytes_in_aligned_buckets() {
+        assert_eq!(FlowCache::<u16>::SLOT_BYTES, 24);
+        assert_eq!(FlowCache::<u32>::SLOT_BYTES, 32);
+        assert_eq!(FlowCache::<u64>::SLOT_BYTES, 32);
+        assert_eq!(std::mem::align_of::<Bucket<u16>>(), 64);
+        assert_eq!(std::mem::size_of::<Bucket<u16>>(), 128);
+        assert_eq!(std::mem::size_of::<Bucket<u64>>(), 128);
+        let c: FlowCache<u16> = FlowCache::new(1024, 0);
+        assert_eq!(c.buckets.as_ptr() as usize % 64, 0);
+    }
+
+    /// One step of a random program.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Insert(u32, u64),
+        Lookup(u32),
+        /// On a hit, remove the entry or add 1,000 to its value; on a
+        /// miss, insert `insert` if set.
+        Probe {
+            k: u32,
+            remove: bool,
+            insert: Option<u64>,
+        },
+        Remove(u32),
+        Flush,
+    }
+
+    type Placed = (Option<(FlowTuple, u64)>, u32);
+
+    /// What one step returned.
+    #[derive(Debug, PartialEq)]
+    enum Out {
+        Inserted(Placed),
+        Found(Option<u64>),
+        Hit(u64),
+        Miss(Option<u64>, Option<Placed>),
+        Flushed(u64),
+    }
+
+    fn placed(r: Inserted<u64>) -> Placed {
+        (r.freed, r.displaced)
+    }
+
+    /// Pool key `i`: bits 0–3 of `i` pick the destination, the ports
+    /// and the protocol, so keys one bit apart differ in one field.
+    fn pool_key(i: u32) -> FlowTuple {
+        let bit = |n: u32| (i >> n) & 1;
+        (
+            i >> 4,
+            0x0A00_0001 ^ bit(0),
+            1024 + bit(1) as u16,
+            80 + bit(2) as u16,
+            if bit(3) == 1 { 17 } else { 6 },
+        )
+    }
+
+    fn step(c: &mut FlowCache<u64>, op: Op, now: Time) -> Out {
+        match op {
+            Op::Insert(k, v) => Out::Inserted(placed(c.insert(pool_key(k), now, v))),
+            Op::Lookup(k) => Out::Found(c.lookup(&pool_key(k), now).copied()),
+            Op::Probe { k, remove, insert } => {
+                let t = pool_key(k);
+                match c.probe(flow_hash(&t), &t, now) {
+                    Probe::Hit(hit) if remove => Out::Hit(hit.remove()),
+                    Probe::Hit(hit) => {
+                        let v = hit.into_mut();
+                        *v += 1_000;
+                        Out::Hit(*v)
+                    }
+                    Probe::Miss { expired, vacant } => {
+                        Out::Miss(expired, insert.map(|v| placed(vacant.insert(v))))
+                    }
+                }
+            }
+            Op::Remove(k) => Out::Found(c.remove(&pool_key(k))),
+            Op::Flush => Out::Flushed(c.flush()),
+        }
+    }
+
+    /// [`step`] on the reference: a probe is the lookup-then-insert
+    /// (or lookup-then-remove) pair the NAT made before `probe`.
+    fn step_ref(c: &mut RefCache<u64>, op: Op, now: Time) -> Out {
+        let hashed = |k| (pool_key(k), flow_hash(&pool_key(k)));
+        match op {
+            Op::Insert(k, v) => {
+                let (t, h) = hashed(k);
+                Out::Inserted(placed(c.insert_prehash(h, t, now, v)))
+            }
+            Op::Lookup(k) => {
+                let (t, h) = hashed(k);
+                Out::Found(c.lookup_prehash(h, &t, now).ok().copied())
+            }
+            Op::Probe { k, remove, insert } => {
+                let (t, h) = hashed(k);
+                match c.lookup_prehash(h, &t, now) {
+                    Ok(v) if remove => {
+                        let v = *v;
+                        c.remove(&t);
+                        Out::Hit(v)
+                    }
+                    Ok(v) => {
+                        *v += 1_000;
+                        Out::Hit(*v)
+                    }
+                    Err(expired) => Out::Miss(
+                        expired,
+                        insert.map(|v| placed(c.insert_prehash(h, t, now, v))),
+                    ),
+                }
+            }
+            Op::Remove(k) => Out::Found(c.remove(&pool_key(k))),
+            Op::Flush => Out::Flushed(c.flush()),
+        }
+    }
+
+    fn op(g: &mut Gen, pool: u32, v: u64) -> Op {
+        let k = g.int_in(0..pool);
+        match g.int_in(0u32..100) {
+            0..=29 => Op::Insert(k, v),
+            30..=49 => Op::Lookup(k),
+            50..=84 => Op::Probe {
+                k,
+                remove: g.int_in(0u32..4) == 0,
+                insert: (g.int_in(0u32..4) != 0).then_some(v),
+            },
+            85..=98 => Op::Remove(k),
+            _ => Op::Flush,
+        }
+    }
+
+    /// Random programs over tiny tables (kicks and LRU eviction are
+    /// common), idle expiry on or off and keys from a small pool: the
+    /// 32-byte cache returns what the 40-byte one did, and keeps the
+    /// same counters and occupancy, after every step.
+    #[test]
+    fn probe_agrees_with_reference() {
+        check("probe_agrees_with_reference", |g: &mut Gen| {
+            let capacity = g.int_in(8usize..=64);
+            let idle = if g.int_in(0u32..2) == 0 {
+                0
+            } else {
+                g.int_in(20u64..=300)
+            };
+            let pool = g.int_in(4u32..=160);
+            let n = g.len_in(1, 600);
+            let ops: Vec<Op> = (0..n).map(|i| op(g, pool, i as u64)).collect();
+            let mut c: FlowCache<u64> = FlowCache::new(capacity, idle);
+            let mut r: RefCache<u64> = RefCache::new(capacity, idle);
+            let mut now: Time = 0;
+            for (i, &op) in ops.iter().enumerate() {
+                now += g.int_in(0u64..=40);
+                let (got, want) = (step(&mut c, op, now), step_ref(&mut r, op, now));
+                ensure_eq!(got, want, "step {i} {op:?} at {now}");
+                ensure_eq!(c.stats(), r.stats(), "step {i} {op:?}");
+                ensure_eq!(c.occupancy(), r.occupancy(), "step {i} {op:?}");
+            }
+            Ok(())
+        });
     }
 }

@@ -60,6 +60,7 @@ impl Dir24Layout {
 /// `build` is checked against: shadow arrays, kept only in test
 /// builds, record the prefix length that painted each entry, so a new
 /// route only overwrites entries painted by equal-or-shorter prefixes.
+#[derive(Clone)]
 pub struct Dir24Table {
     image: Arc<Vec<u8>>,
     layout: Dir24Layout,

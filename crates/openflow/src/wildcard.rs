@@ -7,6 +7,8 @@
 //! memory via `TableMem`). Hardware switches use TCAM for this; the
 //! linear scan is precisely the cost Figure 11(c) sweeps.
 
+use std::sync::{Arc, OnceLock};
+
 use ps_lookup::mem::{SliceMem, TableMem};
 use ps_net::FlowKey;
 
@@ -79,6 +81,8 @@ pub const ENTRY_SIZE: usize = 64;
 #[derive(Debug, Default)]
 pub struct WildcardTable {
     entries: Vec<WildcardEntry>,
+    /// The serialized image, built on first use after the last insert.
+    image: OnceLock<Arc<Vec<u8>>>,
 }
 
 impl WildcardTable {
@@ -104,6 +108,7 @@ impl WildcardTable {
             .entries
             .partition_point(|e| e.priority >= entry.priority);
         self.entries.insert(pos, entry);
+        self.image.take();
     }
 
     /// Linear search; first (= highest-priority) match wins. Returns
@@ -145,6 +150,13 @@ impl WildcardTable {
             out[o + 44..o + 46].copy_from_slice(&e.action.encode().to_le_bytes());
         }
         out
+    }
+
+    /// The serialized image behind one `Arc`: every call until the
+    /// next insert returns the same allocation, so every device that
+    /// maps it maps the same bytes.
+    pub fn shared_image(&self) -> Arc<Vec<u8>> {
+        Arc::clone(self.image.get_or_init(|| Arc::new(self.to_image())))
     }
 
     /// The match loop over a serialized image; used verbatim by the
