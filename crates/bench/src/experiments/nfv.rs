@@ -13,6 +13,7 @@
 
 use ps_core::apps::{Backend, LbApp, NatApp};
 use ps_core::{App, RouterConfig};
+use ps_net::Verdict;
 use ps_pktgen::{Generator, TrafficSpec};
 
 use crate::header;
@@ -95,6 +96,7 @@ pub(crate) fn flow_pressure() {
             }
             left -= batch.len();
             nat.pre_shade(&mut batch);
+            batch.retain(|p| p.verdict == Verdict::FastPath);
             nat.process_cpu(&mut batch);
         }
         let occupancy = nat.occupancy();

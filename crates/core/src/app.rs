@@ -9,17 +9,12 @@ use ps_hw::ioh::Ioh;
 use ps_io::Packet;
 use ps_sim::time::Time;
 
-/// Outcome of pre-shading a chunk.
+/// Outcome of pre-shading a chunk (its verdicts ride on the packets).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PreShadeResult {
     /// CPU cycles the worker spent (parsing, classification, header
     /// rewrites, building the GPU input arrays).
     pub cycles: u64,
-    /// Packets dropped (malformed, TTL expired, bad checksum).
-    pub dropped: u64,
-    /// Packets diverted to the host stack (destined to local, IP
-    /// options, non-IP).
-    pub slow_path: u64,
 }
 
 /// Where an application's output traffic goes, relative to the NUMA
@@ -43,6 +38,8 @@ pub enum ShardAffinity {
 /// the master + [`App::post_shade_cycles`] back on the worker
 /// (CPU+GPU mode). All packet mutation is real; the returned
 /// cycle/time values drive the virtual clock.
+/// All three packet callbacks mark, never remove; the router retires
+/// every marked packet through one path into its drop ledger.
 pub trait App {
     /// Application name for reports.
     fn name(&self) -> &str;
@@ -68,15 +65,16 @@ pub trait App {
     }
 
     /// Pre-shading (worker): classify, rewrite headers, stage GPU
-    /// inputs. Must retain only fast-path packets in `pkts`.
+    /// inputs. Marks each packet it takes off the fast path in
+    /// [`Packet::verdict`]; the router then retires those in one pass.
     fn pre_shade(&mut self, pkts: &mut Vec<Packet>) -> PreShadeResult;
 
     /// The whole application on the CPU (CPU-only mode, and the
     /// master's fallback when a GPU batch is lost), *after*
-    /// [`App::pre_shade`] has run. Returns cycles spent. Must set
-    /// `out_port` on every packet and mark a drop by clearing it, as
-    /// [`App::shade`] does — mark, never remove — so the router
-    /// retires every drop through one path into its drop ledger.
+    /// [`App::pre_shade`] has run and the router has retired the
+    /// packets it marked. Returns cycles spent. Must set `out_port` on
+    /// every packet and mark a drop by clearing it, as [`App::shade`]
+    /// does.
     fn process_cpu(&mut self, pkts: &mut Vec<Packet>) -> u64;
 
     /// Shading (master): move inputs to the GPU, launch kernels, move

@@ -146,24 +146,18 @@ impl App for IpsecApp {
     }
 
     fn pre_shade(&mut self, pkts: &mut Vec<Packet>) -> PreShadeResult {
-        let mut r = PreShadeResult::default();
-        pkts.retain(|p| match classify(&p.data, &[]) {
-            Verdict::FastPath => true,
-            Verdict::SlowPath(_) => {
-                r.slow_path += 1;
-                false
+        // Staging copies each fast-path inner packet into the
+        // plaintext region: ~1 cycle per 16 B plus fixed work.
+        let mut bytes = 0u64;
+        for p in pkts.iter_mut() {
+            p.verdict = classify(&p.data, &[]);
+            if p.verdict == Verdict::FastPath {
+                bytes += p.len() as u64;
             }
-            Verdict::Drop(_) => {
-                r.dropped += 1;
-                false
-            }
-        });
-        // Staging copies the inner packet into the plaintext region:
-        // ~1 cycle per 16 B plus fixed work.
-        let bytes: u64 = pkts.iter().map(|p| p.len() as u64).sum();
-        r.cycles =
-            PRE_SHADE_CYCLES * (pkts.len() as u64 + r.dropped + r.slow_path) + bytes.div_ceil(16);
-        r
+        }
+        PreShadeResult {
+            cycles: PRE_SHADE_CYCLES * pkts.len() as u64 + bytes.div_ceil(16),
+        }
     }
 
     fn process_cpu(&mut self, pkts: &mut Vec<Packet>) -> u64 {
@@ -289,6 +283,7 @@ impl App for IpsecApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::pre_shade_all_fast;
     use ps_crypto::esp::decrypt_tunnel;
     use ps_hw::pcie::PcieModel;
     use ps_hw::spec::{IohSpec, PcieSpec};
@@ -318,7 +313,7 @@ mod tests {
         let original = packet(1, 100);
         let inner_before = original.data[ETH_LEN..].to_vec();
         let mut pkts = vec![original];
-        a.pre_shade(&mut pkts);
+        pre_shade_all_fast(&mut a, &mut pkts);
         let cycles = a.process_cpu(&mut pkts);
         assert!(cycles > 1000);
         assert_eq!(pkts[0].out_port, Some(PortId(1)));
@@ -349,10 +344,9 @@ mod tests {
         };
         let mut a = mk();
         let mut b = mk();
-        cpu.pre_shade(&mut a);
+        pre_shade_all_fast(&mut cpu, &mut a);
         cpu.process_cpu(&mut a);
-        gpu.pre_shade(&mut b);
-        assert_eq!(b.len(), lens.len(), "every frame reaches shade");
+        pre_shade_all_fast(&mut gpu, &mut b);
         let done = gpu.shade(0, &mut eng, &mut ioh, 0, &mut b);
         assert!(done > 0);
 
@@ -390,7 +384,7 @@ mod tests {
         let original = packet(7, 777);
         let inner_before = original.data[ETH_LEN..].to_vec();
         let mut pkts = vec![original];
-        gpu.pre_shade(&mut pkts);
+        pre_shade_all_fast(&mut gpu, &mut pkts);
         gpu.shade(0, &mut eng, &mut ioh, 0, &mut pkts);
 
         let eth = EthernetFrame::new_checked(&pkts[0].data[..]).unwrap();

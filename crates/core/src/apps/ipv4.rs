@@ -104,6 +104,7 @@ mod tests {
     use super::*;
     use crate::App;
     use ps_net::ethernet::MacAddr;
+    use ps_net::verdict::DropReason;
     use ps_net::PacketBuilder;
     use ps_nic::port::PortId;
     use std::net::Ipv4Addr;
@@ -134,8 +135,8 @@ mod tests {
     fn cpu_path_routes_and_decrements_ttl() {
         let mut app = Ipv4App::new(&routes());
         let mut pkts = vec![packet(Ipv4Addr::new(10, 11, 1, 1))];
-        let r = app.pre_shade(&mut pkts);
-        assert_eq!(r.dropped, 0);
+        app.pre_shade(&mut pkts);
+        assert_eq!(pkts[0].verdict, Verdict::FastPath);
         let cycles = app.process_cpu(&mut pkts);
         assert!(cycles > 0);
         assert_eq!(pkts[0].out_port, Some(PortId(2)));
@@ -150,8 +151,8 @@ mod tests {
         let mut bad = packet(Ipv4Addr::new(10, 0, 0, 1));
         bad.data[ETH_LEN + 12] ^= 0xFF; // corrupt checksum
         let mut pkts = vec![bad, packet(Ipv4Addr::new(10, 0, 0, 1))];
-        let r = app.pre_shade(&mut pkts);
-        assert_eq!(r.dropped, 1);
-        assert_eq!(pkts.len(), 1);
+        app.pre_shade(&mut pkts);
+        assert_eq!(pkts[0].verdict, Verdict::Drop(DropReason::BadChecksum));
+        assert_eq!(pkts[1].verdict, Verdict::FastPath);
     }
 }

@@ -102,6 +102,7 @@ impl ColumnProgram for Ipv6Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::pre_shade_all_fast;
     use crate::App;
     use ps_net::ethernet::MacAddr;
     use ps_net::PacketBuilder;
@@ -132,7 +133,7 @@ mod tests {
     fn cpu_path_routes_and_decrements_hop_limit() {
         let mut app = Ipv6App::new(&routes());
         let mut pkts = vec![packet("2001:db8::1".parse().unwrap())];
-        app.pre_shade(&mut pkts);
+        pre_shade_all_fast(&mut app, &mut pkts);
         let cycles = app.process_cpu(&mut pkts);
         assert!(cycles > 100, "probes should cost real cycles: {cycles}");
         assert_eq!(pkts[0].out_port, Some(PortId(2)));

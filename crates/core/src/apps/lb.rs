@@ -120,6 +120,7 @@ impl FlowOp for Lb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::pre_shade_all_fast;
     use crate::App;
     use ps_net::ethernet::MacAddr;
     use ps_net::ethernet::HEADER_LEN as ETH_LEN;
@@ -162,7 +163,7 @@ mod tests {
     fn flows_spread_over_backends_and_stick() {
         let mut a = app(8);
         let mut pkts: Vec<Packet> = (0..256u32).map(|i| udp(0x0A000000 + i, 5000, 0)).collect();
-        a.pre_shade(&mut pkts);
+        pre_shade_all_fast(&mut a, &mut pkts);
         a.process_cpu(&mut pkts);
         let used: std::collections::HashSet<u32> = pkts.iter().map(|p| dst(p).0).collect();
         assert!(used.len() >= 6, "256 flows spread over most of 8 backends");

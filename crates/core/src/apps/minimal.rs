@@ -140,7 +140,7 @@ mod tests {
         let mut pkts = vec![Packet::new(0, vec![0; 64], PortId(6), 0)];
         let r = app.pre_shade(&mut pkts);
         assert_eq!(pkts[0].out_port, Some(PortId(7)));
-        assert_eq!(r.dropped, 0);
+        assert_eq!(pkts[0].verdict, ps_net::Verdict::FastPath);
         assert_eq!(r.cycles, 0);
     }
 }

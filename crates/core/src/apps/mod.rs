@@ -68,3 +68,14 @@ pub(crate) fn lpm_cycles(accesses: u64, per_access: u64, survivors: usize) -> u6
     let miss_ns = accesses as f64 * TABLE_MISS_NS as f64 / ROUTER_LOOKUP_OVERLAP;
     (miss_ns * CYCLES_PER_NS) as u64 + per_access * accesses + 30 * survivors as u64
 }
+
+#[cfg(test)]
+/// Pre-shade `pkts` and require that the pre-shader marked none of
+/// them off the fast path, so each still feeds the next callback.
+pub(crate) fn pre_shade_all_fast(app: &mut impl crate::App, pkts: &mut Vec<Packet>) {
+    app.pre_shade(pkts);
+    assert!(
+        pkts.iter().all(|p| p.verdict == ps_net::Verdict::FastPath),
+        "pre_shade marked a test packet off the fast path"
+    );
+}

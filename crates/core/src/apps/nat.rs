@@ -198,6 +198,7 @@ impl FlowOp for Nat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::pre_shade_all_fast;
     use crate::App;
     use ps_net::ethernet::MacAddr;
     use ps_net::ethernet::HEADER_LEN as ETH_LEN;
@@ -256,7 +257,7 @@ mod tests {
     fn first_packet_binds_and_rewrites_source() {
         let mut a = app();
         let mut pkts = vec![udp(0x0A000001, 5000, 0)];
-        a.pre_shade(&mut pkts);
+        pre_shade_all_fast(&mut a, &mut pkts);
         a.process_cpu(&mut pkts);
         let ip = Ipv4Packet::new_unchecked(&pkts[0].data[ETH_LEN..]);
         assert_eq!(u32::from(ip.src()), 0xCB71_0000, "node 0 pool base");
@@ -275,7 +276,7 @@ mod tests {
             udp(0x0A000001, 5000, 0),
             udp(0x0A000002, 5000, 0),
         ];
-        a.pre_shade(&mut pkts);
+        pre_shade_all_fast(&mut a, &mut pkts);
         a.process_cpu(&mut pkts);
         let port = |p: &Packet| UdpDatagram::new_unchecked(&p.data[ETH_LEN + 20..]).src_port();
         assert_eq!(port(&pkts[0]), port(&pkts[1]), "sticky binding");
@@ -348,7 +349,7 @@ mod tests {
         // Same 5-tuple arriving on both nodes: two independent
         // bindings from two independent pools.
         let mut pkts = vec![udp(0x0A000001, 5000, 0), udp(0x0A000001, 5000, 4)];
-        a.pre_shade(&mut pkts);
+        pre_shade_all_fast(&mut a, &mut pkts);
         a.process_cpu(&mut pkts);
         let src = |p: &Packet| u32::from(Ipv4Packet::new_unchecked(&p.data[ETH_LEN..]).src());
         assert_eq!(src(&pkts[0]) >> 16, 0xCB71, "node 0 pool");

@@ -156,6 +156,7 @@ impl ColumnProgram for OpenFlowProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::pre_shade_all_fast;
     use crate::App;
     use ps_net::ethernet::MacAddr;
     use ps_net::PacketBuilder;
@@ -204,7 +205,7 @@ mod tests {
             packet(Ipv4Addr::new(10, 9, 9, 9), 81, 1), // wildcard -> 2
             packet(Ipv4Addr::new(99, 9, 9, 9), 81, 1), // miss -> controller
         ];
-        app.pre_shade(&mut pkts);
+        pre_shade_all_fast(&mut app, &mut pkts);
         app.process_cpu(&mut pkts);
         let ports: Vec<_> = pkts.iter().map(|p| p.out_port).collect();
         assert_eq!(ports, vec![Some(PortId(5)), Some(PortId(2)), None]);
@@ -216,7 +217,7 @@ mod tests {
         let mut app = OpenFlowApp::new(switch());
         let key = FlowKey::extract(0, &packet(Ipv4Addr::new(1, 2, 3, 4), 80, 0).data).unwrap();
         let mut pkts = vec![packet(Ipv4Addr::new(1, 2, 3, 4), 80, 0)];
-        app.pre_shade(&mut pkts);
+        pre_shade_all_fast(&mut app, &mut pkts);
         app.process_cpu(&mut pkts);
         assert_eq!(app.switch.exact.stats(&key).unwrap().packets, 1);
     }

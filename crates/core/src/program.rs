@@ -177,22 +177,12 @@ impl<P: ColumnProgram> App for ColumnApp<P> {
     }
 
     fn pre_shade(&mut self, pkts: &mut Vec<Packet>) -> PreShadeResult {
-        let mut r = PreShadeResult {
+        for p in pkts.iter_mut() {
+            p.verdict = self.program.admit(p);
+        }
+        PreShadeResult {
             cycles: P::PRE_SHADE_CYCLES * pkts.len() as u64,
-            ..PreShadeResult::default()
-        };
-        pkts.retain_mut(|p| match self.program.admit(p) {
-            Verdict::FastPath => true,
-            Verdict::SlowPath(_) => {
-                r.slow_path += 1;
-                false
-            }
-            Verdict::Drop(_) => {
-                r.dropped += 1;
-                false
-            }
-        });
-        r
+        }
     }
 
     fn process_cpu(&mut self, pkts: &mut Vec<Packet>) -> u64 {

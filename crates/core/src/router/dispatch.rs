@@ -18,6 +18,7 @@ use ps_net::ipv4::Ipv4Packet;
 use ps_net::ipv6::Ipv6Packet;
 use ps_net::tcp::TcpSegment;
 use ps_net::udp::UdpDatagram;
+use ps_net::Verdict;
 use ps_nic::rss::{toeplitz_hash, MSFT_KEY};
 use ps_sim::time::Time;
 use ps_sim::{Model, Scheduler};
@@ -188,20 +189,19 @@ impl<A: App> Router<A> {
             let n = pkts.len() as u64;
             let bytes: u64 = pkts.iter().map(|p| p.len() as u64).sum();
             let rx_cycles = cost::rx_batch_cycles(n, bytes, self.cfg.io.placement);
-            let corrupt_before = match &self.plan {
-                Some(_) => pkts.iter().filter(|p| p.corrupted).count() as u64,
-                None => 0,
-            };
             let pre = self.app.pre_shade(&mut pkts);
-            if let Some(plan) = self.plan.as_mut() {
-                // Corrupted frames the pre-shader rejected (malformed,
-                // bad checksum) or diverted off the fast path settle
-                // as counted drops.
-                let after = pkts.iter().filter(|p| p.corrupted).count() as u64;
-                plan.note_corrupt_dropped(corrupt_before - after);
+            // The pre-shader marks, the router retires: one pass keeps
+            // the fast path in order and ledgers the rest.
+            let (mut dropped, mut slow_path) = (0, 0);
+            for p in pkts.extract_if(.., |p| p.verdict != Verdict::FastPath) {
+                match p.verdict {
+                    Verdict::SlowPath(_) => slow_path += 1,
+                    _ => dropped += 1,
+                }
+                self.retire(p);
             }
-            self.stats.drops.app += pre.dropped;
-            self.stats.drops.slow_path += pre.slow_path;
+            self.stats.drops.app += dropped;
+            self.stats.drops.slow_path += slow_path;
             let t1 = now + self.cycles_ns(rx_cycles + pre.cycles);
             self.workers[w].busy_until = t1;
             // One span for the fused RX-fetch + pre-shade interval:
@@ -214,8 +214,8 @@ impl<A: App> Router<A> {
                 vec![
                     ("pkts", n),
                     ("bytes", bytes),
-                    ("dropped", pre.dropped),
-                    ("slow_path", pre.slow_path),
+                    ("dropped", dropped),
+                    ("slow_path", slow_path),
                 ]
             });
 
@@ -314,6 +314,7 @@ impl<A: App> Router<A> {
         let src_node = self.worker_node(w);
         let qpi = self.cfg.testbed.ioh.qpi_hop_ns;
         for p in pkts.drain(..) {
+            debug_assert_eq!(p.verdict, Verdict::FastPath, "marked packet at post-shade");
             let Some(out) = p.out_port else {
                 self.stats.drops.app += 1;
                 self.retire(p);

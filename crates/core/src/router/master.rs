@@ -27,10 +27,11 @@ impl<A: App> Router<A> {
         (self.cfg.total_workers() + node) as u32
     }
 
-    /// Trace lane for node `node`'s shading intervals. Kept separate
-    /// from the gather lane because in stream mode the next gather
-    /// overlaps the previous shade; per-lane stage spans stay disjoint
-    /// so busy-time accounting can sum them.
+    /// Trace lane for node `node`'s shading: one span per batch for
+    /// the time it holds the master (with streams only until its
+    /// uploads are queued, its latency then the `latency_ns` arg), so
+    /// the spans are disjoint and busy time sums. The gather lane is
+    /// separate because stream mode overlaps the next gather.
     fn shade_lane(&self, node: usize) -> u32 {
         (self.cfg.total_workers() + self.cfg.nodes + node) as u32
     }
@@ -153,22 +154,26 @@ impl<A: App> Router<A> {
             } else {
                 done
             };
+            // With streams the master pipelines the next gather behind
+            // this one as soon as this gather's uploads are queued;
+            // without streams it blocks until the results are back.
+            let streams = self.cfg.concurrent_copy;
+            let busy_until = if streams {
+                start.max(gpu.next_copy_slot())
+            } else {
+                done
+            };
+            // `latency_ns` only with streams, where it differs from the span.
+            let args = [("pkts", n), ("latency_ns", done - start)];
+            let args = &args[..1 + usize::from(streams)];
             ps_trace::complete(
                 ps_trace::Category::Stage,
                 "shade",
                 shade_lane,
                 start,
-                done,
-                || vec![("pkts", n)],
+                busy_until,
+                || args.to_vec(),
             );
-            // With streams the master pipelines the next gather behind
-            // this one as soon as this gather's uploads are queued;
-            // without streams it blocks until the results are back.
-            let busy_until = if self.cfg.concurrent_copy {
-                start.max(gpu.next_copy_slot())
-            } else {
-                done
-            };
             (done, busy_until)
         };
         // Scatter the results back, moving the packets out of the

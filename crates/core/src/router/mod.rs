@@ -228,7 +228,7 @@ impl<A: App> Router<A> {
     fn retire(&mut self, p: Packet) {
         if p.corrupted {
             if let Some(plan) = self.plan.as_mut() {
-                plan.note_corrupt_dropped(1);
+                plan.note_corrupt_dropped();
             }
         }
         self.reclaim_buf(p.data);

@@ -84,12 +84,12 @@ pub struct DropLedger {
     pub nic_fault: u64,
     /// Tail-dropped from a full RX descriptor ring.
     pub ring_tail: u64,
-    /// Dropped by the application: rejected by the pre-shader
-    /// (malformed, TTL expired, bad checksum) or marked by the shader
-    /// or its CPU path (no route, unparseable key).
+    /// Dropped by the application: marked `Verdict::Drop` by the
+    /// pre-shader (malformed, TTL expired, bad checksum) or marked by
+    /// the shader or its CPU path (no route, unparseable key).
     pub app: u64,
-    /// Diverted by the pre-shader to the host stack (local
-    /// destination, IP options, non-IP).
+    /// Marked `Verdict::SlowPath` by the pre-shader: diverted to the
+    /// host stack (local destination, IP options, non-IP).
     pub slow_path: u64,
 }
 

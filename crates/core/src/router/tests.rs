@@ -479,6 +479,47 @@ fn drained_runs_settle_every_corrupted_packet() {
     }
 }
 
+/// Pre-shade verdicts leave through the retire path too. Under the
+/// `corrupt` fault scenario the IPv4 pre-shader rejects truncated,
+/// empty and bad-checksum frames (`drops.app`) and diverts frames
+/// whose EtherType flipped (`drops.slow_path`). In CPU-only and
+/// CPU+GPU modes the run conserves at every slice cut, and a drained
+/// run settles every corrupted frame as a drop or a delivery.
+#[test]
+fn pre_shade_verdicts_conserve_and_settle_under_corruption() {
+    use crate::apps::Ipv4App;
+    use ps_lookup::route::Route4;
+    // Two /1 routes cover every address, so the pre-shader is what
+    // rejects the damaged frames.
+    let routes = [Route4::new(0, 1, 0), Route4::new(0x8000_0000, 1, 4)];
+    let faults = ps_fault::FaultSpec::scenario("corrupt")
+        .expect("known scenario")
+        .with_seed(3)
+        .with_rate(0.2);
+    for (name, cfg) in [
+        ("ipv4-corrupt-cpu", RouterConfig::paper_cpu()),
+        ("ipv4-corrupt-gpu", RouterConfig::paper_gpu()),
+    ] {
+        let cfg = RouterConfig { faults, ..cfg };
+        let app = || Ipv4App::new(&routes);
+        check_conservation(name, cfg, app, |seed| fixed(64, 20.0, seed), 300 * MICROS);
+        let mut sim = started(cfg, app(), fixed(64, 20.0, 3), 300 * MICROS);
+        sim.run_to_completion();
+        let (generated, accounted, parts) = conservation(&sim);
+        assert_eq!(accounted, generated, "{name} drained: {parts}");
+        let drops = sim.model.stats.drops;
+        assert!(drops.app > 0 && drops.slow_path > 0, "{name}: {drops:?}");
+        let f = &sim.model.plan.as_ref().expect("plan armed").stats;
+        let at = format!("{name}:\n{}", f.summary_table());
+        assert_eq!(f.corrupt_in_flight, 0, "{at}");
+        assert_eq!(
+            f.corrupt_injected,
+            f.corrupt_dropped + f.corrupt_delivered,
+            "{at}"
+        );
+    }
+}
+
 fn layout(nodes: usize, workers_per_node: usize, ports: u16) -> RouterConfig {
     RouterConfig {
         nodes,

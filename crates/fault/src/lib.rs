@@ -600,14 +600,14 @@ impl FaultPlan {
         Some(kind)
     }
 
-    /// Record corrupted packets leaving the pipeline as counted drops.
-    pub fn note_corrupt_dropped(&mut self, n: u64) {
-        self.stats.corrupt_dropped += n;
+    /// Record a corrupted packet leaving the pipeline as a counted drop.
+    pub fn note_corrupt_dropped(&mut self) {
+        self.stats.corrupt_dropped += 1;
         self.stats.corrupt_in_flight = self
             .stats
             .corrupt_in_flight
-            .checked_sub(n)
-            .expect("more corrupted drops than in flight");
+            .checked_sub(1)
+            .expect("dropped corrupt packet not in flight");
     }
 
     /// Record a corrupted packet that still forwarded to the sink.
@@ -808,7 +808,7 @@ mod tests {
             if plan.corrupt_frame(port, i, &mut data).is_some() {
                 // Caller decides the packet's fate; alternate.
                 if i % 2 == 0 {
-                    plan.note_corrupt_dropped(1);
+                    plan.note_corrupt_dropped();
                     dropped += 1;
                 } else {
                     plan.note_corrupt_delivered();

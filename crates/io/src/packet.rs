@@ -1,5 +1,6 @@
 //! The packet record that flows through the simulated router.
 
+use ps_net::verdict::Verdict;
 use ps_nic::port::{PortId, QueueId};
 use ps_sim::time::Time;
 
@@ -32,6 +33,9 @@ pub struct Packet {
     /// bypass bulk batching; `false` whenever no classifier is
     /// configured.
     pub priority: bool,
+    /// The pre-shader's mark: the router retires a packet set to
+    /// anything but [`Verdict::FastPath`] as a drop or a diversion.
+    pub verdict: Verdict,
 }
 
 impl Packet {
@@ -47,6 +51,7 @@ impl Packet {
             out_port: None,
             corrupted: false,
             priority: false,
+            verdict: Verdict::FastPath,
         }
     }
 
@@ -73,5 +78,12 @@ mod tests {
         assert_eq!(p.out_port, None);
         assert_eq!(p.id, 7);
         assert!(!p.is_empty());
+        assert_eq!(p.verdict, Verdict::FastPath);
+    }
+
+    /// The record stays one cache line: the verdict rides in padding.
+    #[test]
+    fn packet_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Packet>(), 64);
     }
 }

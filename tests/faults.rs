@@ -17,9 +17,12 @@
 //!    produced. The properties shrink, so a violation reports a
 //!    minimal failing batch.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+use common::pre_shade_fast_path;
 use packetshader::check::{check_with, ensure, ensure_eq, Config};
 use packetshader::core::apps::{IpsecApp, Ipv4App, Ipv6App, OpenFlowApp};
 use packetshader::core::{App, Router, RouterConfig, RouterReport};
@@ -121,9 +124,9 @@ fn assert_survives<A: App>(mut cpu: A, mut gpu: A, frames: &[Vec<u8>], healthy: 
 
     // CPU path: pre-shade accounting must be exact, survivors routed.
     let mut a = mk();
-    let pre = cpu.pre_shade(&mut a);
+    let (dropped, slow_path) = pre_shade_fast_path(&mut cpu, &mut a);
     assert_eq!(
-        pre.dropped + pre.slow_path + a.len() as u64,
+        dropped + slow_path + a.len() as u64,
         total as u64,
         "pre_shade lost packets without counting them"
     );
@@ -143,7 +146,7 @@ fn assert_survives<A: App>(mut cpu: A, mut gpu: A, frames: &[Vec<u8>], healthy: 
     let (mut eng, mut ioh) = gpu_env();
     gpu.setup_gpu(0, &mut eng);
     let mut b = mk();
-    gpu.pre_shade(&mut b);
+    pre_shade_fast_path(&mut gpu, &mut b);
     gpu.shade(0, &mut eng, &mut ioh, 0, &mut b);
     let shaded: BTreeMap<u64, PortId> = b
         .iter()
@@ -233,12 +236,12 @@ fn ipsec_malformed_mid_batch_keeps_gpu_cpu_parity() {
     gpu.setup_gpu(0, &mut eng);
 
     let mut a = mk_pkts();
-    cpu.pre_shade(&mut a);
+    pre_shade_fast_path(&mut cpu, &mut a);
     a[2].data.truncate(10); // damage lands post-classification
     cpu.process_cpu(&mut a);
 
     let mut b = mk_pkts();
-    gpu.pre_shade(&mut b);
+    pre_shade_fast_path(&mut gpu, &mut b);
     b[2].data.truncate(10);
     gpu.shade(0, &mut eng, &mut ioh, 0, &mut b);
 
@@ -262,7 +265,7 @@ fn ipsec_malformed_mid_batch_keeps_gpu_cpu_parity() {
 fn esp_rejects_flipped_icv_and_ciphertext() {
     let mut app = IpsecApp::new([0x42; 16], 0xDEAD, b"icv-test-key");
     let mut pkts = vec![Packet::new(1, v4_frame(1), PortId(0), 0)];
-    app.pre_shade(&mut pkts);
+    pre_shade_fast_path(&mut app, &mut pkts);
     app.process_cpu(&mut pkts);
 
     let eth = EthernetFrame::new_checked(&pkts[0].data[..]).expect("outer frame parses");
@@ -467,10 +470,10 @@ fn gpu_fallback_preserves_ipv4_decisions() {
         gpu.setup_gpu(0, &mut eng);
 
         let mut a = pkts.clone();
-        cpu.pre_shade(&mut a);
+        pre_shade_fast_path(&mut cpu, &mut a);
         cpu.process_cpu(&mut a);
         let mut b = pkts;
-        gpu.pre_shade(&mut b);
+        pre_shade_fast_path(&mut gpu, &mut b);
         gpu.shade(0, &mut eng, &mut ioh, 0, &mut b);
 
         let decided: BTreeMap<u64, Option<PortId>> = a.iter().map(|p| (p.id, p.out_port)).collect();
@@ -513,10 +516,10 @@ fn gpu_fallback_preserves_ipsec_ciphertext() {
         gpu.setup_gpu(0, &mut eng);
 
         let mut a = pkts.clone();
-        cpu.pre_shade(&mut a);
+        pre_shade_fast_path(&mut cpu, &mut a);
         cpu.process_cpu(&mut a);
         let mut b = pkts;
-        gpu.pre_shade(&mut b);
+        pre_shade_fast_path(&mut gpu, &mut b);
         gpu.shade(0, &mut eng, &mut ioh, 0, &mut b);
 
         ensure_eq!(a.len(), b.len(), "batch sizes diverged");

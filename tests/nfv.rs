@@ -16,8 +16,11 @@
 //!    falls back to the CPU, and every packet is delivered or
 //!    ledgered.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::pre_shade_fast_path;
 use packetshader::check::{check, ensure, ensure_eq, Gen};
 use packetshader::core::apps::{Backend, LbApp, NatApp};
 use packetshader::core::{App, Router, RouterConfig};
@@ -179,7 +182,7 @@ fn drive<A: App>(app: &mut A, spec: TrafficSpec, total: usize) -> usize {
             batch.push(gen.next_packet().1);
         }
         left -= batch.len();
-        app.pre_shade(&mut batch);
+        pre_shade_fast_path(app, &mut batch);
         app.process_cpu(&mut batch);
         forwarded += batch.len();
     }

@@ -7,6 +7,9 @@
 //! traffic, damaged after `pre_shade`, CPU path vs GPU path under
 //! every staging mode. IPsec keeps its own bit-exact check.
 
+mod common;
+
+use common::pre_shade_fast_path;
 use packetshader::check::{check, ensure_eq, Gen};
 use packetshader::core::apps::{Backend, IpsecApp, Ipv4App, Ipv6App, LbApp, NatApp, OpenFlowApp};
 use packetshader::core::{App, ColumnApp, ColumnProgram, Staging};
@@ -54,11 +57,11 @@ fn assert_parity<A: App>(mut cpu_app: A, mut gpu_app: A, pkts: Vec<Packet>) {
     gpu_app.setup_gpu(0, &mut eng);
 
     let mut via_cpu = pkts.clone();
-    cpu_app.pre_shade(&mut via_cpu);
+    pre_shade_fast_path(&mut cpu_app, &mut via_cpu);
     cpu_app.process_cpu(&mut via_cpu);
 
     let mut via_gpu = pkts;
-    gpu_app.pre_shade(&mut via_gpu);
+    pre_shade_fast_path(&mut gpu_app, &mut via_gpu);
     gpu_app.shade(0, &mut eng, &mut ioh, 0, &mut via_gpu);
     via_gpu.retain(|p| p.out_port.is_some());
 
@@ -134,7 +137,7 @@ fn column_parity<P: ColumnProgram>(
     // drop on either path — never forwarded, never a panic (NAT and
     // LB used to count it twice on the GPU path).
     let mut batch = traffic(kind, 4, 1);
-    cpu.pre_shade(&mut batch);
+    pre_shade_fast_path(&mut cpu, &mut batch);
     assert_eq!(batch.len(), 4, "{name}: generated traffic is fast-path");
     batch[1].data.truncate(17);
     let damaged = batch[1].id;
@@ -170,7 +173,7 @@ fn column_parity<P: ColumnProgram>(
                 pkts[i].in_port = pkts[earlier].in_port;
             }
         }
-        cpu.pre_shade(&mut pkts);
+        pre_shade_fast_path(&mut cpu, &mut pkts);
         let damage: Vec<Option<Damage>> = pkts
             .iter()
             .map(|p| match g.int_in(0u32..6) {

@@ -22,6 +22,9 @@
 //! identically through each mode's `Slots` addressing, with the PCIe
 //! ledger charging packed bytes vs whole-frame bytes respectively.
 
+mod common;
+
+use common::pre_shade_fast_path;
 use packetshader::check::{check, ensure, ensure_eq, Gen};
 use packetshader::core::apps::{Backend, Ipv4App, LbApp, NatApp, OpenFlowApp};
 use packetshader::core::columns::{ColumnStage, FLOW_COLUMNS, FRAME_SLOT, IPV4_COLUMNS};
@@ -80,7 +83,7 @@ fn shade_under<A: App>(mut app: A, mode: Staging, mut pkts: Vec<Packet>) -> (Out
     let (mut eng, mut ioh) = rig();
     app.set_staging(mode);
     app.setup_gpu(0, &mut eng);
-    app.pre_shade(&mut pkts);
+    pre_shade_fast_path(&mut app, &mut pkts);
     let done = app.shade(0, &mut eng, &mut ioh, 0, &mut pkts);
     (
         pkts.iter().map(|p| (p.data.clone(), p.out_port)).collect(),

@@ -110,11 +110,15 @@ fn global_tracer_respects_mask() {
 }
 
 fn traced_ipv4_run(gbps: f64, seed: u64) -> (Collector, u64) {
+    traced_ipv4_run_with(RouterConfig::paper_gpu(), gbps, seed)
+}
+
+fn traced_ipv4_run_with(cfg: RouterConfig, gbps: f64, seed: u64) -> (Collector, u64) {
     let window = MILLIS;
     let routes = vec![Route4::new(0, 1, 0), Route4::new(0x8000_0000, 1, 4)];
     let (_, collector) = ps_bench::trace::traced(TraceConfig::all(), || {
         Router::run(
-            RouterConfig::paper_gpu(),
+            cfg,
             Ipv4App::new(&routes),
             TrafficSpec::ipv4_64b(gbps, seed),
             window,
@@ -171,16 +175,25 @@ fn chrome_json_round_trips_through_parser() {
 #[test]
 fn stage_spans_tile_the_virtual_window() {
     use ps_bench::trace::{parsed_stage_spans, stage_lane_accounting, stage_spans};
-    let (collector, window) = traced_ipv4_run(20.0, 3);
-    let (events, _) = collector.resolved();
-    let accounts = stage_lane_accounting(stage_spans(&events), window).unwrap();
-    assert!(!accounts.is_empty());
-    let parsed = chrome::parse(&chrome::export(&collector)).unwrap();
-    let from_dump = stage_lane_accounting(parsed_stage_spans(&parsed), window);
-    assert_eq!(from_dump.as_ref(), Ok(&accounts));
-    // At 20 Gbps the workers are genuinely loaded: some lane spends
-    // a nontrivial share of the window busy.
-    assert!(accounts.iter().any(|a| a.busy > window / 10));
+    // With streams (`concurrent_copy`) the master gathers the next
+    // batch while the previous one is still on the GPU; the shade
+    // lane must still hold one span at a time.
+    let streams = RouterConfig {
+        concurrent_copy: true,
+        ..RouterConfig::paper_gpu()
+    };
+    for cfg in [RouterConfig::paper_gpu(), streams] {
+        let (collector, window) = traced_ipv4_run_with(cfg, 20.0, 3);
+        let (events, _) = collector.resolved();
+        let accounts = stage_lane_accounting(stage_spans(&events), window).unwrap();
+        assert!(!accounts.is_empty());
+        let parsed = chrome::parse(&chrome::export(&collector)).unwrap();
+        let from_dump = stage_lane_accounting(parsed_stage_spans(&parsed), window);
+        assert_eq!(from_dump.as_ref(), Ok(&accounts));
+        // At 20 Gbps the workers are genuinely loaded: some lane
+        // spends a nontrivial share of the window busy.
+        assert!(accounts.iter().any(|a| a.busy > window / 10));
+    }
 }
 
 /// The flat metrics exporter aggregates the same events the Chrome
