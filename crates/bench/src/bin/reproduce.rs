@@ -12,15 +12,14 @@
 //! `--mode gpu|cpu`,
 //! `--gbps <f>`, `--frame <bytes>`, `--ms <virtual ms>`,
 //! `--trace-out <path>`. The trace honours `PS_TRACE` (category list)
-//! and `PS_TRACE_CAP` (ring size); without `PS_TRACE` every category
-//! is recorded. The per-lane stage accounting fails the run when two
+//! and `PS_TRACE_CAP` (ring size); while `PS_TRACE` is off (unset,
+//! empty or `0`) every category is recorded in a default-size ring. The per-lane stage accounting fails the run when two
 //! stage spans on one lane overlap; after writing the dump the binary
 //! re-parses it and requires the dump's accounting to equal the
 //! run's. See OBSERVABILITY.md.
 
 use ps_bench::trace::{
-    config_from_env_or_all, parsed_stage_spans, stage_lane_accounting, stage_spans, traced,
-    write_chrome,
+    config_from_env, parsed_stage_spans, stage_lane_accounting, stage_spans, traced, write_chrome,
 };
 use ps_bench::workloads;
 use ps_core::apps::{Backend, ForwardPattern, IpsecApp, LbApp, MinimalApp, NatApp};
@@ -28,7 +27,7 @@ use ps_core::{Mode, Router, RouterConfig, RouterReport};
 use ps_pktgen::{TrafficKind, TrafficSpec};
 use ps_sim::trace_summary::summarize;
 use ps_sim::MILLIS;
-use ps_trace::Collector;
+use ps_trace::{Collector, TraceConfig};
 
 struct Opts {
     app: String,
@@ -103,7 +102,8 @@ fn run(opts: &Opts) -> (RouterReport, Collector) {
         ..TrafficSpec::default()
     };
     let duration = opts.ms * MILLIS;
-    let tc = config_from_env_or_all();
+    // Every category unless `PS_TRACE` names some.
+    let tc = config_from_env().unwrap_or_else(TraceConfig::all);
     match opts.app.as_str() {
         "ipv4" => traced(tc, || {
             Router::run(cfg, workloads::ipv4_app(50_000, 1), spec, duration)
@@ -195,14 +195,11 @@ fn main() {
     println!();
 
     // Flat metrics summary over the whole run.
-    let (events, unmatched) = collector.resolved();
+    let events = collector.resolved();
     let summary = summarize(&events, duration);
     print!("{}", summary.render());
-    if unmatched > 0 || collector.dropped > 0 {
-        println!(
-            "(unmatched spans: {unmatched}, ring-evicted events: {})",
-            collector.dropped
-        );
+    if collector.dropped > 0 {
+        println!("(ring-evicted events: {})", collector.dropped);
     }
 
     // Per-lane busy/idle: the stage spans on a lane are disjoint, so

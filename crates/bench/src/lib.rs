@@ -14,13 +14,20 @@ pub mod workloads;
 
 use std::time::Instant;
 
-/// Milliseconds of virtual time per throughput measurement. Raise for
-/// smoother numbers, lower for faster runs.
+/// Milliseconds of virtual time per throughput measurement
+/// (`PS_BENCH_MS`, default 2). Raise for smoother numbers, lower for
+/// faster runs.
+///
+/// # Panics
+///
+/// When `PS_BENCH_MS` is set to anything but a decimal or `0x`-hex
+/// count of at least 1, naming the variable.
 pub(crate) fn window_ms() -> u64 {
-    std::env::var("PS_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
+    match ps_rng::env_u64("PS_BENCH_MS") {
+        None => 2,
+        Some(0) => panic!("PS_BENCH_MS=0: a throughput window needs at least 1 ms"),
+        Some(ms) => ms,
+    }
 }
 
 /// Print a rule line.

@@ -22,9 +22,10 @@
 //!
 //! `PS_BENCH_MS` sets the virtual milliseconds per throughput run
 //! (default 2; the README uses 4 for smoother numbers). `--trace-out
-//! <path>` (or setting `PS_TRACE`) records every simulation under a
-//! trace collector; with `--trace-out` the combined timeline is
-//! written as Chrome `trace_event` JSON (see OBSERVABILITY.md).
+//! <path>` (or setting `PS_TRACE` to a category list) records every
+//! simulation under a trace collector; with `--trace-out` the combined
+//! timeline is written as Chrome `trace_event` JSON (see
+//! OBSERVABILITY.md).
 
 use ps_bench::experiments as ex;
 use ps_bench::timed;
@@ -132,16 +133,17 @@ fn main() {
         eprintln!("             nfv nfv-apps nfv-pressure overload trace-breakdown all");
         std::process::exit(2);
     }
-    let tracing = trace_out.is_some() || std::env::var("PS_TRACE").is_ok();
+    // `--trace-out` records every category unless `PS_TRACE` names some.
+    let trace = ps_bench::trace::config_from_env()
+        .or_else(|| trace_out.is_some().then(ps_trace::TraceConfig::all));
     let run_all = || {
         for arg in &args {
             let ((), secs) = timed(|| dispatch(arg));
             println!("[{arg}: simulated in {secs:.1}s wall clock]");
         }
     };
-    if tracing {
-        let ((), collector) =
-            ps_bench::trace::traced(ps_bench::trace::config_from_env_or_all(), run_all);
+    if let Some(cfg) = trace {
+        let ((), collector) = ps_bench::trace::traced(cfg, run_all);
         if let Some(path) = trace_out {
             match ps_bench::trace::write_chrome(&collector, &path) {
                 Ok(bytes) => println!("trace: wrote {path} ({bytes} bytes)"),

@@ -57,8 +57,8 @@ impl Runner {
     /// batch count, `PS_BENCH_TARGET_MS` the per-batch calibration
     /// target (default 5 ms).
     pub fn new(suite: &str) -> Runner {
-        let samples = env_u64("PS_BENCH_SAMPLES", 11).max(3) as usize;
-        let target_ns = env_u64("PS_BENCH_TARGET_MS", 5) * 1_000_000;
+        let samples = ps_rng::env_u64("PS_BENCH_SAMPLES").unwrap_or(11).max(3) as usize;
+        let target_ns = ps_rng::env_u64("PS_BENCH_TARGET_MS").unwrap_or(5) * 1_000_000;
         println!(
             "suite {suite}: {samples} samples, ~{} ms/batch",
             target_ns / 1_000_000
@@ -190,13 +190,6 @@ fn format_rate(tp: Throughput, median_ns: f64) -> String {
             format!("({:.2} Gbit/s)", per_sec * 8.0 / 1e9)
         }
     }
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn json_str(s: &str) -> String {

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use ps_trace::chrome::ParsedEvent;
-use ps_trace::{Category, Collector, Event, Phase, TraceConfig};
+use ps_trace::{Category, CategoryMask, Collector, Event, Phase, TraceConfig};
 
 /// Run `f` with a fresh collector installed on this thread; returns
 /// `f`'s result and the filled collector. Any previously installed
@@ -20,10 +20,32 @@ pub fn traced<T>(cfg: TraceConfig, f: impl FnOnce() -> T) -> (T, Collector) {
     (out, collector)
 }
 
-/// The trace configuration the harness runs with: `PS_TRACE` /
-/// `PS_TRACE_CAP` when set, everything otherwise.
-pub fn config_from_env_or_all() -> TraceConfig {
-    TraceConfig::from_env().unwrap_or_else(TraceConfig::all)
+/// The trace configuration `PS_TRACE` (a category list) and
+/// `PS_TRACE_CAP` (the ring capacity) ask for; `None` when tracing is
+/// off.
+///
+/// # Panics
+///
+/// When `PS_TRACE` names an unknown category, or `PS_TRACE_CAP` is not
+/// a decimal or `0x`-hex count of at least 1, naming the variable: a
+/// mistyped value must not silently trace everything or nothing.
+pub fn config_from_env() -> Option<TraceConfig> {
+    let list = std::env::var("PS_TRACE").ok();
+    trace_config(list.as_deref(), ps_rng::env_u64("PS_TRACE_CAP"))
+}
+
+/// The trace configuration a `PS_TRACE` value and a parsed
+/// `PS_TRACE_CAP` value ask for. Unset, empty and `0` mean off.
+fn trace_config(list: Option<&str>, cap: Option<u64>) -> Option<TraceConfig> {
+    let capacity = match cap {
+        None => TraceConfig::default().capacity,
+        Some(0) => panic!("PS_TRACE_CAP=0: the trace ring needs at least one slot"),
+        Some(n) => usize::try_from(n).unwrap_or(usize::MAX),
+    };
+    let list = list.map(str::trim).filter(|l| !l.is_empty() && *l != "0")?;
+    let mask = CategoryMask::parse(list)
+        .unwrap_or_else(|name| panic!("PS_TRACE={list}: unknown trace category `{name}`"));
+    Some(TraceConfig { mask, capacity })
 }
 
 /// Export `collector` as Chrome `trace_event` JSON into `path`;
@@ -46,7 +68,7 @@ pub struct LaneAccount {
 }
 
 /// The `stage` spans of a run's own events, as `(lane, start, dur)`.
-pub fn stage_spans(events: &[Event]) -> impl Iterator<Item = (u32, u64, u64)> + '_ {
+pub fn stage_spans<'a>(events: &'a [&Event]) -> impl Iterator<Item = (u32, u64, u64)> + 'a {
     events.iter().filter_map(|ev| match ev.phase {
         Phase::Complete { dur } if ev.cat == Category::Stage => Some((ev.lane, ev.ts, dur)),
         _ => None,
@@ -102,6 +124,38 @@ mod tests {
     use super::*;
 
     #[test]
+    fn ps_trace_unset_empty_or_zero_is_off() {
+        for list in [None, Some(""), Some(" "), Some("0")] {
+            assert!(trace_config(list, None).is_none(), "{list:?}");
+        }
+    }
+
+    #[test]
+    fn ps_trace_list_selects_exactly_its_categories() {
+        let cfg = trace_config(Some("stage,gpu"), Some(64)).unwrap();
+        assert_eq!(
+            cfg.mask,
+            CategoryMask::of(&[Category::Stage, Category::Gpu])
+        );
+        assert_eq!(cfg.capacity, 64);
+        let cfg = trace_config(Some("all"), None).unwrap();
+        assert_eq!(cfg.mask, CategoryMask::ALL);
+        assert_eq!(cfg.capacity, TraceConfig::default().capacity);
+    }
+
+    #[test]
+    #[should_panic(expected = "PS_TRACE=stgae: unknown trace category `stgae`")]
+    fn ps_trace_unknown_category_panics_naming_it() {
+        trace_config(Some("stgae"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "PS_TRACE_CAP=0")]
+    fn ps_trace_cap_zero_panics_naming_it() {
+        trace_config(None, Some(0));
+    }
+
+    #[test]
     fn traced_restores_prior_collector() {
         ps_trace::install(Collector::new(TraceConfig::all()));
         ps_trace::complete(Category::Io, "outer", 0, 0, 1, Vec::new);
@@ -124,7 +178,7 @@ mod tests {
         c.complete(Category::Stage, "c", 1, 900, 1_500, vec![]);
         // Non-stage spans are ignored even when overlapping.
         c.complete(Category::Gpu, "kernel", 0, 0, 1_000, vec![]);
-        let (events, _) = c.resolved();
+        let events = c.resolved();
         let acc = stage_lane_accounting(stage_spans(&events), 1_000).unwrap();
         assert_eq!(
             acc,
@@ -153,7 +207,7 @@ mod tests {
         c.complete(Category::Stage, "a", 0, 0, 300, vec![]);
         c.complete(Category::Stage, "b", 2, 0, 600, vec![]);
         c.complete(Category::Stage, "c", 2, 400, 1_000, vec![]);
-        let (events, _) = c.resolved();
+        let events = c.resolved();
         let err = stage_lane_accounting(stage_spans(&events), 1_000).unwrap_err();
         assert!(
             err.starts_with("lane 2: stage spans overlap at 400 ns"),

@@ -4,15 +4,11 @@
 //! the same instant fire in scheduling order, which makes every run
 //! bit-for-bit reproducible regardless of queue internals.
 //!
-//! Internally the queue is a **binary heap** plus a one-entry **next
-//! slot** caching an event known to precede everything in the heap —
-//! the common "schedule the immediate next arrival" pattern then never
-//! touches the heap at all. Every pop takes the `(time, seq)` minimum
-//! of the two, so the dispatch order is exactly the one a single heap
-//! would give. Streams of items whose order is known in advance (DMA
-//! and wire completions, generator arrivals) do not go through the
-//! queue one by one: [`crate::Completions`] keeps them and holds one
-//! event here for the earliest.
+//! Internally the queue is one **binary heap** keyed on `(time, seq)`.
+//! Streams of items whose order is known in advance (DMA and wire
+//! completions, generator arrivals) do not go through the queue one by
+//! one: [`crate::Completions`] keeps them and holds one event here for
+//! the earliest.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -54,8 +50,6 @@ impl<E> Ord for Entry<E> {
 /// [`Model::handle`] so handlers can schedule follow-up events.
 pub struct Scheduler<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// When occupied, an event whose key precedes every heap entry.
-    next: Option<Entry<E>>,
     seq: u64,
     now: Time,
     /// Key of the event being dispatched (the last one popped).
@@ -77,7 +71,6 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             heap: BinaryHeap::new(),
-            next: None,
             seq: 0,
             now: 0,
             current: (0, 0),
@@ -94,7 +87,7 @@ impl<E> Scheduler<E> {
     /// Number of pending events (a [`crate::Completions`] set counts
     /// as the events it holds here, not as its items).
     pub fn pending(&self) -> usize {
-        self.heap.len() + usize::from(self.next.is_some())
+        self.heap.len()
     }
 
     /// Schedule `ev` at absolute time `t`.
@@ -127,25 +120,7 @@ impl<E> Scheduler<E> {
             t,
             self.now
         );
-        let e = Entry { time: t, seq, ev };
-        // Keep the slot holding a key that precedes the whole heap:
-        // a smaller event displaces the occupant into the heap; with
-        // the slot empty, only an event preceding the heap root may
-        // claim it.
-        match &self.next {
-            Some(n) if e.key() < n.key() => {
-                let old = self.next.replace(e).expect("occupied");
-                self.heap.push(Reverse(old));
-            }
-            Some(_) => self.heap.push(Reverse(e)),
-            None => {
-                if self.heap.peek().is_none_or(|Reverse(h)| e.key() < h.key()) {
-                    self.next = Some(e);
-                } else {
-                    self.heap.push(Reverse(e));
-                }
-            }
-        }
+        self.heap.push(Reverse(Entry { time: t, seq, ev }));
     }
 
     /// Schedule `ev` after a delay of `d` nanoseconds.
@@ -153,19 +128,10 @@ impl<E> Scheduler<E> {
         self.at(self.now + d, ev);
     }
 
-    /// Schedule `ev` to run at the current instant, after all events
-    /// already queued for this instant.
-    pub fn immediately(&mut self, ev: E) {
-        self.at(self.now, ev);
-    }
-
     /// Key of the earliest pending event.
     #[inline]
     pub(crate) fn peek_key(&self) -> Option<(Time, u64)> {
-        match &self.next {
-            Some(n) => Some(n.key()),
-            None => self.heap.peek().map(|Reverse(h)| h.key()),
-        }
+        self.heap.peek().map(|Reverse(h)| h.key())
     }
 
     /// Key of the event being dispatched.
@@ -183,9 +149,7 @@ impl<E> Scheduler<E> {
     /// it inside the event being dispatched (see
     /// [`crate::Completions`]).
     pub(crate) fn discard_next(&mut self) {
-        if self.next.take().is_none() {
-            self.heap.pop();
-        }
+        self.heap.pop();
     }
 
     fn pop(&mut self) -> Option<(Time, E)> {
@@ -209,10 +173,7 @@ impl<E> Scheduler<E> {
         if k.0 > deadline {
             return None;
         }
-        let e = match self.next.take() {
-            Some(n) => n,
-            None => self.heap.pop().expect("heap non-empty").0,
-        };
+        let Reverse(e) = self.heap.pop().expect("heap non-empty");
         debug_assert!(e.time >= self.now);
         self.now = e.time;
         self.current = k;
@@ -250,19 +211,7 @@ impl<M: Model> Simulation<M> {
 
     /// The events still queued, in no particular order.
     pub fn pending_events(&self) -> impl Iterator<Item = &M::Event> {
-        let heap = self.sched.heap.iter().map(|Reverse(e)| e);
-        self.sched.next.iter().chain(heap).map(|e| &e.ev)
-    }
-
-    /// Dispatch a single event. Returns `false` when the queue is dry.
-    pub fn step(&mut self) -> bool {
-        match self.sched.pop() {
-            Some((_, ev)) => {
-                self.model.handle(&mut self.sched, ev);
-                true
-            }
-            None => false,
-        }
+        self.sched.heap.iter().map(|Reverse(e)| &e.ev)
     }
 
     /// Run until the queue is empty or virtual time would exceed
@@ -286,7 +235,8 @@ impl<M: Model> Simulation<M> {
     /// Run until the event queue is empty. Returns events dispatched.
     pub fn run_to_completion(&mut self) -> u64 {
         let mut steps = 0;
-        while self.step() {
+        while let Some((_, ev)) = self.sched.pop() {
+            self.model.handle(&mut self.sched, ev);
             steps += 1;
         }
         steps
@@ -435,13 +385,13 @@ mod tests {
 
     #[test]
     fn fifo_lane_ties_fire_in_scheduling_order() {
-        // Same instant across lanes, slot and heap: scheduling order
-        // (= seq order) decides, exactly as a single heap would.
+        // Same instant across lanes and heap: scheduling order (= seq
+        // order) decides.
         let mut sim = lanes(2);
-        sim.schedule(5, 1); // slot
+        sim.schedule(5, 1);
         let Simulation { model, sched } = &mut sim;
         model.c.push(sched, 0, 5, 2, |_| RUN);
-        sim.schedule(5, 3); // heap
+        sim.schedule(5, 3);
         let Simulation { model, sched } = &mut sim;
         model.c.push_unordered(sched, 5, 4, |_| RUN);
         model.c.push(sched, 1, 5, 5, |_| RUN);
@@ -463,9 +413,8 @@ mod tests {
     }
 
     #[test]
-    fn next_slot_displacement_keeps_order() {
-        // Exercise the slot: each new minimum displaces the previous
-        // occupant back into the heap.
+    fn descending_schedule_pops_in_time_order() {
+        // Each event scheduled is a new minimum of the heap.
         let mut sim = recorder(false);
         for &(t, v) in &[(50u64, 5u32), (40, 4), (30, 3), (20, 2), (10, 1)] {
             sim.schedule(t, v);
@@ -480,9 +429,9 @@ mod tests {
     #[test]
     fn pending_counts_all_structures() {
         let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.at(10, 1); // slot
-        sched.at(20, 2); // heap
-        sched.at(15, 3); // heap
+        sched.at(10, 1);
+        sched.at(20, 2);
+        sched.at(15, 3);
         assert_eq!(sched.pending(), 3);
         sched.pop();
         assert_eq!(sched.pending(), 2);
@@ -498,26 +447,5 @@ mod tests {
         sched.at(10, 1);
         sched.pop();
         sched.at(5, 2);
-    }
-
-    #[test]
-    fn immediately_runs_after_current_instant_events() {
-        struct M {
-            order: Vec<u32>,
-        }
-        impl Model for M {
-            type Event = u32;
-            fn handle(&mut self, sched: &mut Scheduler<u32>, ev: u32) {
-                if ev == 1 {
-                    sched.immediately(9);
-                }
-                self.order.push(ev);
-            }
-        }
-        let mut sim = Simulation::new(M { order: vec![] });
-        sim.schedule(0, 1);
-        sim.schedule(0, 2);
-        sim.run_to_completion();
-        assert_eq!(sim.model.order, vec![1, 2, 9]);
     }
 }

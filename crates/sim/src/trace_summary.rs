@@ -117,7 +117,7 @@ pub struct TraceSummary {
 
 /// Reduce resolved trace events to a [`TraceSummary`] over `window`
 /// ns of virtual time.
-pub fn summarize(events: &[Event], window: Time) -> TraceSummary {
+pub fn summarize(events: &[&Event], window: Time) -> TraceSummary {
     let mut stages: BTreeMap<(&'static str, &'static str), StageStat> = BTreeMap::new();
     let mut gauges: BTreeMap<(&'static str, &'static str), (GaugeStat, u128)> = BTreeMap::new();
     let mut resources: BTreeMap<(&'static str, u32), ResourceStat> = BTreeMap::new();
@@ -232,8 +232,7 @@ fn arg(ev: &Event, key: &str) -> u64 {
 
 /// Convenience: resolve a collector's buffer and summarize it.
 pub fn summarize_collector(collector: &Collector, window: Time) -> TraceSummary {
-    let (events, _) = collector.resolved();
-    summarize(&events, window)
+    summarize(&collector.resolved(), window)
 }
 
 impl TraceSummary {

@@ -47,11 +47,10 @@ fn write_args(out: &mut String, args: &[(&'static str, u64)]) {
     out.push('}');
 }
 
-/// Serialize the collector's buffered events (begin/end pairs
-/// resolved, sorted by virtual time) as a Chrome `trace_event` JSON
-/// object.
+/// Serialize the collector's buffered events, sorted by virtual time,
+/// as a Chrome `trace_event` JSON object.
 pub fn export(collector: &Collector) -> String {
-    let (events, unmatched) = collector.resolved();
+    let events = collector.resolved();
     let mut out = String::with_capacity(events.len() * 96 + 1024);
     out.push_str("{\"traceEvents\":[\n");
     let mut first = true;
@@ -119,16 +118,14 @@ pub fn export(collector: &Collector) -> String {
                 line.push_str(",\"ph\":\"i\",\"s\":\"t\"");
                 write_args(&mut line, &ev.args);
             }
-            // resolved() never yields raw begin/end events.
-            Phase::Begin { .. } | Phase::End { .. } => unreachable!("resolved spans only"),
         }
         line.push('}');
         emit(line, &mut out);
     }
     let _ = write!(
         out,
-        "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{{\"clock\":\"virtual\",\"dropped\":{},\"unmatched\":{}}}}}\n",
-        collector.dropped, unmatched
+        "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{{\"clock\":\"virtual\",\"dropped\":{}}}}}\n",
+        collector.dropped
     );
     out
 }
@@ -244,8 +241,14 @@ mod tests {
             vec![("pkts", 64), ("bytes", 4096)],
         );
         c.counter(Category::Io, "ring_depth", 3, 1_000, 17);
-        let id = c.span_begin(Category::Gpu, "kernel", 0, 2_500);
-        c.span_end(id, 9_001, vec![("threads", 256)]);
+        c.complete(
+            Category::Gpu,
+            "kernel",
+            0,
+            2_500,
+            9_001,
+            vec![("threads", 256)],
+        );
         c.instant(Category::Fabric, "drop", 1, 500, vec![]);
         c
     }

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use crate::event::{Args, Category, CategoryMask, Event, Phase, SpanId};
+use crate::event::{Args, Category, CategoryMask, Event, Phase};
 use crate::Time;
 
 /// Collector configuration.
@@ -39,26 +39,6 @@ impl TraceConfig {
             ..TraceConfig::default()
         }
     }
-
-    /// Read configuration from the environment: `PS_TRACE` is a
-    /// category list (`stage,gpu` / `all`), `PS_TRACE_CAP` overrides
-    /// the ring capacity. Returns `None` when `PS_TRACE` is unset,
-    /// empty, or `0`.
-    pub fn from_env() -> Option<TraceConfig> {
-        let list = std::env::var("PS_TRACE").ok()?;
-        if list.trim().is_empty() || list.trim() == "0" {
-            return None;
-        }
-        let mask = CategoryMask::parse(&list);
-        if mask.is_empty() {
-            return None;
-        }
-        let capacity = std::env::var("PS_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(TraceConfig::default().capacity);
-        Some(TraceConfig { mask, capacity })
-    }
 }
 
 /// Bounded, ordered store of trace events.
@@ -72,7 +52,6 @@ pub struct Collector {
     events: VecDeque<Event>,
     /// Events evicted by the ring bound.
     pub dropped: u64,
-    next_span: u64,
 }
 
 impl Collector {
@@ -83,7 +62,6 @@ impl Collector {
             cfg,
             events: VecDeque::new(),
             dropped: 0,
-            next_span: 0,
         }
     }
 
@@ -153,52 +131,6 @@ impl Collector {
         });
     }
 
-    /// Open a span whose end is not yet known; pair the returned id
-    /// with [`Collector::span_end`]. Returns `None` when the category
-    /// is disabled (pass it straight to `span_end`, which ignores
-    /// `None`).
-    pub fn span_begin(
-        &mut self,
-        cat: Category,
-        name: &'static str,
-        lane: u32,
-        ts: Time,
-    ) -> Option<SpanId> {
-        if !self.enabled(cat) {
-            return None;
-        }
-        self.next_span += 1;
-        let id = SpanId(self.next_span);
-        self.push(Event {
-            ts,
-            cat,
-            name,
-            lane,
-            phase: Phase::Begin { id },
-            args: Vec::new(),
-        });
-        Some(id)
-    }
-
-    /// Close a span opened by [`Collector::span_begin`]. A `None` id
-    /// (disabled category at begin time) is a no-op. The end event
-    /// may be emitted out of order relative to other lanes' events;
-    /// pairing is by id, not position.
-    pub fn span_end(&mut self, id: Option<SpanId>, ts: Time, args: Args) {
-        let Some(id) = id else { return };
-        // The begin was recorded, so the category was enabled; record
-        // the end unconditionally so pairs never half-vanish on a
-        // reconfigured mask.
-        self.push(Event {
-            ts,
-            cat: Category::Stage,
-            name: "",
-            lane: 0,
-            phase: Phase::End { id },
-            args,
-        });
-    }
-
     /// Record a gauge sample.
     pub fn counter(&mut self, cat: Category, name: &'static str, lane: u32, ts: Time, value: u64) {
         if !self.enabled(cat) {
@@ -229,43 +161,13 @@ impl Collector {
         });
     }
 
-    /// Resolve begin/end pairs into complete spans and return the
-    /// full event list in timestamp order (ties keep emission order).
-    /// Unpaired begins/ends are dropped and counted in the returned
-    /// `unmatched`.
-    pub fn resolved(&self) -> (Vec<Event>, u64) {
-        let mut out: Vec<Event> = Vec::with_capacity(self.events.len());
-        // Open spans by id: (index into `out`, begin event).
-        let mut open: Vec<(SpanId, Event)> = Vec::new();
-        let mut unmatched = 0u64;
-        for ev in &self.events {
-            match ev.phase {
-                Phase::Begin { id } => open.push((id, ev.clone())),
-                Phase::End { id } => {
-                    if let Some(pos) = open.iter().position(|(oid, _)| *oid == id) {
-                        let (_, begin) = open.remove(pos);
-                        out.push(Event {
-                            ts: begin.ts,
-                            cat: begin.cat,
-                            name: begin.name,
-                            lane: begin.lane,
-                            phase: Phase::Complete {
-                                dur: ev.ts.saturating_sub(begin.ts),
-                            },
-                            args: ev.args.clone(),
-                        });
-                    } else {
-                        unmatched += 1;
-                    }
-                }
-                _ => out.push(ev.clone()),
-            }
-        }
-        unmatched += open.len() as u64;
-        // Stable sort: equal timestamps keep deterministic emission
-        // order, so the dump is byte-stable.
+    /// The buffered events in timestamp order. The sort is stable:
+    /// equal timestamps keep their deterministic emission order, so
+    /// the dump is byte-stable.
+    pub fn resolved(&self) -> Vec<&Event> {
+        let mut out: Vec<&Event> = self.events.iter().collect();
         out.sort_by_key(|e| e.ts);
-        (out, unmatched)
+        out
     }
 }
 
@@ -293,38 +195,10 @@ mod tests {
         let mut c = Collector::new(TraceConfig::categories(&[Category::Gpu]));
         c.complete(Category::Stage, "pre", 0, 0, 10, vec![]);
         c.counter(Category::Io, "depth", 0, 5, 3);
-        assert!(c.span_begin(Category::Fabric, "wire", 0, 0).is_none());
+        c.instant(Category::Fabric, "wire", 0, 0, vec![]);
         assert!(c.is_empty());
         c.complete(Category::Gpu, "kernel", 0, 0, 10, vec![]);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn begin_end_pair_out_of_order() {
-        let mut c = Collector::new(TraceConfig::all());
-        let a = c.span_begin(Category::Stage, "a", 0, 0);
-        let b = c.span_begin(Category::Stage, "b", 1, 5);
-        // Ends arrive in the opposite order of the begins.
-        c.span_end(a, 20, vec![("n", 1)]);
-        c.span_end(b, 10, vec![]);
-        let (resolved, unmatched) = c.resolved();
-        assert_eq!(unmatched, 0);
-        assert_eq!(resolved.len(), 2);
-        let a = resolved.iter().find(|e| e.name == "a").unwrap();
-        assert_eq!((a.ts, a.dur()), (0, 20));
-        assert_eq!(a.args, vec![("n", 1)]);
-        let b = resolved.iter().find(|e| e.name == "b").unwrap();
-        assert_eq!((b.ts, b.dur()), (5, 5));
-    }
-
-    #[test]
-    fn unmatched_spans_are_counted_not_exported() {
-        let mut c = Collector::new(TraceConfig::all());
-        let _open = c.span_begin(Category::Stage, "never_closed", 0, 0);
-        c.span_end(Some(SpanId(999)), 10, vec![]);
-        let (resolved, unmatched) = c.resolved();
-        assert!(resolved.is_empty());
-        assert_eq!(unmatched, 2);
     }
 
     #[test]
@@ -333,7 +207,7 @@ mod tests {
         c.complete(Category::Gpu, "late", 0, 50, 60, vec![]);
         c.complete(Category::Gpu, "early", 0, 10, 20, vec![]);
         c.complete(Category::Gpu, "tie1", 0, 10, 15, vec![]);
-        let (r, _) = c.resolved();
+        let r = c.resolved();
         let names: Vec<&str> = r.iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["early", "tie1", "late"]);
     }

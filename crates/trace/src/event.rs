@@ -1,11 +1,8 @@
 //! The trace event model: categories, phases, spans and counters.
 //!
-//! One [`Event`] is one row of the timeline. Most instrumentation
-//! emits *complete* spans — the simulation computes an operation's
-//! start and completion time in the same handler, so both ends are
-//! known at emission. Begin/end spans exist for stages whose end is
-//! only learned by a later event handler; they pair by [`SpanId`], so
-//! emission order does not matter.
+//! One [`Event`] is one row of the timeline. Spans are *complete*
+//! spans: the simulation computes an operation's start and completion
+//! time in the same handler, so both ends are known at emission.
 
 /// Event categories — one per instrumented subsystem. Each can be
 /// enabled independently; a disabled category costs one mask check
@@ -93,9 +90,6 @@ pub struct CategoryMask(pub(crate) u8);
 impl CategoryMask {
     /// Every category enabled.
     pub const ALL: CategoryMask = CategoryMask(0b111111);
-    /// No category enabled.
-    #[cfg(test)]
-    pub(crate) const NONE: CategoryMask = CategoryMask(0);
 
     /// Mask with exactly the given categories.
     pub fn of(cats: &[Category]) -> CategoryMask {
@@ -103,18 +97,17 @@ impl CategoryMask {
     }
 
     /// Parse a `PS_TRACE`-style list: comma-separated category names,
-    /// or `all`/`1` for everything. Unknown names are ignored; an
-    /// empty or unrecognized list yields the empty mask.
-    pub fn parse(list: &str) -> CategoryMask {
+    /// or `all`/`1` for everything. The error is the first name that
+    /// is not a category (an empty list fails on the empty name).
+    pub fn parse(list: &str) -> Result<CategoryMask, &str> {
         let list = list.trim();
         if list == "all" || list == "1" {
-            return CategoryMask::ALL;
+            return Ok(CategoryMask::ALL);
         }
-        CategoryMask(
-            list.split(',')
-                .filter_map(Category::parse)
-                .fold(0, |m, c| m | c.bit()),
-        )
+        list.split(',').try_fold(CategoryMask(0), |m, name| {
+            let c = Category::parse(name).ok_or(name.trim())?;
+            Ok(CategoryMask(m.0 | c.bit()))
+        })
     }
 
     /// Whether `cat` is enabled in this mask.
@@ -122,17 +115,7 @@ impl CategoryMask {
     pub fn contains(self, cat: Category) -> bool {
         self.0 & cat.bit() != 0
     }
-
-    /// Whether no category is enabled.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
 }
-
-/// Identifier pairing a begin event with its end event. Unique per
-/// collector install.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(pub(crate) u64);
 
 /// Event phase, mirroring the Chrome `trace_event` `ph` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,18 +124,6 @@ pub enum Phase {
     Complete {
         /// Span duration in virtual nanoseconds.
         dur: u64,
-    },
-    /// Span start, paired with the [`Phase::End`] carrying the same
-    /// [`SpanId`].
-    Begin {
-        /// Pairing id.
-        id: SpanId,
-    },
-    /// Span end, paired with the [`Phase::Begin`] carrying the same
-    /// [`SpanId`].
-    End {
-        /// Pairing id.
-        id: SpanId,
     },
     /// A gauge sample (`ph: "C"`).
     Counter {
@@ -202,14 +173,14 @@ mod tests {
 
     #[test]
     fn mask_parse_handles_lists_and_all() {
-        assert_eq!(CategoryMask::parse("all"), CategoryMask::ALL);
-        assert_eq!(CategoryMask::parse("1"), CategoryMask::ALL);
+        assert_eq!(CategoryMask::parse("all"), Ok(CategoryMask::ALL));
+        assert_eq!(CategoryMask::parse("1"), Ok(CategoryMask::ALL));
         assert_eq!(
-            CategoryMask::parse("stage,gpu"),
-            CategoryMask::of(&[Category::Stage, Category::Gpu])
+            CategoryMask::parse("stage, gpu"),
+            Ok(CategoryMask::of(&[Category::Stage, Category::Gpu]))
         );
-        assert_eq!(CategoryMask::parse("bogus"), CategoryMask::NONE);
-        assert!(CategoryMask::parse("").is_empty());
+        assert_eq!(CategoryMask::parse("stage,bogus"), Err("bogus"));
+        assert_eq!(CategoryMask::parse(""), Err(""));
     }
 
     #[test]

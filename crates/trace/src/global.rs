@@ -10,7 +10,7 @@
 use std::cell::{Cell, RefCell};
 
 use crate::collector::Collector;
-use crate::event::{Args, Category, SpanId};
+use crate::event::{Args, Category};
 use crate::Time;
 
 thread_local! {
@@ -74,28 +74,6 @@ pub fn complete(
     with(|c| c.complete(cat, name, lane, start, end, args));
 }
 
-/// Open a begin/end span on the installed tracer. Returns `None`
-/// when off; [`span_end`] ignores `None`.
-#[inline]
-pub fn span_begin(cat: Category, name: &'static str, lane: u32, ts: Time) -> Option<SpanId> {
-    if !enabled(cat) {
-        return None;
-    }
-    let mut id = None;
-    with(|c| id = c.span_begin(cat, name, lane, ts));
-    id
-}
-
-/// Close a span opened with [`span_begin`].
-#[inline]
-pub fn span_end(id: Option<SpanId>, ts: Time, args: impl FnOnce() -> Args) {
-    if id.is_none() {
-        return;
-    }
-    let args = args();
-    with(|c| c.span_end(id, ts, args));
-}
-
 /// Record a gauge sample on the installed tracer (no-op when off).
 #[inline]
 pub fn counter(cat: Category, name: &'static str, lane: u32, ts: Time, value: u64) {
@@ -151,9 +129,7 @@ mod tests {
         complete(Category::Gpu, "k", 0, 0, 1, || {
             panic!("args must not build")
         });
-        span_end(span_begin(Category::Gpu, "k", 0, 0), 1, || {
-            panic!("args must not build")
-        });
+        instant(Category::Gpu, "k", 0, 0, || panic!("args must not build"));
     }
 
     #[test]

@@ -39,10 +39,8 @@ pub mod event;
 mod global;
 
 pub use collector::{Collector, TraceConfig};
-pub use event::{Args, Category, CategoryMask, Event, Phase, SpanId};
-pub use global::{
-    complete, counter, enabled, install, instant, is_installed, span_begin, span_end, take,
-};
+pub use event::{Args, Category, CategoryMask, Event, Phase};
+pub use global::{complete, counter, enabled, install, instant, is_installed, take};
 
 /// Virtual time in nanoseconds since simulation start. Identical to
 /// `ps_sim::time::Time` (this crate sits below `ps-sim` and cannot

@@ -212,6 +212,9 @@ fn long_window_ipsec_streams_matches_parent() {
 /// now emits `submit`/`wait`/`queue_depth` args on both directions and
 /// the stage adds cumulative `pcie_*` counters, which legitimately
 /// grow the dump. The *result* fingerprints above did not move.
+/// Re-pinned again when begin/end spans went: `otherData` lost the
+/// always-zero count of unpaired spans (14 bytes); nothing else
+/// changed.
 #[test]
 fn trace_dump_matches_seed_implementation() {
     let dump = |seed: u64| {
@@ -221,17 +224,17 @@ fn trace_dump_matches_seed_implementation() {
         chrome::export(&collector)
     };
     let d5 = dump(5);
-    assert_eq!(d5.len(), 33_039_635, "seed 5 dump length");
+    assert_eq!(d5.len(), 33_039_621, "seed 5 dump length");
     assert_eq!(
         fnv1a(d5.as_bytes()),
-        0x14c9_53e9_c2c9_96a6,
+        0xf54a_6e37_78e5_b5ed,
         "seed 5 dump hash"
     );
     let d6 = dump(6);
-    assert_eq!(d6.len(), 33_095_165, "seed 6 dump length");
+    assert_eq!(d6.len(), 33_095_151, "seed 6 dump length");
     assert_eq!(
         fnv1a(d6.as_bytes()),
-        0xe3d4_6f57_66f7_c3dd,
+        0xd18e_9229_3aea_f102,
         "seed 6 dump hash"
     );
 }

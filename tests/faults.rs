@@ -645,7 +645,7 @@ fn fault_trace_instants_track_the_plan() {
     };
 
     let (report, collector) = run(FaultSpec::scenario("all").expect("known scenario"));
-    let (events, _) = collector.resolved();
+    let events = collector.resolved();
     let fault_events: Vec<_> = events.iter().filter(|e| e.cat == Category::Fault).collect();
     assert!(report.faults.injected() > 0, "armed plan never fired");
     assert!(!fault_events.is_empty(), "fired faults left no trace");
@@ -657,7 +657,7 @@ fn fault_trace_instants_track_the_plan() {
     );
 
     let (report, collector) = run(FaultSpec::none());
-    let (events, _) = collector.resolved();
+    let events = collector.resolved();
     assert_eq!(report.faults.injected(), 0);
     assert_eq!(
         events.iter().filter(|e| e.cat == Category::Fault).count(),
