@@ -13,10 +13,11 @@
 //! `--gbps <f>`, `--frame <bytes>`, `--ms <virtual ms>`,
 //! `--trace-out <path>`. The trace honours `PS_TRACE` (category list)
 //! and `PS_TRACE_CAP` (ring size); while `PS_TRACE` is off (unset,
-//! empty or `0`) every category is recorded in a default-size ring. The per-lane stage accounting fails the run when two
-//! stage spans on one lane overlap; after writing the dump the binary
-//! re-parses it and requires the dump's accounting to equal the
-//! run's. See OBSERVABILITY.md.
+//! empty or `0`) every category is recorded, in the ring
+//! `PS_TRACE_CAP` sizes. The per-lane stage accounting fails the run
+//! when two stage spans on one lane overlap; after writing the dump
+//! the binary re-parses it and requires the dump's accounting to
+//! equal the run's. See OBSERVABILITY.md.
 
 use ps_bench::trace::{
     config_from_env, parsed_stage_spans, stage_lane_accounting, stage_spans, traced, write_chrome,
@@ -27,7 +28,7 @@ use ps_core::{Mode, Router, RouterConfig, RouterReport};
 use ps_pktgen::{TrafficKind, TrafficSpec};
 use ps_sim::trace_summary::summarize;
 use ps_sim::MILLIS;
-use ps_trace::{Collector, TraceConfig};
+use ps_trace::Collector;
 
 struct Opts {
     app: String,
@@ -103,7 +104,7 @@ fn run(opts: &Opts) -> (RouterReport, Collector) {
     };
     let duration = opts.ms * MILLIS;
     // Every category unless `PS_TRACE` names some.
-    let tc = config_from_env().unwrap_or_else(TraceConfig::all);
+    let tc = config_from_env(true).expect("every category while PS_TRACE is off");
     match opts.app.as_str() {
         "ipv4" => traced(tc, || {
             Router::run(cfg, workloads::ipv4_app(50_000, 1), spec, duration)

@@ -134,8 +134,7 @@ fn main() {
         std::process::exit(2);
     }
     // `--trace-out` records every category unless `PS_TRACE` names some.
-    let trace = ps_bench::trace::config_from_env()
-        .or_else(|| trace_out.is_some().then(ps_trace::TraceConfig::all));
+    let trace = ps_bench::trace::config_from_env(trace_out.is_some());
     let run_all = || {
         for arg in &args {
             let ((), secs) = timed(|| dispatch(arg));

@@ -21,30 +21,39 @@ pub fn traced<T>(cfg: TraceConfig, f: impl FnOnce() -> T) -> (T, Collector) {
 }
 
 /// The trace configuration `PS_TRACE` (a category list) and
-/// `PS_TRACE_CAP` (the ring capacity) ask for; `None` when tracing is
-/// off.
+/// `PS_TRACE_CAP` (the ring capacity) ask for. While `PS_TRACE` is
+/// off, that is every category when `all_when_off` is set (a caller
+/// that records anyway) and `None` otherwise; the capacity holds
+/// either way.
 ///
 /// # Panics
 ///
 /// When `PS_TRACE` names an unknown category, or `PS_TRACE_CAP` is not
 /// a decimal or `0x`-hex count of at least 1, naming the variable: a
 /// mistyped value must not silently trace everything or nothing.
-pub fn config_from_env() -> Option<TraceConfig> {
+pub fn config_from_env(all_when_off: bool) -> Option<TraceConfig> {
     let list = std::env::var("PS_TRACE").ok();
-    trace_config(list.as_deref(), ps_rng::env_u64("PS_TRACE_CAP"))
+    trace_config(
+        list.as_deref(),
+        ps_rng::env_u64("PS_TRACE_CAP"),
+        all_when_off,
+    )
 }
 
 /// The trace configuration a `PS_TRACE` value and a parsed
 /// `PS_TRACE_CAP` value ask for. Unset, empty and `0` mean off.
-fn trace_config(list: Option<&str>, cap: Option<u64>) -> Option<TraceConfig> {
+fn trace_config(list: Option<&str>, cap: Option<u64>, all_when_off: bool) -> Option<TraceConfig> {
     let capacity = match cap {
         None => TraceConfig::default().capacity,
         Some(0) => panic!("PS_TRACE_CAP=0: the trace ring needs at least one slot"),
         Some(n) => usize::try_from(n).unwrap_or(usize::MAX),
     };
-    let list = list.map(str::trim).filter(|l| !l.is_empty() && *l != "0")?;
-    let mask = CategoryMask::parse(list)
-        .unwrap_or_else(|name| panic!("PS_TRACE={list}: unknown trace category `{name}`"));
+    let mask = match list.map(str::trim).filter(|l| !l.is_empty() && *l != "0") {
+        Some(list) => CategoryMask::parse(list)
+            .unwrap_or_else(|name| panic!("PS_TRACE={list}: unknown trace category `{name}`")),
+        None if all_when_off => CategoryMask::ALL,
+        None => return None,
+    };
     Some(TraceConfig { mask, capacity })
 }
 
@@ -126,19 +135,31 @@ mod tests {
     #[test]
     fn ps_trace_unset_empty_or_zero_is_off() {
         for list in [None, Some(""), Some(" "), Some("0")] {
-            assert!(trace_config(list, None).is_none(), "{list:?}");
+            assert!(trace_config(list, None, false).is_none(), "{list:?}");
+        }
+    }
+
+    #[test]
+    fn ps_trace_cap_sizes_the_ring_while_ps_trace_is_off() {
+        for list in [None, Some(""), Some("0")] {
+            let cfg = trace_config(list, Some(1000), true).unwrap();
+            assert_eq!(
+                (cfg.mask, cfg.capacity),
+                (CategoryMask::ALL, 1000),
+                "{list:?}"
+            );
         }
     }
 
     #[test]
     fn ps_trace_list_selects_exactly_its_categories() {
-        let cfg = trace_config(Some("stage,gpu"), Some(64)).unwrap();
+        let cfg = trace_config(Some("stage,gpu"), Some(64), false).unwrap();
         assert_eq!(
             cfg.mask,
             CategoryMask::of(&[Category::Stage, Category::Gpu])
         );
         assert_eq!(cfg.capacity, 64);
-        let cfg = trace_config(Some("all"), None).unwrap();
+        let cfg = trace_config(Some("all"), None, true).unwrap();
         assert_eq!(cfg.mask, CategoryMask::ALL);
         assert_eq!(cfg.capacity, TraceConfig::default().capacity);
     }
@@ -146,13 +167,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "PS_TRACE=stgae: unknown trace category `stgae`")]
     fn ps_trace_unknown_category_panics_naming_it() {
-        trace_config(Some("stgae"), None);
+        trace_config(Some("stgae"), None, false);
     }
 
     #[test]
     #[should_panic(expected = "PS_TRACE_CAP=0")]
     fn ps_trace_cap_zero_panics_naming_it() {
-        trace_config(None, Some(0));
+        trace_config(None, Some(0), true);
     }
 
     #[test]

@@ -206,8 +206,8 @@ mod tests {
     use std::net::Ipv4Addr;
 
     #[test]
-    fn bindings_fill_32_byte_slots() {
-        assert_eq!(FlowCache::<NatBinding>::SLOT_BYTES, 32);
+    fn bindings_fill_32_byte_entries() {
+        assert_eq!(FlowCache::<NatBinding>::ENTRY_BYTES, 32);
     }
 
     fn udp(src: u32, sport: u16, in_port: u16) -> Packet {

@@ -56,6 +56,7 @@ pub struct DeviceWildcards {
 /// ([`ColumnProgram::host`]) leaves `wildcard` unset and scans in
 /// `apply` only when the exact table misses, which is what the
 /// CPU-only cycle model charges.
+#[derive(Clone, Copy)]
 pub struct OpenFlowRow {
     hash: u32,
     wildcard: Option<Option<Action>>,

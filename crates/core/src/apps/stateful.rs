@@ -33,7 +33,7 @@ use ps_sim::time::Time;
 use crate::app::ShardAffinity;
 use crate::columns::{ColumnSet, FLOW_COLUMNS};
 use crate::kernels::{FlowHashKernel, KernelIo};
-use crate::program::ColumnProgram;
+use crate::program::{ColumnProgram, Lookahead};
 
 /// Flow-hash cost on the CPU path (the work the GPU absorbs).
 const HASH_CYCLES: u64 = 160;
@@ -49,7 +49,7 @@ pub(super) const KICK_CYCLES: u64 = 35;
 /// cache pins.
 pub trait FlowOp: Sized {
     /// What the flow cache stores per flow.
-    type Entry;
+    type Entry: Copy;
     /// Application name for reports.
     const NAME: &'static str;
 
@@ -104,6 +104,11 @@ impl<O: FlowOp> FlowNf<O> {
                 .collect(),
             ports_per_node: total_ports / nodes as u16,
         }
+    }
+
+    /// The RX node whose state `p` touches.
+    fn node(&self, p: &Packet) -> usize {
+        (p.in_port.0 / self.ports_per_node) as usize % self.per_node.len()
     }
 
     /// Live flow entries across all nodes.
@@ -179,8 +184,16 @@ impl<O: FlowOp> ColumnProgram for FlowNf<O> {
     }
 
     fn apply(&mut self, p: &mut Packet, pf: ParsedFlow, hash: u64) -> u64 {
-        let node = (p.in_port.0 / self.ports_per_node) as usize % self.per_node.len();
+        let node = self.node(p);
         self.op.op(&mut self.per_node[node], node, p, &pf, hash)
+    }
+
+    fn prefetch(&self, p: &Packet, &hash: &u64, stage: Lookahead) {
+        let cache = &self.per_node[self.node(p)];
+        match stage {
+            Lookahead::Far => cache.prefetch_bucket(hash),
+            Lookahead::Near => cache.prefetch_entry(hash),
+        }
     }
 
     fn post_shade_cycles(&self, n: usize) -> u64 {
@@ -344,8 +357,18 @@ pub(super) fn rewrite_dst(data: &mut [u8], pf: &ParsedFlow, ip: u32, port: u16) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::{Backend, LbApp, NatApp};
+    use crate::program::ColumnApp;
+    use crate::App;
+    use ps_check::{check, ensure_eq, Gen};
+    use ps_gpu::GpuDevice;
+    use ps_hw::ioh::Ioh;
+    use ps_hw::pcie::PcieModel;
+    use ps_hw::spec::{IohSpec, PcieSpec};
     use ps_net::ethernet::MacAddr;
+    use ps_net::tcp::TcpFlags;
     use ps_net::PacketBuilder;
+    use ps_nic::port::PortId;
     use std::net::Ipv4Addr;
 
     fn udp_frame() -> Vec<u8> {
@@ -405,5 +428,145 @@ mod tests {
         let udp = UdpDatagram::new_unchecked(&g[pf.l4..]);
         assert_eq!(udp.dst_port(), 8080);
         assert!(udp.verify_checksum_v4(ip.src().octets(), 0x0A0A0A0Au32.to_be_bytes()));
+    }
+
+    /// Flow `f`'s packet with TCP flags `flags` (UDP when `None`),
+    /// arriving on `in_port` at `arrival`; `damaged` truncates it
+    /// inside the IP header, so it no longer parses.
+    fn flow_packet(
+        f: u32,
+        flags: Option<u8>,
+        in_port: u16,
+        arrival: Time,
+        damaged: bool,
+    ) -> Packet {
+        let (sport, dport) = (1024 + (f % 7) as u16, 80 + (f % 3) as u16);
+        let mut data = PacketBuilder::udp_v4(
+            MacAddr::local(1),
+            MacAddr::local(2),
+            Ipv4Addr::from(0x0A00_0000 + f / 21),
+            Ipv4Addr::new(198, 51, 100, 1),
+            sport,
+            dport,
+            74,
+        );
+        if let Some(flags) = flags {
+            let mut ip = Ipv4Packet::new_unchecked(&mut data[ETH_LEN..]);
+            ip.set_protocol(protocol::TCP);
+            ip.fill_checksum();
+            let l4 = ETH_LEN + ps_net::ipv4::HEADER_LEN;
+            data[l4 + 4..].fill(0);
+            data[l4 + 12] = 5 << 4; // data offset
+            data[l4 + 13] = flags;
+        }
+        if damaged {
+            data.truncate(ETH_LEN + 10);
+        }
+        let mut p = Packet::new(0, data, PortId(in_port), 0);
+        p.arrival = arrival;
+        p
+    }
+
+    /// What a run leaves behind that apply order could change: each
+    /// packet's frame and out port, then the cache counters, the
+    /// occupancy and the app's lookup and malformed counts.
+    type Outcome = (
+        Vec<(Vec<u8>, Option<PortId>)>,
+        (FlowCacheStats, usize, u64, u64),
+    );
+
+    /// Feed `batches` to `app` through `process_cpu`, or through
+    /// `shade` on one GPU node.
+    fn run<O: FlowOp>(
+        mut app: ColumnApp<FlowNf<O>>,
+        gpu: bool,
+        batches: &[Vec<Packet>],
+    ) -> Outcome {
+        let mut eng = GpuEngine::new(
+            GpuDevice::gtx480_with_mem(16 << 20),
+            PcieModel::new(PcieSpec::dual_ioh_x16()),
+        );
+        let mut ioh = Ioh::new(IohSpec::intel_5520_dual());
+        if gpu {
+            app.setup_gpu(0, &mut eng);
+        }
+        let mut frames = Vec::new();
+        for batch in batches {
+            let mut batch = batch.clone();
+            if gpu {
+                app.shade(0, &mut eng, &mut ioh, 0, &mut batch);
+            } else {
+                app.process_cpu(&mut batch);
+            }
+            frames.extend(batch.into_iter().map(|p| (p.data, p.out_port)));
+        }
+        let counts = (
+            app.cache_stats(),
+            app.occupancy(),
+            app.lookups,
+            app.malformed,
+        );
+        (frames, counts)
+    }
+
+    /// NAT and LB over tiny per-node tables (kicks, LRU eviction and,
+    /// with the idle timeout on, expiry all happen), UDP and TCP
+    /// traffic with SYN, ACK, FIN and RST and a few damaged frames,
+    /// in batches of 1–70 packets, so the apply loop's lookahead runs
+    /// past both ends of a batch: one batch through `process_cpu` or
+    /// `shade` leaves the same frames, out ports, counters and
+    /// occupancy as the same packets fed one per call.
+    #[test]
+    fn batch_applies_like_one_packet_at_a_time() {
+        let flags = [
+            TcpFlags::SYN,
+            TcpFlags::ACK,
+            TcpFlags::ACK | TcpFlags::PSH,
+            TcpFlags::FIN | TcpFlags::ACK,
+            TcpFlags::RST,
+        ];
+        check("batch_applies_like_one_packet_at_a_time", |g: &mut Gen| {
+            let nat = g.int_in(0u32..2) == 0;
+            let gpu = g.int_in(0u32..2) == 0;
+            let capacity = g.int_in(8usize..=64);
+            let idle = if g.int_in(0u32..2) == 0 {
+                0
+            } else {
+                g.int_in(20u64..=300)
+            };
+            let backends = g.int_in(1u32..=6);
+            let pool = g.int_in(4u32..=160);
+            let mut now: Time = 0;
+            let batches: Vec<Vec<Packet>> = g.vec_of(1, 8, |g| {
+                g.vec_of(1, 70, |g| {
+                    now += g.int_in(0u64..=40);
+                    let f = g.int_in(0..pool);
+                    let tcp = (f % 2 == 0).then(|| flags[g.int_in(0..flags.len())]);
+                    let damaged = g.int_in(0u32..40) == 0;
+                    flow_packet(f, tcp, g.int_in(0u16..8), now, damaged)
+                })
+            });
+            let singles: Vec<Vec<Packet>> =
+                batches.iter().flatten().map(|p| vec![p.clone()]).collect();
+            let (batched, one_by_one) = if nat {
+                let app = || NatApp::new(8, 2, capacity, idle);
+                (run(app(), gpu, &batches), run(app(), gpu, &singles))
+            } else {
+                let set: Vec<Backend> = (0..backends)
+                    .map(|i| Backend {
+                        ip: 0x0A63_0001 + i,
+                        port: 8080,
+                    })
+                    .collect();
+                let app = || LbApp::new(set.clone(), 8, 2, capacity, idle);
+                (run(app(), gpu, &batches), run(app(), gpu, &singles))
+            };
+            let ((frames, counts), (want_frames, want_counts)) = (batched, one_by_one);
+            for (i, (got, want)) in frames.iter().zip(&want_frames).enumerate() {
+                ensure_eq!(got, want, "nat={nat} gpu={gpu}: packet {i}");
+            }
+            ensure_eq!(counts, want_counts, "nat={nat} gpu={gpu}");
+            Ok(())
+        });
     }
 }

@@ -6,9 +6,12 @@
 //! loop over the same functional code. A [`ColumnProgram`] declares
 //! what differs between applications; [`ColumnApp`] is the one [`App`]
 //! that runs any such description on either path. CPU/GPU agreement
-//! is structural: both paths parse with the same `key` and apply a
-//! row with the same `apply`; only who computes the row differs
-//! (`host` vs the kernel).
+//! is structural: both paths parse the whole batch with the same
+//! `key`, and then run one apply loop over its rows; only who
+//! computes the rows differs (`host` vs the kernel). The loop applies
+//! in arrival order and lets the program start loading the state of
+//! packets a few places ahead of the one it applies
+//! ([`ColumnProgram::prefetch`]).
 
 use std::ops::{Deref, DerefMut};
 
@@ -26,14 +29,33 @@ use crate::kernels::KernelIo;
 /// device columns are sized for it.
 pub(crate) const MAX_GATHER: usize = 65_536;
 
+/// How many packets ahead of the one being applied its
+/// [`Lookahead::Far`] stage runs.
+const FAR: usize = 8;
+/// How many packets ahead of the one being applied its
+/// [`Lookahead::Near`] stage runs.
+const NEAR: usize = 4;
+
+/// Which of the two lookahead stages a [`ColumnProgram::prefetch`]
+/// call is. Each packet gets both, in this order, before `apply`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookahead {
+    /// 8 packets ahead: start loading what the row names directly (a
+    /// flow's buckets).
+    Far,
+    /// 4 packets ahead: follow what the far stage loaded (the entry a
+    /// bucket slot points at).
+    Near,
+}
+
 /// One packet program: what an application declares to be run by
 /// [`ColumnApp`] on the CPU-only path and on the GPU shading path.
 pub trait ColumnProgram: Sized {
     /// What [`ColumnProgram::apply`] needs back from the parse besides
     /// the staged bytes (`()` when the result row says it all).
-    type Key;
+    type Key: Copy;
     /// One decoded row of the result column.
-    type Row;
+    type Row: Copy;
     /// Persistent per-node device state (table images); `()` if none.
     type Tables;
 
@@ -73,6 +95,12 @@ pub trait ColumnProgram: Sized {
     /// rewrite headers, update host-side tables. Runs in arrival
     /// order on both paths; returns the host-side cost.
     fn apply(&mut self, p: &mut Packet, key: Self::Key, row: Self::Row) -> u64;
+
+    /// Start loading the host-side state `apply` will touch for `p`,
+    /// whose row is `row`, a [`Lookahead`] stage ahead of it. A hint:
+    /// it must change nothing `apply` observes. Does nothing unless a
+    /// program's tables are large enough to miss in cache.
+    fn prefetch(&self, _p: &Packet, _row: &Self::Row, _stage: Lookahead) {}
 
     /// Worker cycles for one CPU-only batch from its summed costs and
     /// survivor count. Lookup apps charge a formula over the summed
@@ -114,8 +142,11 @@ pub struct ColumnApp<P: ColumnProgram> {
     stage: ColumnStage,
     /// Per node: its device tables and columns, once `setup_gpu` ran.
     pub(crate) gpu: Vec<Option<NodeGpu<P::Tables>>>,
-    /// Keys of the batch being shaded (reused across launches).
+    /// Keys of the batch being applied (reused across batches).
     keys: Vec<Option<P::Key>>,
+    /// Rows of the batch being applied, one per key (reused; reserved
+    /// for a whole gather up front, so no run grows it).
+    rows: Vec<P::Row>,
     /// Result rows applied — one table lookup each — on either path.
     pub lookups: u64,
     /// Frames whose key no longer parsed when an execution path
@@ -132,9 +163,48 @@ impl<P: ColumnProgram> ColumnApp<P> {
             stage: ColumnStage::new(P::COLUMNS),
             gpu: Vec::new(),
             keys: Vec::new(),
+            rows: Vec::with_capacity(MAX_GATHER),
             lookups: 0,
             malformed: 0,
         }
+    }
+}
+
+impl<P: ColumnProgram> ColumnApp<P> {
+    /// Apply the batch's keys and rows to `pkts` in arrival order,
+    /// the one apply loop of both paths, while the program loads
+    /// ahead: before packet `i` is applied, packet `i + FAR` has had
+    /// its [`Lookahead::Far`] stage and packet `i + NEAR` its
+    /// [`Lookahead::Near`] one. Returns the summed `apply` cost.
+    fn apply_in_order(&mut self, pkts: &mut [Packet]) -> u64 {
+        let n = pkts.len();
+        debug_assert_eq!((self.keys.len(), self.rows.len()), (n, n));
+        let mut cost = 0;
+        // Step `t` runs packet `t`'s far stage, packet `t - (FAR -
+        // NEAR)`'s near stage and applies packet `t - FAR`, so the
+        // first packets of a batch are loaded ahead too.
+        for t in 0..n + FAR {
+            let near = t.checked_sub(FAR - NEAR);
+            for (j, stage) in [(Some(t), Lookahead::Far), (near, Lookahead::Near)] {
+                if let Some(j) = j.filter(|&j| j < n && self.keys[j].is_some()) {
+                    self.program.prefetch(&pkts[j], &self.rows[j], stage);
+                }
+            }
+            let Some(i) = t.checked_sub(FAR) else {
+                continue;
+            };
+            match self.keys[i] {
+                Some(key) => {
+                    cost += self.program.apply(&mut pkts[i], key, self.rows[i]);
+                    self.lookups += 1;
+                }
+                None => {
+                    self.malformed += 1;
+                    pkts[i].out_port = None;
+                }
+            }
+        }
+        cost
     }
 }
 
@@ -188,20 +258,22 @@ impl<P: ColumnProgram> App for ColumnApp<P> {
     fn process_cpu(&mut self, pkts: &mut Vec<Packet>) -> u64 {
         let width = P::COLUMNS.input.width;
         let mut cost = 0;
-        for p in pkts.iter_mut() {
+        self.keys.clear();
+        self.rows.clear();
+        // The host computes the whole result column first, as the
+        // kernel does: a frame that no longer parses keeps its zeroed
+        // slot, and its row is discarded uncharged.
+        for p in pkts.iter() {
             let mut slot = [0u8; MAX_INPUT_WIDTH];
-            match self.program.key(p, &mut slot[..width]) {
-                Some(key) => {
-                    let (row, offloadable) = self.program.host(&slot[..width]);
-                    cost += offloadable + self.program.apply(p, key, row);
-                    self.lookups += 1;
-                }
-                None => {
-                    self.malformed += 1;
-                    p.out_port = None;
-                }
+            let key = self.program.key(p, &mut slot[..width]);
+            let (row, offloadable) = self.program.host(&slot[..width]);
+            if key.is_some() {
+                cost += offloadable;
             }
+            self.keys.push(key);
+            self.rows.push(row);
         }
+        cost += self.apply_in_order(pkts);
         let survivors = pkts.iter().filter(|p| p.out_port.is_some()).count();
         self.program.cpu_cycles(cost, survivors)
     }
@@ -234,19 +306,10 @@ impl<P: ColumnProgram> App for ColumnApp<P> {
 
         // Scatter, in arrival order (host-side tables evolve exactly
         // as on the CPU path).
+        self.rows.clear();
         let rows = rows.chunks_exact(P::COLUMNS.output.width);
-        for ((p, key), row) in pkts.iter_mut().zip(self.keys.drain(..)).zip(rows) {
-            match key {
-                Some(key) => {
-                    self.program.apply(p, key, P::decode(row));
-                    self.lookups += 1;
-                }
-                None => {
-                    self.malformed += 1;
-                    p.out_port = None;
-                }
-            }
-        }
+        self.rows.extend(rows.map(P::decode));
+        self.apply_in_order(pkts);
         self.program.shaded(node, done);
         done
     }

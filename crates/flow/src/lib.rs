@@ -9,11 +9,18 @@
 //! * **two-choice cuckoo placement** — every key hashes to two
 //!   4-way buckets; insertion relocates residents along a bounded,
 //!   precomputed kick chain so no entry is ever left homeless;
-//! * **32-byte slots, one probe per packet** — a slot holds the key,
-//!   its last-seen stamp and the value, but no hash (a kick recomputes
-//!   it from the key); [`FlowCache::probe`] walks a key's buckets once
-//!   and hands back either the live entry, to read, write or remove
-//!   in place, or a vacant handle that inserts without a second walk;
+//! * **8-byte slots over a dense entry arena** — a bucket slot is one
+//!   word holding a hash tag and the index of a 32-byte arena entry
+//!   (the key, its last-seen stamp and the value, but no hash: a kick
+//!   recomputes it from the key, and moves the slot word, not the
+//!   entry). The bucket array is allocated zeroed and the arena is
+//!   reserved up front, so a table costs the pages its flows touch;
+//! * **one probe per packet, loaded ahead** — [`FlowCache::probe`]
+//!   walks a key's buckets once and hands back either the live entry,
+//!   to read, write or remove in place, or a vacant handle that
+//!   inserts without a second walk; [`FlowCache::prefetch_bucket`]
+//!   and [`FlowCache::prefetch_entry`] let a batch start both loads a
+//!   few packets early;
 //! * **LRU eviction** — when both buckets are full and no chain
 //!   frees a slot, the least-recently-seen candidate is evicted
 //!   (deterministic tie-break by bucket, then slot);
@@ -41,8 +48,8 @@ mod reference;
 /// protocol)` — the shape `ps_net::FlowKey::five_tuple` returns.
 pub type FlowTuple = (u32, u32, u16, u16, u8);
 
-/// Slots per bucket (set associativity). Four 32-byte entries fill
-/// two cache lines, the layout hardware cuckoo tables use.
+/// Slots per bucket (set associativity). Four 8-byte slot words make
+/// a 32-byte bucket, two to a 64-byte line.
 pub(crate) const WAYS: usize = 4;
 
 /// Bound on the cuckoo kick chain explored per insertion. Chains this
@@ -121,27 +128,19 @@ impl FlowCacheStats {
     }
 }
 
-/// One resident flow: the key's five fields laid out flat beside the
-/// last-seen stamp and the value. No copy of the hash: the key
-/// determines it, and a kick recomputes it. Flat fields let the
-/// occupied mark sit in the tuple's padding, so `Option<Entry<V>>`
-/// needs no tag of its own: at most 32 bytes for any `V` of up to 8.
+/// One resident flow in the arena: the key's five fields laid out
+/// flat beside the last-seen stamp and the value. No copy of the
+/// hash: the key determines it, and a kick recomputes it. 32 bytes
+/// for any `V` of up to 8 bytes and alignment 4 (24 for `u16`).
+#[derive(Clone, Copy)]
 struct Entry<V> {
     src: u32,
     dst: u32,
     sport: u16,
     dport: u16,
     proto: u8,
-    _live: Live,
     last_seen: Time,
     value: V,
-}
-
-/// The occupied mark: a byte with one valid value, whose other values
-/// encode `None` for `Option<Entry<V>>`.
-#[repr(u8)]
-enum Live {
-    Yes = 1,
 }
 
 impl<V> Entry<V> {
@@ -153,7 +152,6 @@ impl<V> Entry<V> {
             sport,
             dport,
             proto,
-            _live: Live::Yes,
             last_seen,
             value,
         }
@@ -164,10 +162,47 @@ impl<V> Entry<V> {
     }
 }
 
-/// One bucket: [`WAYS`] slots (4 × 32 B), 64-byte aligned so a probe
-/// of it touches at most two cache lines.
-#[repr(align(64))]
-struct Bucket<V>([Option<Entry<V>>; WAYS]);
+/// A slot word: `0` when empty; otherwise the key's [`tag`] in the
+/// high 32 bits and its arena index plus one in the low 32.
+type Slot = u64;
+
+/// One bucket: [`WAYS`] slot words.
+type Bucket = [Slot; WAYS];
+
+/// The 32 hash bits a slot word keeps to filter keys before the arena
+/// is read: both halves folded, so residents of one bucket (which
+/// share the low or the high half's bucket bits) still differ.
+fn tag(h: u64) -> u32 {
+    (h >> 32) as u32 ^ h as u32
+}
+
+fn slot_word(tag: u32, entry: usize) -> Slot {
+    (u64::from(tag) << 32) | (entry as u64 + 1)
+}
+
+fn word_tag(w: Slot) -> u32 {
+    (w >> 32) as u32
+}
+
+/// The arena index of occupied slot word `w`.
+fn word_entry(w: Slot) -> usize {
+    (w as u32 - 1) as usize
+}
+
+/// Start loading the cache line that holds `p`.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint to the memory system. It never
+    // faults, whatever the address, and reads nothing the program
+    // can observe.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
 
 /// What an insertion did (observability for callers that recycle
 /// the state of entries it pushed out, e.g. the NAT port allocator).
@@ -200,7 +235,7 @@ pub struct Hit<'a, V> {
     idx: usize,
 }
 
-impl<'a, V> Hit<'a, V> {
+impl<'a, V: Copy> Hit<'a, V> {
     /// The resident's value.
     pub fn get_mut(&mut self) -> &mut V {
         &mut self.cache.entry_mut(self.idx).value
@@ -215,7 +250,7 @@ impl<'a, V> Hit<'a, V> {
     /// without a second walk.
     pub fn remove(self) -> V {
         self.cache.occupancy -= 1;
-        self.cache.slot_mut(self.idx).take().expect("hit").value
+        self.cache.take(self.idx).value
     }
 }
 
@@ -227,7 +262,7 @@ pub struct Vacant<'a, V> {
     now: Time,
 }
 
-impl<V> Vacant<'_, V> {
+impl<V: Copy> Vacant<'_, V> {
     /// Insert the probed key at the probe's time: [`FlowCache::insert`]
     /// without its refresh scan (the probe just missed).
     pub fn insert(self, value: V) -> Inserted<V> {
@@ -238,7 +273,14 @@ impl<V> Vacant<'_, V> {
 /// The deterministic cuckoo flow cache. See the crate docs for the
 /// placement, eviction and expiry rules.
 pub struct FlowCache<V> {
-    buckets: Vec<Bucket<V>>,
+    /// Slot words, allocated zeroed: construction writes nothing, and
+    /// a page no key hashes to is never touched.
+    buckets: Vec<Bucket>,
+    /// Resident entries, reserved for every slot at construction so a
+    /// run never reallocates; untouched capacity costs no memory.
+    arena: Vec<Entry<V>>,
+    /// Arena indices freed by removals and expiries, reused first.
+    free: Vec<u32>,
     /// Bucket-index mask (`buckets - 1`, buckets a power of two).
     mask: usize,
     /// Idle timeout in virtual ns; `0` disables expiry.
@@ -247,19 +289,24 @@ pub struct FlowCache<V> {
     stats: FlowCacheStats,
 }
 
-impl<V> FlowCache<V> {
-    /// Bytes one slot takes.
-    pub const SLOT_BYTES: usize = std::mem::size_of::<Option<Entry<V>>>();
+impl<V: Copy> FlowCache<V> {
+    /// Bytes one resident entry takes in the arena.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<V>>();
 
     /// A cache with room for at least `capacity` entries (rounded up
     /// to a power-of-two bucket count) whose entries expire after
     /// `idle_ns` of virtual-clock inactivity (`0` = never).
     pub fn new(capacity: usize, idle_ns: Time) -> FlowCache<V> {
         let buckets = (capacity.div_ceil(WAYS)).next_power_of_two().max(2);
-        let mut table = Vec::with_capacity(buckets);
-        table.resize_with(buckets, || Bucket([const { None }; WAYS]));
+        let slots = buckets * WAYS;
+        assert!(
+            slots <= u32::MAX as usize,
+            "{slots} slots overflow a slot word"
+        );
         FlowCache {
-            buckets: table,
+            buckets: vec![[0; WAYS]; buckets],
+            arena: Vec::with_capacity(slots),
+            free: Vec::with_capacity(slots),
             mask: buckets - 1,
             idle_ns,
             occupancy: 0,
@@ -310,32 +357,88 @@ impl<V> FlowCache<V> {
         }
     }
 
+    /// Start loading both buckets of the key whose flow hash is `h`:
+    /// the first of the two lookahead stages. Changes nothing.
+    pub fn prefetch_bucket(&self, h: u64) {
+        for b in [self.bucket1(h), self.bucket2(h)] {
+            // A bucket is 32 B, so it may straddle two lines.
+            let bucket = &self.buckets[b];
+            prefetch(&bucket[0]);
+            prefetch(&bucket[WAYS - 1]);
+        }
+    }
+
+    /// Start loading the arena entry of every slot in `h`'s buckets
+    /// whose tag matches `h`: the second lookahead stage, once
+    /// [`FlowCache::prefetch_bucket`] has brought the buckets in.
+    /// Changes nothing.
+    pub fn prefetch_entry(&self, h: u64) {
+        let t = tag(h);
+        for b in [self.bucket1(h), self.bucket2(h)] {
+            for &w in &self.buckets[b] {
+                if w != 0 && word_tag(w) == t {
+                    prefetch(self.arena.as_ptr().wrapping_add(word_entry(w)));
+                }
+            }
+        }
+    }
+
     fn expired(&self, e: &Entry<V>, now: Time) -> bool {
         self.idle_ns != 0 && now.saturating_sub(e.last_seen) > self.idle_ns
     }
 
-    /// Slot `idx` (bucket `idx / WAYS`, way `idx % WAYS`).
-    fn slot(&self, idx: usize) -> &Option<Entry<V>> {
-        &self.buckets[idx / WAYS].0[idx % WAYS]
+    /// Slot `idx`'s word (bucket `idx / WAYS`, way `idx % WAYS`).
+    fn word(&self, idx: usize) -> Slot {
+        self.buckets[idx / WAYS][idx % WAYS]
     }
 
-    fn slot_mut(&mut self, idx: usize) -> &mut Option<Entry<V>> {
-        &mut self.buckets[idx / WAYS].0[idx % WAYS]
+    fn word_mut(&mut self, idx: usize) -> &mut Slot {
+        &mut self.buckets[idx / WAYS][idx % WAYS]
     }
 
+    /// The entry occupied slot `idx` points at.
     fn entry(&self, idx: usize) -> &Entry<V> {
-        self.slot(idx).as_ref().expect("resident")
+        &self.arena[word_entry(self.word(idx))]
     }
 
     fn entry_mut(&mut self, idx: usize) -> &mut Entry<V> {
-        self.slot_mut(idx).as_mut().expect("resident")
+        let e = word_entry(self.word(idx));
+        &mut self.arena[e]
+    }
+
+    /// The resident at slot `idx`, if any.
+    fn resident(&self, idx: usize) -> Option<&Entry<V>> {
+        (self.word(idx) != 0).then(|| self.entry(idx))
+    }
+
+    /// Fill empty slot `idx` with `entry`, whose key hashes to `h`.
+    fn put(&mut self, idx: usize, h: u64, entry: Entry<V>) {
+        let e = match self.free.pop() {
+            Some(e) => {
+                self.arena[e as usize] = entry;
+                e as usize
+            }
+            None => {
+                self.arena.push(entry);
+                self.arena.len() - 1
+            }
+        };
+        *self.word_mut(idx) = slot_word(tag(h), e);
+    }
+
+    /// Empty occupied slot `idx`, returning its entry.
+    fn take(&mut self, idx: usize) -> Entry<V> {
+        let e = word_entry(std::mem::take(self.word_mut(idx)));
+        self.free.push(e as u32);
+        self.arena[e]
     }
 
     /// The slot holding `key` (whose hash is `h`), live or expired.
     fn find(&self, h: u64, key: &FlowTuple) -> Option<usize> {
+        let t = tag(h);
         for b in [self.bucket1(h), self.bucket2(h)] {
-            for (s, slot) in self.buckets[b].0.iter().enumerate() {
-                if matches!(slot, Some(e) if e.key() == *key) {
+            for (s, &w) in self.buckets[b].iter().enumerate() {
+                if w != 0 && word_tag(w) == t && self.arena[word_entry(w)].key() == *key {
                     return Some(b * WAYS + s);
                 }
             }
@@ -410,7 +513,7 @@ impl<V> FlowCache<V> {
         for b in [b1, b2] {
             if let Some(s) = self.free_slot(b, now) {
                 let freed = self.take_expired(b * WAYS + s);
-                *self.slot_mut(b * WAYS + s) = Some(entry);
+                self.put(b * WAYS + s, h, entry);
                 self.occupancy += 1;
                 self.stats.inserts += 1;
                 return Inserted {
@@ -421,8 +524,8 @@ impl<V> FlowCache<V> {
         }
         // Cuckoo: walk a bounded kick chain from each home bucket
         // (victim slot rotates with depth, so the choice is a pure
-        // function of the chain position), then apply it in reverse —
-        // no entry is ever homeless mid-insert.
+        // function of the chain position), then apply it in reverse,
+        // moving slot words — no entry is ever homeless mid-insert.
         for start in [b1, b2] {
             if let Some((path, free)) = self.find_chain(start, now) {
                 let freed = self.take_expired(free);
@@ -431,11 +534,11 @@ impl<V> FlowCache<V> {
                 self.stats.max_depth = self.stats.max_depth.max(depth);
                 let mut dst = free;
                 for &src in path.iter().rev() {
-                    let moved = self.slot_mut(src).take().expect("chain resident");
-                    *self.slot_mut(dst) = Some(moved);
+                    let moved = std::mem::take(self.word_mut(src));
+                    *self.word_mut(dst) = moved;
                     dst = src;
                 }
-                *self.slot_mut(dst) = Some(entry);
+                self.put(dst, h, entry);
                 self.occupancy += 1;
                 self.stats.inserts += 1;
                 return Inserted {
@@ -446,13 +549,13 @@ impl<V> FlowCache<V> {
         }
         // Both buckets full, no chain frees a slot: evict the
         // least-recently-seen candidate (ties break by bucket then
-        // slot order — deterministic).
+        // slot order — deterministic), reusing its arena entry.
         let mut victim = b1 * WAYS;
         let mut oldest = Time::MAX;
         for b in [b1, b2] {
             for s in 0..WAYS {
                 let idx = b * WAYS + s;
-                if let Some(e) = self.slot(idx) {
+                if let Some(e) = self.resident(idx) {
                     if e.last_seen < oldest {
                         oldest = e.last_seen;
                         victim = idx;
@@ -460,7 +563,8 @@ impl<V> FlowCache<V> {
                 }
             }
         }
-        let old = self.slot_mut(victim).replace(entry).expect("bucket full");
+        let old = std::mem::replace(self.entry_mut(victim), entry);
+        *self.word_mut(victim) = slot_word(tag(h), word_entry(self.word(victim)));
         self.stats.evictions += 1;
         self.stats.inserts += 1;
         Inserted {
@@ -472,7 +576,7 @@ impl<V> FlowCache<V> {
     /// First slot in bucket `b` that is empty or holds an entry past
     /// the idle timeout.
     fn free_slot(&self, b: usize, now: Time) -> Option<usize> {
-        self.buckets[b].0.iter().position(|slot| match slot {
+        (0..WAYS).find(|&s| match self.resident(b * WAYS + s) {
             None => true,
             Some(e) => self.expired(e, now),
         })
@@ -481,7 +585,10 @@ impl<V> FlowCache<V> {
     /// Empty slot `idx`, which is empty or expired, handing back the
     /// expired resident.
     fn take_expired(&mut self, idx: usize) -> Option<(FlowTuple, V)> {
-        let e = self.slot_mut(idx).take()?;
+        if self.word(idx) == 0 {
+            return None;
+        }
+        let e = self.take(idx);
         self.occupancy -= 1;
         self.stats.expiries += 1;
         Some((e.key(), e.value))
@@ -497,7 +604,7 @@ impl<V> FlowCache<V> {
         let mut b = start;
         for depth in 0..MAX_KICKS {
             let idx = b * WAYS + depth % WAYS;
-            let e = self.slot(idx).as_ref()?;
+            let e = self.resident(idx)?;
             let alt = self.alt_bucket(flow_hash(&e.key()), b);
             path.push(idx);
             if let Some(free) = self.free_slot(alt, now) {
@@ -515,20 +622,25 @@ impl<V> FlowCache<V> {
     pub fn remove(&mut self, key: &FlowTuple) -> Option<V> {
         let idx = self.find(flow_hash(key), key)?;
         self.occupancy -= 1;
-        self.slot_mut(idx).take().map(|e| e.value)
+        Some(self.take(idx).value)
     }
 
     /// Drop every resident entry — the fault model's flow-state loss
     /// (a faulted shard's table is gone; flows must re-establish).
     /// Returns how many entries were lost. Statistics survive: the
-    /// ledger of what happened is not part of the lost state.
+    /// ledger of what happened is not part of the lost state. Only
+    /// occupied slot words are written, so pages no key touched stay
+    /// untouched.
     pub fn flush(&mut self) -> u64 {
         let mut n = 0;
-        for slot in self.buckets.iter_mut().flat_map(|b| &mut b.0) {
-            if slot.take().is_some() {
+        for w in self.buckets.iter_mut().flatten() {
+            if *w != 0 {
+                *w = 0;
                 n += 1;
             }
         }
+        self.arena.clear();
+        self.free.clear();
         self.occupancy = 0;
         n
     }
@@ -682,15 +794,12 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_32_bytes_in_aligned_buckets() {
-        assert_eq!(FlowCache::<u16>::SLOT_BYTES, 24);
-        assert_eq!(FlowCache::<u32>::SLOT_BYTES, 32);
-        assert_eq!(FlowCache::<u64>::SLOT_BYTES, 32);
-        assert_eq!(std::mem::align_of::<Bucket<u16>>(), 64);
-        assert_eq!(std::mem::size_of::<Bucket<u16>>(), 128);
-        assert_eq!(std::mem::size_of::<Bucket<u64>>(), 128);
-        let c: FlowCache<u16> = FlowCache::new(1024, 0);
-        assert_eq!(c.buckets.as_ptr() as usize % 64, 0);
+    fn slot_words_index_32_byte_entries_two_buckets_a_line() {
+        assert_eq!(std::mem::size_of::<Slot>(), 8);
+        assert_eq!(64 / std::mem::size_of::<Bucket>(), 2);
+        assert_eq!(FlowCache::<u16>::ENTRY_BYTES, 24);
+        assert_eq!(FlowCache::<u32>::ENTRY_BYTES, 32);
+        assert_eq!(FlowCache::<u64>::ENTRY_BYTES, 32);
     }
 
     /// One step of a random program.
@@ -743,8 +852,11 @@ mod tests {
             Op::Insert(k, v) => Out::Inserted(placed(c.insert(pool_key(k), now, v))),
             Op::Lookup(k) => Out::Found(c.lookup(&pool_key(k), now).copied()),
             Op::Probe { k, remove, insert } => {
-                let t = pool_key(k);
-                match c.probe(flow_hash(&t), &t, now) {
+                let (t, h) = (pool_key(k), flow_hash(&pool_key(k)));
+                // The lookahead stages change nothing a step observes.
+                c.prefetch_bucket(h);
+                c.prefetch_entry(h);
+                match c.probe(h, &t, now) {
                     Probe::Hit(hit) if remove => Out::Hit(hit.remove()),
                     Probe::Hit(hit) => {
                         let v = hit.into_mut();
@@ -814,7 +926,7 @@ mod tests {
 
     /// Random programs over tiny tables (kicks and LRU eviction are
     /// common), idle expiry on or off and keys from a small pool: the
-    /// 32-byte cache returns what the 40-byte one did, and keeps the
+    /// slot-word cache returns what the 40-byte one did, and keeps the
     /// same counters and occupancy, after every step.
     #[test]
     fn probe_agrees_with_reference() {

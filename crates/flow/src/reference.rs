@@ -1,7 +1,7 @@
-//! The 40-byte-slot cache the 32-byte layout replaced, kept verbatim
+//! The 40-byte-slot cache the compact layouts replaced, kept verbatim
 //! in behaviour as the oracle for `probe_agrees_with_reference`:
-//! every slot stores its key's hash and the kick chain reads it back.
-//! Test builds only.
+//! every slot stores its key, its hash and its value in place, and
+//! the kick chain reads the hash back. Test builds only.
 
 use super::{flow_hash, FlowCacheStats, FlowTuple, Inserted, MAX_KICKS, WAYS};
 use ps_sim::time::Time;
